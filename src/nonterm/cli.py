@@ -77,12 +77,16 @@ def count_relations(program: Program) -> int:
     return len(program.head_symbols())
 
 
+# A witness the interpreter did not keep alive: the theory or the code is
+# wrong, so such a row fails the run.
+_VALIDATION_FAILED = "Validation-failed"
+
 _STATUS = {
     "timeout": "Unknown-timeout",
     "fixpoint": "Unknown-fixpoint",
     "iteration-cap": "Unknown-cap",
     "rule-cap": "Unknown-cap",
-    "validation-failed": "Unknown-cap",
+    "validation-failed": _VALIDATION_FAILED,
 }
 
 
@@ -160,8 +164,20 @@ def _print_table(rows: list[ReportRow], out: TextIO) -> None:
         out.write(fmt.format(*c).rstrip() + "\n")
 
 
+def _file_error(path: Path, exc: Exception, err: TextIO) -> str:
+    """Report a file that could not be analysed; returns the message.
+
+    Terms are parsed and analysed recursively, so a file nested deeper than
+    the interpreter's recursion limit is reported like a parse error.
+    """
+    message = "term nesting too deep" if isinstance(exc, RecursionError) else str(exc)
+    err.write(f"error: {path}: {message}\n")
+    return message
+
+
 def run(config: RunConfig, out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int:
-    """Analyze all inputs; 0 when every file was processed, 1 on any error."""
+    """Analyze all inputs; 0 when every file was processed, 1 on any error
+    or on a witness that failed validation."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     files, errors = _collect(config.inputs)
@@ -173,9 +189,8 @@ def run(config: RunConfig, out: Optional[TextIO] = None, err: Optional[TextIO] =
         for path in files:
             try:
                 program = parse_program(path.read_text(encoding="utf-8"), path.stem)
-            except ParseError as exc:
-                err.write(f"error: {path}: {exc}\n")
-                errors.append(str(exc))
+            except (ParseError, RecursionError) as exc:
+                errors.append(_file_error(path, exc, err))
                 continue
             out.write(f"% {path.stem}\n")
             if config.dump_initial:
@@ -190,9 +205,8 @@ def run(config: RunConfig, out: Optional[TextIO] = None, err: Optional[TextIO] =
     for path in files:
         try:
             rows.extend(analyze_file(path, config, err))
-        except ParseError as exc:
-            err.write(f"error: {path}: {exc}\n")
-            errors.append(str(exc))
+        except (ParseError, RecursionError) as exc:
+            errors.append(_file_error(path, exc, err))
             if not corpus_mode:
                 return 1
     if config.as_json:
@@ -200,7 +214,8 @@ def run(config: RunConfig, out: Optional[TextIO] = None, err: Optional[TextIO] =
         out.write("\n")
     else:
         _print_table(rows, out)
-    return 1 if errors else 0
+    failed = any(r.status == _VALIDATION_FAILED for r in rows)
+    return 1 if errors or failed else 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -10,7 +10,7 @@ yields a family of rules covering every unrolling depth at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .binrules import BinaryRule, BinaryRuleSet, canonical_key, saturate
@@ -58,12 +58,23 @@ class PatternSubstitution:
         return f"<{self.sigma}; {self.mu}>"
 
 
+# `PatternTerm.power_memo` before the power form has been computed.
+NOT_COMPUTED = object()
+
+
 @dataclass(frozen=True)
 class PatternTerm:
-    """The term family skeleton . sigma^n . mu."""
+    """The term family skeleton . sigma^n . mu.
+
+    `power_memo` holds the value of `powers.power_form` once it has been
+    computed (None when the term is not simple), so each term pays for its
+    power form at most once; read it through `power_form`.  It takes no
+    part in equality or hashing.
+    """
 
     skeleton: Term
     subst: PatternSubstitution
+    power_memo: object = field(default=NOT_COMPUTED, compare=False, repr=False)
 
     def at(self, n: int) -> Term:
         return apply(self.skeleton, self.subst.at(n))

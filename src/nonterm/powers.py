@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .pattern import PatternSubstitution, PatternTerm
+from .pattern import NOT_COMPUTED, PatternSubstitution, PatternTerm
 from .terms import (
     App,
     Subst,
@@ -190,8 +190,14 @@ def power_form(p: PatternTerm) -> Optional[Term]:
     sigma(x) = c^a(x).  The mu binding then splits as c^b(t) with t not
     c-headed, and x maps to c^(a,b)(t); variables that sigma fixes keep
     their mu binding as is.  Returns None when some sigma binding does not
-    have that shape.
+    have that shape.  Computed once per pattern term and memoised on it.
     """
+    if p.power_memo is NOT_COMPUTED:
+        object.__setattr__(p, "power_memo", _compute_power_form(p))
+    return p.power_memo
+
+
+def _compute_power_form(p: PatternTerm) -> Optional[Term]:
     theta: dict[Var, Term] = {}
     for x in sorted(term_vars(p.skeleton), key=lambda v: v.name):
         sx = p.subst.sigma.lookup(x)

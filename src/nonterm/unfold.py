@@ -102,13 +102,21 @@ def identity_pattern_rules(program: Program) -> list[PatternRule]:
 
 
 def rename_pattern_rule(rule: PatternRule, ren: Subst) -> PatternRule:
+    """The rule under an injective renaming of its variables.
+
+    Each side of the copy carries its power form, renamed: renaming
+    commutes with `power_form`, so the copy never recomputes it.
+    """
+
     def rename_side(p: PatternTerm) -> PatternTerm:
         def rsub(s: Subst) -> Subst:
             return Subst({ren.lookup(v): apply(t, ren) for v, t in s.items()})
 
+        u = power_form(p)
         return PatternTerm(
             apply(p.skeleton, ren),
             PatternSubstitution(rsub(p.subst.sigma), rsub(p.subst.mu)),
+            None if u is None else apply(u, ren),
         )
 
     return PatternRule(rename_side(rule.lhs), rename_side(rule.rhs))
@@ -118,17 +126,25 @@ def _root(t: Term):
     return t.symbol if isinstance(t, App) else None
 
 
-def _step_candidates(
+def _attempts(
     program: Program,
     pool: list[PatternRule],
     patid: list[PatternRule],
     source: VarSource,
-) -> Iterator[tuple[PatternRule, tuple]]:
-    """All rules derivable in one unfolding step from the given pool.
+    new: Optional[set[int]] = None,
+) -> Iterator[tuple[Optional[PatternRule], tuple]]:
+    """Every selection one unfolding step tries, with the rule it derives.
 
-    Enumeration order is fixed: program rules in order, prefix length
-    ascending, selections in pool insertion order (identities last), the
-    last slot varying fastest.
+    Yields (rule or None, provenance) per selection of pool rules for a
+    body prefix; None marks a selection that failed to unify, did not
+    commute or lost simplicity.  Enumeration order is fixed: program rules
+    in order, prefix length ascending, selections in pool insertion order
+    (identities last), the last slot varying fastest.
+
+    With `new` (the ids of the pool rules that are new since the previous
+    step over the same program), selections made only of older rules are
+    skipped: the previous step already tried each of them, and it can only
+    give again a variant of what it gave then.
     """
     eps_rules = [r for r in pool if r.rhs_is_epsilon()]
     all_rules = [*pool, *patid]
@@ -143,45 +159,73 @@ def _step_candidates(
     for rule_idx, rule in enumerate(program.rules):
         m = len(rule.body)
         rule_vars = rule.vars()
+        body = [lift(b) for b in rule.body]
         for i in range(1, m + 1):
             slots = [compatible(eps_rules, rule.body[j]) for j in range(i - 1)]
             slots.append(
                 compatible(all_rules if i == m else noneps_rules, rule.body[i - 1])
             )
             for combo in product(*slots):
-                avoid = set(rule_vars)
-                picked: list[PatternRule] = []
-                for pr in combo:
-                    ren = fresh_renaming(pr.vars(), avoid, source)
-                    rr = rename_pattern_rule(pr, ren)
-                    picked.append(rr)
-                    avoid |= rr.vars()
-                theta = pattern_mgu(
-                    [p.lhs for p in picked], [lift(b) for b in rule.body[:i]]
+                if new is not None and not any(id(pr) in new for pr in combo):
+                    continue
+                yield (
+                    _unfold(rule.head, rule_vars, body[:i], combo, source),
+                    (rule_idx, i, combo),
                 )
-                if theta is None:
-                    continue
-                last_rhs = picked[-1].rhs
-                if not (
-                    commutes(theta.sigma, last_rhs.subst.sigma)
-                    and commutes(theta.sigma, last_rhs.subst.mu)
-                ):
-                    continue
-                lhs = PatternTerm(rule.head, theta)
-                if is_epsilon(last_rhs.skeleton):
-                    rhs = EPSILON_PATTERN
-                else:
-                    rhs = pterm(
-                        last_rhs.skeleton,
-                        compose(last_rhs.subst.sigma, theta.sigma),
-                        compose(last_rhs.subst.mu, theta.mu),
-                    )
-                candidate = PatternRule(lhs, rhs)
-                # Compositions can break simplicity; such results are unusable
-                # downstream (no power form), so they are dropped, not stored.
-                if power_form(lhs) is None or power_form(rhs) is None:
-                    continue
-                yield candidate, (rule_idx, i, combo)
+
+
+def _unfold(
+    head: Term,
+    rule_vars: frozenset[Var],
+    prefix: list[PatternTerm],
+    combo: tuple[PatternRule, ...],
+    source: VarSource,
+) -> Optional[PatternRule]:
+    """The rule derived by closing a lifted body prefix with the selected
+    pool rules (renamed apart), or None when that fails."""
+    avoid = set(rule_vars)
+    picked: list[PatternRule] = []
+    for pr in combo:
+        ren = fresh_renaming(pr.vars(), avoid, source)
+        rr = rename_pattern_rule(pr, ren)
+        picked.append(rr)
+        avoid |= rr.vars()
+    theta = pattern_mgu([p.lhs for p in picked], prefix)
+    if theta is None:
+        return None
+    last_rhs = picked[-1].rhs
+    if not (
+        commutes(theta.sigma, last_rhs.subst.sigma)
+        and commutes(theta.sigma, last_rhs.subst.mu)
+    ):
+        return None
+    lhs = PatternTerm(head, theta)
+    if is_epsilon(last_rhs.skeleton):
+        rhs = EPSILON_PATTERN
+    else:
+        rhs = pterm(
+            last_rhs.skeleton,
+            compose(last_rhs.subst.sigma, theta.sigma),
+            compose(last_rhs.subst.mu, theta.mu),
+        )
+    # Compositions can break simplicity; such results are unusable
+    # downstream (no power form), so they are dropped, not stored.
+    if power_form(lhs) is None or power_form(rhs) is None:
+        return None
+    return PatternRule(lhs, rhs)
+
+
+def _step_candidates(
+    program: Program,
+    pool: list[PatternRule],
+    patid: list[PatternRule],
+    source: VarSource,
+) -> Iterator[tuple[PatternRule, tuple]]:
+    """All rules derivable in one unfolding step from the given pool, in
+    the order of `_attempts`."""
+    for candidate, provenance in _attempts(program, pool, patid, source):
+        if candidate is not None:
+            yield candidate, provenance
 
 
 def step(
@@ -233,16 +277,28 @@ def saturate(
             if on_rule and on_rule(rule):
                 return finish("proved")
 
+    # Semi-naive evaluation: from round 2 on, only selections that use a
+    # rule stored in the previous round are tried (see `_attempts`); the
+    # identities are never new after round 1.
+    new: Optional[set[int]] = None
     for round_no in range(1, budget.max_iterations + 1):
         stats.iterations = round_no
         snapshot = list(stored)
         grew = False
-        checked = 0
-        for candidate, provenance in _step_candidates(program, snapshot, patid, source):
-            checked += 1
-            if checked % 64 == 0 and time.monotonic() > deadline:
+        attempts = _attempts(program, snapshot, patid, source, new)
+        for attempt, (candidate, provenance) in enumerate(attempts, 1):
+            # Every selection counts, failed ones too, so a long run of
+            # failing unifications cannot outlast the deadline by more than
+            # 64 selections.
+            if attempt % 64 == 0 and time.monotonic() > deadline:
                 return finish("timeout")
-            if stats.generated >= budget.max_rules:
+            if candidate is None:
+                continue
+            # The cap binds only on a rule that would be new, so skipped
+            # selections, which give duplicates, cannot change the outcome.
+            if stats.generated >= budget.max_rules and not stored.contains_variant(
+                candidate
+            ):
                 return finish("rule-cap")
             if not stored.add(candidate):
                 continue
@@ -260,4 +316,5 @@ def saturate(
                 return finish("timeout")
         if not grew:
             return finish("fixpoint")
+        new = {id(r) for r in list(stored)[len(snapshot):]}
     return finish("iteration-cap")

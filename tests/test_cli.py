@@ -5,8 +5,9 @@ import json
 from pathlib import Path
 
 from conftest import PROGRAMS_DIR
+from nonterm import detect
 from nonterm.cli import RunConfig, count_relations, main, run
-from nonterm.program import parse_program
+from nonterm.program import DerivationStatus, parse_program
 
 
 def run_cli(*inputs, **kwargs):
@@ -82,6 +83,32 @@ class TestRun:
         assert code == 1  # error reported ...
         assert "b-good" in out  # ... but the rest was analyzed
         assert "a-bad" in err
+
+    def test_deep_term_in_corpus_skips_file(self, tmp_path):
+        deep = "0"
+        for _ in range(3000):
+            deep = f"s({deep})"
+        (tmp_path / "deep.pl").write_text(f"%query: f(i).\nf({deep}).\n")
+        (tmp_path / "grow.pl").write_text((PROGRAMS_DIR / "grow.pl").read_text())
+        code, out, err = run_cli(tmp_path)
+        assert code == 1
+        assert f"error: {tmp_path / 'deep.pl'}: term nesting too deep" in err
+        assert "Traceback" not in err
+        row = [l for l in out.splitlines() if l.startswith("grow")][0]
+        assert "Proven" in row
+
+    def test_validation_failure_fails_run(self, monkeypatch):
+        # A witness the interpreter lets terminate is not an Unknown: it
+        # gets its own status and the run fails.
+        monkeypatch.setattr(
+            detect, "derive_bounded", lambda *_: DerivationStatus(reached_bound=False, steps=3)
+        )
+        code, out, _ = run_cli(PROGRAMS_DIR / "while-lt.pl", validate_steps=300, as_json=True)
+        assert code == 1
+        (row,) = json.loads(out)
+        assert row["status"] == "Validation-failed"
+        assert row["reason"] == "validation-failed"
+        assert row["witness"] is None
 
     def test_empty_directory(self, tmp_path):
         code, out, _ = run_cli(tmp_path)

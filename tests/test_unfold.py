@@ -1,10 +1,24 @@
 """Pattern-unfolding engine: candidate generation, budgets, soundness."""
 
 import io
+from types import SimpleNamespace
 
-from conftest import subst, term
+import pytest
+
+from conftest import PROGRAMS_DIR, subst, term
+from nonterm import unfold
 from nonterm.binrules import saturate as binary_saturate
-from nonterm.pattern import EPSILON_PATTERN, PatternRule, initial_rules, lift, pterm
+from nonterm.pattern import (
+    EPSILON_PATTERN,
+    NOT_COMPUTED,
+    PatternRule,
+    PatternTerm,
+    initial_rules,
+    lift,
+    pattern_rule_key,
+    pterm,
+)
+from nonterm.powers import power_form
 from nonterm.program import calls_bounded, parse_program
 from nonterm.terms import Subst, Var, VarSource, match
 from nonterm.unfold import (
@@ -16,6 +30,37 @@ from nonterm.unfold import (
     saturate,
     step,
 )
+
+# A while loop guarded by gt and mul, with an le exit, over the whole
+# gt/add/mul/le library.
+WHILE_MUL_LE = """
+%query: while(i,i).
+while(X, Y) :- gt(X, Y), mul(X, Y, Z), while(Z, s(Y)).
+while(X, Y) :- le(X, Y).
+gt(s(X), 0).
+gt(s(X), s(Y)) :- gt(X, Y).
+add(X, 0, X).
+add(X, s(Y), s(Z)) :- add(X, Y, Z).
+mul(X, 0, 0).
+mul(X, s(Y), Z) :- mul(X, Y, W), add(W, X, Z).
+le(0, X).
+le(s(X), s(Y)) :- le(X, Y).
+"""
+
+# A loop whose unfoldings mostly clash in the unifier.
+CLASHING_LOOP = """
+%query: while(i,i).
+while(X, Y) :- gt(X, Y), add(X, Y, Z), gt(Z, X), while(Z, s(Y)).
+gt(s(X), 0).
+gt(s(X), s(Y)) :- gt(X, Y).
+add(X, 0, X).
+add(X, s(Y), s(Z)) :- add(X, Y, Z).
+"""
+
+PROGRAM_SOURCES = {
+    **{p.stem: p.read_text() for p in sorted(PROGRAMS_DIR.glob("*.pl"))},
+    "while-mul-le": WHILE_MUL_LE,
+}
 
 
 class TestIdentityPatternRules:
@@ -228,3 +273,111 @@ class TestSoundnessSampled:
                 assert any(match(inst.body, got) is not None for got in calls), (
                     f"{rule} at {n} not certified"
                 )
+
+
+def naive_saturate(program, base, rounds):
+    """Reference for `saturate`: every round offers every selection over
+    the whole pool, without the semi-naive skip."""
+    stored = PatternRuleSet(base)
+    patid = identity_pattern_rules(program)
+    source = VarSource()
+    generated = 0
+    for _ in range(rounds):
+        grew = False
+        for candidate, _ in _step_candidates(program, list(stored), patid, source):
+            if stored.add(candidate):
+                generated += 1
+                grew = True
+        if not grew:
+            return stored, generated, "fixpoint"
+    return stored, generated, "iteration-cap"
+
+
+class TestSemiNaive:
+    # Full enumeration over these pools takes minutes at 12 rounds (the
+    # prover stops them in round 2 or 3), so they run fewer.  The running
+    # example (`ex_program`) is while-gt-add.
+    ROUNDS = {"and-isnat": 6, "while-gt-add": 6, "while-gt-step2": 6}
+
+    @pytest.mark.parametrize("name", sorted(PROGRAM_SOURCES))
+    def test_same_as_full_enumeration(self, name):
+        program = parse_program(PROGRAM_SOURCES[name], name)
+        rounds = self.ROUNDS.get(name, 12)
+        base = initial_rules(program)
+        budget = UnfoldBudget(wall_clock=3600.0, max_iterations=rounds)
+        rules, stats = saturate(program, base, budget)
+        ref, generated, stop = naive_saturate(program, base, rounds)
+        assert [pattern_rule_key(r) for r in rules] == [pattern_rule_key(r) for r in ref]
+        assert stats.generated == generated
+        assert stats.stop == stop
+
+    def test_rule_cap_at_exact_count(self, ex_program):
+        # A cap equal to the number of families saturation finds binds
+        # nowhere: no further new family ever asks to be stored.
+        base = initial_rules(ex_program)
+        _, generated, stop = naive_saturate(ex_program, base, 3)
+        assert stop == "iteration-cap"
+        budget = UnfoldBudget(max_iterations=3, max_rules=generated)
+        _, stats = saturate(ex_program, base, budget)
+        assert (stats.stop, stats.generated) == ("iteration-cap", generated)
+        budget = UnfoldBudget(max_iterations=3, max_rules=generated - 1)
+        _, stats = saturate(ex_program, base, budget)
+        assert (stats.stop, stats.generated) == ("rule-cap", generated - 1)
+
+
+class TestPowerFormMemo:
+    def test_memo_equals_fresh_computation(self, monkeypatch):
+        program = parse_program(WHILE_MUL_LE)
+        copies = []
+
+        def recording_rename(rule, ren):
+            copy = rename_pattern_rule(rule, ren)
+            copies.append(copy)
+            return copy
+
+        monkeypatch.setattr(unfold, "rename_pattern_rule", recording_rename)
+        rules, _ = saturate(program, initial_rules(program), UnfoldBudget(max_iterations=4))
+        assert copies
+        for rule in [*rules, *copies]:
+            for side in (rule.lhs, rule.rhs):
+                assert side.power_memo is not NOT_COMPUTED
+                fresh = PatternTerm(side.skeleton, side.subst)
+                assert fresh.power_memo is NOT_COMPUTED
+                assert power_form(side) == power_form(fresh)
+
+    def test_computed_once(self):
+        p = pterm(term("gt(X,Y)"), subst(X="s(X)", Y="s(Y)"), subst(X="s(X)", Y="0"))
+        assert power_form(p) is power_form(p)
+        assert p == PatternTerm(p.skeleton, p.subst)
+
+
+class TestDeadline:
+    def test_failed_unifications_are_counted(self, monkeypatch):
+        # Pass the deadline on the first call of the longest run of failing
+        # pattern_mgu calls: saturation must stop within 64 more calls.
+        program = parse_program(CLASHING_LOOP)
+        base = initial_rules(program)
+        budget = UnfoldBudget(wall_clock=10.0, max_iterations=3)
+        outcomes = []
+        real_mgu = unfold.pattern_mgu
+
+        def counting_mgu(left, right):
+            theta = real_mgu(left, right)
+            outcomes.append(theta is not None)
+            return theta
+
+        monkeypatch.setattr(unfold, "pattern_mgu", counting_mgu)
+        saturate(program, base, budget)
+        longest, start, run = 0, 0, 0
+        for idx, ok in enumerate(outcomes):
+            run = 0 if ok else run + 1
+            if run > longest:
+                longest, start = run, idx - run + 1
+        assert longest > 64
+
+        outcomes.clear()
+        clock = SimpleNamespace(monotonic=lambda: 0.0 if len(outcomes) <= start else 1e9)
+        monkeypatch.setattr(unfold, "time", clock)
+        _, stats = saturate(program, base, budget)
+        assert stats.stop == "timeout"
+        assert len(outcomes) - (start + 1) <= 64
