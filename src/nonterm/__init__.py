@@ -7,7 +7,7 @@ concrete ground query that starts an infinite leftmost derivation.
 """
 
 from .detect import ProofOutcome, Witness, match_pumping, prove
-from .pattern import PatternRule, PatternSubstitution, PatternTerm, initial_rules
+from .pattern import PatternRule, initial_rules
 from .program import Program, parse_program
 from .terms import App, Subst, Symbol, Term, Var, mgu, render
 from .unfold import UnfoldBudget, saturate
@@ -17,8 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "App",
     "PatternRule",
-    "PatternSubstitution",
-    "PatternTerm",
     "ProofOutcome",
     "Program",
     "Subst",

@@ -233,8 +233,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--dump-initial", action="store_true", help="print the seed pattern rules and exit")
     parser.add_argument("--dump-binunf", type=int, default=None, metavar="DEPTH", help="print a bounded binary unfolding and exit")
     args = parser.parse_args(argv)
-    if args.timeout <= 0:
+    if not args.timeout > 0:  # also rejects nan, which no deadline passes
         parser.error("--timeout must be positive")
+    for flag, value in (
+        ("--max-iter", args.max_iter),
+        ("--max-rules", args.max_rules),
+        ("--validate", args.validate),
+        ("--dump-binunf", args.dump_binunf),
+    ):
+        if value is not None and value < 0:
+            parser.error(f"{flag} must not be negative")
     config = RunConfig(
         inputs=tuple(args.inputs),
         timeout=args.timeout,

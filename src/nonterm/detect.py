@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .pattern import PatternRule, initial_rules
-from .powers import is_power, power_form, strip_power
+from .powers import expand_at, is_power, strip_power
 from .program import Program, QueryMode, derive_bounded
 from .terms import (
     App,
@@ -29,7 +29,6 @@ from .terms import (
     Var,
     apply,
     hole,
-    is_epsilon,
     match,
     render,
     term_vars,
@@ -135,18 +134,14 @@ def _read_hole(left: Term, right: Term) -> Optional[tuple[Hole, Term]]:
 def match_pumping(rule: PatternRule) -> Optional[PumpData]:
     """Check whether a simple pattern rule pumps itself; None if not.
 
-    Works on the canonical power forms only: the underlying property is
+    Works on the canonical power terms only: the underlying property is
     existential over all equivalent representatives, so this recognizer is
     deliberately incomplete but sound.
     """
     if rule.rhs_is_epsilon():
         return None
-    u = power_form(rule.lhs)
-    v = power_form(rule.rhs)
-    if u is None or v is None or is_epsilon(v):
-        return None
 
-    outer, pairs = _split_outer(u, v)
+    outer, pairs = _split_outer(rule.lhs, rule.rhs)
     holes: list[Hole] = []
     rights: list[Term] = []
     for left, right in pairs:
@@ -286,7 +281,7 @@ def ground_constant(program: Program, preferred: str = "0") -> Symbol:
 
 def witness_from(rule: PatternRule, data: PumpData, constant: Symbol) -> Witness:
     n = max(0, math.ceil(data.alpha))
-    base = rule.lhs.at(n)
+    base = expand_at(rule.lhs, n)
     unit = App(constant, ())
     grounding = Subst({v: unit for v in term_vars(base)})
     return Witness(rule, data, n, grounding, apply(base, grounding))
@@ -294,7 +289,7 @@ def witness_from(rule: PatternRule, data: PumpData, constant: Symbol) -> Witness
 
 def check_pumps(rule: PatternRule, data: PumpData, n: int) -> bool:
     """The executable core of the argument: q(n) instantiates p(n + k)."""
-    return match(rule.lhs.at(n + data.k), rule.rhs.at(n)) is not None
+    return match(expand_at(rule.lhs, n + data.k), expand_at(rule.rhs, n)) is not None
 
 
 @dataclass(frozen=True)
@@ -309,22 +304,6 @@ class ProofOutcome:
     @property
     def proven(self) -> bool:
         return self.status == "proven"
-
-    def to_dict(self) -> dict:
-        out = {
-            "status": self.status,
-            "witness": render(self.witness.term) if self.witness else None,
-            "n": self.witness.n if self.witness else None,
-            "alpha": str(self.witness.data.alpha) if self.witness else None,
-            "k": self.witness.data.k if self.witness else None,
-            "unfolded": self.unfolded,
-            "time_ms": round(self.time_ms, 3),
-        }
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.validated is not None:
-            out["validated"] = self.validated
-        return out
 
 
 def prove(
@@ -348,8 +327,7 @@ def prove(
     constant = ground_constant(program)
 
     def on_rule(rule: PatternRule) -> bool:
-        skel = rule.lhs.skeleton
-        if not isinstance(skel, App) or skel.symbol != query.predicate:
+        if not isinstance(rule.lhs, App) or rule.lhs.symbol != query.predicate:
             return False
         data = match_pumping(rule)
         if data is None:

@@ -1,29 +1,29 @@
-"""Pattern substitutions, terms and rules: finite descriptions of rule families.
+"""Rule families as pairs of power terms, and the seed families.
 
-A pattern substitution (sigma, mu) stands for the family sigma^n . mu over
-all n; a pattern term applies such a family to a fixed skeleton, and a
-pattern rule pairs two pattern terms, describing one binary rule per index.
-`initial_rules` extracts the seed set from recursive/base rule pairs whose
-heads differ only by one ground context layer per argument: such a pair
-yields a family of rules covering every unrolling depth at once.
+A pattern rule pairs two normalized power terms (see `powers`); its
+instance n is the binary rule obtained by expanding every power symbol at
+n.  `initial_rules` extracts the seed set from recursive/base rule pairs
+whose heads differ only by one ground context layer per argument: such a
+pair yields a family of rules covering every unrolling depth at once.  The
+paper writes those families as skeleton . sigma^n . mu; `power_form`
+converts them as they are seeded, and no other part of the prover sees
+that notation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .binrules import BinaryRule, BinaryRuleSet, canonical_key, saturate
+from .binrules import BinaryRule, canonical_key
+from .powers import expand_at, power_form
 from .program import Program
 from .terms import (
     App,
     EPSILON,
     Subst,
-    Symbol,
     Term,
     Var,
-    apply,
-    compose,
     hole,
     hole_index,
     is_epsilon,
@@ -34,88 +34,23 @@ from .terms import (
 
 
 @dataclass(frozen=True)
-class PatternSubstitution:
-    """The substitution family sigma^n . mu, indexed by n."""
-
-    sigma: Subst
-    mu: Subst
-
-    def at(self, n: int) -> Subst:
-        acc = self.mu
-        for _ in range(n):
-            acc = compose(self.sigma, acc)
-        return acc
-
-    def vars(self) -> frozenset[Var]:
-        return (
-            self.sigma.domain()
-            | self.sigma.range_vars()
-            | self.mu.domain()
-            | self.mu.range_vars()
-        )
-
-    def __repr__(self) -> str:
-        return f"<{self.sigma}; {self.mu}>"
-
-
-# `PatternTerm.power_memo` before the power form has been computed.
-NOT_COMPUTED = object()
-
-
-@dataclass(frozen=True)
-class PatternTerm:
-    """The term family skeleton . sigma^n . mu.
-
-    `power_memo` holds the value of `powers.power_form` once it has been
-    computed (None when the term is not simple), so each term pays for its
-    power form at most once; read it through `power_form`.  It takes no
-    part in equality or hashing.
-    """
-
-    skeleton: Term
-    subst: PatternSubstitution
-    power_memo: object = field(default=NOT_COMPUTED, compare=False, repr=False)
-
-    def at(self, n: int) -> Term:
-        return apply(self.skeleton, self.subst.at(n))
-
-    def vars(self) -> frozenset[Var]:
-        return term_vars(self.skeleton) | self.subst.vars()
-
-    def __repr__(self) -> str:
-        return f"({render(self.skeleton)} {self.subst})"
-
-
-def pterm(skeleton: Term, sigma: Subst = Subst(), mu: Subst = Subst()) -> PatternTerm:
-    return PatternTerm(skeleton, PatternSubstitution(sigma, mu))
-
-
-def lift(t: Term) -> PatternTerm:
-    """A constant family: the term itself at every index."""
-    return pterm(t)
-
-
-EPSILON_PATTERN = lift(EPSILON)
-
-
-@dataclass(frozen=True)
 class PatternRule:
-    """A pair of pattern terms; instance n is the binary rule (lhs(n), rhs(n))."""
+    """A pair of power terms; instance n is the binary rule (lhs(n), rhs(n))."""
 
-    lhs: PatternTerm
-    rhs: PatternTerm
+    lhs: Term
+    rhs: Term
 
     def at(self, n: int) -> BinaryRule:
-        return BinaryRule(self.lhs.at(n), self.rhs.at(n))
+        return BinaryRule(expand_at(self.lhs, n), expand_at(self.rhs, n))
 
     def vars(self) -> frozenset[Var]:
-        return self.lhs.vars() | self.rhs.vars()
+        return term_vars(self.lhs) | term_vars(self.rhs)
 
     def rhs_is_epsilon(self) -> bool:
-        return is_epsilon(self.rhs.skeleton)
+        return is_epsilon(self.rhs)
 
     def __repr__(self) -> str:
-        return f"{self.lhs} => {self.rhs}"
+        return f"{render(self.lhs)} => {render(self.rhs)}"
 
 
 def _context_of(t: Term) -> Optional[tuple[Term, tuple[Var, ...]]]:
@@ -171,9 +106,10 @@ def initial_rules(program: Program) -> list[PatternRule]:
     A recursive rule (c(c1(x1)..cm(xm)), c(x1..xm)) with ground 1-contexts
     c_k and a base fact c(t1..tm) generate two correct families:
       - (c(x1..xm), sigma, mu) => epsilon        (n unrollings then the base)
-      - (head, sigma, empty)   => lifted body    (n unrollings, body left open)
-    with sigma = {x_k -> c_k(x_k)} and mu = {x_k -> t_k}.  Only same-root
-    pairs can share the outer context, so the scan is per predicate.
+      - (head, sigma, empty)   => body           (n unrollings, body left open)
+    with sigma = {x_k -> c_k(x_k)} and mu = {x_k -> t_k}, each stored as its
+    power form.  Only same-root pairs can share the outer context, so the
+    scan is per predicate.
     """
     out: list[PatternRule] = []
     seen: set[tuple] = set()
@@ -198,6 +134,10 @@ def initial_rules(program: Program) -> list[PatternRule]:
         if any(s != x and term_vars(s) != {x} for x, s in zip(xs, wrapped)):
             continue
         sigma = Subst({x: s for x, s in zip(xs, wrapped) if s != x})
+        # Every moved variable sits in a ground context, so both power forms
+        # exist.
+        open_ = power_form(head, sigma, Subst())
+        assert open_ is not None
         for base in facts:
             if not isinstance(base.head, App) or base.head.symbol != head.symbol:
                 continue
@@ -205,10 +145,9 @@ def initial_rules(program: Program) -> list[PatternRule]:
             if ts is None:
                 continue
             mu = Subst({x: t for x, t in zip(xs, ts) if t != x})
-            for rule in (
-                PatternRule(pterm(body, sigma, mu), EPSILON_PATTERN),
-                PatternRule(pterm(head, sigma, Subst()), lift(body)),
-            ):
+            closing = power_form(body, sigma, mu)
+            assert closing is not None
+            for rule in (PatternRule(closing, EPSILON), PatternRule(open_, body)):
                 key = pattern_rule_key(rule)
                 if key not in seen:
                     seen.add(key)
@@ -219,51 +158,7 @@ def initial_rules(program: Program) -> list[PatternRule]:
 def pattern_rule_key(rule: PatternRule) -> tuple:
     """Renaming-invariant identity of the described rule family.
 
-    Built on the canonical power form of both sides, so two syntactically
-    different triples describing the same family collide, as intended.
+    Both sides are normalized, so equivalent spellings of one family, such
+    as s(s^(n)(X)) and s^(n+1)(X), collide.
     """
-    from .powers import power_form
-
-    u = power_form(rule.lhs)
-    v = power_form(rule.rhs)
-    if u is None or v is None:
-        # Non-simple rules are never stored; fall back to raw structure.
-        return canonical_key(
-            (
-                rule.lhs.skeleton,
-                _subst_term(rule.lhs.subst.sigma),
-                _subst_term(rule.lhs.subst.mu),
-                rule.rhs.skeleton,
-                _subst_term(rule.rhs.subst.sigma),
-                _subst_term(rule.rhs.subst.mu),
-            )
-        )
-    return canonical_key((u, v))
-
-
-_BIND = Symbol("$bind", 2)
-
-
-def _subst_term(s: Subst) -> Term:
-    """Encode a substitution as a term so it can join a canonical key."""
-    items = sorted(s.items(), key=lambda it: it[0].name)
-    t: Term = EPSILON
-    for v, u in reversed(items):
-        t = App(_BIND, (App(_BIND, (v, u)), t))
-    return t
-
-
-def check_correct_sampled(
-    rule: PatternRule,
-    program: Program,
-    n_max: int,
-    depth: int,
-    oracle: Optional[BinaryRuleSet] = None,
-) -> bool:
-    """Test utility: every instance up to n_max is a derivable binary rule.
-
-    Membership is checked against the bounded binary-unfolding oracle,
-    modulo renaming.
-    """
-    pool = oracle if oracle is not None else saturate(program, depth)
-    return all(pool.contains_variant(rule.at(n)) for n in range(n_max + 1))
+    return canonical_key((rule.lhs, rule.rhs))

@@ -1,4 +1,4 @@
-"""Context-power terms and unification of simple pattern terms.
+"""Context-power terms and their unification.
 
 A power symbol ``c^(a,b)`` is a unary symbol standing for the whole family
 of towers c^(a*n+b); a term over the program signature plus power symbols
@@ -9,14 +9,14 @@ stacked powers of the same context add their exponents, a concrete context
 layer directly above or below a power of the same context is absorbed into
 its offset, and powers with a = 0 are expanded away.
 
-A pattern term whose sigma binds every skeleton variable as x -> c^a(x)
-has an equivalent power form (`power_form`); a unifier found over power
-terms maps back to a pattern substitution (`pattern_form`).  That round
-trip is what makes pattern-term unification executable: unify the power
-forms syntactically, treating each distinct power symbol as opaque, then
-read the result back.  The representative choice is the natural one, which
-is known to be incomplete: a unifiable pair may still fail when the two
-sides factor the same tower through different power symbols.
+Rule families are stored as normalized power terms.  The paper writes a
+family as skeleton . sigma^n . mu; `power_form` converts that notation when
+sigma binds every moved variable as x -> c^a(x).  Unification of families
+is syntactic unification of their power terms, each distinct power symbol
+treated as opaque (`pattern_mgu`).  The representative choice is the
+natural one, which is known to be incomplete: a unifiable pair may still
+fail when the two sides factor the same tower through different power
+symbols.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .pattern import NOT_COMPUTED, PatternSubstitution, PatternTerm
 from .terms import (
     App,
     Subst,
@@ -40,6 +39,7 @@ from .terms import (
     render,
     strip_power,
     term_vars,
+    _replace_subterm,
 )
 
 _HOLE = hole(1)
@@ -138,12 +138,6 @@ def _power_nodes(t: Term) -> list[App]:
     return out
 
 
-def _replace_all(t: Term, old: Term, new: Term) -> Term:
-    from .terms import _replace_subterm
-
-    return _replace_subterm(t, old, new)
-
-
 def normalize(t: Term) -> Term:
     """Canonical form: fused exponents, maximal offsets, no a = 0 powers.
 
@@ -176,32 +170,35 @@ def normalize(t: Term) -> Term:
     # A concrete copy of c directly above c^(a,b)(w) is absorbed: the whole
     # node must be exactly one c-layer whose every hole holds that power.
     for v in _power_nodes(out):
-        skel = _replace_all(out, v, _HOLE)
+        skel = _replace_subterm(out, v, _HOLE)
         if skel == v.symbol.context:
             sym = v.symbol
             return App(PowerSymbol(sym.context, sym.a, sym.b + 1), (v.args[0],))
     return out
 
 
-def power_form(p: PatternTerm) -> Optional[Term]:
-    """The canonical power term expanding to p(n) at every n, if p is simple.
+def is_simple(t: Term) -> bool:
+    """True when no power symbol sits inside the argument of a power.
 
-    Simple means every skeleton variable is driven by a ground 1-context:
-    sigma(x) = c^a(x).  The mu binding then splits as c^b(t) with t not
-    c-headed, and x maps to c^(a,b)(t); variables that sigma fixes keep
-    their mu binding as is.  Returns None when some sigma binding does not
-    have that shape.  Computed once per pattern term and memoised on it.
+    Only such terms are stored as rule families: `detect` reads each power
+    as one context tower over a plain term.
     """
-    if p.power_memo is NOT_COMPUTED:
-        object.__setattr__(p, "power_memo", _compute_power_form(p))
-    return p.power_memo
+    return all(not has_powers(v.args[0]) for v in _power_nodes(t))
 
 
-def _compute_power_form(p: PatternTerm) -> Optional[Term]:
+def power_form(skeleton: Term, sigma: Subst, mu: Subst) -> Optional[Term]:
+    """The canonical power term of the family skeleton . sigma^n . mu.
+
+    The family must be simple: every variable sigma moves is driven by a
+    ground 1-context, sigma(x) = c^a(x).  The mu binding then splits as
+    c^b(t) with t not c-headed, and x maps to c^(a,b)(t); variables that
+    sigma fixes keep their mu binding as is.  Returns None when some sigma
+    binding does not have that shape.
+    """
     theta: dict[Var, Term] = {}
-    for x in sorted(term_vars(p.skeleton), key=lambda v: v.name):
-        sx = p.subst.sigma.lookup(x)
-        mx = p.subst.mu.lookup(x)
+    for x in sorted(term_vars(skeleton), key=lambda v: v.name):
+        sx = sigma.lookup(x)
+        mx = mu.lookup(x)
         if sx == x:
             theta[x] = mx
         else:
@@ -212,57 +209,38 @@ def _compute_power_form(p: PatternTerm) -> Optional[Term]:
             assert c is not None and a >= 1
             b, rest = strip_power(mx, c)
             theta[x] = App(PowerSymbol(c, a, b), (rest,))
-    return normalize(apply(p.skeleton, Subst(theta)))
+    return normalize(apply(skeleton, Subst(theta)))
 
 
-def pattern_form(theta: Subst) -> Optional[PatternSubstitution]:
-    """Read a unifier over power terms back into a pattern substitution.
+def pattern_form(theta: Subst) -> Optional[Subst]:
+    """`theta` with normalized bindings, if each one is a pattern binding.
 
-    Each binding must normalize to either a pure term (x is fixed by sigma)
-    or a single power symbol over a pure term.  Anything else -- stacked
-    powers of different contexts, a power buried under an alien symbol --
-    is not expressible and yields None.
+    A pattern binding normalizes to a plain term or to a single power symbol
+    over a plain term; it is what sigma^n . mu gives one variable.  Anything
+    else -- stacked powers of different contexts, a power buried under an
+    alien symbol -- yields None.
     """
-    sigma: dict[Var, Term] = {}
-    mu: dict[Var, Term] = {}
+    out: dict[Var, Term] = {}
     for v, u in theta.items():
         nu = normalize(u)
-        if not has_powers(nu):
-            mu[v] = nu
-        elif is_power(nu) and not has_powers(nu.args[0]):
-            sym = nu.symbol
-            sigma[v] = concrete_power(sym.context, sym.a, v)
-            mu[v] = concrete_power(sym.context, sym.b, nu.args[0])
-        else:
+        plain = not has_powers(nu)
+        one_power = is_power(nu) and not has_powers(nu.args[0])
+        if not (plain or one_power):
             return None
-    return PatternSubstitution(Subst(sigma), Subst(mu))
+        out[v] = nu
+    return Subst(out)
 
 
-def pattern_mgu(
-    left: Sequence[PatternTerm], right: Sequence[PatternTerm]
-) -> Optional[PatternSubstitution]:
-    """Most general unifier of two sequences of simple pattern terms.
+def pattern_mgu(left: Sequence[Term], right: Sequence[Term]) -> Optional[Subst]:
+    """Most general unifier of two sequences of power terms.
 
-    Unifies the canonical power forms with power symbols treated as opaque
-    unary symbols, then maps the unifier back.  Fails (None) when a side is
-    not simple, the power forms clash, or the unifier is not expressible as
-    a pattern substitution; failure does not entail non-unifiability.
+    Power symbols are treated as opaque unary symbols.  Fails (None) when
+    the terms clash or some binding is not a pattern binding
+    (`pattern_form`); failure does not entail non-unifiability.
     """
     if len(left) != len(right):
         return None
-    lt: list[Term] = []
-    rt: list[Term] = []
-    for p in left:
-        u = power_form(p)
-        if u is None:
-            return None
-        lt.append(u)
-    for q in right:
-        u = power_form(q)
-        if u is None:
-            return None
-        rt.append(u)
-    theta = mgu(tuple(lt), tuple(rt))
+    theta = mgu(tuple(left), tuple(right))
     if theta is None:
         return None
     return pattern_form(theta)

@@ -114,17 +114,6 @@ def is_epsilon(t: Term) -> bool:
     return isinstance(t, App) and t.symbol == EPSILON_SYMBOL
 
 
-def term_size(t: Term) -> int:
-    n = 0
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        n += 1
-        if isinstance(u, App):
-            stack.extend(u.args)
-    return n
-
-
 def term_vars(t: Term | Query) -> frozenset[Var]:
     """All variables of a term or term sequence (ground subtrees skipped)."""
     out: set[Var] = set()
@@ -608,7 +597,3 @@ def render(t: Term) -> str:
                 if i != len(n.args) - 1:
                     stack.append(",")
     return "".join(out)
-
-
-def render_query(q: Query) -> str:
-    return "<" + ", ".join(render(t) for t in q) + ">" if q else "<>"

@@ -2,12 +2,14 @@
 
 One step unfolds a prefix of a program rule's body with already-derived
 pattern rules: the first atoms are closed by rules whose right side is
-empty, the last consumed atom contributes its right side, and the pattern
-unifier of the selected left sides against the lifted body prefix yields
-the new rule's substitution family.  Iterating from a seed set of correct
-rules keeps every derived rule correct, so a detector can be run on each
-insertion.  Saturation rarely terminates on interesting programs; budgets
-(wall clock, rounds, rule count) bound every run.
+empty, the last consumed atom contributes its right side, and the unifier
+theta of the selected left sides against the body prefix, over power
+terms, instantiates the rule head and that right side.  Expansion at an
+index is a homomorphism, so the result at n is exactly the classical
+unfolding of the selected instances at n.  Iterating from a seed set of
+correct rules keeps every derived rule correct, so a detector can be run
+on each insertion.  Saturation rarely terminates on interesting programs;
+budgets (wall clock, rounds, rule count) bound every run.
 """
 
 from __future__ import annotations
@@ -17,16 +19,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Optional, TextIO
 
-from .pattern import (
-    EPSILON_PATTERN,
-    PatternRule,
-    PatternSubstitution,
-    PatternTerm,
-    lift,
-    pattern_rule_key,
-    pterm,
-)
-from .powers import pattern_mgu, power_form
+from .pattern import PatternRule, pattern_rule_key
+from .powers import is_simple, normalize, pattern_mgu
 from .program import Program
 from .terms import (
     App,
@@ -34,18 +28,15 @@ from .terms import (
     Term,
     Var,
     apply,
-    commutes,
-    compose,
     fresh_renaming,
-    is_epsilon,
     VarSource,
 )
 
 
 class PatternRuleSet:
-    """Pattern rules deduplicated modulo renaming of their power forms.
+    """Pattern rules deduplicated modulo renaming.
 
-    Only simple rules (both sides have a power form) may be stored;
+    Only simple rules (`powers.is_simple` on both sides) may be stored;
     insertion order is preserved so saturation rounds are reproducible.
     """
 
@@ -56,7 +47,7 @@ class PatternRuleSet:
             self.add(r)
 
     def add(self, rule: PatternRule) -> bool:
-        if power_form(rule.lhs) is None or power_form(rule.rhs) is None:
+        if not (is_simple(rule.lhs) and is_simple(rule.rhs)):
             raise ValueError(f"refusing to store a non-simple pattern rule: {rule}")
         key = pattern_rule_key(rule)
         if key in self._keys:
@@ -97,29 +88,13 @@ def identity_pattern_rules(program: Program) -> list[PatternRule]:
     out = []
     for sym in program.symbols:
         t = App(sym, tuple(Var(f"X{i + 1}") for i in range(sym.arity)))
-        out.append(PatternRule(lift(t), lift(t)))
+        out.append(PatternRule(t, t))
     return out
 
 
 def rename_pattern_rule(rule: PatternRule, ren: Subst) -> PatternRule:
-    """The rule under an injective renaming of its variables.
-
-    Each side of the copy carries its power form, renamed: renaming
-    commutes with `power_form`, so the copy never recomputes it.
-    """
-
-    def rename_side(p: PatternTerm) -> PatternTerm:
-        def rsub(s: Subst) -> Subst:
-            return Subst({ren.lookup(v): apply(t, ren) for v, t in s.items()})
-
-        u = power_form(p)
-        return PatternTerm(
-            apply(p.skeleton, ren),
-            PatternSubstitution(rsub(p.subst.sigma), rsub(p.subst.mu)),
-            None if u is None else apply(u, ren),
-        )
-
-    return PatternRule(rename_side(rule.lhs), rename_side(rule.rhs))
+    """The rule under an injective renaming of its variables."""
+    return PatternRule(apply(rule.lhs, ren), apply(rule.rhs, ren))
 
 
 def _root(t: Term):
@@ -136,10 +111,10 @@ def _attempts(
     """Every selection one unfolding step tries, with the rule it derives.
 
     Yields (rule or None, provenance) per selection of pool rules for a
-    body prefix; None marks a selection that failed to unify, did not
-    commute or lost simplicity.  Enumeration order is fixed: program rules
-    in order, prefix length ascending, selections in pool insertion order
-    (identities last), the last slot varying fastest.
+    body prefix; None marks a selection that failed to unify or lost
+    simplicity.  Enumeration order is fixed: program rules in order, prefix
+    length ascending, selections in pool insertion order (identities
+    last), the last slot varying fastest.
 
     With `new` (the ids of the pool rules that are new since the previous
     step over the same program), selections made only of older rules are
@@ -154,12 +129,11 @@ def _attempts(
         want = _root(atom)
         if want is None:
             return candidates
-        return [r for r in candidates if _root(r.lhs.skeleton) in (None, want)]
+        return [r for r in candidates if _root(r.lhs) in (None, want)]
 
     for rule_idx, rule in enumerate(program.rules):
         m = len(rule.body)
         rule_vars = rule.vars()
-        body = [lift(b) for b in rule.body]
         for i in range(1, m + 1):
             slots = [compatible(eps_rules, rule.body[j]) for j in range(i - 1)]
             slots.append(
@@ -169,7 +143,7 @@ def _attempts(
                 if new is not None and not any(id(pr) in new for pr in combo):
                     continue
                 yield (
-                    _unfold(rule.head, rule_vars, body[:i], combo, source),
+                    _unfold(rule.head, rule_vars, rule.body[:i], combo, source),
                     (rule_idx, i, combo),
                 )
 
@@ -177,12 +151,12 @@ def _attempts(
 def _unfold(
     head: Term,
     rule_vars: frozenset[Var],
-    prefix: list[PatternTerm],
+    prefix: tuple[Term, ...],
     combo: tuple[PatternRule, ...],
     source: VarSource,
 ) -> Optional[PatternRule]:
-    """The rule derived by closing a lifted body prefix with the selected
-    pool rules (renamed apart), or None when that fails."""
+    """The rule derived by closing a body prefix with the selected pool
+    rules (renamed apart), or None when that fails."""
     avoid = set(rule_vars)
     picked: list[PatternRule] = []
     for pr in combo:
@@ -193,26 +167,13 @@ def _unfold(
     theta = pattern_mgu([p.lhs for p in picked], prefix)
     if theta is None:
         return None
-    last_rhs = picked[-1].rhs
-    if not (
-        commutes(theta.sigma, last_rhs.subst.sigma)
-        and commutes(theta.sigma, last_rhs.subst.mu)
-    ):
+    # A power of one context may land inside a power of another, a shape
+    # no stored family has, so such a result is dropped.  The head is plain
+    # and theta binds single powers, so the left side never has it.
+    rhs = normalize(apply(picked[-1].rhs, theta))
+    if not is_simple(rhs):
         return None
-    lhs = PatternTerm(head, theta)
-    if is_epsilon(last_rhs.skeleton):
-        rhs = EPSILON_PATTERN
-    else:
-        rhs = pterm(
-            last_rhs.skeleton,
-            compose(last_rhs.subst.sigma, theta.sigma),
-            compose(last_rhs.subst.mu, theta.mu),
-        )
-    # Compositions can break simplicity; such results are unusable
-    # downstream (no power form), so they are dropped, not stored.
-    if power_form(lhs) is None or power_form(rhs) is None:
-        return None
-    return PatternRule(lhs, rhs)
+    return PatternRule(normalize(apply(head, theta)), rhs)
 
 
 def _step_candidates(

@@ -1,4 +1,5 @@
-"""Shared fixtures: term parsing shorthand, program sources, random generators."""
+"""Shared fixtures: term parsing shorthand, program sources, random generators,
+and a reference evaluator for the paper's family notation."""
 
 from __future__ import annotations
 
@@ -7,14 +8,20 @@ from pathlib import Path
 
 import pytest
 
-from nonterm.pattern import PatternTerm, pterm
-from nonterm.program import _Parser, parse_program
+from typing import NamedTuple, Optional
+
+from nonterm.binrules import BinaryRuleSet, saturate
+from nonterm.pattern import PatternRule
+from nonterm.powers import concrete_power, has_powers, is_power, power_form
+from nonterm.program import Program, _Parser, parse_program
 from nonterm.terms import (
     App,
     Subst,
     Symbol,
     Term,
     Var,
+    apply,
+    compose,
     context_power,
     hole,
     plug,
@@ -37,6 +44,78 @@ def term(src: str) -> Term:
 def subst(**bindings: str) -> Subst:
     """Substitution from keyword bindings, e.g. subst(X="s(X)", Y="0")."""
     return Subst({Var(v): term(t) for v, t in bindings.items()})
+
+
+# --- the paper's notation, evaluated directly --------------------------------
+
+
+def family_subst_at(sigma: Subst, mu: Subst, n: int) -> Subst:
+    """The substitution sigma^n . mu, by n compositions."""
+    acc = mu
+    for _ in range(n):
+        acc = compose(sigma, acc)
+    return acc
+
+
+class Family(NamedTuple):
+    """The term family skeleton . sigma^n . mu, as the paper writes it.
+
+    The prover stores only power terms; tests build families in this
+    notation, convert them with `power_form`, and compare the prover's
+    expansions against `at`, which evaluates the notation directly.
+    """
+
+    skeleton: Term
+    sigma: Subst = Subst()
+    mu: Subst = Subst()
+
+    def at(self, n: int) -> Term:
+        return apply(self.skeleton, family_subst_at(self.sigma, self.mu, n))
+
+    def power(self) -> Term:
+        u = power_form(self.skeleton, self.sigma, self.mu)
+        assert u is not None, f"not simple: {self}"
+        return u
+
+
+def fam(skeleton: str, sigma: Subst = Subst(), mu: Subst = Subst()) -> Term:
+    """Power term of a family written in the paper's notation."""
+    return Family(term(skeleton), sigma, mu).power()
+
+
+def pattern_substitution(theta: Subst) -> tuple[Subst, Subst]:
+    """Read a unifier returned by `pattern_mgu` as (sigma, mu).
+
+    A binding c^(a,b)(t) becomes sigma: x -> c^a(x), mu: x -> c^b(t); a
+    plain binding goes to mu alone.
+    """
+    sigma: dict[Var, Term] = {}
+    mu: dict[Var, Term] = {}
+    for v, u in theta.items():
+        if has_powers(u):
+            assert is_power(u) and not has_powers(u.args[0]), f"{v} -> {u}"
+            sym = u.symbol
+            sigma[v] = concrete_power(sym.context, sym.a, v)
+            mu[v] = concrete_power(sym.context, sym.b, u.args[0])
+        else:
+            mu[v] = u
+    return Subst(sigma), Subst(mu)
+
+
+def check_correct_sampled(
+    rule: PatternRule,
+    program: Program,
+    n_max: int,
+    depth: int,
+    oracle: Optional[BinaryRuleSet] = None,
+) -> bool:
+    """Every instance up to n_max is a derivable binary rule.
+
+    Membership is checked against the bounded binary-unfolding oracle,
+    modulo renaming.
+    """
+    pool = oracle if oracle is not None else saturate(program, depth)
+    return all(pool.contains_variant(rule.at(n)) for n in range(n_max + 1))
 
 
 @pytest.fixture
@@ -102,8 +181,8 @@ def random_context(rng: random.Random, max_depth: int = 3) -> Term:
 
 def random_simple_pattern(
     rng: random.Random, skeleton_vars=None, max_exp: int = 3
-) -> PatternTerm:
-    """A pattern term that is simple by construction.
+) -> Family:
+    """A family that is simple by construction.
 
     Each skeleton variable is either fixed (mu may send it anywhere) or
     driven by a random ground 1-context with exponents up to max_exp.
@@ -125,7 +204,7 @@ def random_simple_pattern(
             b = rng.randint(0, max_exp)
             sigma[v] = plug(context_power(c, a), [v])
             mu[v] = plug(context_power(c, b), [random_term(rng, 1)])
-    return pterm(skel, Subst(sigma), Subst(mu))
+    return Family(skel, Subst(sigma), Subst(mu))
 
 
 def random_simple_subst(rng: random.Random) -> Subst:

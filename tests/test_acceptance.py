@@ -7,21 +7,23 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import PROGRAMS_DIR, random_simple_pattern, random_simple_subst, subst, term
+from conftest import (
+    PROGRAMS_DIR,
+    Family,
+    fam,
+    family_subst_at,
+    pattern_substitution,
+    random_simple_pattern,
+    random_simple_subst,
+    subst,
+    term,
+)
 from nonterm.binrules import saturate as binary_saturate
 from nonterm.detect import check_pumps, ground_constant, match_pumping, prove, witness_from
-from nonterm.pattern import (
-    EPSILON_PATTERN,
-    PatternRule,
-    PatternSubstitution,
-    initial_rules,
-    lift,
-    pattern_rule_key,
-    pterm,
-)
+from nonterm.pattern import PatternRule, initial_rules, pattern_rule_key
 from nonterm.powers import expand_at, pattern_form, pattern_mgu, power_form, subst_at
 from nonterm.program import calls_bounded, derive_bounded, parse_program
-from nonterm.terms import App, Subst, apply, match, mgu, render, term_vars
+from nonterm.terms import EPSILON, App, apply, match, mgu, render, term_vars
 from nonterm.unfold import UnfoldBudget, saturate
 
 POSITIVE_PROGRAMS = [
@@ -52,8 +54,7 @@ def proof_and_prefix(program):
 
     def collect(rule):
         collected.append(rule)
-        skel = rule.lhs.skeleton
-        if not isinstance(skel, App) or skel.symbol != query.predicate:
+        if not isinstance(rule.lhs, App) or rule.lhs.symbol != query.predicate:
             return False
         data = match_pumping(rule)
         if data is None:
@@ -114,21 +115,23 @@ def test_criterion_2_witness_validation():
 
 
 def test_criterion_3_unification_reproduction():
-    body = [lift(term("gt(X,Y)")), lift(term("add(X,Y,Z)")), lift(term("while(Z,s(Y))"))]
+    body = [term("gt(X,Y)"), term("add(X,Y,Z)"), term("while(Z,s(Y))")]
     seeds = [
-        pterm(term("gt(X1,Y1)"), subst(X1="s(X1)", Y1="s(Y1)"), subst(X1="s(X1)", Y1="0")),
-        pterm(term("add(X2,Y2,Z2)"), subst(Y2="s(Y2)", Z2="s(Z2)"), subst(Y2="0", Z2="X2")),
-        lift(term("while(X3,Y3)")),
+        Family(term("gt(X1,Y1)"), subst(X1="s(X1)", Y1="s(Y1)"), subst(X1="s(X1)", Y1="0")),
+        Family(term("add(X2,Y2,Z2)"), subst(Y2="s(Y2)", Z2="s(Z2)"), subst(Y2="0", Z2="X2")),
+        Family(term("while(X3,Y3)")),
     ]
-    got = pattern_mgu(body, seeds)
+    got = pattern_mgu(body, [f.power() for f in seeds])
+    assert got is not None
     rho = subst(X="s(X)", Y="s(Y)", Z="s(s(Z))", X2="s(X2)", X3="s(s(X3))", Y3="s(Y3)")
     nu = subst(X="s(X1)", Y="0", Z="s(X1)", X2="s(X1)", X3="s(X1)", Y3="s(0)")
-    assert got == PatternSubstitution(rho, nu)
+    assert pattern_substitution(got) == (rho, nu)
     # the family evaluates to a most general unifier at every index
     for n in range(6):
-        ln = tuple(p.at(n) for p in body)
-        rn = tuple(q.at(n) for q in seeds)
-        theta_n = got.at(n)
+        theta_n = subst_at(got, n)
+        assert theta_n == family_subst_at(rho, nu, n)
+        ln = tuple(body)
+        rn = tuple(f.at(n) for f in seeds)
         assert apply(ln, theta_n) == apply(rn, theta_n)
         classical = mgu(ln, rn)
         assert classical is not None
@@ -144,18 +147,19 @@ def test_criterion_4_family_equivalences_randomized():
     terms_checked = 0
     substs_checked = 0
     while terms_checked < 1000:
-        p = random_simple_pattern(rng)
-        u = power_form(p)
+        f = random_simple_pattern(rng)
+        u = power_form(*f)
         assert u is not None
         for n in range(6):
-            assert p.at(n) == expand_at(u, n)
+            assert f.at(n) == expand_at(u, n)
         terms_checked += 1
     while substs_checked < 1000:
         theta = random_simple_subst(rng)
-        fam = pattern_form(theta)
-        assert fam is not None
+        got = pattern_form(theta)
+        assert got is not None
+        sigma, mu = pattern_substitution(got)
         for n in range(6):
-            assert subst_at(theta, n) == fam.at(n)
+            assert subst_at(theta, n) == subst_at(got, n) == family_subst_at(sigma, mu, n)
         substs_checked += 1
     report(4, "1000 pattern terms and 1000 substitutions agree with their power forms")
 
@@ -191,18 +195,12 @@ def test_criterion_6_seed_rule_reproduction():
     program = load("while-gt-add.pl")
     sigma2 = subst(X="s(X)", Y="s(Y)")
     expected = [
-        PatternRule(pterm(term("gt(X,Y)"), sigma2, subst(X="s(X)", Y="0")), EPSILON_PATTERN),
-        PatternRule(pterm(term("gt(s(X),s(Y))"), sigma2, Subst()), lift(term("gt(X,Y)"))),
-        PatternRule(
-            pterm(term("add(X,Y,Z)"), subst(Y="s(Y)", Z="s(Z)"), subst(Y="0", Z="X")),
-            EPSILON_PATTERN,
-        ),
-        PatternRule(
-            pterm(term("add(X,s(Y),s(Z))"), subst(Y="s(Y)", Z="s(Z)"), Subst()),
-            lift(term("add(X,Y,Z)")),
-        ),
-        PatternRule(pterm(term("le(X,Y)"), sigma2, subst(X="0", Y="X")), EPSILON_PATTERN),
-        PatternRule(pterm(term("le(s(X),s(Y))"), sigma2, Subst()), lift(term("le(X,Y)"))),
+        PatternRule(fam("gt(X,Y)", sigma2, subst(X="s(X)", Y="0")), EPSILON),
+        PatternRule(fam("gt(s(X),s(Y))", sigma2), term("gt(X,Y)")),
+        PatternRule(fam("add(X,Y,Z)", subst(Y="s(Y)", Z="s(Z)"), subst(Y="0", Z="X")), EPSILON),
+        PatternRule(fam("add(X,s(Y),s(Z))", subst(Y="s(Y)", Z="s(Z)")), term("add(X,Y,Z)")),
+        PatternRule(fam("le(X,Y)", sigma2, subst(X="0", Y="X")), EPSILON),
+        PatternRule(fam("le(s(X),s(Y))", sigma2), term("le(X,Y)")),
     ]
     got = {pattern_rule_key(r) for r in initial_rules(program)}
     assert got == {pattern_rule_key(r) for r in expected}

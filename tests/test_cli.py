@@ -4,6 +4,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from conftest import PROGRAMS_DIR
 from nonterm import detect
 from nonterm.cli import RunConfig, count_relations, main, run
@@ -185,6 +187,20 @@ class TestMain:
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["status"] == "Proven"
+
+    @pytest.mark.parametrize("flag", ["--max-iter", "--max-rules", "--validate", "--dump-binunf"])
+    def test_negative_budget_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([str(PROGRAMS_DIR / "while-lt.pl"), flag, "-1"])
+        assert exc.value.code == 2
+        assert f"{flag} must not be negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_non_positive_timeout_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([str(PROGRAMS_DIR / "while-lt.pl"), "--timeout", value])
+        assert exc.value.code == 2
+        assert "--timeout must be positive" in capsys.readouterr().err
 
     def test_trace_goes_to_stderr(self, capsys):
         code = main([str(PROGRAMS_DIR / "grow.pl"), "--trace"])

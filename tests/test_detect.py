@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from conftest import WHILE_GT_ADD, random_context, subst, term
+from conftest import WHILE_GT_ADD, Family, fam, random_context, subst, term
 from nonterm.detect import (
     GROUND_ONLY,
     MIXED,
@@ -14,9 +14,9 @@ from nonterm.detect import (
     prove,
     witness_from,
 )
-from nonterm.pattern import EPSILON_PATTERN, PatternRule, lift, pterm
+from nonterm.pattern import PatternRule
 from nonterm.program import derive_bounded, parse_program
-from nonterm.terms import App, Subst, Symbol, Var, context_power, match, plug, render
+from nonterm.terms import EPSILON, App, Subst, Symbol, Var, context_power, match, plug, render
 from nonterm.unfold import UnfoldBudget
 
 
@@ -24,7 +24,7 @@ def loop_rule() -> PatternRule:
     """The rule a full unfolding of the while loop produces."""
     rho = subst(X="s(X)", Y="s(Y)", Z="s(s(Z))", X2="s(X2)", X3="s(s(X3))", Y3="s(Y3)")
     nu = subst(X="s(X1)", Y="0", Z="s(X1)", X2="s(X1)", X3="s(X1)", Y3="s(0)")
-    return PatternRule(pterm(term("while(X,Y)"), rho, nu), pterm(term("while(X3,Y3)"), rho, nu))
+    return PatternRule(fam("while(X,Y)", rho, nu), fam("while(X3,Y3)", rho, nu))
 
 
 class TestMatchPumping:
@@ -39,32 +39,32 @@ class TestMatchPumping:
         assert data.rho == Subst()
 
     def test_different_roots_rejected(self):
-        r = PatternRule(lift(term("f(X)")), lift(term("g(X)")))
+        r = PatternRule(term("f(X)"), term("g(X)"))
         assert match_pumping(r) is None
 
     def test_empty_rhs_rejected(self):
-        r = PatternRule(lift(term("f(X)")), EPSILON_PATTERN)
+        r = PatternRule(term("f(X)"), EPSILON)
         assert match_pumping(r) is None
 
     def test_ground_anchor_needs_growth(self):
         # A constant left anchor against a growing right one: exponents
         # (0, *) on a ground position can never align.
         r = PatternRule(
-            pterm(term("f(X,Y)"), Subst(), subst(X="0")),
-            pterm(term("f(X,Y)"), subst(X="s(X)"), subst(X="0")),
+            fam("f(X,Y)", Subst(), subst(X="0")),
+            fam("f(X,Y)", subst(X="s(X)"), subst(X="0")),
         )
         assert match_pumping(r) is None
 
     def test_shrinking_rule_rejected(self):
         # right side grows strictly slower: a > ra
         r = PatternRule(
-            pterm(term("f(X)"), subst(X="s(s(X))"), Subst()),
-            pterm(term("f(X)"), subst(X="s(X)"), Subst()),
+            fam("f(X)", subst(X="s(s(X))"), Subst()),
+            fam("f(X)", subst(X="s(X)"), Subst()),
         )
         assert match_pumping(r) is None
 
     def test_plain_self_loop_is_pumping(self):
-        r = PatternRule(lift(term("p(X)")), lift(term("p(X)")))
+        r = PatternRule(term("p(X)"), term("p(X)"))
         data = match_pumping(r)
         assert data is not None
         assert data.variant == VARS_ONLY
@@ -72,7 +72,7 @@ class TestMatchPumping:
 
     def test_growing_argument_is_pumping(self):
         # p(X) calls p(s(X)): vars-only with a pure shift in rho.
-        r = PatternRule(lift(term("p(X)")), lift(term("p(s(X))")))
+        r = PatternRule(term("p(X)"), term("p(s(X))"))
         data = match_pumping(r)
         assert data is not None
         assert data.variant == VARS_ONLY
@@ -80,8 +80,8 @@ class TestMatchPumping:
 
     def test_ground_only_variant(self):
         r = PatternRule(
-            pterm(term("f(X)"), subst(X="s(X)"), subst(X="0")),
-            pterm(term("f(X)"), subst(X="s(X)"), subst(X="s(0)")),
+            fam("f(X)", subst(X="s(X)"), subst(X="0")),
+            fam("f(X)", subst(X="s(X)"), subst(X="s(0)")),
         )
         data = match_pumping(r)
         assert data is not None
@@ -91,22 +91,22 @@ class TestMatchPumping:
     def test_ground_only_divisibility(self):
         # offsets drift by one while the slope is two: (rb - b) % a != 0
         r = PatternRule(
-            pterm(term("f(X)"), subst(X="s(s(X))"), subst(X="0")),
-            pterm(term("f(X)"), subst(X="s(s(X))"), subst(X="s(0)")),
+            fam("f(X)", subst(X="s(s(X))"), subst(X="0")),
+            fam("f(X)", subst(X="s(s(X))"), subst(X="s(0)")),
         )
         assert match_pumping(r) is None
 
     def test_mismatched_contexts_rejected(self):
         r = PatternRule(
-            pterm(term("f(X)"), subst(X="s(X)"), subst(X="0")),
-            pterm(term("f(X)"), subst(X="g(X)"), subst(X="0")),
+            fam("f(X)", subst(X="s(X)"), subst(X="0")),
+            fam("f(X)", subst(X="g(X)"), subst(X="0")),
         )
         assert match_pumping(r) is None
 
     def test_shared_variable_with_different_contexts_rejected(self):
         r = PatternRule(
-            pterm(term("f(X,Y)"), subst(X="s(X)", Y="g(Y)"), subst(X="Z", Y="Z")),
-            pterm(term("f(X,Y)"), subst(X="s(s(X))", Y="g(g(Y))"), subst(X="Z", Y="Z")),
+            fam("f(X,Y)", subst(X="s(X)", Y="g(Y)"), subst(X="Z", Y="Z")),
+            fam("f(X,Y)", subst(X="s(s(X))", Y="g(g(Y))"), subst(X="Z", Y="Z")),
         )
         assert match_pumping(r) is None
 
@@ -120,7 +120,7 @@ class TestWitness:
         assert w.term == term("while(s(s(0)),s(0))")
 
     def test_threshold_zero_uses_index_zero(self):
-        r = PatternRule(lift(term("p(X)")), lift(term("p(s(X))")))
+        r = PatternRule(term("p(X)"), term("p(s(X))"))
         w = witness_from(r, match_pumping(r), Symbol("0", 0))
         assert w.n == 0
         assert w.term == term("p(0)")
@@ -177,7 +177,7 @@ def _random_candidate_rule(rng: random.Random) -> PatternRule:
             if a:
                 sigma[v] = plug(context_power(c, a), [v])
             mu[v] = plug(context_power(c, b), [t])
-        return pterm(App(root, (x, y)), Subst(sigma), Subst(mu))
+        return Family(App(root, (x, y)), Subst(sigma), Subst(mu)).power()
 
     t1 = rng.choice([Var("Z"), term("0")])
     t2 = rng.choice([Var("W"), term("0"), t1])
@@ -247,9 +247,9 @@ class TestGeneralShapeOnRunningExample:
         # shifted-composition shape; its instances embed with shift 1.
         sigma = subst(X="s(X)", Y="s(Y)")
         mu = subst(X="s(X)", Y="0")
-        p = pterm(term("while(s(X),s(Y))"), sigma, mu)
-        q = pterm(term("while(s(s(X)),s(s(Y)))"), subst(X="s(s(X))", Y="s(Y)"), mu)
-        rule = PatternRule(p, q)
+        p = Family(term("while(s(X),s(Y))"), sigma, mu)
+        q = Family(term("while(s(s(X)),s(s(Y)))"), subst(X="s(s(X))", Y="s(Y)"), mu)
+        rule = PatternRule(p.power(), q.power())
         for n in range(4):
             assert match(p.at(n + 1), q.at(n)) is not None
         data = match_pumping(rule)

@@ -1,61 +1,55 @@
-"""Pattern substitutions, terms, rules, and the seed-rule extraction."""
+"""Rule families over power terms, and the seed-rule extraction."""
 
-from conftest import subst, term
+from conftest import Family, check_correct_sampled, fam, subst, term
 from nonterm.binrules import saturate
-from nonterm.pattern import (
-    EPSILON_PATTERN,
-    PatternRule,
-    check_correct_sampled,
-    initial_rules,
-    lift,
-    pattern_rule_key,
-    pterm,
-)
+from nonterm.pattern import PatternRule, initial_rules, pattern_rule_key
+from nonterm.powers import expand_at
 from nonterm.program import derive_bounded, parse_program
-from nonterm.terms import EPSILON, Subst, Var
+from nonterm.terms import EPSILON
 
 
 class TestEvaluation:
     def test_substitution_family(self):
         # sigma^n . mu with sigma the double successor map and mu the seed.
-        fam = pterm(term("gt(X,Y)"), subst(X="s(X)", Y="s(Y)"), subst(X="s(X)", Y="0")).subst
-        assert fam.at(0) == subst(X="s(X)", Y="0")
-        assert fam.at(1) == subst(X="s(s(X))", Y="s(0)")
-        assert fam.at(3) == subst(X="s(s(s(s(X))))", Y="s(s(s(0)))")
+        f = Family(term("gt(X,Y)"), subst(X="s(X)", Y="s(Y)"), subst(X="s(X)", Y="0"))
+        u = f.power()
+        for n, want in [
+            (0, "gt(s(X),0)"),
+            (1, "gt(s(s(X)),s(0))"),
+            (3, "gt(s(s(s(s(X)))),s(s(s(0))))"),
+        ]:
+            assert expand_at(u, n) == term(want) == f.at(n)
 
     def test_empty_family_is_identity(self):
-        fam = EPSILON_PATTERN.subst
         for n in (0, 1, 4):
-            assert fam.at(n) == Subst()
+            assert expand_at(term("f(X,Y)"), n) == term("f(X,Y)")
 
     def test_single_binding_power(self):
-        fam = pterm(Var("X"), subst(X="s(X)"), Subst()).subst
-        assert fam.at(3) == subst(X="s(s(s(X)))")
+        assert expand_at(fam("X", subst(X="s(X)")), 3) == term("s(s(s(X)))")
 
     def test_index_zero_is_mu(self):
-        fam = pterm(Var("X"), subst(X="s(X)"), subst(X="g(Y)")).subst
-        assert fam.at(0) == subst(X="g(Y)")
+        assert expand_at(fam("X", subst(X="s(X)"), subst(X="g(Y)")), 0) == term("g(Y)")
 
     def test_loop_head_families(self):
         # p(n) = while(s^{n+2}(X), s^{n+1}(0));  q(n) = while(s^{2n+3}(X), s^{n+2}(0))
         sigma = subst(X="s(X)", Y="s(Y)")
         mu = subst(X="s(X)", Y="0")
-        p = pterm(term("while(s(X),s(Y))"), sigma, mu)
-        q = pterm(term("while(s(s(X)),s(s(Y)))"), subst(X="s(s(X))", Y="s(Y)"), mu)
-        assert p.at(0) == term("while(s(s(X)),s(0))")
-        assert p.at(1) == term("while(s(s(s(X))),s(s(0)))")
-        assert q.at(0) == term("while(s(s(s(X))),s(s(0)))")
-        assert q.at(1) == term("while(s(s(s(s(s(X))))),s(s(s(0))))")
+        p = fam("while(s(X),s(Y))", sigma, mu)
+        q = fam("while(s(s(X)),s(s(Y)))", subst(X="s(s(X))", Y="s(Y)"), mu)
+        assert expand_at(p, 0) == term("while(s(s(X)),s(0))")
+        assert expand_at(p, 1) == term("while(s(s(s(X))),s(s(0)))")
+        assert expand_at(q, 0) == term("while(s(s(s(X))),s(s(0)))")
+        assert expand_at(q, 1) == term("while(s(s(s(s(s(X))))),s(s(s(0))))")
 
     def test_epsilon_stays_empty(self):
-        assert EPSILON_PATTERN.at(5) == EPSILON
+        assert PatternRule(term("f(X)"), EPSILON).at(5).body == EPSILON
 
     def test_rule_instances(self):
         sigma = subst(X="s(X)", Y="s(Y)")
         mu = subst(X="s(X)", Y="0")
         r = PatternRule(
-            pterm(term("while(s(X),s(Y))"), sigma, mu),
-            pterm(term("while(s(s(X)),s(s(Y)))"), subst(X="s(s(X))", Y="s(Y)"), mu),
+            fam("while(s(X),s(Y))", sigma, mu),
+            fam("while(s(s(X)),s(s(Y)))", subst(X="s(s(X))", Y="s(Y)"), mu),
         )
         inst = r.at(0)
         assert inst.head == term("while(s(s(X)),s(0))")
@@ -66,20 +60,14 @@ class TestInitialRules:
     def expected_rules(self):
         sigma_gt = subst(X="s(X)", Y="s(Y)")
         return [
-            PatternRule(pterm(term("gt(X,Y)"), sigma_gt, subst(X="s(X)", Y="0")), EPSILON_PATTERN),
-            PatternRule(pterm(term("gt(s(X),s(Y))"), sigma_gt, Subst()), lift(term("gt(X,Y)"))),
+            PatternRule(fam("gt(X,Y)", sigma_gt, subst(X="s(X)", Y="0")), EPSILON),
+            PatternRule(fam("gt(s(X),s(Y))", sigma_gt), term("gt(X,Y)")),
             PatternRule(
-                pterm(term("add(X,Y,Z)"), subst(Y="s(Y)", Z="s(Z)"), subst(Y="0", Z="X")),
-                EPSILON_PATTERN,
+                fam("add(X,Y,Z)", subst(Y="s(Y)", Z="s(Z)"), subst(Y="0", Z="X")), EPSILON
             ),
-            PatternRule(
-                pterm(term("add(X,s(Y),s(Z))"), subst(Y="s(Y)", Z="s(Z)"), Subst()),
-                lift(term("add(X,Y,Z)")),
-            ),
-            PatternRule(
-                pterm(term("le(X,Y)"), sigma_gt, subst(X="0", Y="X")), EPSILON_PATTERN
-            ),
-            PatternRule(pterm(term("le(s(X),s(Y))"), sigma_gt, Subst()), lift(term("le(X,Y)"))),
+            PatternRule(fam("add(X,s(Y),s(Z))", subst(Y="s(Y)", Z="s(Z)")), term("add(X,Y,Z)")),
+            PatternRule(fam("le(X,Y)", sigma_gt, subst(X="0", Y="X")), EPSILON),
+            PatternRule(fam("le(s(X),s(Y))", sigma_gt), term("le(X,Y)")),
         ]
 
     def test_exact_seed_set(self, ex_program):
@@ -104,7 +92,7 @@ class TestInitialRules:
             if not rule.rhs_is_epsilon():
                 continue
             for n in range(3):
-                status = derive_bounded(ex_program, (rule.lhs.at(n),), 200)
+                status = derive_bounded(ex_program, (rule.at(n).head,), 200)
                 assert status.empty_reached, f"{rule} at {n}"
 
 
@@ -115,12 +103,10 @@ class TestSampledCorrectness:
             assert check_correct_sampled(rule, ex_program, 2, 7, oracle=oracle)
 
     def test_foreign_symbol_fails_immediately(self, ex_program):
-        bogus = PatternRule(lift(term("nosuch(X)")), EPSILON_PATTERN)
+        bogus = PatternRule(term("nosuch(X)"), EPSILON)
         assert not check_correct_sampled(bogus, ex_program, 0, 2)
 
     def test_wrong_family_fails(self, ex_program):
         # gt(s^n(X), s^n(Y)) -> e is not a derivable family (no base case).
-        bogus = PatternRule(
-            pterm(term("gt(X,Y)"), subst(X="s(X)", Y="s(Y)"), Subst()), EPSILON_PATTERN
-        )
+        bogus = PatternRule(fam("gt(X,Y)", subst(X="s(X)", Y="s(Y)")), EPSILON)
         assert not check_correct_sampled(bogus, ex_program, 2, 6)

@@ -2,8 +2,17 @@
 
 import random
 
-from conftest import random_context, random_simple_pattern, random_term, subst, term
-from nonterm.pattern import PatternSubstitution, lift, pterm
+from conftest import (
+    Family,
+    family_subst_at,
+    pattern_substitution,
+    random_context,
+    random_simple_pattern,
+    random_simple_subst,
+    random_term,
+    subst,
+    term,
+)
 from nonterm.powers import (
     PowerSymbol,
     expand_at,
@@ -101,28 +110,22 @@ def _random_power_term(rng: random.Random) -> "App":
 
 class TestPowerForm:
     def test_double_step_binding(self):
-        p = pterm(term("f(s(X),Y)"), subst(X="s(s(X))"), subst(X="s(X1)", Y="0"))
-        assert power_form(p) == App(
-            Symbol("f", 2), (pw(S1, 2, 2, Var("X1")), term("0"))
-        )
+        u = power_form(term("f(s(X),Y)"), subst(X="s(s(X))"), subst(X="s(X1)", Y="0"))
+        assert u == App(Symbol("f", 2), (pw(S1, 2, 2, Var("X1")), term("0")))
 
     def test_lifted_term_is_itself(self):
         v = term("while(X,s(Y))")
-        assert power_form(lift(v)) == v
+        assert power_form(v, Subst(), Subst()) == v
 
     def test_seed_family_form(self):
-        p1 = pterm(term("gt(X,Y)"), subst(X="s(X)", Y="s(Y)"), subst(X="s(X)", Y="0"))
-        assert power_form(p1) == App(
-            Symbol("gt", 2), (pw(S1, 1, 1, Var("X")), pw(S1, 1, 0, term("0")))
-        )
+        u = power_form(term("gt(X,Y)"), subst(X="s(X)", Y="s(Y)"), subst(X="s(X)", Y="0"))
+        assert u == App(Symbol("gt", 2), (pw(S1, 1, 1, Var("X")), pw(S1, 1, 0, term("0"))))
 
     def test_non_simple_binding_rejected(self):
-        p = pterm(term("g(X)"), subst(X="f(X,Y)"), Subst())
-        assert power_form(p) is None
+        assert power_form(term("g(X)"), subst(X="f(X,Y)"), Subst()) is None
 
     def test_variable_skeleton(self):
-        p = pterm(Var("X"), subst(X="s(X)"), subst(X="0"))
-        assert power_form(p) == pw(S1, 1, 0, term("0"))
+        assert power_form(Var("X"), subst(X="s(X)"), subst(X="0")) == pw(S1, 1, 0, term("0"))
 
 
 class TestPatternForm:
@@ -134,13 +137,15 @@ class TestPatternForm:
             }
         )
         got = pattern_form(theta)
-        assert got == PatternSubstitution(
-            subst(Y="s(s(s(Y)))"), subst(X="s(s(1))", Y="s(s(s(s(s(0)))))")
+        assert got == Subst({Var("X"): term("s(s(1))"), Var("Y"): pw(S1, 3, 5, term("0"))})
+        assert pattern_substitution(got) == (
+            subst(Y="s(s(s(Y)))"),
+            subst(X="s(s(1))", Y="s(s(s(s(s(0)))))"),
         )
 
     def test_pure_substitution(self):
         theta = Subst({Var("X"): term("f(Y,0)")})
-        assert pattern_form(theta) == PatternSubstitution(Subst(), theta)
+        assert pattern_form(theta) == theta
 
     def test_stacked_foreign_contexts_rejected(self):
         g1 = App(Symbol("g", 1), (hole(1),))
@@ -152,87 +157,98 @@ class TestPatternForm:
         assert pattern_form(theta) is None
 
 
-class TestPatternMgu:
-    def body_and_seeds(self):
-        body = [lift(term("gt(X,Y)")), lift(term("add(X,Y,Z)")), lift(term("while(Z,s(Y))"))]
-        seeds = [
-            pterm(term("gt(X1,Y1)"), subst(X1="s(X1)", Y1="s(Y1)"), subst(X1="s(X1)", Y1="0")),
-            pterm(term("add(X2,Y2,Z2)"), subst(Y2="s(Y2)", Z2="s(Z2)"), subst(Y2="0", Z2="X2")),
-            lift(term("while(X3,Y3)")),
-        ]
-        return body, seeds
+# The running example's loop unfolding: the body of the first while rule
+# against the gt and add closing seeds and a while identity.
+LOOP_RHO = subst(X="s(X)", Y="s(Y)", Z="s(s(Z))", X2="s(X2)", X3="s(s(X3))", Y3="s(Y3)")
+LOOP_NU = subst(X="s(X1)", Y="0", Z="s(X1)", X2="s(X1)", X3="s(X1)", Y3="s(0)")
 
+
+def loop_body_and_seeds():
+    body = [term("gt(X,Y)"), term("add(X,Y,Z)"), term("while(Z,s(Y))")]
+    seeds = [
+        Family(term("gt(X1,Y1)"), subst(X1="s(X1)", Y1="s(Y1)"), subst(X1="s(X1)", Y1="0")),
+        Family(term("add(X2,Y2,Z2)"), subst(Y2="s(Y2)", Z2="s(Z2)"), subst(Y2="0", Z2="X2")),
+        Family(term("while(X3,Y3)")),
+    ]
+    return body, seeds
+
+
+def assert_unifies_like_classical_mgu(theta, left, right, n_max):
+    """At each n, theta(n) unifies the reference instances of the two
+    family sequences and factors through their classical mgu both ways
+    (equal generality)."""
+    for n in range(n_max + 1):
+        ln = tuple(f.at(n) for f in left)
+        rn = tuple(f.at(n) for f in right)
+        theta_n = subst_at(theta, n)
+        assert apply(ln, theta_n) == apply(rn, theta_n)
+        classical = mgu(ln, rn)
+        assert classical is not None
+        vs = sorted(term_vars(ln + rn), key=lambda v: v.name)
+        ours = tuple(apply(v, theta_n) for v in vs)
+        other = tuple(apply(v, classical) for v in vs)
+        assert match(other, ours) is not None
+        assert match(ours, other) is not None
+
+
+class TestPatternMgu:
     def test_loop_unfolding_substitution(self):
-        body, seeds = self.body_and_seeds()
-        got = pattern_mgu(body, seeds)
-        rho = subst(X="s(X)", Y="s(Y)", Z="s(s(Z))", X2="s(X2)", X3="s(s(X3))", Y3="s(Y3)")
-        nu = subst(X="s(X1)", Y="0", Z="s(X1)", X2="s(X1)", X3="s(X1)", Y3="s(0)")
-        assert got == PatternSubstitution(rho, nu)
+        body, seeds = loop_body_and_seeds()
+        got = pattern_mgu(body, [f.power() for f in seeds])
+        assert got is not None
+        for n in range(6):
+            assert subst_at(got, n) == family_subst_at(LOOP_RHO, LOOP_NU, n)
 
     def test_identical_lifted_terms(self):
-        t = lift(term("f(X,0)"))
-        assert pattern_mgu([t], [t]) == PatternSubstitution(Subst(), Subst())
+        t = term("f(X,0)")
+        assert pattern_mgu([t], [t]) == Subst()
 
     def test_incomplete_on_misaligned_periods(self):
         # One side steps by one s-layer, the other by two: a unifier exists
         # but the canonical forms use distinct power symbols and clash.
-        p = pterm(term("f(X)"), subst(X="s(X)"), Subst())
-        q = pterm(term("f(X)"), subst(X="s(s(X))"), subst(X="Y"))
-        assert pattern_mgu([p], [q]) is None
+        p = Family(term("f(X)"), subst(X="s(X)"))
+        q = Family(term("f(X)"), subst(X="s(s(X))"), subst(X="Y"))
+        assert pattern_mgu([p.power()], [q.power()]) is None
         # ... while the instances do unify at every index:
         for n in range(4):
             assert mgu(p.at(n), q.at(n)) is not None
 
     def test_length_mismatch(self):
-        t = lift(term("f(X,0)"))
+        t = term("f(X,0)")
         assert pattern_mgu([t], [t, t]) is None
 
     def test_result_evaluates_to_classical_mgu(self, rng):
         # Whenever the pattern unifier succeeds, its index-n value unifies
         # the index-n sequences and factors through the classical mgu both
         # ways (equal generality).
-        body, seeds = self.body_and_seeds()
-        cases = [(body, seeds)]
+        body, seeds = loop_body_and_seeds()
+        cases = [([Family(b) for b in body], seeds)]
         for _ in range(150):
-            p = random_simple_pattern(rng)
-            q = random_simple_pattern(rng)
-            cases.append(([p], [q]))
+            cases.append(([random_simple_pattern(rng)], [random_simple_pattern(rng)]))
         successes = 0
         for left, right in cases:
-            got = pattern_mgu(left, right)
+            got = pattern_mgu([f.power() for f in left], [f.power() for f in right])
             if got is None:
                 continue
             successes += 1
-            for n in range(4):
-                ln = tuple(p.at(n) for p in left)
-                rn = tuple(q.at(n) for q in right)
-                theta_n = got.at(n)
-                assert apply(ln, theta_n) == apply(rn, theta_n)
-                classical = mgu(ln, rn)
-                assert classical is not None
-                vs = sorted(term_vars(ln + rn), key=lambda v: v.name)
-                ours = tuple(apply(v, theta_n) for v in vs)
-                thelr = tuple(apply(v, classical) for v in vs)
-                assert match(thelr, ours) is not None
-                assert match(ours, thelr) is not None
+            assert_unifies_like_classical_mgu(got, left, right, 3)
         assert successes >= 5
 
 
 class TestFamilyEquivalences:
     def test_simple_patterns_expand_like_their_power_forms(self, rng):
         for _ in range(300):
-            p = random_simple_pattern(rng)
-            u = power_form(p)
+            f = random_simple_pattern(rng)
+            u = power_form(*f)
             assert u is not None
             for n in range(6):
-                assert p.at(n) == expand_at(u, n)
+                assert f.at(n) == expand_at(u, n)
 
     def test_simple_substitutions_round_trip(self, rng):
-        from conftest import random_simple_subst
-
         for _ in range(300):
             theta = random_simple_subst(rng)
-            fam = pattern_form(theta)
-            assert fam is not None
+            got = pattern_form(theta)
+            assert got is not None
+            sigma, mu = pattern_substitution(got)
             for n in range(6):
-                assert subst_at(theta, n) == fam.at(n)
+                assert subst_at(theta, n) == subst_at(got, n) == family_subst_at(sigma, mu, n)

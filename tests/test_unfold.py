@@ -5,25 +5,30 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import PROGRAMS_DIR, subst, term
+from conftest import PROGRAMS_DIR, fam, subst, term
 from nonterm import unfold
+from nonterm.binrules import BinaryRule, canonical_key
 from nonterm.binrules import saturate as binary_saturate
-from nonterm.pattern import (
-    EPSILON_PATTERN,
-    NOT_COMPUTED,
-    PatternRule,
-    PatternTerm,
-    initial_rules,
-    lift,
-    pattern_rule_key,
-    pterm,
-)
-from nonterm.powers import power_form
+from nonterm.pattern import PatternRule, initial_rules, pattern_rule_key
+from nonterm.powers import PowerSymbol
 from nonterm.program import calls_bounded, parse_program
-from nonterm.terms import Subst, Var, VarSource, match
+from nonterm.terms import (
+    EPSILON,
+    App,
+    Subst,
+    Symbol,
+    Var,
+    VarSource,
+    apply,
+    fresh_renaming,
+    hole,
+    match,
+    mgu,
+)
 from nonterm.unfold import (
     PatternRuleSet,
     UnfoldBudget,
+    _attempts,
     _step_candidates,
     identity_pattern_rules,
     rename_pattern_rule,
@@ -62,6 +67,31 @@ PROGRAM_SOURCES = {
     "while-mul-le": WHILE_MUL_LE,
 }
 
+# The running example's closing gt seed family, gt(s^(n+1)(X), s^n(0)) => e.
+GT_CLOSING = fam("gt(X,Y)", subst(X="s(X)", Y="s(Y)"), subst(X="s(X)", Y="0"))
+
+
+def concrete_unfold(rule, prefix_len, instances):
+    """The classical one-step unfolding of the first `prefix_len` atoms of
+    a program rule's body by the given binary rules, renamed apart: their
+    heads' mgu with the body prefix, applied to the rule head and the
+    last rule's body.  None when they do not unify."""
+    avoid = set(rule.vars())
+    source = VarSource("_c")
+    picked = []
+    for inst in instances:
+        renamed = inst.rename(fresh_renaming(inst.vars(), avoid, source))
+        picked.append(renamed)
+        avoid |= renamed.vars()
+    theta = mgu(tuple(r.head for r in picked), tuple(rule.body[:prefix_len]))
+    if theta is None:
+        return None
+    return BinaryRule(apply(rule.head, theta), apply(picked[-1].body, theta))
+
+
+def is_variant(a, b) -> bool:
+    return canonical_key((a.head, a.body)) == canonical_key((b.head, b.body))
+
 
 class TestIdentityPatternRules:
     def test_one_per_symbol(self, ex_program):
@@ -69,25 +99,23 @@ class TestIdentityPatternRules:
         assert len(rules) == len(ex_program.symbols)
 
     def test_shape(self, ex_program):
-        rules = {r.lhs.skeleton.symbol.name: r for r in identity_pattern_rules(ex_program)}
+        rules = {r.lhs.symbol.name: r for r in identity_pattern_rules(ex_program)}
         w = rules["while"]
-        assert w.lhs == w.rhs
-        assert not w.lhs.subst.sigma and not w.lhs.subst.mu
-        assert rules["0"].lhs.skeleton == term("0")
+        assert w.lhs == w.rhs == term("while(X1,X2)")
+        assert rules["0"].lhs == term("0")
 
 
 class TestRenaming:
     def test_disjoint_and_equivalent(self):
-        rule = PatternRule(
-            pterm(term("gt(X,Y)"), subst(X="s(X)", Y="s(Y)"), subst(X="s(X)", Y="0")),
-            EPSILON_PATTERN,
-        )
-        src = VarSource()
-        from nonterm.terms import fresh_renaming
-
-        ren = fresh_renaming(rule.vars(), rule.vars(), src)
+        rule = PatternRule(GT_CLOSING, EPSILON)
+        ren = fresh_renaming(rule.vars(), rule.vars(), VarSource())
         renamed = rename_pattern_rule(rule, ren)
         assert not renamed.vars() & rule.vars()
+        # The power terms themselves are variants; so is every instance.
+        assert renamed.lhs == apply(rule.lhs, ren)
+        assert match(rule.lhs, renamed.lhs) is not None
+        assert match(renamed.lhs, rule.lhs) is not None
+        assert renamed.rhs == EPSILON
         for n in range(3):
             a = rule.at(n)
             b = renamed.at(n)
@@ -97,10 +125,7 @@ class TestRenaming:
 
 class TestRuleSet:
     def test_variant_deduplication(self):
-        a = PatternRule(
-            pterm(term("gt(X,Y)"), subst(X="s(X)", Y="s(Y)"), subst(X="s(X)", Y="0")),
-            EPSILON_PATTERN,
-        )
+        a = PatternRule(GT_CLOSING, EPSILON)
         b = rename_pattern_rule(a, Subst({Var("X"): Var("U"), Var("Y"): Var("V")}))
         rules = PatternRuleSet([a])
         assert not rules.add(b)
@@ -108,15 +133,17 @@ class TestRuleSet:
 
     def test_equivalent_families_collide(self):
         # mu layers that normalization absorbs yield the same stored family.
-        a = PatternRule(pterm(Var("X"), subst(X="s(X)"), subst(X="s(0)")), EPSILON_PATTERN)
-        b = PatternRule(pterm(term("s(X)"), subst(X="s(X)"), subst(X="0")), EPSILON_PATTERN)
+        a = PatternRule(fam("X", subst(X="s(X)"), subst(X="s(0)")), EPSILON)
+        b = PatternRule(fam("s(X)", subst(X="s(X)"), subst(X="0")), EPSILON)
         rules = PatternRuleSet([a])
         assert not rules.add(b)
 
     def test_rejects_non_simple(self):
-        import pytest
-
-        bad = PatternRule(pterm(term("g(X)"), subst(X="f(X,Y)"), Subst()), EPSILON_PATTERN)
+        # A power of s inside a power of g: no single tower per position.
+        s_ctx = App(Symbol("s", 1), (hole(1),))
+        g_ctx = App(Symbol("g", 1), (hole(1),))
+        inner = App(PowerSymbol(s_ctx, 1, 0), (term("0"),))
+        bad = PatternRule(App(PowerSymbol(g_ctx, 1, 0), (inner,)), EPSILON)
         with pytest.raises(ValueError):
             PatternRuleSet([bad])
 
@@ -129,12 +156,12 @@ class TestStep:
             assert first.contains_variant(rule)
         # first-atom projections via identity rules
         assert any(
-            r.lhs.skeleton.symbol.name == "while" and r.rhs.skeleton.symbol.name == "gt"
+            r.lhs.symbol.name == "while" and r.rhs.symbol.name == "gt"
             for r in first
         )
         # no empty-bodied pool rules yet, so deeper prefixes cannot close
         assert not any(
-            r.lhs.skeleton.symbol.name == "while" and r.rhs.skeleton.symbol.name == "add"
+            r.lhs.symbol.name == "while" and r.rhs.symbol.name == "add"
             for r in first
         )
 
@@ -143,7 +170,7 @@ class TestStep:
         first = step(ex_program, base, PatternRuleSet())
         second = step(ex_program, base, first)
         assert any(
-            r.lhs.skeleton.symbol.name == "while" and r.rhs.skeleton.symbol.name == "while"
+            r.lhs.symbol.name == "while" and r.rhs.symbol.name == "while"
             for r in second
         )
 
@@ -154,9 +181,7 @@ class TestSaturation:
         rules, stats = saturate(ex_program, base, UnfoldBudget(max_iterations=2))
         rho = subst(X="s(X)", Y="s(Y)", Z="s(s(Z))", X2="s(X2)", X3="s(s(X3))", Y3="s(Y3)")
         nu = subst(X="s(X1)", Y="0", Z="s(X1)", X2="s(X1)", X3="s(X1)", Y3="s(0)")
-        target = PatternRule(
-            pterm(term("while(X,Y)"), rho, nu), pterm(term("while(X3,Y3)"), rho, nu)
-        )
+        target = PatternRule(fam("while(X,Y)", rho, nu), fam("while(X3,Y3)", rho, nu))
         assert rules.contains_variant(target)
         assert stats.iterations == 2
 
@@ -164,7 +189,7 @@ class TestSaturation:
         rules, _ = saturate(ex_program, [], UnfoldBudget(max_iterations=1))
         # first-atom projections arise from identity rules alone
         assert any(
-            r.lhs.skeleton.symbol.name == "while" and r.rhs.skeleton.symbol.name == "gt"
+            r.lhs.symbol.name == "while" and r.rhs.symbol.name == "gt"
             for r in rules
         )
 
@@ -213,31 +238,42 @@ class TestSaturation:
 
 
 class TestGuards:
+    PROGRAM = "f(Y) :- g(Y), h(Y)."
+
     def _pools(self, pinned_mu: bool):
-        closer = PatternRule(
-            pterm(term("g(s(X1))"), subst(X1="s(X1)"), Subst()), EPSILON_PATTERN
-        )
+        closer = PatternRule(fam("g(s(X1))", subst(X1="s(X1)")), EPSILON)
         follower = PatternRule(
-            lift(term("h(X3)")),
-            pterm(term("k(X3)"), Subst(), subst(X3="0") if pinned_mu else Subst()),
+            term("h(X3)"), fam("k(X3)", Subst(), subst(X3="0") if pinned_mu else Subst())
         )
         return [closer, follower]
 
-    def test_non_commuting_selection_is_dropped(self):
-        # The shared body variable Y forces X3 onto an s-tower in sigma,
-        # while the follower's mu pins X3 to a constant: s(0) != 0, the two
-        # do not commute, so the full-prefix unfolding is not emitted.
-        program = parse_program("f(Y) :- g(Y), h(Y).")
-        got = list(_step_candidates(program, self._pools(pinned_mu=True), [], VarSource()))
-        assert got == []
+    def test_non_commuting_selection_is_emitted(self):
+        # The shared body variable Y puts X3 on an s-tower, while the
+        # follower's right side pins X3 to a constant.  In the paper's
+        # notation the two substitution families do not commute; over power
+        # terms the unfolding is exact, so it is emitted.
+        program = parse_program(self.PROGRAM)
+        pools = self._pools(pinned_mu=True)
+        got = list(_step_candidates(program, pools, [], VarSource()))
+        assert len(got) == 1
+        rule, (_, prefix_len, combo) = got[0]
+        assert prefix_len == 2 and combo == tuple(pools)
+        assert canonical_key((rule.lhs, rule.rhs)) == canonical_key(
+            (fam("f(s(X))", subst(X="s(X)")), term("k(0)"))
+        )
+        for n in range(5):
+            want = concrete_unfold(program.rules[0], 2, [r.at(n) for r in pools])
+            assert want is not None
+            assert is_variant(rule.at(n), want), n
 
     def test_commuting_variant_is_kept(self):
-        program = parse_program("f(Y) :- g(Y), h(Y).")
+        program = parse_program(self.PROGRAM)
         got = list(_step_candidates(program, self._pools(pinned_mu=False), [], VarSource()))
         assert len(got) == 1
         rule, _ = got[0]
-        assert rule.lhs.skeleton == term("f(Y)")
-        assert rule.rhs.skeleton.symbol.name == "k"
+        assert canonical_key((rule.lhs, rule.rhs)) == canonical_key(
+            (fam("f(s(X))", subst(X="s(X)")), fam("k(s(X))", subst(X="s(X)")))
+        )
 
     def test_prefix_rules_must_close(self, ex_program):
         # with no empty-bodied rules available, only single-atom prefixes
@@ -245,7 +281,7 @@ class TestGuards:
         # its third atom
         rules, _ = saturate(ex_program, [], UnfoldBudget(max_iterations=3))
         assert not any(
-            r.lhs.skeleton.symbol.name == "while" and r.rhs.skeleton.symbol.name == "while"
+            r.lhs.symbol.name == "while" and r.rhs.symbol.name == "while"
             for r in rules
         )
 
@@ -325,32 +361,6 @@ class TestSemiNaive:
         assert (stats.stop, stats.generated) == ("rule-cap", generated - 1)
 
 
-class TestPowerFormMemo:
-    def test_memo_equals_fresh_computation(self, monkeypatch):
-        program = parse_program(WHILE_MUL_LE)
-        copies = []
-
-        def recording_rename(rule, ren):
-            copy = rename_pattern_rule(rule, ren)
-            copies.append(copy)
-            return copy
-
-        monkeypatch.setattr(unfold, "rename_pattern_rule", recording_rename)
-        rules, _ = saturate(program, initial_rules(program), UnfoldBudget(max_iterations=4))
-        assert copies
-        for rule in [*rules, *copies]:
-            for side in (rule.lhs, rule.rhs):
-                assert side.power_memo is not NOT_COMPUTED
-                fresh = PatternTerm(side.skeleton, side.subst)
-                assert fresh.power_memo is NOT_COMPUTED
-                assert power_form(side) == power_form(fresh)
-
-    def test_computed_once(self):
-        p = pterm(term("gt(X,Y)"), subst(X="s(X)", Y="s(Y)"), subst(X="s(X)", Y="0"))
-        assert power_form(p) is power_form(p)
-        assert p == PatternTerm(p.skeleton, p.subst)
-
-
 class TestDeadline:
     def test_failed_unifications_are_counted(self, monkeypatch):
         # Pass the deadline on the first call of the longest run of failing
@@ -381,3 +391,34 @@ class TestDeadline:
         _, stats = saturate(program, base, budget)
         assert stats.stop == "timeout"
         assert len(outcomes) - (start + 1) <= 64
+
+
+class TestExactness:
+    @pytest.mark.parametrize("name", sorted(p.stem for p in PROGRAMS_DIR.glob("*.pl")))
+    def test_families_are_concrete_compositions(self, name):
+        # Each family an attempted selection derives is, at every sampled
+        # index, a variant of the classical unfolding of the selected
+        # families' instances at that index.
+        program = parse_program(PROGRAM_SOURCES[name], name)
+        stored = PatternRuleSet(initial_rules(program))
+        patid = identity_pattern_rules(program)
+        source = VarSource()
+        new = None
+        checked = 0
+        for _ in range(3):
+            snapshot = list(stored)
+            for rule, (rule_idx, prefix_len, combo) in _attempts(
+                program, snapshot, patid, source, new
+            ):
+                if rule is None:
+                    continue
+                checked += 1
+                for n in range(4):
+                    want = concrete_unfold(
+                        program.rules[rule_idx], prefix_len, [r.at(n) for r in combo]
+                    )
+                    assert want is not None, (rule, n)
+                    assert is_variant(rule.at(n), want), (rule, n)
+                stored.add(rule)
+            new = {id(r) for r in list(stored)[len(snapshot):]}
+        assert checked > 0
