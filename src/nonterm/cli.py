@@ -164,6 +164,10 @@ def _print_table(rows: list[ReportRow], out: TextIO) -> None:
         out.write(fmt.format(*c).rstrip() + "\n")
 
 
+# What one unreadable or unanalysable file may raise; the others still run.
+_FILE_ERRORS = (ParseError, RecursionError, UnicodeDecodeError, OSError)
+
+
 def _file_error(path: Path, exc: Exception, err: TextIO) -> str:
     """Report a file that could not be analysed; returns the message.
 
@@ -189,7 +193,7 @@ def run(config: RunConfig, out: Optional[TextIO] = None, err: Optional[TextIO] =
         for path in files:
             try:
                 program = parse_program(path.read_text(encoding="utf-8"), path.stem)
-            except (ParseError, RecursionError) as exc:
+            except _FILE_ERRORS as exc:
                 errors.append(_file_error(path, exc, err))
                 continue
             out.write(f"% {path.stem}\n")
@@ -205,7 +209,7 @@ def run(config: RunConfig, out: Optional[TextIO] = None, err: Optional[TextIO] =
     for path in files:
         try:
             rows.extend(analyze_file(path, config, err))
-        except (ParseError, RecursionError) as exc:
+        except _FILE_ERRORS as exc:
             errors.append(_file_error(path, exc, err))
             if not corpus_mode:
                 return 1

@@ -13,6 +13,7 @@ that notation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .binrules import BinaryRule, canonical_key
@@ -44,6 +45,11 @@ class PatternRule:
         return BinaryRule(expand_at(self.lhs, n), expand_at(self.rhs, n))
 
     def vars(self) -> frozenset[Var]:
+        return self._vars
+
+    @cached_property
+    def _vars(self) -> frozenset[Var]:
+        # Computed once: unfolding asks every selected rule for its variables.
         return term_vars(self.lhs) | term_vars(self.rhs)
 
     def rhs_is_epsilon(self) -> bool:

@@ -61,8 +61,10 @@ class App:
         self.symbol = symbol
         self.args = args
         # Context holes (#1, #2, ...) are placeholders, not constants: a term
-        # containing one must never take the ground fast paths.
-        self.ground = not symbol.name.startswith("#") and all(a.ground for a in args)
+        # containing one must never take the ground fast paths.  Holes are
+        # constants, so the name is read only without arguments (a power
+        # symbol's name renders its whole context).
+        self.ground = all(a.ground for a in args) if args else not symbol.name.startswith("#")
         self._hash = hash((symbol, *[a._hash for a in args]))
 
     def __eq__(self, other: object) -> bool:

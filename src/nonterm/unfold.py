@@ -97,8 +97,19 @@ def rename_pattern_rule(rule: PatternRule, ren: Subst) -> PatternRule:
     return PatternRule(apply(rule.lhs, ren), apply(rule.rhs, ren))
 
 
-def _root(t: Term):
-    return t.symbol if isinstance(t, App) else None
+def _clashes(a: Term, b: Term) -> bool:
+    """True when a and b carry different symbols at a position where
+    neither has a variable.  Power symbols are opaque to `pattern_mgu`, so
+    such a pair never unifies, whatever other equations join it."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b or isinstance(a, Var) or isinstance(b, Var):
+            continue
+        if a.symbol != b.symbol:
+            return True
+        stack.extend(zip(a.args, b.args))
+    return False
 
 
 def _attempts(
@@ -125,11 +136,10 @@ def _attempts(
     all_rules = [*pool, *patid]
     noneps_rules = [r for r in all_rules if not r.rhs_is_epsilon()]
 
+    # Filtering keeps pool order, so the selections left come out in the
+    # order they would without it.
     def compatible(candidates: list[PatternRule], atom: Term) -> list[PatternRule]:
-        want = _root(atom)
-        if want is None:
-            return candidates
-        return [r for r in candidates if _root(r.lhs) in (None, want)]
+        return [r for r in candidates if not _clashes(r.lhs, atom)]
 
     for rule_idx, rule in enumerate(program.rules):
         m = len(rule.body)
@@ -156,14 +166,18 @@ def _unfold(
     source: VarSource,
 ) -> Optional[PatternRule]:
     """The rule derived by closing a body prefix with the selected pool
-    rules (renamed apart), or None when that fails."""
+    rules (renamed apart), or None when that fails.
+
+    A pool rule is renamed only when it shares a variable with the program
+    rule or with an earlier pick, so a second pick of the same rule is
+    renamed unless the rule is ground."""
     avoid = set(rule_vars)
     picked: list[PatternRule] = []
     for pr in combo:
-        ren = fresh_renaming(pr.vars(), avoid, source)
-        rr = rename_pattern_rule(pr, ren)
-        picked.append(rr)
-        avoid |= rr.vars()
+        if not avoid.isdisjoint(pr.vars()):
+            pr = rename_pattern_rule(pr, fresh_renaming(pr.vars(), avoid, source))
+        picked.append(pr)
+        avoid |= pr.vars()
     theta = pattern_mgu([p.lhs for p in picked], prefix)
     if theta is None:
         return None

@@ -99,6 +99,30 @@ class TestRun:
         row = [l for l in out.splitlines() if l.startswith("grow")][0]
         assert "Proven" in row
 
+    @staticmethod
+    def _corpus_with_bad_files(tmp_path):
+        (tmp_path / "a-latin1.pl").write_bytes(b"%query: f(i).\nf(X) :- f(s(X)). % \xff\n")
+        (tmp_path / "b-dir.pl").mkdir()
+        (tmp_path / "grow.pl").write_text((PROGRAMS_DIR / "grow.pl").read_text())
+
+    def test_unreadable_files_in_corpus_are_skipped(self, tmp_path):
+        self._corpus_with_bad_files(tmp_path)
+        code, out, err = run_cli(tmp_path)
+        assert code == 1
+        assert f"error: {tmp_path / 'a-latin1.pl'}: 'utf-8' codec can't decode" in err
+        assert f"error: {tmp_path / 'b-dir.pl'}: " in err
+        assert "Traceback" not in err
+        row = [l for l in out.splitlines() if l.startswith("grow")][0]
+        assert "Proven" in row
+
+    def test_unreadable_files_are_skipped_by_dumps(self, tmp_path):
+        self._corpus_with_bad_files(tmp_path)
+        code, out, err = run_cli(tmp_path, dump_initial=True)
+        assert code == 1
+        assert f"error: {tmp_path / 'a-latin1.pl'}: " in err
+        assert f"error: {tmp_path / 'b-dir.pl'}: " in err
+        assert "% grow\n" in out
+
     def test_validation_failure_fails_run(self, monkeypatch):
         # A witness the interpreter lets terminate is not an Unknown: it
         # gets its own status and the run fails.

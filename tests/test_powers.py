@@ -61,6 +61,28 @@ class TestExpand:
         assert subst_at(theta, 2) == subst(X="s(s(0))")
 
 
+class TestGroundness:
+    def test_holes_contexts_and_power_nodes(self):
+        assert not hole(1).ground
+        assert not S1.ground and not FC.ground
+        assert pw(S1, 1, 0, term("0")).ground
+        assert pw(FC, 2, 1, term("f(1,0,1)")).ground
+        assert not pw(S1, 1, 0, Var("X")).ground
+        assert not pw(S1, 1, 0, S1).ground
+        assert not App(Symbol("g", 2), (pw(S1, 1, 0, term("0")), hole(2))).ground
+
+    def test_power_node_does_not_render_its_context(self, monkeypatch):
+        # Groundness reads a symbol's name only for constants; a power
+        # symbol's name renders its whole context.
+        from nonterm import powers
+
+        def no_render(t):
+            raise AssertionError("rendered")
+
+        monkeypatch.setattr(powers, "render", no_render)
+        assert pw(S1, 1, 0, term("0")).ground
+
+
 class TestNormalize:
     def test_layered_tower_collapses(self):
         # s(  s^{2n+1}( s^{n+2}( s(0) ) ) )  ==  s^{3n+5}(0)

@@ -1,16 +1,19 @@
 """Pattern-unfolding engine: candidate generation, budgets, soundness."""
 
 import io
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import PROGRAMS_DIR, fam, subst, term
+from conftest import F, G, NIL, PROGRAMS_DIR, S, ZERO, fam, subst, term
 from nonterm import unfold
 from nonterm.binrules import BinaryRule, canonical_key
 from nonterm.binrules import saturate as binary_saturate
 from nonterm.pattern import PatternRule, initial_rules, pattern_rule_key
-from nonterm.powers import PowerSymbol
+from nonterm.powers import PowerSymbol, is_simple, normalize, pattern_mgu
 from nonterm.program import calls_bounded, parse_program
 from nonterm.terms import (
     EPSILON,
@@ -24,11 +27,13 @@ from nonterm.terms import (
     hole,
     match,
     mgu,
+    term_vars,
 )
 from nonterm.unfold import (
     PatternRuleSet,
     UnfoldBudget,
     _attempts,
+    _clashes,
     _step_candidates,
     identity_pattern_rules,
     rename_pattern_rule,
@@ -422,3 +427,143 @@ class TestExactness:
                 stored.add(rule)
             new = {id(r) for r in list(stored)[len(snapshot):]}
         assert checked > 0
+
+
+# Power symbols over two contexts, s(#1) and f(#1, 0), at several slopes
+# and offsets: distinct symbols, each opaque to the unifier.
+_S_CTX = App(S, (hole(1),))
+_F_CTX = App(F, (hole(1), ZERO))
+_POWERS = [
+    PowerSymbol(_S_CTX, 1, 0),
+    PowerSymbol(_S_CTX, 1, 1),
+    PowerSymbol(_S_CTX, 2, 0),
+    PowerSymbol(_F_CTX, 1, 0),
+]
+_PAIR = Symbol("p", 2)
+
+
+def _power_terms(names):
+    leaves = st.sampled_from([*(Var(n) for n in names), ZERO, NIL])
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(lambda sym, a: App(sym, (a,)), st.sampled_from([S, G, *_POWERS]), sub),
+            st.builds(lambda a, b: App(F, (a, b)), sub, sub),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+class TestClashFilter:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lhs=_power_terms("XYZ"),
+        atom=_power_terms("XUV"),
+        extra=st.tuples(_power_terms("XYZ"), _power_terms("XUV")),
+    )
+    @example(
+        lhs=App(_POWERS[0], (Var("X"),)),
+        atom=App(S, (Var("U"),)),
+        extra=(Var("X"), Var("U")),
+    )
+    @example(
+        lhs=App(F, (Var("X"), App(_POWERS[1], (ZERO,)))),
+        atom=App(F, (App(S, (Var("U"),)), App(_POWERS[2], (Var("V"),)))),
+        extra=(Var("Y"), Var("V")),
+    )
+    def test_rejected_pairs_never_unify(self, lhs, atom, extra):
+        # The filter looks at the stored family, before renaming; whatever
+        # the other equations of a selection, a rejected pair fails.
+        if not _clashes(lhs, atom):
+            return
+        avoid = term_vars(atom) | term_vars(extra[1])
+        ren = fresh_renaming(term_vars(lhs) | term_vars(extra[0]), avoid, VarSource())
+        lhs, left = apply(lhs, ren), apply(extra[0], ren)
+        assert mgu(lhs, atom) is None
+        assert pattern_mgu([lhs, left], [atom, extra[1]]) is None
+
+    def test_clash_below_the_root(self):
+        power = App(_POWERS[0], (Var("X"),))
+        assert _clashes(App(_PAIR, (power, ZERO)), App(_PAIR, (App(S, (Var("U"),)), ZERO)))
+        assert _clashes(App(_PAIR, (Var("X"), ZERO)), App(_PAIR, (Var("U"), NIL)))
+        assert not _clashes(App(_PAIR, (power, ZERO)), App(_PAIR, (Var("U"), Var("V"))))
+        assert not _clashes(App(_PAIR, (Var("X"), Var("X"))), App(_PAIR, (ZERO, NIL)))
+
+
+def full_renaming_attempts(program, pool, patid, source, new):
+    """Reference for `_attempts`: slots filtered by root symbol only, and
+    every selected family renamed apart before the unifier sees it."""
+
+    def root(t):
+        return t.symbol if isinstance(t, App) else None
+
+    def compatible(candidates, atom):
+        want = root(atom)
+        return [r for r in candidates if want is None or root(r.lhs) in (None, want)]
+
+    eps_rules = [r for r in pool if r.rhs_is_epsilon()]
+    all_rules = [*pool, *patid]
+    noneps_rules = [r for r in all_rules if not r.rhs_is_epsilon()]
+    for rule in program.rules:
+        m = len(rule.body)
+        for i in range(1, m + 1):
+            slots = [compatible(eps_rules, rule.body[j]) for j in range(i - 1)]
+            slots.append(compatible(all_rules if i == m else noneps_rules, rule.body[i - 1]))
+            for combo in product(*slots):
+                if new is not None and not any(id(pr) in new for pr in combo):
+                    continue
+                avoid = set(rule.vars())
+                picked = []
+                for pr in combo:
+                    renamed = rename_pattern_rule(pr, fresh_renaming(pr.vars(), avoid, source))
+                    picked.append(renamed)
+                    avoid |= renamed.vars()
+                theta = pattern_mgu([p.lhs for p in picked], rule.body[:i])
+                if theta is None:
+                    continue
+                rhs = normalize(apply(picked[-1].rhs, theta))
+                if is_simple(rhs):
+                    yield PatternRule(normalize(apply(rule.head, theta)), rhs)
+
+
+def full_renaming_saturate(program, base, rounds):
+    """Reference for `saturate` without budgets, semi-naive like it."""
+    stored = PatternRuleSet(base)
+    patid = identity_pattern_rules(program)
+    source = VarSource()
+    generated, new = 0, None
+    for _ in range(rounds):
+        snapshot = list(stored)
+        for candidate in full_renaming_attempts(program, snapshot, patid, source, new):
+            if stored.add(candidate):
+                generated += 1
+        if len(stored) == len(snapshot):
+            return stored, generated, "fixpoint"
+        new = {id(r) for r in list(stored)[len(snapshot):]}
+    return stored, generated, "iteration-cap"
+
+
+# The body calls g twice, so a selection may close both calls with the
+# same family; the second copy must get its own variables.  The f rule
+# shares no variable name with the g families, so nothing else renames them.
+CALLS_TWICE = """
+%query: f(i).
+f(A) :- g(A, B), g(B, C), f(C).
+g(s(X), Y) :- g(X, Y).
+g(0, Y).
+"""
+
+
+class TestSameAsFullRenaming:
+    SOURCES = {**PROGRAM_SOURCES, "clashing-loop": CLASHING_LOOP, "calls-twice": CALLS_TWICE}
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_same_stored_sequence(self, name):
+        program = parse_program(self.SOURCES[name], name)
+        base = initial_rules(program)
+        budget = UnfoldBudget(wall_clock=3600.0, max_iterations=8)
+        rules, stats = saturate(program, base, budget)
+        ref, generated, stop = full_renaming_saturate(program, base, 8)
+        assert [pattern_rule_key(r) for r in rules] == [pattern_rule_key(r) for r in ref]
+        assert stats.generated == generated
+        assert stats.stop == stop
