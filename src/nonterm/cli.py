@@ -1,7 +1,8 @@
 """Command-line front end: analyze programs and report per-query rows.
 
 One row per (program, query directive): the witness found (or "?"), the
-number of unfolded rules, elapsed time, and a status.  Directories are
+number of unfolded rules, elapsed time, and a status; a file that cannot
+be read or parsed gets one row with status Error.  Directories are
 analyzed in lexicographic order of their .pl files.  Debug flags dump the
 seed pattern rules or a bounded binary unfolding instead of analyzing.
 """
@@ -39,17 +40,24 @@ class RunConfig:
 @dataclass(frozen=True)
 class ReportRow:
     program: str
-    rules: int
-    relations: int
-    mode: str
+    rules: Optional[int]  # None on an Error row: the file was not parsed
+    relations: Optional[int]
+    mode: Optional[str]
     witness: str
     unfolded: int
     time_ms: float
     status: str
     outcome: Optional[ProofOutcome] = None
+    error: Optional[str] = None  # why an Error row's file was not analysed
+
+    @classmethod
+    def failed_file(cls, path: Path, message: str) -> "ReportRow":
+        """The row of a file that could not be read or parsed."""
+        return cls(path.stem, None, None, None, "?", 0, 0.0, _ERROR, error=message)
 
     def to_dict(self) -> dict:
-        out = {
+        witness = self.outcome.witness if self.outcome else None
+        return {
             "program": self.program,
             "rules": self.rules,
             "relations": self.relations,
@@ -58,18 +66,12 @@ class ReportRow:
             "witness": None if self.witness == "?" else self.witness,
             "unfolded": self.unfolded,
             "time_ms": round(self.time_ms, 3),
+            "n": witness.n if witness else None,
+            "alpha": str(witness.data.alpha) if witness else None,
+            "k": witness.data.k if witness else None,
+            "reason": self.outcome.reason if self.outcome else self.error,
+            "validated": self.outcome.validated if self.outcome else None,
         }
-        if self.outcome is not None:
-            out.update(
-                {
-                    "n": self.outcome.witness.n if self.outcome.witness else None,
-                    "alpha": str(self.outcome.witness.data.alpha) if self.outcome.witness else None,
-                    "k": self.outcome.witness.data.k if self.outcome.witness else None,
-                    "reason": self.outcome.reason,
-                    "validated": self.outcome.validated,
-                }
-            )
-        return out
 
 
 def count_relations(program: Program) -> int:
@@ -80,6 +82,8 @@ def count_relations(program: Program) -> int:
 # A witness the interpreter did not keep alive: the theory or the code is
 # wrong, so such a row fails the run.
 _VALIDATION_FAILED = "Validation-failed"
+# A file that could not be read or parsed; it also fails the run.
+_ERROR = "Error"
 
 _STATUS = {
     "timeout": "Unknown-timeout",
@@ -146,10 +150,14 @@ def _collect(inputs: tuple[Path, ...]) -> tuple[list[Path], list[str]]:
 
 def _print_table(rows: list[ReportRow], out: TextIO) -> None:
     header = ("Program (#rules, #rel)", "Mode", "Witness", "#unf", "Time(ms)", "Status")
+
+    def count(n: Optional[int]) -> str:
+        return "?" if n is None else str(n)
+
     cells = [
         (
-            f"{r.program} ({r.rules}, {r.relations})",
-            r.mode,
+            f"{r.program} ({count(r.rules)}, {count(r.relations)})",
+            r.mode or "-",
             r.witness,
             str(r.unfolded),
             str(int(r.time_ms)),
@@ -187,7 +195,6 @@ def run(config: RunConfig, out: Optional[TextIO] = None, err: Optional[TextIO] =
     files, errors = _collect(config.inputs)
     for e in errors:
         err.write(f"error: {e}\n")
-    corpus_mode = len(files) > 1 or any(p.is_dir() for p in config.inputs)
 
     if config.dump_initial or config.dump_binunf is not None:
         for path in files:
@@ -210,9 +217,9 @@ def run(config: RunConfig, out: Optional[TextIO] = None, err: Optional[TextIO] =
         try:
             rows.extend(analyze_file(path, config, err))
         except _FILE_ERRORS as exc:
-            errors.append(_file_error(path, exc, err))
-            if not corpus_mode:
-                return 1
+            message = _file_error(path, exc, err)
+            errors.append(message)
+            rows.append(ReportRow.failed_file(path, message))
     if config.as_json:
         json.dump([r.to_dict() for r in rows], out, indent=2)
         out.write("\n")

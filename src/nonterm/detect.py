@@ -85,20 +85,33 @@ def _split_outer(u: Term, v: Term) -> tuple[Term, list[tuple[Term, Term]]]:
     into a hole.
     """
     holes: list[tuple[Term, Term]] = []
-
-    def walk(a: Term, b: Term) -> Term:
-        if (
+    # Post-order without recursion: (pair, False) visits, (pair, True)
+    # builds the context node from its arguments' results on `built`.
+    built: list[Term] = []
+    stack: list[tuple[Term, Term, bool]] = [(u, v, False)]
+    while stack:
+        a, b, ready = stack.pop()
+        if ready:
+            n = len(a.args)
+            args = tuple(built[-n:])
+            del built[-n:]
+            built.append(App(a.symbol, args))
+        elif (
             isinstance(a, App)
             and isinstance(b, App)
             and not is_power(a)
             and not is_power(b)
             and a.symbol == b.symbol
         ):
-            return App(a.symbol, tuple(walk(x, y) for x, y in zip(a.args, b.args)))
-        holes.append((a, b))
-        return hole(len(holes))
-
-    return walk(u, v), holes
+            if a.args:
+                stack.append((a, b, True))
+                stack.extend((x, y, False) for x, y in zip(reversed(a.args), reversed(b.args)))
+            else:
+                built.append(a)
+        else:
+            holes.append((a, b))
+            built.append(hole(len(holes)))
+    return built[0], holes
 
 
 def _read_hole(left: Term, right: Term) -> Optional[tuple[Hole, Term]]:

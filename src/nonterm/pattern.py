@@ -66,25 +66,28 @@ def _context_of(t: Term) -> Optional[tuple[Term, tuple[Var, ...]]]:
     the result context is variable-free by construction.
     """
     seen: list[Var] = []
-
-    def walk(u: Term) -> Optional[Term]:
-        if isinstance(u, Var):
+    # Post-order without recursion: (node, False) visits, (node, True)
+    # builds the node from the results its arguments left on `built`.
+    built: list[Term] = []
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        u, ready = stack.pop()
+        if ready:
+            n = len(u.args)
+            args = tuple(built[-n:])
+            del built[-n:]
+            built.append(App(u.symbol, args))
+        elif isinstance(u, Var):
             if u in seen:
                 return None
             seen.append(u)
-            return hole(len(seen))
-        new_args = []
-        for a in u.args:
-            w = walk(a)
-            if w is None:
-                return None
-            new_args.append(w)
-        return App(u.symbol, tuple(new_args))
-
-    ctx = walk(t)
-    if ctx is None:
-        return None
-    return ctx, tuple(seen)
+            built.append(hole(len(seen)))
+        elif u.ground or not u.args:
+            built.append(u)
+        else:
+            stack.append((u, True))
+            stack.extend((a, False) for a in reversed(u.args))
+    return built[0], tuple(seen)
 
 
 def _match_against_context(ctx: Term, t: Term, m: int) -> Optional[list[Term]]:

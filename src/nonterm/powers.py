@@ -22,7 +22,7 @@ symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Mapping, Optional, Sequence
 
 from .terms import (
     App,
@@ -30,19 +30,15 @@ from .terms import (
     Term,
     Var,
     apply,
-    context_power,
     decompose_power,
-    hole,
     match_context,
-    mgu,
     plug,
     render,
+    resolve,
     strip_power,
     term_vars,
-    _replace_subterm,
+    unify,
 )
-
-_HOLE = hole(1)
 
 
 @dataclass(frozen=True)
@@ -58,6 +54,8 @@ class PowerSymbol:
     context: Term
     a: int
     b: int
+
+    is_power: ClassVar[bool] = True
 
     @property
     def arity(self) -> int:
@@ -76,18 +74,14 @@ def is_power(t: Term) -> bool:
 
 
 def has_powers(t: Term) -> bool:
-    stack = [t]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, App):
-            if isinstance(n.symbol, PowerSymbol):
-                return True
-            stack.extend(n.args)
-    return False
+    return t.powered
 
 
 def concrete_power(c: Term, k: int, inner: Term) -> Term:
-    return plug(context_power(c, k), [inner])
+    """The tower c^k(inner), one copy of c plugged over the next."""
+    for _ in range(k):
+        inner = plug(c, [inner])
+    return inner
 
 
 def expand_at(t: Term, n: int) -> Term:
@@ -99,7 +93,7 @@ def expand_at(t: Term, n: int) -> Term:
         if id(node) in done:
             stack.pop()
             continue
-        if isinstance(node, Var):
+        if not node.powered:
             done[id(node)] = node
             stack.pop()
             continue
@@ -108,7 +102,7 @@ def expand_at(t: Term, n: int) -> Term:
             stack.extend(pending)
             continue
         args = tuple(done[id(a)] for a in node.args)
-        if isinstance(node.symbol, PowerSymbol):
+        if node.symbol.is_power:
             sym = node.symbol
             done[id(node)] = concrete_power(sym.context, sym.a * n + sym.b, args[0])
         elif all(x is y for x, y in zip(args, node.args)):
@@ -125,56 +119,89 @@ def subst_at(theta: Subst, n: int) -> Subst:
 
 
 def _power_nodes(t: Term) -> list[App]:
+    """Every power node of t; power-free subtrees are not entered."""
     out: list[App] = []
     seen: set[int] = set()
     stack = [t]
     while stack:
         n = stack.pop()
-        if isinstance(n, App) and id(n) not in seen:
+        if n.powered and id(n) not in seen:
             seen.add(id(n))
-            if isinstance(n.symbol, PowerSymbol):
+            if n.symbol.is_power:
                 out.append(n)
             stack.extend(n.args)
     return out
+
+
+def _fuse(sym: PowerSymbol, u: Term) -> Term:
+    """c^(a,b) over a normalized u: stacked powers of c add their exponents,
+    concrete c layers below raise the offset, and a = 0 expands away."""
+    c, a, b = sym.context, sym.a, sym.b
+    while True:
+        if is_power(u) and u.symbol.context == c:
+            a += u.symbol.a
+            b += u.symbol.b
+            u = u.args[0]
+            continue
+        w = match_context(c, u)
+        if w is None:
+            break
+        b += 1
+        u = w
+    if a == 0:
+        return concrete_power(c, b, u)
+    return App(PowerSymbol(c, a, b), (u,))
+
+
+def _top_power(t: Term) -> Optional[App]:
+    """A power node of t reached through plain nodes only, if any."""
+    while t.powered and not t.symbol.is_power:
+        t = next(a for a in t.args if a.powered)
+    return t if t.powered else None
 
 
 def normalize(t: Term) -> Term:
     """Canonical form: fused exponents, maximal offsets, no a = 0 powers.
 
     Expansion at any index is preserved; normalizing twice is the same as
-    normalizing once.
+    normalizing once.  One bottom-up pass over the nodes that hold a power;
+    each result is kept with a power node reachable from it through plain
+    nodes (its top power), which is all that absorbing a concrete layer
+    above a power needs.
     """
-    if isinstance(t, Var) or not has_powers(t):
+    if not t.powered:
         return t
-    if isinstance(t.symbol, PowerSymbol):
-        c = t.symbol.context
-        a, b = t.symbol.a, t.symbol.b
-        u = normalize(t.args[0])
-        while True:
-            if is_power(u) and u.symbol.context == c:
-                a += u.symbol.a
-                b += u.symbol.b
-                u = u.args[0]
-                continue
-            w = match_context(c, u)
-            if w is not None:
-                b += 1
-                u = w
-                continue
-            break
-        if a == 0:
-            return concrete_power(c, b, u)
-        return App(PowerSymbol(c, a, b), (u,))
-    args = tuple(normalize(a) for a in t.args)
-    out = t if all(x is y for x, y in zip(args, t.args)) else App(t.symbol, args)
-    # A concrete copy of c directly above c^(a,b)(w) is absorbed: the whole
-    # node must be exactly one c-layer whose every hole holds that power.
-    for v in _power_nodes(out):
-        skel = _replace_subterm(out, v, _HOLE)
-        if skel == v.symbol.context:
-            sym = v.symbol
-            return App(PowerSymbol(sym.context, sym.a, sym.b + 1), (v.args[0],))
-    return out
+    done: dict[int, tuple[Term, Optional[App]]] = {}
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        pending = [a for a in node.args if a.powered and id(a) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if node.symbol.is_power:
+            u = done[id(node.args[0])][0] if node.args[0].powered else node.args[0]
+            out = _fuse(node.symbol, u)
+            done[id(node)] = (out, out if is_power(out) else _top_power(out))
+            continue
+        args = tuple(done[id(a)][0] if a.powered else a for a in node.args)
+        out = node if all(x is y for x, y in zip(args, node.args)) else App(node.symbol, args)
+        # An a = 0 power may have expanded into a plain term.
+        top = next((done[id(a)][1] for a in node.args if a.powered and done[id(a)][1]), None)
+        # A concrete copy of c directly above c^(a,b)(w) is absorbed: the
+        # whole node must be exactly one c-layer whose every hole holds that
+        # power.  Contexts hold no powers, so every power reachable through
+        # plain nodes is then that one, and the top power stands for all.
+        if top is not None and match_context(top.symbol.context, out) == top:
+            sym = top.symbol
+            out = App(PowerSymbol(sym.context, sym.a, sym.b + 1), (top.args[0],))
+            top = out
+        done[id(node)] = (out, top)
+    return done[id(t)][0]
 
 
 def is_simple(t: Term) -> bool:
@@ -183,7 +210,7 @@ def is_simple(t: Term) -> bool:
     Only such terms are stored as rule families: `detect` reads each power
     as one context tower over a plain term.
     """
-    return all(not has_powers(v.args[0]) for v in _power_nodes(t))
+    return all(not v.args[0].powered for v in _power_nodes(t))
 
 
 def power_form(skeleton: Term, sigma: Subst, mu: Subst) -> Optional[Term]:
@@ -231,16 +258,22 @@ def pattern_form(theta: Subst) -> Optional[Subst]:
     return Subst(out)
 
 
-def pattern_mgu(left: Sequence[Term], right: Sequence[Term]) -> Optional[Subst]:
+def pattern_mgu(
+    left: Sequence[Term],
+    right: Sequence[Term],
+    bindings: Optional[Mapping[Var, Term]] = None,
+) -> Optional[Subst]:
     """Most general unifier of two sequences of power terms.
 
-    Power symbols are treated as opaque unary symbols.  Fails (None) when
-    the terms clash or some binding is not a pattern binding
-    (`pattern_form`); failure does not entail non-unifiability.
+    Power symbols are treated as opaque unary symbols.  With `bindings`, a
+    triangular binding map (`terms.unify`) of equations already solved,
+    the unifier extends it.  Fails (None) when the terms clash or some
+    binding is not a pattern binding (`pattern_form`); failure does not
+    entail non-unifiability.
     """
     if len(left) != len(right):
         return None
-    theta = mgu(tuple(left), tuple(right))
-    if theta is None:
+    solved = unify(bindings or {}, zip(left, right))
+    if solved is None:
         return None
-    return pattern_form(theta)
+    return pattern_form(resolve(solved))

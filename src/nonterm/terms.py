@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -21,12 +21,16 @@ class Symbol:
     name: str
     arity: int
 
+    # Power symbols (`powers.PowerSymbol`) set this; see `App.powered`.
+    is_power: ClassVar[bool] = False
+
 
 class Var:
     """A variable, identified by name."""
 
     __slots__ = ("name", "_hash")
     ground = False
+    powered = False
 
     def __init__(self, name: str):
         self.name = name
@@ -45,12 +49,13 @@ class Var:
 class App:
     """Application of a symbol to argument terms.
 
-    The hash and the groundness flag are computed once at construction from
-    the (already cached) values of the children, so both are O(arity) to
-    build and O(1) to use, no matter how deep the term is.
+    The hash and the groundness and power flags are computed once at
+    construction from the (already cached) values of the children, so all
+    three are O(arity) to build and O(1) to use, no matter how deep the term
+    is.  `powered` is true when a power symbol occurs in the term.
     """
 
-    __slots__ = ("symbol", "args", "ground", "_hash")
+    __slots__ = ("symbol", "args", "ground", "powered", "_hash")
 
     def __init__(self, symbol, args: Sequence["Term"] = ()):
         args = tuple(args)
@@ -64,7 +69,14 @@ class App:
         # containing one must never take the ground fast paths.  Holes are
         # constants, so the name is read only without arguments (a power
         # symbol's name renders its whole context).
-        self.ground = all(a.ground for a in args) if args else not symbol.name.startswith("#")
+        if args:
+            ground, powered = True, symbol.is_power
+            for a in args:
+                ground = ground and a.ground
+                powered = powered or a.powered
+            self.ground, self.powered = ground, powered
+        else:
+            self.ground, self.powered = not symbol.name.startswith("#"), False
         self._hash = hash((symbol, *[a._hash for a in args]))
 
     def __eq__(self, other: object) -> bool:
@@ -131,20 +143,6 @@ def term_vars(t: Term | Query) -> frozenset[Var]:
     return frozenset(out)
 
 
-def occurs(v: Var, t: Term) -> bool:
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Var):
-            if u == v:
-                return True
-        elif not u.ground and id(u) not in seen:
-            seen.add(id(u))
-            stack.extend(u.args)
-    return False
-
-
 class Subst:
     """A substitution: a finite map from variables to terms.
 
@@ -155,7 +153,8 @@ class Subst:
     __slots__ = ("_m", "_hash")
 
     def __init__(self, mapping: Mapping[Var, Term] | Iterable[tuple[Var, Term]] = ()):
-        items = mapping.items() if isinstance(mapping, Mapping) else mapping
+        # A dict is tested first: the check against typing's Mapping is slow.
+        items = mapping.items() if isinstance(mapping, (dict, Mapping)) else mapping
         self._m: dict[Var, Term] = {v: t for v, t in items if t != v}
         self._hash: Optional[int] = None
 
@@ -200,8 +199,12 @@ EMPTY_SUBST = Subst()
 
 def _subst_dict(t: Term, m: Mapping[Var, Term]) -> Term:
     """Apply a raw binding dict to a term, iteratively and with sharing."""
-    if not m or (isinstance(t, App) and t.ground):
+    if not m or t.ground:
         return t
+    if isinstance(t, Var):
+        return m.get(t, t)
+    # Only non-ground applications are visited; variables and ground
+    # arguments are read off in place.
     done: dict[int, Term] = {}
     stack = [t]
     while stack:
@@ -209,22 +212,15 @@ def _subst_dict(t: Term, m: Mapping[Var, Term]) -> Term:
         if id(n) in done:
             stack.pop()
             continue
-        if isinstance(n, Var):
-            done[id(n)] = m.get(n, n)
-            stack.pop()
-        elif n.ground:
-            done[id(n)] = n
-            stack.pop()
-        else:
-            pending = [a for a in n.args if id(a) not in done]
-            if pending:
-                stack.extend(pending)
-            else:
-                new_args = tuple(done[id(a)] for a in n.args)
-                done[id(n)] = (
-                    n if all(x is y for x, y in zip(new_args, n.args)) else App(n.symbol, new_args)
-                )
-                stack.pop()
+        pending = [a for a in n.args if not a.ground and isinstance(a, App) and id(a) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        args = tuple(
+            a if a.ground else m.get(a, a) if isinstance(a, Var) else done[id(a)] for a in n.args
+        )
+        done[id(n)] = n if all(x is y for x, y in zip(args, n.args)) else App(n.symbol, args)
     return done[id(t)]
 
 
@@ -249,10 +245,112 @@ def commutes(a: Subst, b: Subst) -> bool:
     return compose(a, b) == compose(b, a)
 
 
+def _occurs_bound(v: Var, t: Term, bindings: Mapping[Var, Term]) -> bool:
+    """Whether v occurs in t once t's bound variables are resolved."""
+    seen: set[int] = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            if u == v:
+                return True
+            w = bindings.get(u)
+            if w is not None:
+                stack.append(w)
+        elif not u.ground and id(u) not in seen:
+            seen.add(id(u))
+            stack.extend(u.args)
+    return False
+
+
+def unify(
+    bindings: Mapping[Var, Term], pairs: Iterable[tuple[Term, Term]]
+) -> Optional[dict[Var, Term]]:
+    """Extend a triangular binding map so that every pair unifies.
+
+    A triangular map binds each variable to a term that may mention other
+    bound variables; nothing is substituted, the unifier walks through
+    bindings instead, the occurs check included.  Equations are solved
+    first in, first out, and of two sides the left one is bound when it is
+    a variable, so the bindings made are those of the Martelli-Montanari
+    construction that substitutes each binding as it goes (the reference
+    in the tests).  Returns an extended copy, or None
+    when some pair clashes or fails the occurs check; `bindings` itself is
+    never changed.
+    """
+    b = dict(bindings)
+    eqs = deque(pairs)
+    while eqs:
+        x, y = eqs.popleft()
+        while isinstance(x, Var) and x in b:
+            x = b[x]
+        while isinstance(y, Var) and y in b:
+            y = b[y]
+        if x is y or x == y:
+            continue
+        if isinstance(x, Var):
+            if isinstance(y, App) and not y.ground and _occurs_bound(x, y, b):
+                return None
+            b[x] = y
+        elif isinstance(y, Var):
+            if not x.ground and _occurs_bound(y, x, b):
+                return None
+            b[y] = x
+        elif x.symbol != y.symbol or (x.ground and y.ground):
+            return None
+        else:
+            eqs.extend(zip(x.args, y.args))
+    return b
+
+
+def resolve(bindings: Mapping[Var, Term]) -> Subst:
+    """The idempotent substitution a triangular binding map stands for."""
+    # Resolved forms, keyed by the variable itself or by the id of a term.
+    done: dict[object, Term] = {}
+    out: dict[Var, Term] = {}
+    for v in bindings:
+        stack: list[Term] = [v]
+        while stack:
+            n = stack[-1]
+            if isinstance(n, Var):
+                if n in done:
+                    stack.pop()
+                    continue
+                w = bindings.get(n)
+                if w is None or w.ground:
+                    done[n] = n if w is None else w
+                    stack.pop()
+                    continue
+                r = done.get(w if isinstance(w, Var) else id(w))
+                if r is None:
+                    stack.append(w)
+                else:
+                    done[n] = r
+                    stack.pop()
+                continue
+            if id(n) in done:
+                stack.pop()
+                continue
+            pending = [
+                a
+                for a in n.args
+                if not a.ground and (a if isinstance(a, Var) else id(a)) not in done
+            ]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            args = tuple(
+                a if a.ground else done[a if isinstance(a, Var) else id(a)] for a in n.args
+            )
+            done[id(n)] = n if all(x is y for x, y in zip(args, n.args)) else App(n.symbol, args)
+        out[v] = done[v]
+    return Subst(out)
+
+
 def mgu(left, right) -> Optional[Subst]:
     """Most general unifier of two terms or two term sequences.
 
-    Martelli-Montanari style solved-form construction with occurs check.
     Returns an idempotent substitution, or None when not unifiable (clash,
     occurs check, or sequence-length mismatch).
     """
@@ -264,38 +362,11 @@ def mgu(left, right) -> Optional[Subst]:
     if isinstance(left, tuple):
         if len(left) != len(right):
             return None
-        eqs = deque(zip(left, right))
+        pairs = zip(left, right)
     else:
-        eqs = deque([(left, right)])
-
-    sol: dict[Var, Term] = {}
-
-    def bind(v: Var, t: Term) -> bool:
-        if occurs(v, t):
-            return False
-        upd = {v: t}
-        for w, u in sol.items():
-            sol[w] = _subst_dict(u, upd)
-        sol[v] = t
-        return True
-
-    while eqs:
-        a, b = eqs.popleft()
-        a = _subst_dict(a, sol)
-        b = _subst_dict(b, sol)
-        if a is b or a == b:
-            continue
-        if isinstance(a, Var):
-            if not bind(a, b):
-                return None
-        elif isinstance(b, Var):
-            if not bind(b, a):
-                return None
-        elif a.symbol == b.symbol:
-            eqs.extend(zip(a.args, b.args))
-        else:
-            return None
-    return Subst(sol)
+        pairs = [(left, right)]
+    bindings = unify({}, pairs)
+    return None if bindings is None else resolve(bindings)
 
 
 def match(pattern, target) -> Optional[Subst]:

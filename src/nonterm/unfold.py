@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Iterator, Optional, TextIO
 
 from .pattern import PatternRule, pattern_rule_key
 from .powers import is_simple, normalize, pattern_mgu
-from .program import Program
+from .program import Program, Rule
 from .terms import (
     App,
     Subst,
@@ -29,6 +28,7 @@ from .terms import (
     Var,
     apply,
     fresh_renaming,
+    unify,
     VarSource,
 )
 
@@ -127,6 +127,11 @@ def _attempts(
     length ascending, selections in pool insertion order (identities
     last), the last slot varying fastest.
 
+    Selections are built slot by slot (`_join`): a family whose left side
+    does not unify with its body atom under the bindings of the slots
+    before it ends every selection through that prefix, which yields one
+    None, with the prefix's picks as provenance.
+
     With `new` (the ids of the pool rules that are new since the previous
     step over the same program), selections made only of older rules are
     skipped: the previous step already tried each of them, and it can only
@@ -142,49 +147,79 @@ def _attempts(
         return [r for r in candidates if not _clashes(r.lhs, atom)]
 
     for rule_idx, rule in enumerate(program.rules):
-        m = len(rule.body)
+        body = rule.body
+        if not body:
+            continue
         rule_vars = rule.vars()
-        for i in range(1, m + 1):
-            slots = [compatible(eps_rules, rule.body[j]) for j in range(i - 1)]
-            slots.append(
-                compatible(all_rules if i == m else noneps_rules, rule.body[i - 1])
-            )
-            for combo in product(*slots):
-                if new is not None and not any(id(pr) in new for pr in combo):
-                    continue
-                yield (
-                    _unfold(rule.head, rule_vars, rule.body[:i], combo, source),
-                    (rule_idx, i, combo),
-                )
+        # Each atom's slot lists, built once: as a closed atom of a longer
+        # prefix, and as the last atom of its own prefix.
+        closing = [compatible(eps_rules, atom) for atom in body[:-1]]
+        last = [compatible(noneps_rules, atom) for atom in body[:-1]]
+        last.append(compatible(all_rules, body[-1]))
+        for i in range(1, len(body) + 1):
+            slots = [*closing[: i - 1], last[i - 1]]
+            yield from _join(rule, rule_vars, (rule_idx, i), slots, source, new)
 
 
-def _unfold(
-    head: Term,
+def _join(
+    rule: Rule,
     rule_vars: frozenset[Var],
-    prefix: tuple[Term, ...],
-    combo: tuple[PatternRule, ...],
+    provenance: tuple[int, int],
+    slots: list[list[PatternRule]],
     source: VarSource,
-) -> Optional[PatternRule]:
-    """The rule derived by closing a body prefix with the selected pool
-    rules (renamed apart), or None when that fails.
+    new: Optional[set[int]],
+) -> Iterator[tuple[Optional[PatternRule], tuple]]:
+    """Depth-first walk of the selections for one body prefix, in the
+    order of `itertools.product` over the slots.
 
-    A pool rule is renamed only when it shares a variable with the program
-    rule or with an earlier pick, so a second pick of the same rule is
-    renamed unless the rule is ground."""
-    avoid = set(rule_vars)
-    picked: list[PatternRule] = []
-    for pr in combo:
-        if not avoid.isdisjoint(pr.vars()):
-            pr = rename_pattern_rule(pr, fresh_renaming(pr.vars(), avoid, source))
-        picked.append(pr)
-        avoid |= pr.vars()
-    theta = pattern_mgu([p.lhs for p in picked], prefix)
+    Each pick is renamed when it shares a variable with the program rule
+    or with an earlier pick (so a second pick of the same rule is renamed
+    unless the rule is ground), and its left side is unified with its body
+    atom on top of the earlier picks' triangular bindings.  A pick that
+    fails there yields one None and its subtree is skipped; a pick that
+    leaves no way to use a new rule is skipped without unifying."""
+    if not all(slots):
+        return
+    depth = len(slots)
+    # later_new[j]: a slot from j on still holds a rule new in `new`.
+    later_new = [new is None] * (depth + 1)
+    if new is not None:
+        for j in range(depth - 1, -1, -1):
+            later_new[j] = later_new[j + 1] or any(id(r) in new for r in slots[j])
+    if not later_new[0]:
+        return
+    prefix = rule.body[:depth]
+
+    def walk(j, bindings, avoid, combo, has_new):
+        for pr in slots[j]:
+            uses_new = has_new or new is None or id(pr) in new
+            if not (uses_new or later_new[j + 1]):
+                continue
+            picked = pr
+            if not avoid.isdisjoint(pr.vars()):
+                picked = rename_pattern_rule(pr, fresh_renaming(pr.vars(), avoid, source))
+            here = (*combo, pr)
+            if j + 1 == depth:
+                theta = pattern_mgu([picked.lhs], [prefix[j]], bindings)
+                yield _derive(rule.head, picked, theta), (*provenance, here)
+                continue
+            extended = unify(bindings, [(picked.lhs, prefix[j])])
+            if extended is None:
+                yield None, (*provenance, here)
+                continue
+            yield from walk(j + 1, extended, avoid | picked.vars(), here, uses_new)
+
+    yield from walk(0, {}, rule_vars, (), False)
+
+
+def _derive(head: Term, last: PatternRule, theta: Optional[Subst]) -> Optional[PatternRule]:
+    """The rule a selection derives from its unifier, or None."""
     if theta is None:
         return None
     # A power of one context may land inside a power of another, a shape
     # no stored family has, so such a result is dropped.  The head is plain
     # and theta binds single powers, so the left side never has it.
-    rhs = normalize(apply(picked[-1].rhs, theta))
+    rhs = normalize(apply(last.rhs, theta))
     if not is_simple(rhs):
         return None
     return PatternRule(normalize(apply(head, theta)), rhs)
@@ -262,9 +297,9 @@ def saturate(
         grew = False
         attempts = _attempts(program, snapshot, patid, source, new)
         for attempt, (candidate, provenance) in enumerate(attempts, 1):
-            # Every selection counts, failed ones too, so a long run of
-            # failing unifications cannot outlast the deadline by more than
-            # 64 selections.
+            # Every yield counts: each complete selection and each failed
+            # unification at an inner slot.  So a long run of failing
+            # unifications cannot outlast the deadline by more than 64.
             if attempt % 64 == 0 and time.monotonic() > deadline:
                 return finish("timeout")
             if candidate is None:

@@ -1,9 +1,11 @@
 """Shared fixtures: term parsing shorthand, program sources, random generators,
-and a reference evaluator for the paper's family notation."""
+a reference evaluator for the paper's family notation, and reference
+versions of the unifier and of normalization."""
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from typing import NamedTuple, Optional
 
 from nonterm.binrules import BinaryRuleSet, saturate
 from nonterm.pattern import PatternRule
-from nonterm.powers import concrete_power, has_powers, is_power, power_form
+from nonterm.powers import PowerSymbol, concrete_power, has_powers, is_power, power_form
 from nonterm.program import Program, _Parser, parse_program
 from nonterm.terms import (
     App,
@@ -21,9 +23,12 @@ from nonterm.terms import (
     Term,
     Var,
     apply,
+    _replace_subterm,
+    _subst_dict,
     compose,
     context_power,
     hole,
+    match_context,
     plug,
 )
 
@@ -116,6 +121,128 @@ def check_correct_sampled(
     """
     pool = oracle if oracle is not None else saturate(program, depth)
     return all(pool.contains_variant(rule.at(n)) for n in range(n_max + 1))
+
+
+# --- reference unifier and normalization ----------------------------------
+#
+# The prover's versions walk triangular bindings and make one bottom-up
+# pass; these are the direct formulations they replaced, kept as oracles.
+
+
+def _reference_occurs(v: Var, t: Term) -> bool:
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            if u == v:
+                return True
+        elif not u.ground:
+            stack.extend(u.args)
+    return False
+
+
+def reference_mgu(left, right) -> Optional[Subst]:
+    """Martelli-Montanari with an eager solved form: every new binding is
+    substituted into every earlier one, and each equation is fully
+    substituted before it is looked at."""
+    if isinstance(left, tuple) != isinstance(right, tuple):
+        left, right = (
+            left if isinstance(left, tuple) else (left,),
+            right if isinstance(right, tuple) else (right,),
+        )
+    if isinstance(left, tuple):
+        if len(left) != len(right):
+            return None
+        eqs = deque(zip(left, right))
+    else:
+        eqs = deque([(left, right)])
+    sol: dict[Var, Term] = {}
+
+    def bind(v: Var, t: Term) -> bool:
+        if _reference_occurs(v, t):
+            return False
+        for w, u in sol.items():
+            sol[w] = _subst_dict(u, {v: t})
+        sol[v] = t
+        return True
+
+    while eqs:
+        a, b = eqs.popleft()
+        a = _subst_dict(a, sol)
+        b = _subst_dict(b, sol)
+        if a is b or a == b:
+            continue
+        if isinstance(a, Var):
+            if not bind(a, b):
+                return None
+        elif isinstance(b, Var):
+            if not bind(b, a):
+                return None
+        elif a.symbol == b.symbol:
+            eqs.extend(zip(a.args, b.args))
+        else:
+            return None
+    return Subst(sol)
+
+
+def _reference_has_powers(t: Term) -> bool:
+    stack = [t]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, App):
+            if isinstance(n.symbol, PowerSymbol):
+                return True
+            stack.extend(n.args)
+    return False
+
+
+def _reference_power_nodes(t: Term) -> list[App]:
+    out: list[App] = []
+    seen: set[int] = set()
+    stack = [t]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, App) and id(n) not in seen:
+            seen.add(id(n))
+            if isinstance(n.symbol, PowerSymbol):
+                out.append(n)
+            stack.extend(n.args)
+    return out
+
+
+def reference_normalize(t: Term) -> Term:
+    """Normalization by recursion, with a full power scan at every level:
+    fuse stacked powers and concrete layers below a power into it, expand
+    a = 0 powers, and absorb one concrete layer above a power when the
+    whole node is that layer over the power."""
+    if isinstance(t, Var) or not _reference_has_powers(t):
+        return t
+    if isinstance(t.symbol, PowerSymbol):
+        c = t.symbol.context
+        a, b = t.symbol.a, t.symbol.b
+        u = reference_normalize(t.args[0])
+        while True:
+            if is_power(u) and u.symbol.context == c:
+                a += u.symbol.a
+                b += u.symbol.b
+                u = u.args[0]
+                continue
+            w = match_context(c, u)
+            if w is not None:
+                b += 1
+                u = w
+                continue
+            break
+        if a == 0:
+            return plug(context_power(c, b), [u])
+        return App(PowerSymbol(c, a, b), (u,))
+    args = tuple(reference_normalize(a) for a in t.args)
+    out = t if all(x is y for x, y in zip(args, t.args)) else App(t.symbol, args)
+    for v in _reference_power_nodes(out):
+        if _replace_subterm(out, v, hole(1)) == v.symbol.context:
+            sym = v.symbol
+            return App(PowerSymbol(sym.context, sym.a, sym.b + 1), (v.args[0],))
+    return out
 
 
 @pytest.fixture

@@ -115,6 +115,31 @@ class TestRun:
         row = [l for l in out.splitlines() if l.startswith("grow")][0]
         assert "Proven" in row
 
+    def test_failed_files_get_error_rows(self, tmp_path):
+        self._corpus_with_bad_files(tmp_path)
+        (tmp_path / "c-syntax.pl").write_text("p(X :- q.")
+        (tmp_path / "d-deep.pl").write_text("%query: f(i).\nf(" + "s(" * 3000 + "0" + ")" * 3001 + ".\n")
+        code, out, err = run_cli(tmp_path, as_json=True)
+        assert code == 1
+        rows = {r["program"]: r for r in json.loads(out)}
+        assert set(rows) == {"a-latin1", "b-dir", "c-syntax", "d-deep", "grow"}
+        for name in ("a-latin1", "b-dir", "c-syntax", "d-deep"):
+            row = rows[name]
+            assert row["status"] == "Error"
+            assert (row["rules"], row["relations"], row["mode"], row["witness"]) == (None,) * 4
+            assert f"error: {tmp_path / (name + '.pl')}: {row['reason']}\n" in err
+        assert rows["d-deep"]["reason"] == "term nesting too deep"
+        assert rows["grow"]["status"] == "Proven"
+        assert "Traceback" not in err
+
+    def test_error_row_in_table(self, tmp_path):
+        bad = tmp_path / "bad.pl"
+        bad.write_text("p(X :- q.")
+        code, out, _ = run_cli(bad)
+        assert code == 1
+        (row,) = [l for l in out.splitlines() if l.startswith("bad")]
+        assert row.split() == ["bad", "(?,", "?)", "-", "?", "0", "0", "Error"]
+
     def test_unreadable_files_are_skipped_by_dumps(self, tmp_path):
         self._corpus_with_bad_files(tmp_path)
         code, out, err = run_cli(tmp_path, dump_initial=True)

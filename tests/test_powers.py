@@ -2,7 +2,15 @@
 
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from conftest import (
+    F,
+    G,
+    NIL,
+    S,
+    ZERO,
     Family,
     family_subst_at,
     pattern_substitution,
@@ -10,6 +18,7 @@ from conftest import (
     random_simple_pattern,
     random_simple_subst,
     random_term,
+    reference_normalize,
     subst,
     term,
 )
@@ -113,6 +122,56 @@ class TestNormalize:
             nu = normalize(u)
             for n in range(6):
                 assert expand_at(nu, n) == expand_at(u, n)
+
+
+# Primitive contexts, as `power_form` makes them, with slopes and offsets
+# from 0 to 2 (a = 0 powers expand away).
+_CONTEXTS = [
+    App(S, (hole(1),)),
+    App(G, (hole(1),)),
+    App(F, (hole(1), ZERO)),
+    App(F, (ZERO, hole(1))),
+    App(F, (hole(1), hole(1))),
+]
+
+
+def _power_terms():
+    leaves = st.sampled_from([Var("X"), Var("Y"), ZERO, NIL])
+    powers = st.builds(
+        PowerSymbol, st.sampled_from(_CONTEXTS), st.integers(0, 2), st.integers(0, 2)
+    )
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(lambda sym, a: App(sym, (a,)), st.one_of(st.sampled_from([S, G]), powers), sub),
+            st.builds(lambda a, b: App(F, (a, b)), sub, sub),
+            st.builds(lambda c, a: plug(c, [a]), st.sampled_from(_CONTEXTS), sub),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+class TestNormalizeProperties:
+    @settings(max_examples=500, deadline=None)
+    @given(t=_power_terms())
+    # f(g^(0n+0)(0), c^(n)(X)) with c = f(0, #1): the first argument
+    # expands to 0, and then the whole node is one c layer over the power.
+    @example(t=App(F, (pw(_CONTEXTS[1], 0, 0, ZERO), pw(_CONTEXTS[3], 1, 0, Var("X")))))
+    def test_same_as_reference(self, t):
+        assert normalize(t) == reference_normalize(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=_power_terms())
+    def test_idempotent(self, t):
+        once = normalize(t)
+        assert normalize(once) == once
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=_power_terms())
+    def test_preserves_expansion(self, t):
+        nt = normalize(t)
+        for n in range(5):
+            assert expand_at(nt, n) == expand_at(t, n)
 
 
 def _random_power_term(rng: random.Random) -> "App":

@@ -1,8 +1,26 @@
 """Term kernel: substitutions, unification, contexts, powers."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_context, random_ground_term, random_subst, random_term, subst, term
+from conftest import (
+    F,
+    G,
+    NIL,
+    S,
+    ZERO,
+    random_context,
+    random_ground_term,
+    random_subst,
+    random_term,
+    reference_mgu,
+    subst,
+    term,
+)
+from nonterm.detect import _split_outer
+from nonterm.pattern import _context_of
+from nonterm.powers import PowerSymbol, normalize
 from nonterm.terms import (
     App,
     Subst,
@@ -21,8 +39,10 @@ from nonterm.terms import (
     plug,
     primitive_context,
     render,
+    resolve,
     strip_power,
     term_vars,
+    unify,
     VarSource,
 )
 
@@ -133,6 +153,82 @@ class TestMgu:
             )
             assert delta is not None
         assert found > 20
+
+
+# Power symbols over s(#1) and f(#1, 0): opaque unary symbols to the
+# unifier, as in the prover.
+_S_CTX = App(S, (hole(1),))
+_POWERS = [PowerSymbol(_S_CTX, 1, 0), PowerSymbol(_S_CTX, 1, 1), PowerSymbol(App(F, (hole(1), ZERO)), 1, 0)]
+
+
+def _terms():
+    leaves = st.sampled_from([*(Var(n) for n in "XYZW"), ZERO, NIL])
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(lambda sym, a: App(sym, (a,)), st.sampled_from([S, G, *_POWERS]), sub),
+            st.builds(lambda a, b: App(F, (a, b)), sub, sub),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+_PAIRS = st.lists(st.tuples(_terms(), _terms()), min_size=1, max_size=4)
+
+
+def _is_variant_on(vs, a: Subst, b: Subst) -> bool:
+    x = tuple(apply(v, a) for v in vs)
+    y = tuple(apply(v, b) for v in vs)
+    return match(x, y) is not None and match(y, x) is not None
+
+
+class TestUnifierProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(pairs=_PAIRS)
+    @example(pairs=[(term("f(X,Y)"), term("f(Y,X)")), (term("g(X)"), term("g(s(Y))"))])
+    def test_same_subst_as_reference(self, pairs):
+        left = tuple(l for l, _ in pairs)
+        right = tuple(r for _, r in pairs)
+        assert mgu(left, right) == reference_mgu(left, right)
+        assert mgu(left[0], right[0]) == reference_mgu(left[0], right[0])
+
+    @settings(max_examples=400, deadline=None)
+    @given(pairs=_PAIRS)
+    @example(pairs=[(term("g(g(W))"), term("g(g(Z))")), (term("Z"), term("W"))])
+    def test_slot_by_slot_equals_batch(self, pairs):
+        # Slot by slot, each pair is solved before the next is looked at;
+        # in one batch, the pairs' arguments interleave.  Both give a most
+        # general unifier, so they agree up to a renaming of variables (in
+        # the example, Z -> W against W -> Z).
+        bindings = {}
+        for pair in pairs:
+            before = dict(bindings)
+            extended = unify(bindings, [pair])
+            assert bindings == before
+            if extended is None:
+                break
+            bindings = extended
+        left = tuple(l for l, _ in pairs)
+        right = tuple(r for _, r in pairs)
+        batch = mgu(left, right)
+        if extended is None:
+            assert batch is None
+            return
+        theta = resolve(bindings)
+        assert batch is not None
+        assert apply(left, theta) == apply(right, theta)
+        assert not (theta.domain() & theta.range_vars())
+        assert _is_variant_on(sorted(term_vars(left + right), key=lambda v: v.name), theta, batch)
+
+    def test_bindings_are_triangular(self):
+        # Y is bound to a term over X before X is bound: nothing is
+        # substituted until `resolve`.
+        bindings = unify({}, [(term("f(Y,X)"), term("f(g(X),s(0))"))])
+        assert bindings == {Var("Y"): term("g(X)"), Var("X"): term("s(0)")}
+        assert resolve(bindings) == subst(Y="g(s(0))", X="s(0)")
+        # The occurs check sees X through Y's binding.
+        assert unify(bindings, [(Var("Z"), term("s(Z)"))]) is None
+        assert unify({Var("Y"): term("g(X)")}, [(Var("X"), term("s(Y)"))]) is None
 
 
 class TestRenameApart:
@@ -261,3 +357,33 @@ class TestDeepTerms:
         assert theta is not None
         assert apply(term("gt(X,Y)"), theta).args[0] == tall
         assert "s(s(" in render(tall)
+
+    def test_deep_power_term_normalizes(self):
+        # pw(s(pw(s(...pw(s(X)))))): every level absorbs one s layer into
+        # the offset and fuses with the power below, giving s^(kn+k)(X).
+        k = 3000
+        t = Var("X")
+        for _ in range(k):
+            t = App(_POWERS[0], (App(S, (t,)),))
+        assert normalize(t) == App(PowerSymbol(_S_CTX, k, k), (Var("X"),))
+        # A tower that cannot fuse comes back unchanged.
+        u = Var("X")
+        for _ in range(k):
+            u = App(G, (App(_POWERS[0], (u,)),))
+        assert normalize(u) == u
+
+    def test_deep_seed_head_context(self):
+        deep = Var("X")
+        for _ in range(3000):
+            deep = App(S, (deep,))
+        ctx, xs = _context_of(App(Symbol("p", 2), (deep, Var("Y"))))
+        assert xs == (Var("X"), Var("Y"))
+        assert ctx == App(Symbol("p", 2), (context_power(_S_CTX, 3000), hole(2)))
+
+    def test_deep_common_outer_context(self):
+        left, right = Var("X"), Var("Y")
+        for _ in range(3000):
+            left, right = App(G, (left,)), App(G, (right,))
+        outer, holes = _split_outer(left, right)
+        assert holes == [(Var("X"), Var("Y"))]
+        assert outer == context_power(App(G, (hole(1),)), 3000)

@@ -366,23 +366,40 @@ class TestSemiNaive:
         assert (stats.stop, stats.generated) == ("rule-cap", generated - 1)
 
 
+# q gets 70 closing families q(s^n(0), a_i) => e.  In the three-atom
+# prefix, a first pick binds Y to some a_j, and then every closing family
+# fails on q(Y, Z), an inner slot: runs of 70 failed unifications.
+MANY_CLOSERS = (
+    "%query: f(i).\nf(X) :- q(X, Y), q(Y, Z), f(Z).\nq(s(X), Y) :- q(X, Y).\n"
+    + "".join(f"q(0, a{i}).\n" for i in range(70))
+)
+
+
 class TestDeadline:
     def test_failed_unifications_are_counted(self, monkeypatch):
         # Pass the deadline on the first call of the longest run of failing
-        # pattern_mgu calls: saturation must stop within 64 more calls.
-        program = parse_program(CLASHING_LOOP)
+        # unifications, inner slots of the join included: saturation must
+        # stop within 64 more calls.
+        program = parse_program(MANY_CLOSERS)
         base = initial_rules(program)
-        budget = UnfoldBudget(wall_clock=10.0, max_iterations=3)
+        budget = UnfoldBudget(wall_clock=10.0, max_iterations=1)
         outcomes = []
-        real_mgu = unfold.pattern_mgu
+        real_unify, real_mgu = unfold.unify, unfold.pattern_mgu
 
-        def counting_mgu(left, right):
-            theta = real_mgu(left, right)
+        def counting_unify(bindings, pairs):
+            extended = real_unify(bindings, pairs)
+            outcomes.append(extended is not None)
+            return extended
+
+        def counting_mgu(left, right, bindings=None):
+            theta = real_mgu(left, right, bindings)
             outcomes.append(theta is not None)
             return theta
 
+        monkeypatch.setattr(unfold, "unify", counting_unify)
         monkeypatch.setattr(unfold, "pattern_mgu", counting_mgu)
         saturate(program, base, budget)
+        assert True in outcomes
         longest, start, run = 0, 0, 0
         for idx, ok in enumerate(outcomes):
             run = 0 if ok else run + 1
