@@ -51,41 +51,32 @@ class BinaryRule:
 
 
 def canonical_key(parts: tuple[Term, ...]) -> tuple:
-    """A renaming-invariant key: variables numbered by first occurrence."""
-    order: dict[Var, int] = {}
-    for part in parts:
-        stack = [part]
-        while stack:
-            n = stack.pop()
-            if isinstance(n, Var):
-                order.setdefault(n, len(order))
-            elif not n.ground:
-                stack.extend(reversed(n.args))
-    memo: dict[int, object] = {}
+    """A renaming-invariant key: variables numbered by first occurrence.
 
-    def encode(t: Term) -> object:
-        root_stack = [t]
-        while root_stack:
-            n = root_stack[-1]
-            if id(n) in memo:
-                root_stack.pop()
+    One left-to-right walk numbers the variables and encodes each node
+    after its arguments.  Plugging a multi-hole context shares subterms, so
+    terms are DAGs; a node met again is already encoded, and every variable
+    below it already numbered, so the walk is linear in the DAG's size.
+    """
+    order: dict[Var, int] = {}
+    memo: dict[int, object] = {}
+    for part in parts:
+        # (node, False) visits, (node, True) encodes it from its arguments.
+        stack: list[tuple[Term, bool]] = [(part, False)]
+        while stack:
+            n, ready = stack.pop()
+            if ready:
+                memo[id(n)] = (n.symbol, *[memo[id(a)] for a in n.args])
+            elif id(n) in memo:
                 continue
-            if isinstance(n, Var):
-                memo[id(n)] = ("$", order[n])
-                root_stack.pop()
+            elif isinstance(n, Var):
+                memo[id(n)] = ("$", order.setdefault(n, len(order)))
             elif n.ground:
                 memo[id(n)] = n
-                root_stack.pop()
             else:
-                pending = [a for a in n.args if id(a) not in memo]
-                if pending:
-                    root_stack.extend(pending)
-                else:
-                    memo[id(n)] = (n.symbol, *[memo[id(a)] for a in n.args])
-                    root_stack.pop()
-        return memo[id(t)]
-
-    return tuple(encode(part) for part in parts)
+                stack.append((n, True))
+                stack.extend((a, False) for a in reversed(n.args))
+    return tuple(memo[id(part)] for part in parts)
 
 
 class BinaryRuleSet:

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Optional
 
 from .binrules import BinaryRule, canonical_key
-from .powers import expand_at, power_form
+from .powers import expand_at, least_shift, power_form, shift, sigma_powers
 from .program import Program
 from .terms import (
     App,
@@ -144,8 +144,10 @@ def initial_rules(program: Program) -> list[PatternRule]:
             continue
         sigma = Subst({x: s for x, s in zip(xs, wrapped) if s != x})
         # Every moved variable sits in a ground context, so both power forms
-        # exist.
-        open_ = power_form(head, sigma, Subst())
+        # exist.  Each is split into its context and slope once, for the
+        # open family and every base fact.
+        moved = sigma_powers(sigma)
+        open_ = power_form(head, sigma, Subst(), moved)
         assert open_ is not None
         for base in facts:
             if not isinstance(base.head, App) or base.head.symbol != head.symbol:
@@ -154,7 +156,7 @@ def initial_rules(program: Program) -> list[PatternRule]:
             if ts is None:
                 continue
             mu = Subst({x: t for x, t in zip(xs, ts) if t != x})
-            closing = power_form(body, sigma, mu)
+            closing = power_form(body, sigma, mu, moved)
             assert closing is not None
             for rule in (PatternRule(closing, EPSILON), PatternRule(open_, body)):
                 key = pattern_rule_key(rule)
@@ -171,3 +173,18 @@ def pattern_rule_key(rule: PatternRule) -> tuple:
     as s(s^(n)(X)) and s^(n+1)(X), collide.
     """
     return canonical_key((rule.lhs, rule.rhs))
+
+
+def rule_base(rule: PatternRule) -> tuple[PatternRule, int]:
+    """The family shifted down as far as it goes, and by how much.
+
+    With d the `least_shift` of both sides, lowering every offset c^(a,b)
+    to c^(a,b-a*d) gives the base; instance n of the family is instance
+    n + d of its base, so the families with one base are nested: each
+    holds every one of a larger shift.  The terms are rebuilt only when
+    d > 0.
+    """
+    d = least_shift((rule.lhs, rule.rhs))
+    if d == 0:
+        return rule, 0
+    return PatternRule(shift(rule.lhs, -d), shift(rule.rhs, -d)), d

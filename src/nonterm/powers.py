@@ -12,23 +12,26 @@ its offset, and powers with a = 0 are expanded away.
 Rule families are stored as normalized power terms.  The paper writes a
 family as skeleton . sigma^n . mu; `power_form` converts that notation when
 sigma binds every moved variable as x -> c^a(x).  Unification of families
-is syntactic unification of their power terms, each distinct power symbol
-treated as opaque (`pattern_mgu`).  The representative choice is the
-natural one, which is known to be incomplete: a unifiable pair may still
-fail when the two sides factor the same tower through different power
-symbols.
+(`unify`, `pattern_mgu`) is syntactic unification of their power terms with
+one more rule: two powers of the same context and slope meet by peeling
+the smaller offset off both.  Any other pair of distinct power symbols
+clashes, which is known to be incomplete: a unifiable pair may still fail
+when the two sides factor the same tower through powers of different
+slopes, or through a power on one side and concrete layers on the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Mapping, Optional, Sequence
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .terms import (
     App,
     Subst,
     Term,
     Var,
+    _occurs_bound,
     apply,
     decompose_power,
     match_context,
@@ -37,7 +40,6 @@ from .terms import (
     resolve,
     strip_power,
     term_vars,
-    unify,
 )
 
 
@@ -45,21 +47,27 @@ from .terms import (
 class PowerSymbol:
     """Unary symbol for the tower family c^(a*n+b) over a ground 1-context.
 
-    Symbols are opaque to unification: equal context, slope and offset, or
-    nothing.  `power_form` always factors contexts down to their minimal
-    period, which makes that equality as permissive as it can be without a
-    search over alternative representatives.
+    To unification (`unify`), two symbols of equal context and slope meet
+    whatever their offsets; any other pair of distinct symbols clashes.
+    `power_form` always factors contexts down to their minimal period,
+    which makes that test as permissive as it can be without a search over
+    alternative representatives.
     """
 
     context: Term
     a: int
     b: int
+    # Every `App` built over the symbol hashes it, so the hash is kept.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     is_power: ClassVar[bool] = True
+    arity: ClassVar[int] = 1
 
-    @property
-    def arity(self) -> int:
-        return 1
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.context, self.a, self.b)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def name(self) -> str:
@@ -84,8 +92,12 @@ def concrete_power(c: Term, k: int, inner: Term) -> Term:
     return inner
 
 
-def expand_at(t: Term, n: int) -> Term:
-    """Replace every power symbol c^(a,b) by the concrete tower c^(a*n+b)."""
+def _map_powers(t: Term, on_power: Callable[[PowerSymbol, Term], Term]) -> Term:
+    """t with every power node c^(a,b)(u) replaced by on_power(c^(a,b), u'),
+    u' being u so rebuilt; power-free subtrees are shared, not copied."""
+    if not t.powered:
+        return t
+    # Only nodes that hold a power are visited; the others are kept as is.
     done: dict[int, Term] = {}
     stack = [t]
     while stack:
@@ -93,24 +105,42 @@ def expand_at(t: Term, n: int) -> Term:
         if id(node) in done:
             stack.pop()
             continue
-        if not node.powered:
-            done[id(node)] = node
-            stack.pop()
-            continue
-        pending = [a for a in node.args if id(a) not in done]
+        pending = [a for a in node.args if a.powered and id(a) not in done]
         if pending:
             stack.extend(pending)
             continue
-        args = tuple(done[id(a)] for a in node.args)
+        stack.pop()
+        args = tuple(done[id(a)] if a.powered else a for a in node.args)
         if node.symbol.is_power:
-            sym = node.symbol
-            done[id(node)] = concrete_power(sym.context, sym.a * n + sym.b, args[0])
-        elif all(x is y for x, y in zip(args, node.args)):
-            done[id(node)] = node
+            done[id(node)] = on_power(node.symbol, args[0])
         else:
             done[id(node)] = App(node.symbol, args)
-        stack.pop()
     return done[id(t)]
+
+
+def expand_at(t: Term, n: int) -> Term:
+    """Replace every power symbol c^(a,b) by the concrete tower c^(a*n+b)."""
+    return _map_powers(t, lambda sym, u: concrete_power(sym.context, sym.a * n + sym.b, u))
+
+
+def shift(t: Term, d: int) -> Term:
+    """t with every power c^(a,b) raised to c^(a,b+a*d): its expansion at n
+    is t's at n + d.  A negative d must leave every offset non-negative."""
+    return _map_powers(t, lambda sym, u: App(PowerSymbol(sym.context, sym.a, sym.b + sym.a * d), (u,)))
+
+
+def least_shift(terms: Iterable[Term]) -> int:
+    """The largest d such that lowering every offset by a*d keeps it
+    non-negative: min of b // a over the power nodes, 0 without any."""
+    d: Optional[int] = None
+    for t in terms:
+        for v in _power_nodes(t):
+            k = v.symbol.b // v.symbol.a
+            if k == 0:
+                return 0
+            if d is None or k < d:
+                d = k
+    return d or 0
 
 
 def subst_at(theta: Subst, n: int) -> Subst:
@@ -213,29 +243,48 @@ def is_simple(t: Term) -> bool:
     return all(not v.args[0].powered for v in _power_nodes(t))
 
 
-def power_form(skeleton: Term, sigma: Subst, mu: Subst) -> Optional[Term]:
+def sigma_powers(sigma: Subst) -> dict[Var, Optional[tuple[Term, int]]]:
+    """Each variable sigma moves, split as sigma(x) = c^a(x) with c a
+    ground 1-context of minimal period: x -> (c, a), or x -> None when its
+    binding has another shape."""
+    out: dict[Var, Optional[tuple[Term, int]]] = {}
+    for x, sx in sigma.items():
+        split = decompose_power(sx, x)
+        out[x] = None if split is None else (split[0], split[1])
+    return out
+
+
+def power_form(
+    skeleton: Term,
+    sigma: Subst,
+    mu: Subst,
+    moved: Optional[Mapping[Var, Optional[tuple[Term, int]]]] = None,
+) -> Optional[Term]:
     """The canonical power term of the family skeleton . sigma^n . mu.
 
     The family must be simple: every variable sigma moves is driven by a
     ground 1-context, sigma(x) = c^a(x).  The mu binding then splits as
     c^b(t) with t not c-headed, and x maps to c^(a,b)(t); variables that
     sigma fixes keep their mu binding as is.  Returns None when some sigma
-    binding does not have that shape.
+    binding of a skeleton variable does not have that shape.  `moved` is
+    `sigma_powers(sigma)`, for a caller that converts several families
+    with one sigma.
     """
+    if moved is None:
+        moved = sigma_powers(sigma)
     theta: dict[Var, Term] = {}
     for x in sorted(term_vars(skeleton), key=lambda v: v.name):
-        sx = sigma.lookup(x)
         mx = mu.lookup(x)
-        if sx == x:
+        if x not in moved:
             theta[x] = mx
-        else:
-            split = decompose_power(sx, x)
-            if split is None:
-                return None
-            c, a, _ = split
-            assert c is not None and a >= 1
-            b, rest = strip_power(mx, c)
-            theta[x] = App(PowerSymbol(c, a, b), (rest,))
+            continue
+        split = moved[x]
+        if split is None:
+            return None
+        c, a = split
+        assert a >= 1
+        b, rest = strip_power(mx, c)
+        theta[x] = App(PowerSymbol(c, a, b), (rest,))
     return normalize(apply(skeleton, Subst(theta)))
 
 
@@ -258,15 +307,68 @@ def pattern_form(theta: Subst) -> Optional[Subst]:
     return Subst(out)
 
 
+def same_slope(p, q) -> bool:
+    """Whether symbols p and q are powers of one context and slope, which
+    `unify` meets whatever their offsets."""
+    return p.is_power and q.is_power and p.a == q.a and p.context == q.context
+
+
+def unify(
+    bindings: Mapping[Var, Term], pairs: Iterable[tuple[Term, Term]]
+) -> Optional[dict[Var, Term]]:
+    """`terms.unify` over power terms, with one more rule for powers.
+
+    c^(a,b)(u) and c^(a,b')(v) with b <= b' expand at n to c^(a*n+b)(u)
+    and c^(a*n+b)(c^(b'-b)(v)); plugging a ground 1-context is injective,
+    so they unify exactly when u and c^(b'-b)(v) do.  Read c^(a,b)(u) as a
+    symbol of its own over the tower c^b(u), and this is syntactic
+    unification, so the rule is sound and complete and the result does not
+    depend on the order of the equations.  Any other two distinct symbols
+    clash, power or not.  Bindings are triangular, as in `terms.unify`;
+    `bindings` itself is never changed.
+    """
+    out = dict(bindings)
+    eqs = deque(pairs)
+    while eqs:
+        x, y = eqs.popleft()
+        while isinstance(x, Var) and x in out:
+            x = out[x]
+        while isinstance(y, Var) and y in out:
+            y = out[y]
+        if x is y or x == y:
+            continue
+        if isinstance(x, Var):
+            if isinstance(y, App) and not y.ground and _occurs_bound(x, y, out):
+                return None
+            out[x] = y
+        elif isinstance(y, Var):
+            if not x.ground and _occurs_bound(y, x, out):
+                return None
+            out[y] = x
+        elif x.symbol != y.symbol:
+            p, q = x.symbol, y.symbol
+            if not same_slope(p, q):
+                return None
+            # Peel the smaller offset off both sides; each keeps its side.
+            if p.b <= q.b:
+                eqs.append((x.args[0], concrete_power(p.context, q.b - p.b, y.args[0])))
+            else:
+                eqs.append((concrete_power(p.context, p.b - q.b, x.args[0]), y.args[0]))
+        elif x.ground and y.ground and not (x.powered or y.powered):
+            return None
+        else:
+            eqs.extend(zip(x.args, y.args))
+    return out
+
+
 def pattern_mgu(
     left: Sequence[Term],
     right: Sequence[Term],
     bindings: Optional[Mapping[Var, Term]] = None,
 ) -> Optional[Subst]:
-    """Most general unifier of two sequences of power terms.
+    """Most general unifier of two sequences of power terms (`unify`).
 
-    Power symbols are treated as opaque unary symbols.  With `bindings`, a
-    triangular binding map (`terms.unify`) of equations already solved,
+    With `bindings`, a triangular binding map of equations already solved,
     the unifier extends it.  Fails (None) when the terms clash or some
     binding is not a pattern binding (`pattern_form`); failure does not
     entail non-unifiability.

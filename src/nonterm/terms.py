@@ -10,7 +10,7 @@ short-circuit on ground subterms instead of recursing node by node.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -20,9 +20,17 @@ class Symbol:
 
     name: str
     arity: int
+    # Every `App` built over the symbol hashes it, so the hash is kept.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     # Power symbols (`powers.PowerSymbol`) set this; see `App.powered`.
     is_power: ClassVar[bool] = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.arity)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class Var:

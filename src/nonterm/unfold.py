@@ -18,8 +18,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, TextIO
 
-from .pattern import PatternRule, pattern_rule_key
-from .powers import is_simple, normalize, pattern_mgu
+from .pattern import PatternRule, pattern_rule_key, rule_base
+from .powers import is_simple, normalize, pattern_mgu, same_slope, unify
 from .program import Program, Rule
 from .terms import (
     App,
@@ -28,36 +28,59 @@ from .terms import (
     Var,
     apply,
     fresh_renaming,
-    unify,
     VarSource,
 )
 
 
 class PatternRuleSet:
-    """Pattern rules deduplicated modulo renaming.
+    """Pattern rules deduplicated modulo renaming and index shift.
 
-    Only simple rules (`powers.is_simple` on both sides) may be stored;
-    insertion order is preserved so saturation rounds are reproducible.
+    A rule whose `rule_base` is already stored at a shift no larger than
+    its own is covered: every instance of it is an instance of the stored
+    rule, so it is not stored again.  Stored rules are never removed, even
+    when a later one covers them.  Only simple rules (`powers.is_simple` on
+    both sides) may be stored; insertion order is preserved so saturation
+    rounds are reproducible.
     """
 
     def __init__(self, rules=()):
         self._rules: list[PatternRule] = []
-        self._keys: set[tuple] = set()
+        # Base key -> the least shift stored for it, and that rule.
+        self._least: dict[tuple, tuple[int, PatternRule]] = {}
         for r in rules:
             self.add(r)
 
-    def add(self, rule: PatternRule) -> bool:
+    def _cover(self, rule: PatternRule) -> tuple[tuple, int, Optional[tuple[int, PatternRule]]]:
+        """The rule's base key, its shift, and what is stored for that key."""
+        base, d = rule_base(rule)
+        key = pattern_rule_key(base)
+        return key, d, self._least.get(key)
+
+    def add(
+        self,
+        rule: PatternRule,
+        on_subsumed: Optional[Callable[[PatternRule, PatternRule, int], None]] = None,
+    ) -> bool:
+        """Store the rule unless it is covered; True when stored.
+
+        `on_subsumed(rule, stored, k)` runs when a stored rule covers it at
+        a shift k > 0 smaller than its own; not on a variant (k = 0).
+        """
         if not (is_simple(rule.lhs) and is_simple(rule.rhs)):
             raise ValueError(f"refusing to store a non-simple pattern rule: {rule}")
-        key = pattern_rule_key(rule)
-        if key in self._keys:
+        key, d, held = self._cover(rule)
+        if held is not None and held[0] <= d:
+            if on_subsumed is not None and held[0] < d:
+                on_subsumed(rule, held[1], d - held[0])
             return False
-        self._keys.add(key)
+        self._least[key] = (d, rule)
         self._rules.append(rule)
         return True
 
     def contains_variant(self, rule: PatternRule) -> bool:
-        return pattern_rule_key(rule) in self._keys
+        """Whether a stored rule is a variant of this one or covers it."""
+        _, d, held = self._cover(rule)
+        return held is not None and held[0] <= d
 
     def __iter__(self) -> Iterator[PatternRule]:
         return iter(self._rules)
@@ -78,6 +101,7 @@ class UnfoldBudget:
 @dataclass
 class UnfoldStats:
     generated: int = 0  # distinct unfolded rules, seed set excluded
+    subsumed: int = 0  # rules not stored: a stored one covers them at a smaller shift
     iterations: int = 0
     elapsed_ms: float = 0.0
     stop: str = "fixpoint"  # fixpoint | proved | timeout | iteration-cap | rule-cap
@@ -99,17 +123,69 @@ def rename_pattern_rule(rule: PatternRule, ren: Subst) -> PatternRule:
 
 def _clashes(a: Term, b: Term) -> bool:
     """True when a and b carry different symbols at a position where
-    neither has a variable.  Power symbols are opaque to `pattern_mgu`, so
-    such a pair never unifies, whatever other equations join it."""
+    neither has a variable, and those are not two powers of one context
+    and slope.  Such a pair never unifies (`powers.unify`), whatever other
+    equations join it.  Two powers that differ only in offset are not
+    looked into."""
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()
         if a is b or isinstance(a, Var) or isinstance(b, Var):
             continue
         if a.symbol != b.symbol:
-            return True
+            if not same_slope(a.symbol, b.symbol):
+                return True
+            continue
         stack.extend(zip(a.args, b.args))
     return False
+
+
+class _SlotLists:
+    """Each body atom's slot lists, kept over a pool that only grows.
+
+    For each program rule and body atom: the closing pool rules (right side
+    epsilon) that do not clash with it, and the pool rules a prefix may end
+    with (right side not epsilon, or anything for the last atom), then the
+    identities that may.  A rule's lists take in only the pool rules added
+    since its previous turn, so every pool rule meets each atom's clash
+    test once, and a step that stops early filters nothing for the rules
+    it did not reach.  Filtering keeps pool order, so the selections left
+    come out in the order they would without it.
+    """
+
+    def __init__(self, program: Program, patid: list[PatternRule]):
+        self._patid = patid
+        self._rules = [(idx, rule) for idx, rule in enumerate(program.rules) if rule.body]
+        # Per rule, from its first turn: the pool size it has taken in, and
+        # per atom [closing, ending, identities].
+        self._sizes = [0] * len(self._rules)
+        self._lists: list[Optional[list[list[list[PatternRule]]]]] = [None] * len(self._rules)
+
+    def per_rule(
+        self, pool: list[PatternRule]
+    ) -> Iterator[tuple[int, Rule, list[list[PatternRule]], list[list[PatternRule]]]]:
+        """(index, rule, closing lists, ending lists) per program rule with
+        a body, the ending lists with the identities last.  The pool rules
+        before those a rule has taken in must be the ones it saw."""
+        for r, (idx, rule) in enumerate(self._rules):
+            atoms = self._lists[r]
+            if atoms is None:
+                atoms = self._lists[r] = [
+                    [[], [], [pr for pr in self._patid if not _clashes(pr.lhs, atom)]]
+                    for atom in rule.body
+                ]
+            last = len(rule.body) - 1
+            for pr in pool[self._sizes[r]:]:
+                eps = pr.rhs_is_epsilon()
+                for i, atom in enumerate(rule.body):
+                    if not _clashes(pr.lhs, atom):
+                        # A closing rule closes an inner atom; at the last
+                        # atom it ends the prefix, like any other rule.
+                        atoms[i][0 if eps and i < last else 1].append(pr)
+            self._sizes[r] = len(pool)
+            closing = [atom[0] for atom in atoms[:-1]]
+            ending = [[*atom[1], *atom[2]] for atom in atoms]
+            yield idx, rule, closing, ending
 
 
 def _attempts(
@@ -118,6 +194,7 @@ def _attempts(
     patid: list[PatternRule],
     source: VarSource,
     new: Optional[set[int]] = None,
+    lists: Optional[_SlotLists] = None,
 ) -> Iterator[tuple[Optional[PatternRule], tuple]]:
     """Every selection one unfolding step tries, with the rule it derives.
 
@@ -135,29 +212,16 @@ def _attempts(
     With `new` (the ids of the pool rules that are new since the previous
     step over the same program), selections made only of older rules are
     skipped: the previous step already tried each of them, and it can only
-    give again a variant of what it gave then.
+    give again a variant of what it gave then.  `lists`, kept from the
+    previous step over the same program and a prefix of this pool, saves
+    filtering the older rules again.
     """
-    eps_rules = [r for r in pool if r.rhs_is_epsilon()]
-    all_rules = [*pool, *patid]
-    noneps_rules = [r for r in all_rules if not r.rhs_is_epsilon()]
-
-    # Filtering keeps pool order, so the selections left come out in the
-    # order they would without it.
-    def compatible(candidates: list[PatternRule], atom: Term) -> list[PatternRule]:
-        return [r for r in candidates if not _clashes(r.lhs, atom)]
-
-    for rule_idx, rule in enumerate(program.rules):
-        body = rule.body
-        if not body:
-            continue
+    if lists is None:
+        lists = _SlotLists(program, patid)
+    for rule_idx, rule, closing, ending in lists.per_rule(pool):
         rule_vars = rule.vars()
-        # Each atom's slot lists, built once: as a closed atom of a longer
-        # prefix, and as the last atom of its own prefix.
-        closing = [compatible(eps_rules, atom) for atom in body[:-1]]
-        last = [compatible(noneps_rules, atom) for atom in body[:-1]]
-        last.append(compatible(all_rules, body[-1]))
-        for i in range(1, len(body) + 1):
-            slots = [*closing[: i - 1], last[i - 1]]
+        for i in range(1, len(rule.body) + 1):
+            slots = [*closing[: i - 1], ending[i - 1]]
             yield from _join(rule, rule_vars, (rule_idx, i), slots, source, new)
 
 
@@ -274,14 +338,20 @@ def saturate(
     stats = UnfoldStats()
     source = VarSource()
     patid = identity_pattern_rules(program)
+    lists = _SlotLists(program, patid)
 
     def finish(reason: str) -> tuple[PatternRuleSet, UnfoldStats]:
         stats.stop = reason
         stats.elapsed_ms = (time.monotonic() - t0) * 1000.0
         return stored, stats
 
+    def subsumed(rule: PatternRule, by: PatternRule, k: int) -> None:
+        stats.subsumed += 1
+        if trace:
+            trace.write(f"subsumed: {rule}  (shift {k} of {by})\n")
+
     for rule in base:
-        if stored.add(rule):
+        if stored.add(rule, subsumed):
             if trace:
                 trace.write(f"seed: {rule}\n")
             if on_rule and on_rule(rule):
@@ -295,7 +365,7 @@ def saturate(
         stats.iterations = round_no
         snapshot = list(stored)
         grew = False
-        attempts = _attempts(program, snapshot, patid, source, new)
+        attempts = _attempts(program, snapshot, patid, source, new, lists)
         for attempt, (candidate, provenance) in enumerate(attempts, 1):
             # Every yield counts: each complete selection and each failed
             # unification at an inner slot.  So a long run of failing
@@ -304,13 +374,13 @@ def saturate(
                 return finish("timeout")
             if candidate is None:
                 continue
-            # The cap binds only on a rule that would be new, so skipped
-            # selections, which give duplicates, cannot change the outcome.
+            # The cap binds only on a rule that would be stored, so skipped
+            # selections, which give covered rules, cannot change the outcome.
             if stats.generated >= budget.max_rules and not stored.contains_variant(
                 candidate
             ):
                 return finish("rule-cap")
-            if not stored.add(candidate):
+            if not stored.add(candidate, subsumed):
                 continue
             stats.generated += 1
             grew = True

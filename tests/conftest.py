@@ -185,6 +185,33 @@ def reference_mgu(left, right) -> Optional[Subst]:
     return Subst(sol)
 
 
+def reference_canonical_key(parts: tuple[Term, ...]) -> tuple:
+    """The variant key in two walks: number the variables over every path
+    of the terms, left to right, then encode each node once."""
+    order: dict[Var, int] = {}
+    for part in parts:
+        stack = [part]
+        while stack:
+            n = stack.pop()
+            if isinstance(n, Var):
+                order.setdefault(n, len(order))
+            elif not n.ground:
+                stack.extend(reversed(n.args))
+    memo: dict[int, object] = {}
+
+    def encode(t: Term) -> object:
+        if id(t) not in memo:
+            if isinstance(t, Var):
+                memo[id(t)] = ("$", order[t])
+            elif t.ground:
+                memo[id(t)] = t
+            else:
+                memo[id(t)] = (t.symbol, *[encode(a) for a in t.args])
+        return memo[id(t)]
+
+    return tuple(encode(part) for part in parts)
+
+
 def _reference_has_powers(t: Term) -> bool:
     stack = [t]
     while stack:

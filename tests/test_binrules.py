@@ -1,15 +1,20 @@
 """Binary-rule saturation oracle."""
 
-from conftest import term
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import F, G, NIL, S, ZERO, reference_canonical_key, term
 from nonterm.binrules import (
     BinaryRule,
     BinaryRuleSet,
+    canonical_key,
     identity_rules,
     saturate,
     step,
 )
+from nonterm.powers import concrete_power
 from nonterm.program import calls_bounded, parse_program
-from nonterm.terms import EPSILON, Subst, apply, match, term_vars
+from nonterm.terms import EPSILON, App, Subst, Var, apply, hole, match, plug, term_vars
 
 from conftest import random_ground_term
 
@@ -53,6 +58,45 @@ class TestVariants:
         b = br("while(s(X),0)", "while(s(X),s(0))")
         rules = BinaryRuleSet([a])
         assert not rules.add(b)
+
+
+def _shared_terms():
+    """Terms over X, Y, Z whose subterms are often shared: plugging
+    f(#1, #1) puts one argument object in two places."""
+    leaves = st.sampled_from([Var("X"), Var("Y"), Var("Z"), ZERO, NIL])
+    both = App(F, (hole(1), hole(1)))
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(lambda sym, a: App(sym, (a,)), st.sampled_from([S, G]), sub),
+            st.builds(lambda a, b: App(F, (a, b)), sub, sub),
+            st.builds(lambda a: plug(both, [a]), sub),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+class TestCanonicalKey:
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(_shared_terms(), min_size=1, max_size=3))
+    def test_same_key_as_reference(self, parts):
+        assert canonical_key(tuple(parts)) == reference_canonical_key(tuple(parts))
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.lists(_shared_terms(), min_size=1, max_size=3))
+    def test_renaming_invariant(self, parts):
+        ren = Subst({Var("X"): Var("B"), Var("Y"): Var("C"), Var("Z"): Var("A")})
+        assert canonical_key(tuple(apply(p, ren) for p in parts)) == canonical_key(tuple(parts))
+
+    def test_linear_in_shared_size(self):
+        # 2^80 paths through 81 distinct nodes; the key shares its nodes
+        # the same way.
+        t = concrete_power(App(F, (hole(1), hole(1))), 80, Var("X"))
+        (key,) = canonical_key((t,))
+        for _ in range(80):
+            assert key[1] is key[2]
+            key = key[1]
+        assert key == ("$", 0)
 
 
 class TestStep:

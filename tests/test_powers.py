@@ -22,14 +22,19 @@ from conftest import (
     subst,
     term,
 )
+from nonterm import terms
 from nonterm.powers import (
     PowerSymbol,
     expand_at,
+    least_shift,
     normalize,
     pattern_form,
     pattern_mgu,
     power_form,
+    shift,
+    sigma_powers,
     subst_at,
+    unify,
 )
 from nonterm.terms import (
     App,
@@ -42,6 +47,7 @@ from nonterm.terms import (
     match,
     mgu,
     plug,
+    resolve,
     term_vars,
 )
 
@@ -208,6 +214,18 @@ class TestPowerForm:
     def test_variable_skeleton(self):
         assert power_form(Var("X"), subst(X="s(X)"), subst(X="0")) == pw(S1, 1, 0, term("0"))
 
+    def test_given_split_is_the_computed_one(self, rng):
+        for _ in range(100):
+            f = random_simple_pattern(rng)
+            assert power_form(*f, sigma_powers(f.sigma)) == power_form(*f)
+
+    def test_split_marks_other_shapes(self):
+        moved = sigma_powers(subst(X="s(s(X))", Y="f(Y,Z)"))
+        assert moved == {Var("X"): (S1, 2), Var("Y"): None}
+        # Only the skeleton's variables need a context.
+        got = power_form(term("g(X)"), subst(X="s(s(X))", Y="f(Y,Z)"), Subst(), moved)
+        assert got == App(G, (pw(S1, 2, 0, Var("X")),))
+
 
 class TestPatternForm:
     def test_mixed_layers_example(self):
@@ -314,6 +332,138 @@ class TestPatternMgu:
             successes += 1
             assert_unifies_like_classical_mgu(got, left, right, 3)
         assert successes >= 5
+
+
+G1 = App(G, (hole(1),))  # g(#1)
+X, Y, Z = Var("X"), Var("Y"), Var("Z")
+
+
+class TestPowerUnify:
+    def test_offsets_peel_to_a_concrete_tower(self):
+        # s^(n+1)(X) = s^(n+3)(Y) at every n exactly when X = s(s(Y)).
+        got = pattern_mgu([pw(S1, 1, 1, X)], [pw(S1, 1, 3, Y)])
+        assert got == Subst({X: term("s(s(Y))")})
+        got = pattern_mgu([pw(S1, 2, 2, X)], [pw(S1, 2, 0, Y)])
+        assert got == Subst({Y: term("s(s(X))")})
+
+    def test_peeled_tower_must_still_unify(self):
+        assert pattern_mgu([pw(S1, 1, 2, X)], [pw(S1, 1, 0, term("0"))]) is None
+        assert pattern_mgu([pw(S1, 1, 0, term("0"))], [pw(S1, 1, 1, Y)]) is None
+
+    def test_other_slope_or_context_clashes(self):
+        assert pattern_mgu([pw(S1, 1, 0, X)], [pw(S1, 2, 0, Y)]) is None
+        assert pattern_mgu([pw(S1, 1, 0, X)], [pw(G1, 1, 1, Y)]) is None
+        # A power against concrete layers of its context stays a clash.
+        assert pattern_mgu([pw(S1, 1, 1, X)], [term("s(Y)")]) is None
+
+    def test_ground_spellings_of_one_tower_unify(self):
+        assert unify({}, [(pw(S1, 1, 1, term("0")), pw(S1, 1, 0, term("s(0)")))]) == {}
+
+    def test_plain_unifier_keeps_powers_opaque(self):
+        pair = [(pw(S1, 1, 1, X), pw(S1, 1, 3, Y))]
+        assert terms.unify({}, pair) is None
+        assert unify({}, pair) is not None
+
+    def test_bindings_are_walked(self):
+        # X is bound to a power first; the second equation meets it there.
+        solved = unify({}, [(X, pw(S1, 1, 2, Z)), (X, pw(S1, 1, 0, Y))])
+        assert resolve(solved) == Subst({X: pw(S1, 1, 2, Z), Y: term("s(s(Z))")})
+
+
+class TestShift:
+    def test_shift_moves_the_index(self, rng):
+        for _ in range(100):
+            u = random_simple_pattern(rng).power()
+            for d in range(3):
+                v = shift(u, d)
+                assert least_shift([v]) == least_shift([u]) + (d if u.powered else 0)
+                for n in range(3):
+                    assert expand_at(v, n) == expand_at(u, n + d)
+
+    def test_least_shift(self):
+        t = App(F, (pw(S1, 2, 5, X), pw(G1, 1, 3, Y)))
+        assert least_shift([t]) == 2
+        assert least_shift([t, pw(S1, 1, 1, Z)]) == 1
+        assert shift(t, -2) == App(F, (pw(S1, 2, 1, X), pw(G1, 1, 1, Y)))
+        assert least_shift([term("f(X,0)")]) == 0
+
+
+# Families in the paper's notation over two contexts and slopes 1 and 2,
+# so that two random families often move a position by the same power
+# and differ only in offset.
+_FAMILY_CONTEXTS = [App(S, (hole(1),)), App(F, (hole(1), ZERO))]
+
+
+def _plain_terms(names, max_leaves=4):
+    leaves = st.sampled_from([*(Var(n) for n in names), ZERO, NIL])
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(lambda sym, a: App(sym, (a,)), st.sampled_from([S, G]), sub),
+            st.builds(lambda a, b: App(F, (a, b)), sub, sub),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+@st.composite
+def _families(draw, names, skeleton=None):
+    skel = draw(_plain_terms(names)) if skeleton is None else skeleton
+    sigma, mu = {}, {}
+    for v in sorted(term_vars(skel), key=lambda w: w.name):
+        if draw(st.booleans()):
+            c = draw(st.sampled_from(_FAMILY_CONTEXTS))
+            sigma[v] = plug(context_power(c, draw(st.integers(1, 2))), [v])
+            inner = draw(st.one_of(st.sampled_from([Var(n) for n in names]), _plain_terms(names, 2)))
+            mu[v] = plug(context_power(c, draw(st.integers(0, 3))), [inner])
+        elif draw(st.booleans()):
+            mu[v] = draw(_plain_terms(names, max_leaves=2))
+    return Family(skel, Subst(sigma), Subst(mu))
+
+
+_MIRROR = Subst({Var("X"): Var("U"), Var("Y"): Var("V"), Var("Z"): Var("W")})
+
+
+@st.composite
+def _family_pairs(draw):
+    """Two families over disjoint variables, half of the time on one
+    skeleton shape."""
+    left = draw(_families("XYZ"))
+    same_shape = draw(st.booleans())
+    right = draw(_families("UVW", apply(left.skeleton, _MIRROR) if same_shape else None))
+    return left, right
+
+
+class TestPatternMguProperties:
+    @settings(max_examples=250, deadline=None)
+    @given(pair=_family_pairs())
+    # f(s^(n+1)(X), 0) against f(s^(n+3)(U), V): offsets 1 and 3 of one power.
+    @example(
+        pair=(
+            Family(term("f(X,0)"), subst(X="s(X)"), subst(X="s(X)")),
+            Family(term("f(U,V)"), subst(U="s(U)"), subst(U="s(s(s(U)))")),
+        )
+    )
+    def test_unifier_unifies_the_expansions(self, pair):
+        # Checked with the reference evaluator: theta read back as
+        # sigma^n . mu unifies the two families' instances at each n, and
+        # is as general as their classical mgu there.
+        left, right = pair
+        theta = pattern_mgu([left.power()], [right.power()])
+        if theta is None:
+            return
+        sigma, mu = pattern_substitution(theta)
+        for n in range(5):
+            theta_n = family_subst_at(sigma, mu, n)
+            assert apply(left.at(n), theta_n) == apply(right.at(n), theta_n)
+        assert_unifies_like_classical_mgu(theta, [left], [right], 4)
+
+    def test_offset_only_pairs_unify(self):
+        left = Family(term("f(X,0)"), subst(X="s(X)"), subst(X="s(X)"))
+        right = Family(term("f(U,V)"), subst(U="s(U)"), subst(U="s(s(s(U)))"))
+        theta = pattern_mgu([left.power()], [right.power()])
+        assert theta is not None
+        assert_unifies_like_classical_mgu(theta, [left], [right], 4)
 
 
 class TestFamilyEquivalences:

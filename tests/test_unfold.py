@@ -1,6 +1,7 @@
 """Pattern-unfolding engine: candidate generation, budgets, soundness."""
 
 import io
+import random
 from itertools import product
 from types import SimpleNamespace
 
@@ -8,12 +9,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import F, G, NIL, PROGRAMS_DIR, S, ZERO, fam, subst, term
-from nonterm import unfold
+from conftest import (
+    F,
+    G,
+    NIL,
+    PROGRAMS_DIR,
+    S,
+    ZERO,
+    Family,
+    fam,
+    random_simple_pattern,
+    random_term,
+    subst,
+    term,
+)
+from nonterm import powers, unfold
 from nonterm.binrules import BinaryRule, canonical_key
 from nonterm.binrules import saturate as binary_saturate
-from nonterm.pattern import PatternRule, initial_rules, pattern_rule_key
-from nonterm.powers import PowerSymbol, is_simple, normalize, pattern_mgu
+from nonterm.detect import prove
+from nonterm.pattern import PatternRule, initial_rules, pattern_rule_key, rule_base
+from nonterm.powers import PowerSymbol, is_simple, normalize, pattern_mgu, shift
 from nonterm.program import calls_bounded, parse_program
 from nonterm.terms import (
     EPSILON,
@@ -34,6 +49,7 @@ from nonterm.unfold import (
     UnfoldBudget,
     _attempts,
     _clashes,
+    _SlotLists,
     _step_candidates,
     identity_pattern_rules,
     rename_pattern_rule,
@@ -488,16 +504,41 @@ class TestClashFilter:
         atom=App(F, (App(S, (Var("U"),)), App(_POWERS[2], (Var("V"),)))),
         extra=(Var("Y"), Var("V")),
     )
+    # Two powers of s at slope 1, offsets 0 and 1: the filter lets them
+    # through, and the power-level unifier peels them to X = s(U).
+    @example(
+        lhs=App(_POWERS[0], (App(S, (Var("X"),)),)),
+        atom=App(_POWERS[1], (Var("U"),)),
+        extra=(Var("X"), Var("U")),
+    )
+    @example(
+        lhs=App(F, (App(_POWERS[1], (Var("X"),)), ZERO)),
+        atom=App(F, (App(_POWERS[0], (ZERO,)), NIL)),
+        extra=(Var("Y"), Var("V")),
+    )
     def test_rejected_pairs_never_unify(self, lhs, atom, extra):
         # The filter looks at the stored family, before renaming; whatever
-        # the other equations of a selection, a rejected pair fails.
+        # the other equations of a selection, a rejected pair fails, for
+        # the plain unifier and for the power-level one the join uses.
         if not _clashes(lhs, atom):
             return
         avoid = term_vars(atom) | term_vars(extra[1])
         ren = fresh_renaming(term_vars(lhs) | term_vars(extra[0]), avoid, VarSource())
         lhs, left = apply(lhs, ren), apply(extra[0], ren)
         assert mgu(lhs, atom) is None
+        assert unfold.unify({}, [(lhs, atom), (left, extra[1])]) is None
+        assert unfold.unify({}, [(left, extra[1]), (lhs, atom)]) is None
         assert pattern_mgu([lhs, left], [atom, extra[1]]) is None
+
+    def test_offsets_do_not_clash(self):
+        # Same context and slope: not rejected, whatever the arguments.
+        x_power = App(_POWERS[0], (Var("X"),))
+        assert not _clashes(x_power, App(_POWERS[1], (ZERO,)))
+        assert not _clashes(App(_POWERS[1], (NIL,)), App(_POWERS[0], (ZERO,)))
+        assert unfold.unify({}, [(x_power, App(_POWERS[1], (ZERO,)))]) is not None
+        # Another slope or context still clashes.
+        assert _clashes(x_power, App(_POWERS[2], (Var("U"),)))
+        assert _clashes(x_power, App(_POWERS[3], (Var("U"),)))
 
     def test_clash_below_the_root(self):
         power = App(_POWERS[0], (Var("X"),))
@@ -584,3 +625,174 @@ class TestSameAsFullRenaming:
         assert [pattern_rule_key(r) for r in rules] == [pattern_rule_key(r) for r in ref]
         assert stats.generated == generated
         assert stats.stop == stop
+
+
+def _random_rule(rng):
+    """A random simple family: two skeletons under one sigma and mu, or a
+    closing family (right side epsilon).  Exponents stay small: a context
+    with two holes doubles the term per step."""
+    f = random_simple_pattern(rng, max_exp=2)
+    if rng.random() < 0.3:
+        return PatternRule(f.power(), EPSILON)
+    rhs = random_term(rng, 2, sorted(term_vars(f.skeleton), key=lambda v: v.name))
+    return PatternRule(f.power(), Family(rhs, f.sigma, f.mu).power())
+
+
+def _shifted(rule, d):
+    return PatternRule(shift(rule.lhs, d), shift(rule.rhs, d))
+
+
+class TestSubsumption:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3))
+    def test_shift_has_the_same_base(self, seed, d):
+        rule = _random_rule(random.Random(seed))
+        moved = _shifted(rule, d)
+        base, k = rule_base(rule)
+        moved_base, moved_k = rule_base(moved)
+        assert pattern_rule_key(moved_base) == pattern_rule_key(base)
+        if not (rule.lhs.powered or rule.rhs.powered):
+            assert moved_k == k == 0
+            return
+        assert moved_k == k + d
+        drops = []
+        rules = PatternRuleSet([rule])
+        assert not rules.add(moved, lambda *args: drops.append(args))
+        assert drops == [(moved, rule, d)]
+        assert rules.contains_variant(moved)
+        # The other way round, the less shifted family is stored too.
+        rules = PatternRuleSet([moved])
+        assert rules.add(rule)
+        assert list(rules) == [moved, rule]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 2))
+    def test_dropped_instances_are_stored_instances(self, seed, d):
+        rule = _random_rule(random.Random(seed))
+        drops = []
+        rules = PatternRuleSet([rule])
+        rules.add(_shifted(rule, d), lambda *args: drops.append(args))
+        for dropped, held, k in drops:
+            for n in range(3):
+                assert is_variant(dropped.at(n), held.at(n + k))
+
+    SOURCES = {**PROGRAM_SOURCES, "clashing-loop": CLASHING_LOOP}
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_saturation_drops_only_covered_families(self, name):
+        # Each family saturation drops as subsumed is, at every sampled n,
+        # a variant of the covering family's instance at n + k.
+        program = parse_program(self.SOURCES[name], name)
+        drops = []
+
+        def record(*args):
+            drops.append(args)
+
+        stored = PatternRuleSet()
+        for rule in initial_rules(program):
+            stored.add(rule, record)
+        patid = identity_pattern_rules(program)
+        source, new = VarSource(), None
+        for _ in range(4):
+            snapshot = list(stored)
+            for rule, _ in _attempts(program, snapshot, patid, source, new):
+                if rule is not None:
+                    stored.add(rule, record)
+            new = {id(r) for r in list(stored)[len(snapshot):]}
+        for dropped, held, k in drops:
+            assert k > 0
+            for n in range(4):
+                assert is_variant(dropped.at(n), held.at(n + k)), (dropped, held, k)
+
+    def test_counted_and_traced(self):
+        program = parse_program((PROGRAMS_DIR / "shrink.pl").read_text(), "shrink")
+        out = io.StringIO()
+        _, stats = saturate(program, initial_rules(program), UnfoldBudget(max_iterations=3), trace=out)
+        lines = [l for l in out.getvalue().splitlines() if l.startswith("subsumed:")]
+        assert stats.subsumed == len(lines) > 0
+        # The open seed f(s^(n+1)(X)) => f(X), unfolded with itself, is its
+        # own shift by one.
+        assert "subsumed: f(s(#1)^(1n+2)(_0)) => f(_0)  (shift 1 of f(s(#1)^(1n+1)(X)) => f(X))" in lines
+
+
+    def test_shrink_stores_one_family_per_round(self):
+        # Each round's shifts of the open seed are dropped; only the next
+        # concrete family f(s^k(X)) => f(X) is new.
+        program = parse_program((PROGRAMS_DIR / "shrink.pl").read_text(), "shrink")
+        base = initial_rules(program)
+        for rounds in range(1, 7):
+            rules, stats = saturate(program, base, UnfoldBudget(max_iterations=rounds))
+            assert (stats.generated, stats.stop) == (rounds, "iteration-cap")
+            assert len(rules) == len(base) + rounds
+
+
+class TestSlotLists:
+    @pytest.mark.parametrize("name", sorted(TestSameAsFullRenaming.SOURCES))
+    def test_kept_lists_give_the_same_attempts(self, name):
+        # Slot lists kept over the rounds and extended with the new families
+        # give the same selections as lists built afresh every round.
+        program = parse_program(TestSameAsFullRenaming.SOURCES[name], name)
+        patid = identity_pattern_rules(program)
+        runs = []
+        for keep in (True, False):
+            stored = PatternRuleSet(initial_rules(program))
+            lists = _SlotLists(program, patid) if keep else None
+            source, new, seen = VarSource(), None, []
+            for _ in range(5):
+                snapshot = list(stored)
+                # Picks by position: pool index, or identity as -1, -2, ...
+                pos = {id(r): j for j, r in enumerate(snapshot)}
+                pos.update((id(r), -1 - j) for j, r in enumerate(patid))
+                for rule, (rule_idx, i, combo) in _attempts(
+                    program, snapshot, patid, source, new, lists
+                ):
+                    key = None if rule is None else pattern_rule_key(rule)
+                    seen.append((key, rule_idx, i, tuple(pos[id(r)] for r in combo)))
+                    if rule is not None:
+                        stored.add(rule)
+                new = {id(r) for r in list(stored)[len(snapshot):]}
+            runs.append((seen, [pattern_rule_key(r) for r in stored]))
+        assert runs[0] == runs[1]
+
+
+# The gt/le/add/mul library of the clash loops.
+ARITH_LIBRARY = """
+gt(s(X), 0).
+gt(s(X), s(Y)) :- gt(X, Y).
+le(0, X).
+le(s(X), s(Y)) :- le(X, Y).
+add(X, 0, X).
+add(X, s(Y), s(Z)) :- add(X, Y, Z).
+mul(X, 0, 0).
+mul(X, s(Y), Z) :- mul(X, Y, W), add(W, X, Z).
+"""
+
+
+def _while_loop(rule):
+    return parse_program(f"%query: while(i,i).\n{rule}\n{ARITH_LIBRARY}")
+
+
+class TestOffsets:
+    def test_add_gt_is_proven(self):
+        # add closes with Z = s^(n+0)(X) and gt needs s^(n+1)(W): two
+        # powers of s that differ in offset only.
+        program = _while_loop("while(X, Y) :- add(X, Y, Z), gt(Z, Y), while(Z, s(Y)).")
+        out = prove(program, program.queries[0], UnfoldBudget(max_iterations=3), validate_steps=2000)
+        assert out.proven and out.validated
+        assert str(out.witness) == "while(s(0),0)"
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            "while(X, Y) :- gt(X, Y), add(Y, Y, Z), while(X, s(Y)).",
+            "while(X, Y) :- gt(X, Y), mul(Y, Y, Z), while(X, s(Y)).",
+            "while(X, Y) :- le(s(Y), X), while(X, s(Y)).",
+        ],
+        ids=["gt-step", "gt-mul-step", "le-step"],
+    )
+    def test_terminating_controls_stay_unknown(self, rule):
+        program = _while_loop(rule)
+        budget = UnfoldBudget(wall_clock=600.0, max_iterations=20)
+        out = prove(program, program.queries[0], budget)
+        assert not out.proven
+        assert out.reason == "iteration-cap"
