@@ -179,8 +179,8 @@ _FILE_ERRORS = (ParseError, RecursionError, UnicodeDecodeError, OSError)
 def _file_error(path: Path, exc: Exception, err: TextIO) -> str:
     """Report a file that could not be analysed; returns the message.
 
-    Terms are parsed and analysed recursively, so a file nested deeper than
-    the interpreter's recursion limit is reported like a parse error.
+    No step recurses on the depth of a term; should one still exceed the
+    interpreter's recursion limit, the file is reported like a parse error.
     """
     message = "term nesting too deep" if isinstance(exc, RecursionError) else str(exc)
     err.write(f"error: {path}: {message}\n")

@@ -52,6 +52,14 @@ class PatternRule:
         # Computed once: unfolding asks every selected rule for its variables.
         return term_vars(self.lhs) | term_vars(self.rhs)
 
+    def key(self) -> tuple:
+        return self._key
+
+    @cached_property
+    def _key(self) -> tuple:
+        # Computed once: seeding and storing a family both ask for it.
+        return pattern_rule_key(self)
+
     def rhs_is_epsilon(self) -> bool:
         return is_epsilon(self.rhs)
 
@@ -159,7 +167,7 @@ def initial_rules(program: Program) -> list[PatternRule]:
             closing = power_form(body, sigma, mu, moved)
             assert closing is not None
             for rule in (PatternRule(closing, EPSILON), PatternRule(open_, body)):
-                key = pattern_rule_key(rule)
+                key = rule.key()
                 if key not in seen:
                     seen.add(key)
                     out.append(rule)

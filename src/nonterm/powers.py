@@ -81,10 +81,6 @@ def is_power(t: Term) -> bool:
     return isinstance(t, App) and isinstance(t.symbol, PowerSymbol)
 
 
-def has_powers(t: Term) -> bool:
-    return t.powered
-
-
 def concrete_power(c: Term, k: int, inner: Term) -> Term:
     """The tower c^k(inner), one copy of c plugged over the next."""
     for _ in range(k):
@@ -299,8 +295,8 @@ def pattern_form(theta: Subst) -> Optional[Subst]:
     out: dict[Var, Term] = {}
     for v, u in theta.items():
         nu = normalize(u)
-        plain = not has_powers(nu)
-        one_power = is_power(nu) and not has_powers(nu.args[0])
+        plain = not nu.powered
+        one_power = is_power(nu) and not nu.args[0].powered
         if not (plain or one_power):
             return None
         out[v] = nu

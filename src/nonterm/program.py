@@ -183,22 +183,35 @@ class _Parser:
         return tok
 
     def term(self) -> Term:
-        tok = self._next("a term")
-        if tok.kind == "var":
-            return Var(tok.text)
-        if tok.kind != "name":
-            raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
-        nxt = self._peek()
-        args: list[Term] = []
-        if nxt is not None and nxt.text == "(":
-            self._expect("(")
-            args.append(self.term())
-            while self._peek() is not None and self._peek().text == ",":
-                self._expect(",")
-                args.append(self.term())
-            self._expect(")")
-        sym = self.table.declare(tok.text, len(args), tok.line, tok.col)
-        return App(sym, tuple(args))
+        # Iterative, so nesting depth is bounded by memory only: `pending`
+        # holds (name token, arguments so far) per compound term being read.
+        # A symbol is declared once its arguments are read, innermost first.
+        tokens, end = self.tokens, len(self.tokens)
+        pending: list[tuple[_Token, list[Term]]] = []
+        while True:
+            tok = self._next("a term")
+            if tok.kind == "var":
+                done: Term = Var(tok.text)
+            elif tok.kind != "name":
+                raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
+            elif self.pos < end and tokens[self.pos].text == "(":
+                self.pos += 1
+                pending.append((tok, []))
+                continue
+            else:
+                done = App(self.table.declare(tok.text, 0, tok.line, tok.col), ())
+            while pending:
+                name, args = pending[-1]
+                args.append(done)
+                if self.pos < end and tokens[self.pos].text == ",":
+                    self.pos += 1
+                    break
+                self._expect(")")
+                pending.pop()
+                sym = self.table.declare(name.text, len(args), name.line, name.col)
+                done = App(sym, tuple(args))
+            else:
+                return done
 
     def clause(self) -> Rule:
         head = self.term()

@@ -202,9 +202,6 @@ class Subst:
         return "{" + inner + "}"
 
 
-EMPTY_SUBST = Subst()
-
-
 def _subst_dict(t: Term, m: Mapping[Var, Term]) -> Term:
     """Apply a raw binding dict to a term, iteratively and with sharing."""
     if not m or t.ground:

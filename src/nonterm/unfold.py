@@ -18,7 +18,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, TextIO
 
-from .pattern import PatternRule, pattern_rule_key, rule_base
+from .binrules import canonical_key
+from .pattern import PatternRule, rule_base
 from .powers import is_simple, normalize, pattern_mgu, same_slope, unify
 from .program import Program, Rule
 from .terms import (
@@ -28,65 +29,131 @@ from .terms import (
     Var,
     apply,
     fresh_renaming,
+    strip_power,
     VarSource,
 )
 
 
 class PatternRuleSet:
-    """Pattern rules deduplicated modulo renaming and index shift.
+    """Pattern rules deduplicated modulo renaming, index shift and instance.
 
-    A rule whose `rule_base` is already stored at a shift no larger than
-    its own is covered: every instance of it is an instance of the stored
-    rule, so it is not stored again.  Stored rules are never removed, even
-    when a later one covers them.  Only simple rules (`powers.is_simple` on
-    both sides) may be stored; insertion order is preserved so saturation
-    rounds are reproducible.
+    A rule is covered, and not stored, when a stored rule holds every
+    instance of it:
+      - its `rule_base` is stored at a shift no larger than its own; or
+      - it has no power, and it is a variant of a stored rule's instance
+        at some index n.
+    Stored rules are never removed, even when a later one covers them.
+    Only simple rules (`powers.is_simple` on both sides) may be stored;
+    insertion order is preserved so saturation rounds are reproducible.
     """
 
     def __init__(self, rules=()):
         self._rules: list[PatternRule] = []
         # Base key -> the least shift stored for it, and that rule.
         self._least: dict[tuple, tuple[int, PatternRule]] = {}
+        # Root symbol of the left side -> the stored rules with a power,
+        # each with the keys of its instances met so far, by index.
+        self._powered: dict[object, list[tuple[PatternRule, dict[int, tuple]]]] = {}
         for r in rules:
             self.add(r)
 
-    def _cover(self, rule: PatternRule) -> tuple[tuple, int, Optional[tuple[int, PatternRule]]]:
-        """The rule's base key, its shift, and what is stored for that key."""
-        base, d = rule_base(rule)
-        key = pattern_rule_key(base)
-        return key, d, self._least.get(key)
+    def _cover(
+        self, rule: PatternRule, base_key: tuple, d: int
+    ) -> Optional[tuple[str, PatternRule, int]]:
+        """How a stored rule covers this one, whose `rule_base` has key
+        `base_key` and shift d, if one does: ("shift", stored, k) when it
+        is the stored rule shifted by k >= 0 (k = 0 for a variant), or
+        ("instance", stored, n) when it is, up to renaming, the stored
+        rule's instance at n."""
+        held = self._least.get(base_key)
+        if held is not None and held[0] <= d:
+            return "shift", held[1], d - held[0]
+        if rule.lhs.powered or rule.rhs.powered:
+            return None
+        # Without powers the rule is its own base, so base_key is its key.
+        root = _root(rule.lhs)
+        families = self._powered.get(root, ())
+        if root is not None and None in self._powered:
+            families = [*families, *self._powered[None]]
+        for stored, keys in families:
+            n = _index_at(rule, stored)
+            if n is None:
+                continue
+            key = keys.get(n)
+            if key is None:
+                inst = stored.at(n)
+                key = keys[n] = canonical_key((inst.head, inst.body))
+            if key == base_key:
+                return "instance", stored, n
+        return None
 
     def add(
         self,
         rule: PatternRule,
-        on_subsumed: Optional[Callable[[PatternRule, PatternRule, int], None]] = None,
+        on_subsumed: Optional[Callable[[PatternRule, PatternRule, str, int], None]] = None,
     ) -> bool:
         """Store the rule unless it is covered; True when stored.
 
-        `on_subsumed(rule, stored, k)` runs when a stored rule covers it at
-        a shift k > 0 smaller than its own; not on a variant (k = 0).
+        `on_subsumed(rule, stored, kind, k)` runs when a stored rule covers
+        it, with kind "shift" when the stored rule is it shifted down by
+        k > 0, or "instance" when it is the stored rule's instance at
+        k; not on a variant.
         """
         if not (is_simple(rule.lhs) and is_simple(rule.rhs)):
             raise ValueError(f"refusing to store a non-simple pattern rule: {rule}")
-        key, d, held = self._cover(rule)
-        if held is not None and held[0] <= d:
-            if on_subsumed is not None and held[0] < d:
-                on_subsumed(rule, held[1], d - held[0])
+        base, d = rule_base(rule)
+        key = base.key()
+        cover = self._cover(rule, key, d)
+        if cover is not None:
+            kind, held, k = cover
+            if on_subsumed is not None and (kind, k) != ("shift", 0):
+                on_subsumed(rule, held, kind, k)
             return False
         self._least[key] = (d, rule)
         self._rules.append(rule)
+        if rule.lhs.powered or rule.rhs.powered:
+            self._powered.setdefault(_root(rule.lhs), []).append((rule, {}))
         return True
 
     def contains_variant(self, rule: PatternRule) -> bool:
         """Whether a stored rule is a variant of this one or covers it."""
-        _, d, held = self._cover(rule)
-        return held is not None and held[0] <= d
+        base, d = rule_base(rule)
+        return self._cover(rule, base.key(), d) is not None
 
     def __iter__(self) -> Iterator[PatternRule]:
         return iter(self._rules)
 
     def __len__(self) -> int:
         return len(self._rules)
+
+
+def _root(t: Term) -> object:
+    """The root symbol of every instance of t, or None when it may vary
+    (t a variable or a power, which expands to its argument at index 0)."""
+    return None if isinstance(t, Var) or t.symbol.is_power else t.symbol
+
+
+def _index_at(rule: PatternRule, family: PatternRule) -> Optional[int]:
+    """The only index n at which the family's instance can be a variant of
+    this power-free rule, or None.
+
+    It is read off the family's first power c^(a,b), left side first: the
+    rule must have the family's plain symbols on the way down to it, and
+    there c^(a*n+b) over a term that is not c-headed, as the power's
+    argument is not (`normalize`).
+    """
+    for f, t in ((family.lhs, rule.lhs), (family.rhs, rule.rhs)):
+        if not f.powered:
+            continue
+        while not f.symbol.is_power:
+            if isinstance(t, Var) or t.symbol != f.symbol:
+                return None
+            i = next(i for i, a in enumerate(f.args) if a.powered)
+            f, t = f.args[i], t.args[i]
+        k, _ = strip_power(t, f.symbol.context)
+        n, r = divmod(k - f.symbol.b, f.symbol.a)
+        return n if n >= 0 and r == 0 else None
+    return None
 
 
 @dataclass(frozen=True)
@@ -101,7 +168,7 @@ class UnfoldBudget:
 @dataclass
 class UnfoldStats:
     generated: int = 0  # distinct unfolded rules, seed set excluded
-    subsumed: int = 0  # rules not stored: a stored one covers them at a smaller shift
+    subsumed: int = 0  # rules not stored: a stored one covers them (shift or instance)
     iterations: int = 0
     elapsed_ms: float = 0.0
     stop: str = "fixpoint"  # fixpoint | proved | timeout | iteration-cap | rule-cap
@@ -345,10 +412,11 @@ def saturate(
         stats.elapsed_ms = (time.monotonic() - t0) * 1000.0
         return stored, stats
 
-    def subsumed(rule: PatternRule, by: PatternRule, k: int) -> None:
+    def subsumed(rule: PatternRule, by: PatternRule, kind: str, k: int) -> None:
         stats.subsumed += 1
         if trace:
-            trace.write(f"subsumed: {rule}  (shift {k} of {by})\n")
+            how = f"shift {k}" if kind == "shift" else f"instance n={k}"
+            trace.write(f"subsumed: {rule}  ({how} of {by})\n")
 
     for rule in base:
         if stored.add(rule, subsumed):

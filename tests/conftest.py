@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 from nonterm.binrules import BinaryRuleSet, saturate
 from nonterm.pattern import PatternRule
-from nonterm.powers import PowerSymbol, concrete_power, has_powers, is_power, power_form
+from nonterm.powers import PowerSymbol, concrete_power, is_power, power_form
 from nonterm.program import Program, _Parser, parse_program
 from nonterm.terms import (
     App,
@@ -97,8 +97,8 @@ def pattern_substitution(theta: Subst) -> tuple[Subst, Subst]:
     sigma: dict[Var, Term] = {}
     mu: dict[Var, Term] = {}
     for v, u in theta.items():
-        if has_powers(u):
-            assert is_power(u) and not has_powers(u.args[0]), f"{v} -> {u}"
+        if u.powered:
+            assert is_power(u) and not u.args[0].powered, f"{v} -> {u}"
             sym = u.symbol
             sigma[v] = concrete_power(sym.context, sym.a, v)
             mu[v] = concrete_power(sym.context, sym.b, u.args[0])

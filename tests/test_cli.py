@@ -2,12 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import PROGRAMS_DIR
-from nonterm import detect
+from nonterm import cli, detect
 from nonterm.cli import RunConfig, count_relations, main, run
 from nonterm.program import DerivationStatus, parse_program
 
@@ -86,18 +89,17 @@ class TestRun:
         assert "b-good" in out  # ... but the rest was analyzed
         assert "a-bad" in err
 
-    def test_deep_term_in_corpus_skips_file(self, tmp_path):
-        deep = "0"
-        for _ in range(3000):
-            deep = f"s({deep})"
-        (tmp_path / "deep.pl").write_text(f"%query: f(i).\nf({deep}).\n")
+    def test_deep_term_in_corpus_is_analysed(self, tmp_path):
+        # Far deeper than the interpreter's recursion limit: parsing and
+        # every later step are iterative.
+        deep = "s(" * 3000 + "0" + ")" * 3000
+        (tmp_path / "deep.pl").write_text(f"%query: f(i).\nf(s(X)) :- f(X).\nf({deep}).\n")
         (tmp_path / "grow.pl").write_text((PROGRAMS_DIR / "grow.pl").read_text())
-        code, out, err = run_cli(tmp_path)
-        assert code == 1
-        assert f"error: {tmp_path / 'deep.pl'}: term nesting too deep" in err
-        assert "Traceback" not in err
-        row = [l for l in out.splitlines() if l.startswith("grow")][0]
-        assert "Proven" in row
+        code, out, err = run_cli(tmp_path, as_json=True)
+        assert (code, err) == (0, "")
+        rows = {r["program"]: r for r in json.loads(out)}
+        assert rows["deep"]["status"] == "Unknown-fixpoint"
+        assert rows["grow"]["status"] == "Proven"
 
     @staticmethod
     def _corpus_with_bad_files(tmp_path):
@@ -115,10 +117,20 @@ class TestRun:
         row = [l for l in out.splitlines() if l.startswith("grow")][0]
         assert "Proven" in row
 
-    def test_failed_files_get_error_rows(self, tmp_path):
+    def test_failed_files_get_error_rows(self, tmp_path, monkeypatch):
         self._corpus_with_bad_files(tmp_path)
         (tmp_path / "c-syntax.pl").write_text("p(X :- q.")
-        (tmp_path / "d-deep.pl").write_text("%query: f(i).\nf(" + "s(" * 3000 + "0" + ")" * 3001 + ".\n")
+        (tmp_path / "d-deep.pl").write_text("%query: f(i).\nf(0).\n")
+        real_parse = cli.parse_program
+
+        def parse(text, name):
+            # No step recurses on term depth any more; a RecursionError
+            # would still give the file an Error row.
+            if name == "d-deep":
+                raise RecursionError("maximum recursion depth exceeded")
+            return real_parse(text, name)
+
+        monkeypatch.setattr(cli, "parse_program", parse)
         code, out, err = run_cli(tmp_path, as_json=True)
         assert code == 1
         rows = {r["program"]: r for r in json.loads(out)}
@@ -236,6 +248,19 @@ class TestMain:
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["status"] == "Proven"
+
+    def test_runs_as_a_module(self):
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "nonterm", str(PROGRAMS_DIR / "grow.pl")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Proven" in done.stdout
 
     @pytest.mark.parametrize("flag", ["--max-iter", "--max-rules", "--validate", "--dump-binunf"])
     def test_negative_budget_rejected(self, flag, capsys):

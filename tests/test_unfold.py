@@ -28,7 +28,15 @@ from nonterm.binrules import BinaryRule, canonical_key
 from nonterm.binrules import saturate as binary_saturate
 from nonterm.detect import prove
 from nonterm.pattern import PatternRule, initial_rules, pattern_rule_key, rule_base
-from nonterm.powers import PowerSymbol, is_simple, normalize, pattern_mgu, shift
+from nonterm.powers import (
+    PowerSymbol,
+    concrete_power,
+    expand_at,
+    is_simple,
+    normalize,
+    pattern_mgu,
+    shift,
+)
 from nonterm.program import calls_bounded, parse_program
 from nonterm.terms import (
     EPSILON,
@@ -42,6 +50,8 @@ from nonterm.terms import (
     hole,
     match,
     mgu,
+    plug,
+    strip_power,
     term_vars,
 )
 from nonterm.unfold import (
@@ -351,15 +361,12 @@ def naive_saturate(program, base, rounds):
 
 
 class TestSemiNaive:
-    # Full enumeration over these pools takes minutes at 12 rounds (the
-    # prover stops them in round 2 or 3), so they run fewer.  The running
-    # example (`ex_program`) is while-gt-add.
-    ROUNDS = {"and-isnat": 6, "while-gt-add": 6, "while-gt-step2": 6}
-
     @pytest.mark.parametrize("name", sorted(PROGRAM_SOURCES))
     def test_same_as_full_enumeration(self, name):
+        # Most of these reach a fixpoint within 12 rounds; only the growing
+        # loops (grow, islist-grow, while-mul-le) are cut by the cap.
         program = parse_program(PROGRAM_SOURCES[name], name)
-        rounds = self.ROUNDS.get(name, 12)
+        rounds = 12
         base = initial_rules(program)
         budget = UnfoldBudget(wall_clock=3600.0, max_iterations=rounds)
         rules, stats = saturate(program, base, budget)
@@ -368,17 +375,20 @@ class TestSemiNaive:
         assert stats.generated == generated
         assert stats.stop == stop
 
-    def test_rule_cap_at_exact_count(self, ex_program):
+    def test_rule_cap_at_exact_count(self):
         # A cap equal to the number of families saturation finds binds
-        # nowhere: no further new family ever asks to be stored.
-        base = initial_rules(ex_program)
-        _, generated, stop = naive_saturate(ex_program, base, 3)
+        # nowhere: no further new family ever asks to be stored.  The
+        # running example reaches a fixpoint within 3 rounds; this loop
+        # over the whole library still grows in round 3.
+        program = parse_program(WHILE_MUL_LE, "while-mul-le")
+        base = initial_rules(program)
+        _, generated, stop = naive_saturate(program, base, 3)
         assert stop == "iteration-cap"
         budget = UnfoldBudget(max_iterations=3, max_rules=generated)
-        _, stats = saturate(ex_program, base, budget)
+        _, stats = saturate(program, base, budget)
         assert (stats.stop, stats.generated) == ("iteration-cap", generated)
         budget = UnfoldBudget(max_iterations=3, max_rules=generated - 1)
-        _, stats = saturate(ex_program, base, budget)
+        _, stats = saturate(program, base, budget)
         assert (stats.stop, stats.generated) == ("rule-cap", generated - 1)
 
 
@@ -658,7 +668,7 @@ class TestSubsumption:
         drops = []
         rules = PatternRuleSet([rule])
         assert not rules.add(moved, lambda *args: drops.append(args))
-        assert drops == [(moved, rule, d)]
+        assert drops == [(moved, rule, "shift", d)]
         assert rules.contains_variant(moved)
         # The other way round, the less shifted family is stored too.
         rules = PatternRuleSet([moved])
@@ -672,7 +682,8 @@ class TestSubsumption:
         drops = []
         rules = PatternRuleSet([rule])
         rules.add(_shifted(rule, d), lambda *args: drops.append(args))
-        for dropped, held, k in drops:
+        for dropped, held, kind, k in drops:
+            assert kind == "shift"
             for n in range(3):
                 assert is_variant(dropped.at(n), held.at(n + k))
 
@@ -681,7 +692,8 @@ class TestSubsumption:
     @pytest.mark.parametrize("name", sorted(SOURCES))
     def test_saturation_drops_only_covered_families(self, name):
         # Each family saturation drops as subsumed is, at every sampled n,
-        # a variant of the covering family's instance at n + k.
+        # a variant of the covering family's instance at n + k (a shift),
+        # or of its instance at k (an instance drop, which has no power).
         program = parse_program(self.SOURCES[name], name)
         drops = []
 
@@ -699,8 +711,12 @@ class TestSubsumption:
                 if rule is not None:
                     stored.add(rule, record)
             new = {id(r) for r in list(stored)[len(snapshot):]}
-        for dropped, held, k in drops:
-            assert k > 0
+        for dropped, held, kind, k in drops:
+            if kind == "instance":
+                assert not (dropped.lhs.powered or dropped.rhs.powered)
+                assert is_variant(dropped.at(0), held.at(k)), (dropped, held, k)
+                continue
+            assert kind == "shift" and k > 0
             for n in range(4):
                 assert is_variant(dropped.at(n), held.at(n + k)), (dropped, held, k)
 
@@ -715,15 +731,132 @@ class TestSubsumption:
         assert "subsumed: f(s(#1)^(1n+2)(_0)) => f(_0)  (shift 1 of f(s(#1)^(1n+1)(X)) => f(X))" in lines
 
 
-    def test_shrink_stores_one_family_per_round(self):
-        # Each round's shifts of the open seed are dropped; only the next
-        # concrete family f(s^k(X)) => f(X) is new.
+    def test_shrink_reaches_a_fixpoint(self):
+        # Round 1 gives only shifts of the two seeds and f(s(X)) => f(X),
+        # the open seed's instance at 0; all are dropped, so saturation
+        # stops at a fixpoint whatever the round cap.
         program = parse_program((PROGRAMS_DIR / "shrink.pl").read_text(), "shrink")
         base = initial_rules(program)
         for rounds in range(1, 7):
-            rules, stats = saturate(program, base, UnfoldBudget(max_iterations=rounds))
-            assert (stats.generated, stats.stop) == (rounds, "iteration-cap")
-            assert len(rules) == len(base) + rounds
+            out = io.StringIO()
+            rules, stats = saturate(program, base, UnfoldBudget(max_iterations=rounds), trace=out)
+            assert (stats.generated, stats.stop, stats.iterations) == (0, "fixpoint", 1)
+            assert len(rules) == len(base)
+            assert "subsumed: f(s(X)) => f(X)  (instance n=0 of f(s(#1)^(1n+1)(X)) => f(X))" in (
+                out.getvalue().splitlines()
+            )
+
+
+def _concrete(binary):
+    """A binary rule as a power-free pattern rule."""
+    return PatternRule(binary.head, binary.body)
+
+
+def _renamed(rule):
+    return rename_pattern_rule(rule, fresh_renaming(rule.vars(), rule.vars(), VarSource("_r")))
+
+
+def _first_power_path(t):
+    """Argument positions from t's root to its leftmost outermost power."""
+    path = []
+    while not t.symbol.is_power:
+        i = next(i for i, a in enumerate(t.args) if a.powered)
+        path.append(i)
+        t = t.args[i]
+    return path, t
+
+
+def _replace_at(t, path, new):
+    if not path:
+        return new
+    args = list(t.args)
+    args[path[0]] = _replace_at(args[path[0]], path[1:], new)
+    return App(t.symbol, tuple(args))
+
+
+def _near_instances(rule, n):
+    """Power-free rules close to rule.at(n): itself renamed, and with the
+    subterm under the first power of the left side grown or cut by one
+    layer of its context, put under another symbol, or over another
+    argument."""
+    path, node = _first_power_path(rule.lhs)
+    c, u = node.symbol.context, node.args[0]
+    tower = expand_at(node, n)
+    k = node.symbol.a * n + node.symbol.b
+    others = [plug(c, [tower]), App(G, (tower,)), concrete_power(c, k, NIL if u != NIL else ZERO)]
+    if k > 0:
+        others.append(concrete_power(c, k - 1, u))
+    inst = rule.at(n)
+    out = [_renamed(_concrete(inst))]
+    for t in others:
+        out.append(PatternRule(_replace_at(inst.head, path, t), inst.body))
+    return out
+
+
+class TestInstanceSubsumption:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 5))
+    def test_renamed_instance_is_covered_and_dropped(self, seed, n):
+        rule = _random_rule(random.Random(seed))
+        inst = _renamed(_concrete(rule.at(n)))
+        rules = PatternRuleSet([rule])
+        assert rules.contains_variant(inst)
+        drops = []
+        assert not rules.add(inst, lambda *args: drops.append(args))
+        assert list(rules) == [rule]
+        if rule.lhs.powered or rule.rhs.powered:
+            assert drops == [(inst, rule, "instance", n)]
+        else:
+            assert drops == []  # a variant
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 4))
+    def test_covered_exactly_when_a_variant_of_an_instance(self, seed, n):
+        # Near misses -- one context layer more or less at the first
+        # power, another base term, another symbol above it -- are stored
+        # unless they happen to be a variant of the family's instance at
+        # some index, checked here by brute force.
+        rule = _random_rule(random.Random(seed))
+        if not rule.lhs.powered:
+            return
+        for candidate in _near_instances(rule, n):
+            want = any(is_variant(candidate.at(0), rule.at(m)) for m in range(n + 3))
+            rules = PatternRuleSet([rule])
+            assert rules.contains_variant(candidate) == want, (rule, candidate)
+            assert rules.add(candidate) != want
+
+    def test_off_by_one_layer_or_base_is_stored(self):
+        # gt(s^(n+1)(X), s^n(0)) => e.
+        closing = PatternRule(GT_CLOSING, EPSILON)
+        rules = PatternRuleSet([closing])
+        assert not rules.add(PatternRule(term("gt(s(s(s(X))),s(s(0)))"), EPSILON))
+        for stored in (
+            "gt(s(s(s(X))),s(0))",  # one s too few on the right
+            "gt(s(s(s(X))),s(s(s(0))))",  # one s too many on the right
+            "gt(X,0)",  # below the family's least instance
+            "gt(s(s(s(0))),s(s(0)))",  # another base term: an instance of X only
+            "gt(s(s(s(X))),s(s(nil)))",  # another base on the right
+        ):
+            assert rules.add(PatternRule(term(stored), EPSILON)), stored
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(_power_terms("XYZ"), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+    def test_canonical_key_is_renaming_invariant(self, parts, seed):
+        # The instance check compares keys, so a key must be the same
+        # exactly for variants: under any injective renaming it is
+        # unchanged, and two sequences share a key only when each matches
+        # the other.
+        parts = tuple(parts)
+        rng = random.Random(seed)
+        names = [f"V{i}" for i in range(6)]
+        rng.shuffle(names)
+        vs = sorted(term_vars(parts), key=lambda v: v.name)
+        ren = Subst({v: Var(names[i]) for i, v in enumerate(vs)})
+        renamed = apply(parts, ren)
+        assert canonical_key(renamed) == canonical_key(parts)
+        merged = apply(parts, Subst({v: vs[0] for v in vs}))
+        variants = match(parts, merged) is not None and match(merged, parts) is not None
+        assert (canonical_key(merged) == canonical_key(parts)) == variants
 
 
 class TestSlotLists:
