@@ -51,32 +51,46 @@ class BinaryRule:
 
 
 def canonical_key(parts: tuple[Term, ...]) -> tuple:
-    """A renaming-invariant key: variables numbered by first occurrence.
+    """A renaming-invariant key, flat so that hashing and comparing it take
+    time linear in the number of distinct subterms.
 
-    One left-to-right walk numbers the variables and encodes each node
-    after its arguments.  Plugging a multi-hole context shares subterms, so
-    terms are DAGs; a node met again is already encoded, and every variable
-    below it already numbered, so the walk is linear in the DAG's size.
+    The key is (roots, entries).  Each distinct non-ground subterm has one
+    entry (symbol, *child refs), numbered in left-to-right post-order of
+    first occurrence; a ref is that number, -1-i for the i-th variable
+    numbered (a node numbers its variable arguments once its other
+    arguments are encoded), or a ground subterm itself.  Subterms are told
+    apart by term equality: within one key, two subterms are equal exactly
+    when they have the same symbol and refs, so two term tuples have equal
+    keys exactly when they are variants, whether or not the terms share
+    their subterms.  Plugging a multi-hole context shares subterms, so
+    terms are DAGs; a node met again is already numbered, and the walk is
+    linear in the DAG's size.
     """
     order: dict[Var, int] = {}
-    memo: dict[int, object] = {}
+    numbers: dict[Term, int] = {}
+    entries: list[tuple] = []
+    roots: list[object] = []
+
+    def ref(a: Term) -> object:
+        if a.ground:
+            return a
+        return -1 - order.setdefault(a, len(order)) if isinstance(a, Var) else numbers[a]
+
     for part in parts:
-        # (node, False) visits, (node, True) encodes it from its arguments.
+        # (node, False) visits, (node, True) numbers it from its arguments.
         stack: list[tuple[Term, bool]] = [(part, False)]
         while stack:
             n, ready = stack.pop()
             if ready:
-                memo[id(n)] = (n.symbol, *[memo[id(a)] for a in n.args])
-            elif id(n) in memo:
-                continue
-            elif isinstance(n, Var):
-                memo[id(n)] = ("$", order.setdefault(n, len(order)))
-            elif n.ground:
-                memo[id(n)] = n
-            else:
+                numbers[n] = len(entries)
+                entries.append((n.symbol, *[ref(a) for a in n.args]))
+            elif not (n.ground or isinstance(n, Var) or n in numbers):
                 stack.append((n, True))
-                stack.extend((a, False) for a in reversed(n.args))
-    return tuple(memo[id(part)] for part in parts)
+                stack.extend(
+                    [(a, False) for a in reversed(n.args) if not a.ground and isinstance(a, App)]
+                )
+        roots.append(ref(part))
+    return tuple(roots), tuple(entries)
 
 
 class BinaryRuleSet:

@@ -5,9 +5,8 @@ instance n is the binary rule obtained by expanding every power symbol at
 n.  `initial_rules` extracts the seed set from recursive/base rule pairs
 whose heads differ only by one ground context layer per argument: such a
 pair yields a family of rules covering every unrolling depth at once.  The
-paper writes those families as skeleton . sigma^n . mu; `power_form`
-converts them as they are seeded, and no other part of the prover sees
-that notation.
+paper writes those families as skeleton . sigma^n . mu; they are built as
+power terms directly, and no part of the prover sees that notation.
 """
 
 from __future__ import annotations
@@ -17,14 +16,14 @@ from functools import cached_property
 from typing import Optional
 
 from .binrules import BinaryRule, canonical_key
-from .powers import expand_at, least_shift, power_form, shift, sigma_powers
+from .powers import expand_at, least_shift, power_form, shift
 from .program import Program
 from .terms import (
     App,
     EPSILON,
-    Subst,
     Term,
     Var,
+    decompose_power,
     hole,
     hole_index,
     is_epsilon,
@@ -122,11 +121,12 @@ def initial_rules(program: Program) -> list[PatternRule]:
 
     A recursive rule (c(c1(x1)..cm(xm)), c(x1..xm)) with ground 1-contexts
     c_k and a base fact c(t1..tm) generate two correct families:
-      - (c(x1..xm), sigma, mu) => epsilon        (n unrollings then the base)
-      - (head, sigma, empty)   => body           (n unrollings, body left open)
-    with sigma = {x_k -> c_k(x_k)} and mu = {x_k -> t_k}, each stored as its
-    power form.  Only same-root pairs can share the outer context, so the
-    scan is per predicate.
+      - c(c1^n(t1)..cm^n(tm)) => epsilon          (n unrollings, then the base)
+      - c(c1^(n+1)(x1)..cm^(n+1)(xm)) => c(x1..xm)  (the body left open)
+    Each is built as a power term (`power_form`): with c_k = d^a for a
+    ground d of minimal period, c_k^n(t_k) is d^(a,b)(t) where t_k = d^b(t),
+    and c_k^(n+1)(x_k) is d^(a,a)(x_k).  Only same-root pairs can share the
+    outer context, so the scan is per predicate.
     """
     out: list[PatternRule] = []
     seen: set[tuple] = set()
@@ -147,30 +147,40 @@ def initial_rules(program: Program) -> list[PatternRule]:
         wrapped = _match_against_context(ctx, head, m)
         if wrapped is None:
             continue
-        # Each head argument must wrap its own variable in a ground context.
-        if any(s != x and term_vars(s) != {x} for x, s in zip(xs, wrapped)):
+        moved = _wrap_powers(xs, wrapped)
+        if moved is None:
             continue
-        sigma = Subst({x: s for x, s in zip(xs, wrapped) if s != x})
-        # Every moved variable sits in a ground context, so both power forms
-        # exist.  Each is split into its context and slope once, for the
-        # open family and every base fact.
-        moved = sigma_powers(sigma)
-        open_ = power_form(head, sigma, Subst(), moved)
-        assert open_ is not None
+        open_ = power_form(ctx, wrapped, moved)
         for base in facts:
             if not isinstance(base.head, App) or base.head.symbol != head.symbol:
                 continue
             ts = _match_against_context(ctx, base.head, m)
             if ts is None:
                 continue
-            mu = Subst({x: t for x, t in zip(xs, ts) if t != x})
-            closing = power_form(body, sigma, mu, moved)
-            assert closing is not None
+            closing = power_form(ctx, ts, moved)
             for rule in (PatternRule(closing, EPSILON), PatternRule(open_, body)):
                 key = rule.key()
                 if key not in seen:
                     seen.add(key)
                     out.append(rule)
+    return out
+
+
+def _wrap_powers(
+    xs: tuple[Var, ...], wrapped: list[Term]
+) -> Optional[list[Optional[tuple[Term, int]]]]:
+    """How each head argument wraps its variable: None for x itself, (d, a)
+    for d^a(x) with d a ground 1-context of minimal period.  None overall
+    when some argument wraps anything else."""
+    out: list[Optional[tuple[Term, int]]] = []
+    for x, s in zip(xs, wrapped):
+        if s == x:
+            out.append(None)
+        elif term_vars(s) == {x}:
+            d, a, _ = decompose_power(s, x)
+            out.append((d, a))
+        else:
+            return None
     return out
 
 

@@ -10,11 +10,11 @@ layer directly above or below a power of the same context is absorbed into
 its offset, and powers with a = 0 are expanded away.
 
 Rule families are stored as normalized power terms.  The paper writes a
-family as skeleton . sigma^n . mu; `power_form` converts that notation when
-sigma binds every moved variable as x -> c^a(x).  Unification of families
-(`unify`, `pattern_mgu`) is syntactic unification of their power terms with
-one more rule: two powers of the same context and slope meet by peeling
-the smaller offset off both.  Any other pair of distinct power symbols
+family as skeleton . sigma^n . mu; the seeds are built as power terms
+directly (`power_form`), and that notation is left to the tests.
+Unification of families (`unify`, `pattern_mgu`) is syntactic unification
+of their power terms with one more rule: two powers of the same context and
+slope meet by peeling the smaller offset off both.  Any other pair of distinct power symbols
 clashes, which is known to be incomplete: a unifiable pair may still fail
 when the two sides factor the same tower through powers of different
 slopes, or through a power on one side and concrete layers on the other.
@@ -32,14 +32,12 @@ from .terms import (
     Term,
     Var,
     _occurs_bound,
-    apply,
-    decompose_power,
+    is_one_layer,
     match_context,
     plug,
     render,
     resolve,
     strip_power,
-    term_vars,
 )
 
 
@@ -83,6 +81,11 @@ def is_power(t: Term) -> bool:
 
 def concrete_power(c: Term, k: int, inner: Term) -> Term:
     """The tower c^k(inner), one copy of c plugged over the next."""
+    if is_one_layer(c):
+        sym, n = c.symbol, len(c.args)
+        for _ in range(k):
+            inner = App(sym, (inner,) * n)
+        return inner
     for _ in range(k):
         inner = plug(c, [inner])
     return inner
@@ -137,11 +140,6 @@ def least_shift(terms: Iterable[Term]) -> int:
             if d is None or k < d:
                 d = k
     return d or 0
-
-
-def subst_at(theta: Subst, n: int) -> Subst:
-    """Pointwise expansion of a substitution over power terms."""
-    return Subst({v: expand_at(u, n) for v, u in theta.items()})
 
 
 def _power_nodes(t: Term) -> list[App]:
@@ -239,49 +237,24 @@ def is_simple(t: Term) -> bool:
     return all(not v.args[0].powered for v in _power_nodes(t))
 
 
-def sigma_powers(sigma: Subst) -> dict[Var, Optional[tuple[Term, int]]]:
-    """Each variable sigma moves, split as sigma(x) = c^a(x) with c a
-    ground 1-context of minimal period: x -> (c, a), or x -> None when its
-    binding has another shape."""
-    out: dict[Var, Optional[tuple[Term, int]]] = {}
-    for x, sx in sigma.items():
-        split = decompose_power(sx, x)
-        out[x] = None if split is None else (split[0], split[1])
-    return out
-
-
 def power_form(
-    skeleton: Term,
-    sigma: Subst,
-    mu: Subst,
-    moved: Optional[Mapping[Var, Optional[tuple[Term, int]]]] = None,
-) -> Optional[Term]:
-    """The canonical power term of the family skeleton . sigma^n . mu.
+    ctx: Term, fillers: Sequence[Term], moved: Sequence[Optional[tuple[Term, int]]]
+) -> Term:
+    """The canonical power term of a seed family: ctx with hole #k filled.
 
-    The family must be simple: every variable sigma moves is driven by a
-    ground 1-context, sigma(x) = c^a(x).  The mu binding then splits as
-    c^b(t) with t not c-headed, and x maps to c^(a,b)(t); variables that
-    sigma fixes keep their mu binding as is.  Returns None when some sigma
-    binding of a skeleton variable does not have that shape.  `moved` is
-    `sigma_powers(sigma)`, for a caller that converts several families
-    with one sigma.
+    `moved[k-1]` is None when the family's index leaves hole #k alone; the
+    hole then gets its filler as is.  Otherwise it is (c, a), the hole's
+    variable being driven by the ground 1-context c^a, with c of minimal
+    period; the filler then splits as c^b(t) with t not c-headed, and the
+    hole gets c^(a,b)(t).
     """
-    if moved is None:
-        moved = sigma_powers(sigma)
-    theta: dict[Var, Term] = {}
-    for x in sorted(term_vars(skeleton), key=lambda v: v.name):
-        mx = mu.lookup(x)
-        if x not in moved:
-            theta[x] = mx
-            continue
-        split = moved[x]
-        if split is None:
-            return None
-        c, a = split
-        assert a >= 1
-        b, rest = strip_power(mx, c)
-        theta[x] = App(PowerSymbol(c, a, b), (rest,))
-    return normalize(apply(skeleton, Subst(theta)))
+    args = list(fillers)
+    for k, split in enumerate(moved):
+        if split is not None:
+            c, a = split
+            b, rest = strip_power(args[k], c)
+            args[k] = App(PowerSymbol(c, a, b), (rest,))
+    return normalize(plug(ctx, args))
 
 
 def pattern_form(theta: Subst) -> Optional[Subst]:

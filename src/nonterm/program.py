@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .terms import (
     App,
@@ -82,88 +82,77 @@ class ParseError(Exception):
         self.col = col
 
 
+# A line comment that is a query directive, after its '%': the predicate
+# (group 1) and its mode flags (group 2).  Whitespace in it never spans a
+# newline, and the directive runs to the end of its line.
+_SP = r"[^\S\n]*"
+_DIRECTIVE_BODY = (
+    rf"{_SP}(?:query|mode){_SP}:{_SP}([a-z][A-Za-z0-9_]*|[0-9]+){_SP}"
+    rf"(?:\(((?:[^\S\n]|[a-z,])*)\))?{_SP}\.{_SP}(?![^\n])"
+)
+_QUERY_DIRECTIVE = re.compile("%" + _DIRECTIVE_BODY)
+
+# One match per token: whitespace and comments other than directives are
+# skipped in front of it.  Then exactly one named group matches, `end` at
+# the end of the text and `bad` at a character no token starts with, so
+# the skip never backtracks.
 _TOKEN = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
-      | (?P<name>[a-z][A-Za-z0-9_]*|[0-9]+)
-      | (?P<var>[A-Z_][A-Za-z0-9_]*)
-      | (?P<neck>:-)
-      | (?P<punct>[(),.])
-    """,
-    re.VERBOSE,
+    r"(?:\s+|%(?!" + _DIRECTIVE_BODY + r")[^\n]*)*"
+    r"(?:(?P<directive>%" + _DIRECTIVE_BODY + r")"
+    r"|(?P<name>[a-z][A-Za-z0-9_]*|[0-9]+)"
+    r"|(?P<var>[A-Z_][A-Za-z0-9_]*)"
+    r"|(?P<neck>:-)"
+    r"|(?P<punct>[(),.])"
+    r"|(?P<end>\Z)"
+    r"|(?P<bad>.))"
 )
 
-_QUERY_DIRECTIVE = re.compile(
-    r"%\s*(?:query|mode)\s*:\s*([a-z][A-Za-z0-9_]*|[0-9]+)\s*(?:\(\s*([a-z\s,]*)\))?\s*\.\s*$"
-)
+# A token is (kind, text, offset of its first character).
+_Token = tuple[str, str, int]
 
 
-class _SymbolTable:
-    """Symbols keyed by name; a name may carry only one arity program-wide."""
-
-    def __init__(self) -> None:
-        self._by_name: dict[str, Symbol] = {}
-
-    def declare(self, name: str, arity: int, line: int, col: int) -> Symbol:
-        known = self._by_name.get(name)
-        if known is None:
-            sym = Symbol(name, arity)
-            self._by_name[name] = sym
-            return sym
-        if known.arity != arity:
-            raise ParseError(
-                f"symbol '{name}' used with arity {arity} but previously with {known.arity}",
-                line,
-                col,
-            )
-        return known
-
-    def get(self, name: str) -> Optional[Symbol]:
-        return self._by_name.get(name)
-
-    def all(self) -> tuple[Symbol, ...]:
-        return tuple(self._by_name.values())
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of an offset; only '\n' ends a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> Iterator[_Token]:
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup or ""
-        chunk = m.group()
-        if kind == "comment":
-            dm = _QUERY_DIRECTIVE.match(chunk)
-            if dm:
-                yield _Token("directive", chunk, line, col)
-        elif kind not in ("ws",):
-            yield _Token("neck" if kind == "neck" else kind, chunk, line, col)
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "end":
+            break
+        start = m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[start]!r}", *_line_col(text, start))
+        tokens.append((kind, m.group(kind), start))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
-        self.table = _SymbolTable()
+        self.symbols: dict[str, Symbol] = {}
         self.rules: list[Rule] = []
-        self.directives: list[tuple[str, int, int]] = []
+        self.directives: list[tuple[str, int]] = []
+
+    def _error(self, message: str, offset: int) -> ParseError:
+        return ParseError(message, *_line_col(self.text, offset))
+
+    def _declare(self, name: str, arity: int, offset: int) -> Symbol:
+        """The symbol of a name; a name may carry only one arity program-wide."""
+        known = self.symbols.get(name)
+        if known is None:
+            sym = self.symbols[name] = Symbol(name, arity)
+            return sym
+        if known.arity != arity:
+            raise self._error(
+                f"symbol '{name}' used with arity {arity} but previously with {known.arity}",
+                offset,
+            )
+        return known
 
     def _peek(self) -> Optional[_Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -171,92 +160,90 @@ class _Parser:
     def _next(self, expected: str) -> _Token:
         tok = self._peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
-            raise ParseError(f"unexpected end of input, expected {expected}", last.line, last.col)
+            offset = self.tokens[-1][2] if self.tokens else 0
+            raise self._error(f"unexpected end of input, expected {expected}", offset)
         self.pos += 1
         return tok
 
-    def _expect(self, text: str) -> _Token:
-        tok = self._next(repr(text))
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
-        return tok
+    def _expect(self, text: str) -> None:
+        _, found, offset = self._next(repr(text))
+        if found != text:
+            raise self._error(f"expected {text!r}, found {found!r}", offset)
 
     def term(self) -> Term:
         # Iterative, so nesting depth is bounded by memory only: `pending`
-        # holds (name token, arguments so far) per compound term being read.
-        # A symbol is declared once its arguments are read, innermost first.
+        # holds (name, its offset, arguments so far) per compound term
+        # being read.  A symbol is declared once its arguments are read,
+        # innermost first.
         tokens, end = self.tokens, len(self.tokens)
-        pending: list[tuple[_Token, list[Term]]] = []
+        pending: list[tuple[str, int, list[Term]]] = []
         while True:
-            tok = self._next("a term")
-            if tok.kind == "var":
-                done: Term = Var(tok.text)
-            elif tok.kind != "name":
-                raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
-            elif self.pos < end and tokens[self.pos].text == "(":
+            kind, text, offset = self._next("a term")
+            if kind == "var":
+                done: Term = Var(text)
+            elif kind != "name":
+                raise self._error(f"expected a term, found {text!r}", offset)
+            elif self.pos < end and tokens[self.pos][1] == "(":
                 self.pos += 1
-                pending.append((tok, []))
+                pending.append((text, offset, []))
                 continue
             else:
-                done = App(self.table.declare(tok.text, 0, tok.line, tok.col), ())
+                done = App(self._declare(text, 0, offset), ())
             while pending:
-                name, args = pending[-1]
+                name, at, args = pending[-1]
                 args.append(done)
-                if self.pos < end and tokens[self.pos].text == ",":
+                if self.pos < end and tokens[self.pos][1] == ",":
                     self.pos += 1
                     break
                 self._expect(")")
                 pending.pop()
-                sym = self.table.declare(name.text, len(args), name.line, name.col)
-                done = App(sym, tuple(args))
+                done = App(self._declare(name, len(args), at), tuple(args))
             else:
                 return done
 
     def clause(self) -> Rule:
         head = self.term()
-        tok = self._next("':-' or '.'")
+        kind, text, offset = self._next("':-' or '.'")
         body: list[Term] = []
-        if tok.kind == "neck":
+        if kind == "neck":
             body.append(self.term())
             while True:
-                tok = self._next("',' or '.'")
-                if tok.text == ",":
+                _, text, offset = self._next("',' or '.'")
+                if text == ",":
                     body.append(self.term())
-                elif tok.text == ".":
+                elif text == ".":
                     break
                 else:
-                    raise ParseError(f"expected ',' or '.', found {tok.text!r}", tok.line, tok.col)
-        elif tok.text != ".":
-            raise ParseError(f"expected ':-' or '.', found {tok.text!r}", tok.line, tok.col)
+                    raise self._error(f"expected ',' or '.', found {text!r}", offset)
+        elif text != ".":
+            raise self._error(f"expected ':-' or '.', found {text!r}", offset)
         return Rule(head, tuple(body))
 
     def run(self, name: str) -> Program:
         while (tok := self._peek()) is not None:
-            if tok.kind == "directive":
+            if tok[0] == "directive":
                 self.pos += 1
-                self.directives.append((tok.text, tok.line, tok.col))
+                self.directives.append((tok[1], tok[2]))
             else:
                 self.rules.append(self.clause())
         queries = [self._resolve_directive(*d) for d in self.directives]
-        return Program(name, tuple(self.rules), self.table.all(), tuple(queries))
+        return Program(name, tuple(self.rules), tuple(self.symbols.values()), tuple(queries))
 
-    def _resolve_directive(self, text: str, line: int, col: int) -> QueryMode:
+    def _resolve_directive(self, text: str, offset: int) -> QueryMode:
         m = _QUERY_DIRECTIVE.match(text)
         assert m is not None
         pred_name = m.group(1)
         flags = tuple(f.strip() for f in (m.group(2) or "").split(",") if f.strip())
         for f in flags:
             if f != "i":
-                raise ParseError(f"unsupported mode flag {f!r} (only 'i' is supported)", line, col)
-        sym = self.table.get(pred_name)
+                raise self._error(f"unsupported mode flag {f!r} (only 'i' is supported)", offset)
+        sym = self.symbols.get(pred_name)
         if sym is None:
-            raise ParseError(f"query names unknown symbol '{pred_name}'", line, col)
+            raise self._error(f"query names unknown symbol '{pred_name}'", offset)
         if sym.arity != len(flags):
-            raise ParseError(
+            raise self._error(
                 f"query for '{pred_name}' has {len(flags)} modes but the symbol has arity {sym.arity}",
-                line,
-                col,
+                offset,
             )
         return QueryMode(sym, flags)
 
@@ -329,34 +316,24 @@ def _explore(
     return hit, deepest, empty
 
 
-def derive_bounded(
-    program: Program,
-    query: Query,
-    max_steps: int,
-    strategy: str = "iterative-deepening",
-) -> DerivationStatus:
+def derive_bounded(program: Program, query: Query, max_steps: int) -> DerivationStatus:
     """Explore rewrite chains from a query, trying rules in program order.
 
     Reports reached_bound as soon as any chain has max_steps steps, or that
-    all branches are finite once the tree is exhausted earlier.  The default
-    iterative deepening doubles the depth limit, which keeps the cost within
-    a constant factor of the final pass while never committing to an unfair
+    all branches are finite once the tree is exhausted earlier.  Iterative
+    deepening doubles the depth limit, which keeps the cost within a
+    constant factor of the final pass while never committing to an unfair
     branch order.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     source = VarSource()
-    if strategy == "depth-first":
-        limits = [max_steps]
-    elif strategy == "iterative-deepening":
-        limits = []
-        limit = 1
-        while limit < max_steps:
-            limits.append(limit)
-            limit *= 2
-        limits.append(max_steps)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    limits = []
+    limit = 1
+    while limit < max_steps:
+        limits.append(limit)
+        limit *= 2
+    limits.append(max_steps)
 
     empty_seen = False
     for limit in limits:
@@ -367,27 +344,3 @@ def derive_bounded(
         if limit == max_steps:
             return DerivationStatus(True, max_steps, empty_seen)
     raise AssertionError("unreachable")
-
-
-def calls_bounded(program: Program, start: Term, max_steps: int) -> set[Term]:
-    """First terms of all queries reachable from <start> within max_steps.
-
-    A sound under-approximation of the call set; includes the empty-query
-    marker EPSILON when a derivation succeeds.  The start itself is not a
-    member (unless it reoccurs as a later call).
-    """
-    from .terms import EPSILON
-
-    source = VarSource()
-    out: set[Term] = set()
-    stack: list[tuple[Query, int]] = [((start,), 0)]
-    while stack:
-        q, depth = stack.pop()
-        if depth > 0:
-            out.add(q[0] if q else EPSILON)
-        if not q or depth >= max_steps:
-            continue
-        for rule in reversed(program.rules):
-            for nq, _ in rewrite_step(q, rule, source):
-                stack.append((nq, depth + 1))
-    return out

@@ -154,8 +154,8 @@ def term_vars(t: Term | Query) -> frozenset[Var]:
 class Subst:
     """A substitution: a finite map from variables to terms.
 
-    Bindings ``x -> x`` are pruned at construction, so ``domain()`` is
-    exactly the set of moved variables.
+    Bindings ``x -> x`` are pruned at construction, so the keys are
+    exactly the moved variables.
     """
 
     __slots__ = ("_m", "_hash")
@@ -168,15 +168,6 @@ class Subst:
 
     def lookup(self, v: Var) -> Term:
         return self._m.get(v, v)
-
-    def domain(self) -> frozenset[Var]:
-        return frozenset(self._m)
-
-    def range_vars(self) -> frozenset[Var]:
-        out: set[Var] = set()
-        for t in self._m.values():
-            out |= term_vars(t)
-        return frozenset(out)
 
     def items(self) -> Iterator[tuple[Var, Term]]:
         return iter(self._m.items())
@@ -478,23 +469,23 @@ def context_holes(c: Term) -> set[int]:
 
 def plug(c: Term, fillers: Sequence[Term]) -> Term:
     """Replace every occurrence of hole #i by fillers[i-1]."""
-    present = context_holes(c)
-    if present and max(present) > len(fillers):
-        raise ValueError(f"context has hole #{max(present)} but only {len(fillers)} fillers")
-    if len(fillers) > max(present, default=0):
-        raise ValueError(f"{len(fillers)} fillers for a context with holes {sorted(present)}")
     done: dict[int, Term] = {}
+    used = 0
     stack = [c]
     while stack:
         n = stack[-1]
         if id(n) in done:
             stack.pop()
-            continue
-        if is_hole(n):
-            done[id(n)] = fillers[hole_index(n) - 1]
-            stack.pop()
-        elif isinstance(n, Var) or n.ground:
+        elif n.ground or isinstance(n, Var):
             done[id(n)] = n
+            stack.pop()
+        elif not n.args:  # the only non-ground constants are holes
+            i = hole_index(n)
+            if i > len(fillers):
+                top = max(context_holes(c))
+                raise ValueError(f"context has hole #{top} but only {len(fillers)} fillers")
+            used = max(used, i)
+            done[id(n)] = fillers[i - 1]
             stack.pop()
         else:
             pending = [a for a in n.args if id(a) not in done]
@@ -503,19 +494,30 @@ def plug(c: Term, fillers: Sequence[Term]) -> Term:
             else:
                 done[id(n)] = App(n.symbol, tuple(done[id(a)] for a in n.args))
                 stack.pop()
+    if len(fillers) > used:
+        present = sorted(context_holes(c))
+        raise ValueError(f"{len(fillers)} fillers for a context with holes {present}")
     return done[id(c)]
 
 
-def context_power(c: Term, n: int) -> Term:
-    """n-fold self-embedding of a 1-context: c^0 = #1, c^(n+1) = c(c^n)."""
-    acc: Term = hole(1)
-    for _ in range(n):
-        acc = plug(c, [acc])
-    return acc
+_HOLE1 = hole(1)
+
+
+def is_one_layer(c: Term) -> bool:
+    """Whether c is one symbol over #1 alone, like s(#1) or f(#1,#1)."""
+    return 0 < len(c.args) == c.args.count(_HOLE1)
 
 
 def match_context(c: Term, t: Term) -> Optional[Term]:
     """If t == c(u) for a single filler u at every hole of c, return u."""
+    if is_one_layer(c):
+        if isinstance(t, Var) or (t.symbol is not c.symbol and t.symbol != c.symbol):
+            return None
+        u = t.args[0]
+        for w in t.args[1:]:
+            if w is not u and w != u:
+                return None
+        return u
     filler: Optional[Term] = None
     stack = [(c, t)]
     while stack:
@@ -611,48 +613,26 @@ def primitive_context(c: Term) -> tuple[Term, int]:
     return c, 1
 
 
-def decompose_power(
-    t: Term, var: Optional[Var] = None
-) -> Optional[tuple[Optional[Term], int, Term]]:
-    """Split t as c^a(rest) with c a ground, minimal-period 1-context.
+def decompose_power(t: Term, var: Var) -> Optional[tuple[Optional[Term], int, Term]]:
+    """Split t as c^a(var) with c a ground, minimal-period 1-context.
 
-    With ``var`` given, rest must be exactly that variable (every occurrence
-    of it sits at a hole position of c^a); this recognizes bindings of the
-    form x -> c^a(x).  Without it, rest is the remainder after peeling the
-    tower along the leftmost leaf path, maximally, so that rest is not of
-    the form c(rest').
-
-    Returns (None, 0, t) when t is the designated variable itself, and None
-    when no ground decomposition exists (e.g. the would-be context contains
-    another variable).
+    Every occurrence of var must sit at a hole position of c^a; this
+    recognizes bindings of the form x -> c^a(x).  Returns (None, 0, t) when
+    t is var itself, and None when no ground decomposition exists (e.g. the
+    would-be context contains another variable).
     """
-    if var is not None:
-        if t == var:
-            return None, 0, t
-        if var not in term_vars(t):
-            return None
-        skel = _subst_dict(t, {var: hole(1)})
-        if term_vars(skel):
-            return None
-        c, a = primitive_context(skel)
-        return c, a, var
-
-    # Generic mode: candidate remainders are cuts along the leftmost path.
-    path: list[int] = []
-    u = t
-    while isinstance(u, App) and u.args:
-        path.append(0)
-        u = u.args[0]
-    sub = t
-    for depth in range(1, len(path) + 1):
-        sub = sub.args[0]
-        skel = _replace_subterm(t, sub, hole(1))
-        if term_vars(skel):
-            continue
-        c, a = primitive_context(skel)
-        extra, rest = strip_power(sub, c)
-        return c, a + extra, rest
-    return None
+    if t == var:
+        return None, 0, t
+    if isinstance(t, App) and var in t.args and all(a == var or a.ground for a in t.args):
+        # One layer over var: its own primitive root, no search needed.
+        return App(t.symbol, tuple(_HOLE1 if a == var else a for a in t.args)), 1, var
+    if var not in term_vars(t):
+        return None
+    skel = _subst_dict(t, {var: _HOLE1})
+    if term_vars(skel):
+        return None
+    c, a = primitive_context(skel)
+    return c, a, var
 
 
 def render(t: Term) -> str:

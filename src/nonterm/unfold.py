@@ -356,34 +356,6 @@ def _derive(head: Term, last: PatternRule, theta: Optional[Subst]) -> Optional[P
     return PatternRule(normalize(apply(head, theta)), rhs)
 
 
-def _step_candidates(
-    program: Program,
-    pool: list[PatternRule],
-    patid: list[PatternRule],
-    source: VarSource,
-) -> Iterator[tuple[PatternRule, tuple]]:
-    """All rules derivable in one unfolding step from the given pool, in
-    the order of `_attempts`."""
-    for candidate, provenance in _attempts(program, pool, patid, source):
-        if candidate is not None:
-            yield candidate, provenance
-
-
-def step(
-    program: Program, base: list[PatternRule], pool: PatternRuleSet
-) -> PatternRuleSet:
-    """One application of the unfolding operator: the seed set plus every
-    rule derivable from the pool in a single step (simple rules only)."""
-    out = PatternRuleSet()
-    for rule in base:
-        out.add(rule)
-    source = VarSource()
-    patid = identity_pattern_rules(program)
-    for candidate, _ in _step_candidates(program, list(pool), patid, source):
-        out.add(candidate)
-    return out
-
-
 def saturate(
     program: Program,
     base: list[PatternRule],

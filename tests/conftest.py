@@ -1,36 +1,62 @@
 """Shared fixtures: term parsing shorthand, program sources, random generators,
-a reference evaluator for the paper's family notation, and reference
-versions of the unifier and of normalization."""
+a reference evaluator for the paper's family notation, reference versions
+of the unifier, of normalization, of the variant key and of the tokenizer,
+and helpers that only the tests use."""
 
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from typing import NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from nonterm.binrules import BinaryRuleSet, saturate
-from nonterm.pattern import PatternRule
-from nonterm.powers import PowerSymbol, concrete_power, is_power, power_form
-from nonterm.program import Program, _Parser, parse_program
+from nonterm import program as program_module
+from nonterm.pattern import PatternRule, _context_of, _match_against_context
+from nonterm.powers import (
+    PowerSymbol,
+    concrete_power,
+    expand_at,
+    is_power,
+    normalize,
+)
+from nonterm.program import (
+    DerivationStatus,
+    ParseError,
+    Program,
+    Query,
+    _explore,
+    _Parser,
+    parse_program,
+    rewrite_step,
+)
 from nonterm.terms import (
+    EPSILON,
     App,
     Subst,
     Symbol,
     Term,
     Var,
+    VarSource,
     apply,
     _replace_subterm,
     _subst_dict,
     compose,
-    context_power,
+    decompose_power,
     hole,
     match_context,
     plug,
+    primitive_context,
+    strip_power,
+    term_vars,
 )
+from nonterm.unfold import PatternRuleSet, _attempts, identity_pattern_rules
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -51,6 +77,90 @@ def subst(**bindings: str) -> Subst:
     return Subst({Var(v): term(t) for v, t in bindings.items()})
 
 
+# --- helpers only the tests use --------------------------------------------
+
+
+def domain(theta: Subst) -> frozenset[Var]:
+    """The variables a substitution moves."""
+    return frozenset(v for v, _ in theta.items())
+
+
+def range_vars(theta: Subst) -> frozenset[Var]:
+    """The variables of a substitution's bindings."""
+    out: set[Var] = set()
+    for _, t in theta.items():
+        out |= term_vars(t)
+    return frozenset(out)
+
+
+def context_power(c: Term, n: int) -> Term:
+    """n-fold self-embedding of a 1-context: c^0 = #1, c^(n+1) = c(c^n)."""
+    acc: Term = hole(1)
+    for _ in range(n):
+        acc = plug(c, [acc])
+    return acc
+
+
+def subst_at(theta: Subst, n: int) -> Subst:
+    """Pointwise expansion of a substitution over power terms."""
+    return Subst({v: expand_at(u, n) for v, u in theta.items()})
+
+
+def step_candidates(
+    program: Program,
+    pool: list[PatternRule],
+    patid: list[PatternRule],
+    source: VarSource,
+) -> Iterator[tuple[PatternRule, tuple]]:
+    """All rules derivable in one unfolding step from the given pool, in
+    the order of `unfold._attempts`."""
+    for candidate, provenance in _attempts(program, pool, patid, source):
+        if candidate is not None:
+            yield candidate, provenance
+
+
+def step(program: Program, base: list[PatternRule], pool: PatternRuleSet) -> PatternRuleSet:
+    """One application of the unfolding operator, the naive way: the seed
+    set plus every rule derivable from the whole pool in a single step."""
+    out = PatternRuleSet()
+    for rule in base:
+        out.add(rule)
+    source = VarSource()
+    patid = identity_pattern_rules(program)
+    for candidate, _ in step_candidates(program, list(pool), patid, source):
+        out.add(candidate)
+    return out
+
+
+def calls_bounded(program: Program, start: Term, max_steps: int) -> set[Term]:
+    """First terms of all queries reachable from <start> within max_steps.
+
+    A sound under-approximation of the call set; includes the empty-query
+    marker EPSILON when a derivation succeeds.  The start itself is not a
+    member (unless it reoccurs as a later call).
+    """
+    source = VarSource()
+    out: set[Term] = set()
+    stack: list[tuple[Query, int]] = [((start,), 0)]
+    while stack:
+        q, depth = stack.pop()
+        if depth > 0:
+            out.add(q[0] if q else EPSILON)
+        if not q or depth >= max_steps:
+            continue
+        for rule in reversed(program.rules):
+            for nq, _ in rewrite_step(q, rule, source):
+                stack.append((nq, depth + 1))
+    return out
+
+
+def derive_depth_first(program: Program, query: Query, max_steps: int) -> DerivationStatus:
+    """`derive_bounded` in one depth-first pass to max_steps, without
+    iterative deepening."""
+    hit, deepest, empty = _explore(program, query, max_steps, VarSource())
+    return DerivationStatus(hit, max_steps if hit else deepest, empty)
+
+
 # --- the paper's notation, evaluated directly --------------------------------
 
 
@@ -62,12 +172,78 @@ def family_subst_at(sigma: Subst, mu: Subst, n: int) -> Subst:
     return acc
 
 
+def reference_decompose_power(t: Term) -> Optional[tuple[Term, int, Term]]:
+    """Split t as c^a(rest), c a ground 1-context of minimal period, peeling
+    the tower along the leftmost leaf path maximally, so that rest is not of
+    the form c(rest').  None when no ground decomposition exists."""
+    path: list[int] = []
+    u = t
+    while isinstance(u, App) and u.args:
+        path.append(0)
+        u = u.args[0]
+    sub = t
+    for _ in path:
+        sub = sub.args[0]
+        skel = _replace_subterm(t, sub, hole(1))
+        if term_vars(skel):
+            continue
+        c, a = primitive_context(skel)
+        extra, rest = strip_power(sub, c)
+        return c, a + extra, rest
+    return None
+
+
+def sigma_powers(sigma: Subst) -> dict[Var, Optional[tuple[Term, int]]]:
+    """Each variable sigma moves, split as sigma(x) = c^a(x) with c a
+    ground 1-context of minimal period: x -> (c, a), or x -> None when its
+    binding has another shape."""
+    out: dict[Var, Optional[tuple[Term, int]]] = {}
+    for x, sx in sigma.items():
+        split = decompose_power(sx, x)
+        out[x] = None if split is None else (split[0], split[1])
+    return out
+
+
+def reference_power_form(
+    skeleton: Term,
+    sigma: Subst,
+    mu: Subst,
+    moved: Optional[Mapping[Var, Optional[tuple[Term, int]]]] = None,
+) -> Optional[Term]:
+    """The canonical power term of the family skeleton . sigma^n . mu.
+
+    The family must be simple: every variable sigma moves is driven by a
+    ground 1-context, sigma(x) = c^a(x).  The mu binding then splits as
+    c^b(t) with t not c-headed, and x maps to c^(a,b)(t); variables that
+    sigma fixes keep their mu binding as is.  Returns None when some sigma
+    binding of a skeleton variable does not have that shape.  `moved` is
+    `sigma_powers(sigma)`, for a caller that converts several families
+    with one sigma.
+    """
+    if moved is None:
+        moved = sigma_powers(sigma)
+    theta: dict[Var, Term] = {}
+    for x in sorted(term_vars(skeleton), key=lambda v: v.name):
+        mx = mu.lookup(x)
+        if x not in moved:
+            theta[x] = mx
+            continue
+        split = moved[x]
+        if split is None:
+            return None
+        c, a = split
+        assert a >= 1
+        b, rest = strip_power(mx, c)
+        theta[x] = App(PowerSymbol(c, a, b), (rest,))
+    return normalize(apply(skeleton, Subst(theta)))
+
+
 class Family(NamedTuple):
     """The term family skeleton . sigma^n . mu, as the paper writes it.
 
     The prover stores only power terms; tests build families in this
-    notation, convert them with `power_form`, and compare the prover's
-    expansions against `at`, which evaluates the notation directly.
+    notation, convert them with `reference_power_form`, and compare the
+    prover's expansions against `at`, which evaluates the notation directly.
     """
 
     skeleton: Term
@@ -78,7 +254,7 @@ class Family(NamedTuple):
         return apply(self.skeleton, family_subst_at(self.sigma, self.mu, n))
 
     def power(self) -> Term:
-        u = power_form(self.skeleton, self.sigma, self.mu)
+        u = reference_power_form(self.skeleton, self.sigma, self.mu)
         assert u is not None, f"not simple: {self}"
         return u
 
@@ -270,6 +446,135 @@ def reference_normalize(t: Term) -> Term:
             sym = v.symbol
             return App(PowerSymbol(sym.context, sym.a, sym.b + 1), (v.args[0],))
     return out
+
+
+def reference_initial_rules(program: Program) -> list[PatternRule]:
+    """`initial_rules` through the paper's notation: each recursive/base
+    pair gives the triples (body, sigma, mu) => epsilon and (head, sigma,
+    empty) => body, with sigma = {x_k -> c_k(x_k)} and mu = {x_k -> t_k},
+    converted by `reference_power_form`."""
+    out: list[PatternRule] = []
+    seen: set[tuple] = set()
+    facts = [r for r in program.rules if not r.body]
+    for rec in program.rules:
+        if len(rec.body) != 1:
+            continue
+        body, head = rec.body[0], rec.head
+        if isinstance(body, Var) or isinstance(head, Var) or body.symbol != head.symbol:
+            continue
+        split = _context_of(body)
+        if split is None:
+            continue
+        ctx, xs = split
+        wrapped = _match_against_context(ctx, head, len(xs))
+        if wrapped is None:
+            continue
+        if any(s != x and term_vars(s) != {x} for x, s in zip(xs, wrapped)):
+            continue
+        sigma = Subst({x: s for x, s in zip(xs, wrapped) if s != x})
+        moved = sigma_powers(sigma)
+        open_ = reference_power_form(head, sigma, Subst(), moved)
+        for base in facts:
+            if not isinstance(base.head, App) or base.head.symbol != head.symbol:
+                continue
+            ts = _match_against_context(ctx, base.head, len(xs))
+            if ts is None:
+                continue
+            mu = Subst({x: t for x, t in zip(xs, ts) if t != x})
+            closing = reference_power_form(body, sigma, mu, moved)
+            for rule in (PatternRule(closing, EPSILON), PatternRule(open_, body)):
+                if rule.key() not in seen:
+                    seen.add(rule.key())
+                    out.append(rule)
+    return out
+
+
+def reference_match_context(c: Term, t: Term) -> Optional[Term]:
+    """`match_context` by the generic walk alone, whatever the context."""
+    filler: Optional[Term] = None
+    stack = [(c, t)]
+    while stack:
+        cn, tn = stack.pop()
+        if cn == hole(1):
+            if filler is None:
+                filler = tn
+            elif filler != tn:
+                return None
+        elif isinstance(tn, Var) or cn.symbol != tn.symbol:
+            return None
+        else:
+            stack.extend(zip(cn.args, tn.args))
+    return filler
+
+
+def reference_concrete_power(c: Term, k: int, inner: Term) -> Term:
+    """`concrete_power` by plugging, whatever the context."""
+    for _ in range(k):
+        inner = plug(c, [inner])
+    return inner
+
+
+# --- reference tokenizer ----------------------------------------------------
+#
+# The tokenizer the one-pass scanner replaced: one match per token, comments
+# and whitespace included, and line and column advanced chunk by chunk.
+
+_REFERENCE_TOKEN = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>%[^\n]*)
+      | (?P<name>[a-z][A-Za-z0-9_]*|[0-9]+)
+      | (?P<var>[A-Z_][A-Za-z0-9_]*)
+      | (?P<neck>:-)
+      | (?P<punct>[(),.])
+    """,
+    re.VERBOSE,
+)
+
+_REFERENCE_DIRECTIVE = re.compile(
+    r"%\s*(?:query|mode)\s*:\s*([a-z][A-Za-z0-9_]*|[0-9]+)\s*(?:\(\s*([a-z\s,]*)\))?\s*\.\s*$"
+)
+
+
+@dataclass
+class ReferenceToken:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def reference_tokenize(text: str) -> Iterator[ReferenceToken]:
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup or ""
+        chunk = m.group()
+        if kind == "comment":
+            if _REFERENCE_DIRECTIVE.match(chunk):
+                yield ReferenceToken("directive", chunk, line, col)
+        elif kind != "ws":
+            yield ReferenceToken(kind, chunk, line, col)
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            col = len(chunk) - chunk.rfind("\n")
+        else:
+            col += len(chunk)
+        pos = m.end()
+
+
+def reference_parse(text: str, name: str = "<input>") -> Program:
+    """`parse_program` over the tokens of `reference_tokenize`."""
+    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+    tokens = [
+        (tok.kind, tok.text, line_starts[tok.line - 1] + tok.col - 1)
+        for tok in reference_tokenize(text)
+    ]
+    with mock.patch.object(program_module, "_tokenize", lambda _: tokens):
+        return _Parser(text).run(name)
 
 
 @pytest.fixture

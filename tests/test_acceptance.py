@@ -10,19 +10,22 @@ from fractions import Fraction
 from conftest import (
     PROGRAMS_DIR,
     Family,
+    calls_bounded,
     fam,
     family_subst_at,
     pattern_substitution,
     random_simple_pattern,
     random_simple_subst,
+    reference_power_form,
     subst,
+    subst_at,
     term,
 )
 from nonterm.binrules import saturate as binary_saturate
 from nonterm.detect import check_pumps, ground_constant, match_pumping, prove, witness_from
 from nonterm.pattern import PatternRule, initial_rules, pattern_rule_key
-from nonterm.powers import expand_at, pattern_form, pattern_mgu, power_form, subst_at
-from nonterm.program import calls_bounded, derive_bounded, parse_program
+from nonterm.powers import expand_at, pattern_form, pattern_mgu
+from nonterm.program import derive_bounded, parse_program
 from nonterm.terms import EPSILON, App, apply, match, mgu, render, term_vars
 from nonterm.unfold import UnfoldBudget, saturate
 
@@ -148,7 +151,7 @@ def test_criterion_4_family_equivalences_randomized():
     substs_checked = 0
     while terms_checked < 1000:
         f = random_simple_pattern(rng)
-        u = power_form(*f)
+        u = reference_power_form(*f)
         assert u is not None
         for n in range(6):
             assert f.at(n) == expand_at(u, n)

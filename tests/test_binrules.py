@@ -1,9 +1,11 @@
 """Binary-rule saturation oracle."""
 
+import time
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import F, G, NIL, S, ZERO, reference_canonical_key, term
+from conftest import F, G, NIL, S, ZERO, calls_bounded, reference_canonical_key, term
 from nonterm.binrules import (
     BinaryRule,
     BinaryRuleSet,
@@ -13,7 +15,7 @@ from nonterm.binrules import (
     step,
 )
 from nonterm.powers import concrete_power
-from nonterm.program import calls_bounded, parse_program
+from nonterm.program import parse_program
 from nonterm.terms import EPSILON, App, Subst, Var, apply, hole, match, plug, term_vars
 
 from conftest import random_ground_term
@@ -76,11 +78,29 @@ def _shared_terms():
     return st.recursive(leaves, extend, max_leaves=8)
 
 
+def _unshared(t):
+    """A copy of t in which no two argument positions hold one object."""
+    return App(t.symbol, tuple(_unshared(a) for a in t.args)) if isinstance(t, App) else Var(t.name)
+
+
+_SWAP = Subst({Var("X"): Var("Y"), Var("Y"): Var("Z"), Var("Z"): Var("X")})
+
+
 class TestCanonicalKey:
     @settings(max_examples=300, deadline=None)
-    @given(parts=st.lists(_shared_terms(), min_size=1, max_size=3))
-    def test_same_key_as_reference(self, parts):
-        assert canonical_key(tuple(parts)) == reference_canonical_key(tuple(parts))
+    @given(
+        left=st.lists(_shared_terms(), min_size=1, max_size=3),
+        right=st.lists(_shared_terms(), min_size=1, max_size=3),
+    )
+    def test_same_key_as_reference(self, left, right):
+        # Equal keys exactly when the reference keys are equal: the same
+        # partition of term tuples into variant classes, whatever the terms
+        # share.
+        for other in (right, [apply(p, _SWAP) for p in left], [_unshared(p) for p in left]):
+            a, b = tuple(left), tuple(other)
+            assert (canonical_key(a) == canonical_key(b)) == (
+                reference_canonical_key(a) == reference_canonical_key(b)
+            )
 
     @settings(max_examples=100, deadline=None)
     @given(parts=st.lists(_shared_terms(), min_size=1, max_size=3))
@@ -89,14 +109,24 @@ class TestCanonicalKey:
         assert canonical_key(tuple(apply(p, ren) for p in parts)) == canonical_key(tuple(parts))
 
     def test_linear_in_shared_size(self):
-        # 2^80 paths through 81 distinct nodes; the key shares its nodes
-        # the same way.
+        # 2^80 paths through 81 distinct nodes; the key has one entry per
+        # non-ground node, each naming its children by number.
         t = concrete_power(App(F, (hole(1), hole(1))), 80, Var("X"))
-        (key,) = canonical_key((t,))
-        for _ in range(80):
-            assert key[1] is key[2]
-            key = key[1]
-        assert key == ("$", 0)
+        (root,), entries = canonical_key((t,))
+        assert entries == ((F, -1, -1), *((F, k, k) for k in range(79)))
+        assert root == 79
+
+    def test_tall_tower_hashes_and_compares_fast(self):
+        # Two variants of a tower with 2^80 paths: their keys are equal, and
+        # hashing and comparing them take time linear in 81 nodes.
+        c = App(F, (hole(1), hole(1)))
+        t = concrete_power(c, 80, Var("X"))
+        u = concrete_power(c, 80, Var("Y"))
+        start = time.perf_counter()
+        a, b = canonical_key((t,)), canonical_key((u,))
+        assert hash(a) == hash(b) and a == b
+        assert {a: 1}[b] == 1
+        assert time.perf_counter() - start < 1.0
 
 
 class TestStep:

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from conftest import WHILE_GT_ADD, Family, fam, random_context, subst, term
+from conftest import WHILE_GT_ADD, Family, context_power, fam, random_context, subst, term
 from nonterm.detect import (
     GROUND_ONLY,
     MIXED,
@@ -16,7 +16,7 @@ from nonterm.detect import (
 )
 from nonterm.pattern import PatternRule
 from nonterm.program import derive_bounded, parse_program
-from nonterm.terms import EPSILON, App, Subst, Symbol, Var, context_power, match, plug, render
+from nonterm.terms import EPSILON, App, Subst, Symbol, Var, match, plug, render
 from nonterm.unfold import UnfoldBudget
 
 

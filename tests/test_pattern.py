@@ -1,6 +1,17 @@
 """Rule families over power terms, and the seed-rule extraction."""
 
-from conftest import Family, check_correct_sampled, fam, subst, term
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    PROGRAMS_DIR,
+    Family,
+    check_correct_sampled,
+    fam,
+    reference_initial_rules,
+    subst,
+    term,
+)
 from nonterm.binrules import saturate
 from nonterm.pattern import PatternRule, initial_rules, pattern_rule_key
 from nonterm.powers import expand_at
@@ -110,3 +121,54 @@ class TestSampledCorrectness:
         # gt(s^n(X), s^n(Y)) -> e is not a derivable family (no base case).
         bogus = PatternRule(fam("gt(X,Y)", subst(X="s(X)", Y="s(Y)")), EPSILON)
         assert not check_correct_sampled(bogus, ex_program, 2, 6)
+
+
+# Head wraps of a body variable: unmoved, slope 1 and 2, a two-layer
+# context, non-linear and one-layer contexts with ground arguments.
+_WRAPS = ["{x}", "s({x})", "s(s({x}))", "t(g({x}))", "f({x},{x})", "f({x},0)", "f(0,s({x}))",
+          "g(s(g(s({x}))))"]
+# A context layer above the variable in the body, which `normalize`
+# absorbs when it is the power's own context.
+_LAYERS = ["{x}", "{x}", "s({x})", "g({x})"]
+# Base fact arguments: deeper towers of every wrap, and other terms.
+_FILLERS = ["0", "Y", "s(s(s(0)))", "t(g(t(g(0))))", "f(f(0,0),f(0,0))", "f(f(Y,0),0)",
+            "f(0,s(f(0,s(0))))", "g(s(g(s(g(s(0))))))", "s(g(0))", "t(0)"]
+
+
+@st.composite
+def _seed_programs(draw):
+    """A recursive rule p(..L(W(X))..) :- p(..L(X)..) and a few facts."""
+    m = draw(st.integers(1, 3))
+    xs = [f"X{i}" for i in range(m)]
+    layers = [draw(st.sampled_from(_LAYERS)) for _ in xs]
+    wraps = [draw(st.sampled_from(_WRAPS)) for _ in xs]
+    head = ",".join(lay.format(x=w.format(x=x)) for lay, w, x in zip(layers, wraps, xs))
+    body = ",".join(lay.format(x=x) for lay, x in zip(layers, xs))
+    lines = [f"p({head}) :- p({body})."]
+    for _ in range(draw(st.integers(0, 3))):
+        args = [lay.format(x=draw(st.sampled_from(_FILLERS))) if draw(st.booleans()) else
+                draw(st.sampled_from(_FILLERS)) for lay in layers]
+        lines.append(f"p({','.join(args)}).")
+    return "\n".join(lines)
+
+
+class TestSeedsMatchTheTripleConversion:
+    """`initial_rules` builds each seed as a power term directly; the
+    paper's notation, converted by the reference, gives the same seeds."""
+
+    def test_bundled_programs(self):
+        for path in sorted(PROGRAMS_DIR.glob("*.pl")):
+            program = parse_program(path.read_text(), path.stem)
+            assert initial_rules(program) == reference_initial_rules(program), path.name
+
+    @settings(max_examples=300, deadline=None)
+    @given(_seed_programs())
+    @example("p(s(s(X))) :- p(X).\np(s(s(s(0)))).")
+    @example("p(t(g(X)),f(Y,Y)) :- p(X,Y).\np(t(g(t(g(0)))),f(f(0,0),f(0,0))).")
+    @example("p(s(s(X))) :- p(s(X)).\np(s(s(s(Y)))).")
+    @example("p(s(X),Z) :- p(X,Z).\np(0,f(0,0)).")
+    def test_random_recursive_base_pairs(self, text):
+        program = parse_program(text)
+        got = initial_rules(program)
+        assert got == reference_initial_rules(program)
+        assert [repr(r) for r in got] == [repr(r) for r in reference_initial_rules(program)]

@@ -1,18 +1,27 @@
 """Parser and bounded interpreter."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import term
+from conftest import (
+    calls_bounded,
+    derive_depth_first,
+    reference_parse,
+    reference_tokenize,
+    term,
+)
 from nonterm.program import (
     DerivationStatus,
     ParseError,
     Rule,
-    calls_bounded,
+    _line_col,
+    _tokenize,
     derive_bounded,
     parse_program,
     rewrite_step,
 )
-from nonterm.terms import EPSILON, VarSource, apply, match
+from nonterm.terms import EPSILON, App, Symbol, Var, VarSource, apply, match
 
 
 class TestParser:
@@ -66,6 +75,101 @@ class TestParser:
     def test_digit_constants(self):
         p = parse_program("p(0, 1).")
         assert p.rules[0].head == term("p(0,1)")
+
+
+# --- parser properties -------------------------------------------------------
+
+_SYMBOLS = [Symbol("p", 2), Symbol("q", 1), Symbol("s", 1), Symbol("nil", 0),
+            Symbol("0", 0), Symbol("12", 0), Symbol("aB_c", 3)]
+_VARS = [Var("X"), Var("Y1"), Var("_"), Var("_G"), Var("Zs")]
+
+
+def _terms():
+    leaves = st.sampled_from([*_VARS, *(App(f, ()) for f in _SYMBOLS if f.arity == 0)])
+
+    def extend(sub):
+        return st.sampled_from([f for f in _SYMBOLS if f.arity]).flatmap(
+            lambda f: st.tuples(*[sub] * f.arity).map(lambda args: App(f, args))
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+# Layout between clauses that the parser must skip.
+_GAPS = [" ", "\n", "\r\n", "\t", "\n\n", "% a comment\n", "\t% %query p(i).\r\n",
+         "%query: p\n", "%mode: q(i). trailing\n"]
+
+
+@st.composite
+def _programs(draw):
+    clauses = st.tuples(_terms(), st.lists(_terms(), max_size=3))
+    rules = [Rule(head, tuple(body)) for head, body in draw(st.lists(clauses, max_size=5))]
+    used = {f for r in rules for t in (r.head, *r.body) for f in _symbols_of(t)}
+    modes = [f for f in _SYMBOLS if f in used and f.arity]
+    queries = draw(st.lists(st.sampled_from(modes), max_size=2)) if modes else []
+    chunks = [f"%query: {f.name}({','.join('i' * f.arity)}).\n" for f in queries]
+    for rule in rules:
+        chunks.append(draw(st.sampled_from(_GAPS)))
+        chunks.append(repr(rule))
+    return rules, queries, "".join(chunks)
+
+
+def _symbols_of(t):
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, App):
+            yield u.symbol
+            stack.extend(u.args)
+
+
+# Fragments of programs, most of them broken when put together at random.
+_FRAGMENTS = ["p", "q", "s", "0", "42", "X", "_Y", "(", ")", ",", ".", ":-", ":", "-",
+              " ", "\t", "\n", "\r\n", "\r", "% note\n", "%", "%query: p(i).",
+              "%query: p(i,i).\n", "% mode : q ( i ) . \n", "%query: q(o).\n",
+              "%query: zz.\n", "%mode: p.\r\n", "@", "#", "\u00e9", "\x0b",
+              "p(X)", "q(s(X)) :- q(X).", "p(X,Y) :- ", "s(s(0))"]
+
+
+def _outcome(parse, text):
+    try:
+        program = parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "ok", program.rules, program.symbols, program.queries
+
+
+class TestParserProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_programs())
+    def test_rendered_programs_parse_back(self, drawn):
+        rules, queries, text = drawn
+        program = parse_program(text)
+        assert program.rules == tuple(rules)
+        assert [q.predicate for q in program.queries] == queries
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=25).map("".join))
+    @example("p(X) :- q(X),\n\t s(Y")
+    @example("p(X) :-")
+    @example("% only a comment")
+    @example("%query: p(i).\r\np(X, Y).\r\n")
+    @example("p(X).\n  q(X) \t @")
+    def test_errors_match_the_reference_tokenizer(self, text):
+        assert _outcome(parse_program, text) == _outcome(reference_parse, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=25).map("".join))
+    def test_tokens_match_the_reference_tokenizer(self, text):
+        def tokens(tokenize):
+            try:
+                return [tuple(t) for t in tokenize(text)]
+            except ParseError as exc:
+                return str(exc)
+
+        got = tokens(lambda t: ((k, s, *_line_col(t, o)) for k, s, o in _tokenize(t)))
+        want = tokens(lambda t: ((r.kind, r.text, r.line, r.col) for r in reference_tokenize(t)))
+        assert got == want
 
 
 class TestRewriteStep:
@@ -137,8 +241,8 @@ class TestDeriveBounded:
             ((term("while(s(s(0)),s(0))"),), True),
             ((term("gt(s(0),0)"),), False),
         ]:
-            a = derive_bounded(ex_program, q, 300, strategy="iterative-deepening")
-            b = derive_bounded(ex_program, q, 300, strategy="depth-first")
+            a = derive_bounded(ex_program, q, 300)
+            b = derive_depth_first(ex_program, q, 300)
             assert a.reached_bound == b.reached_bound == expect
 
     def test_rejects_nonpositive_bound(self, ex_program):

