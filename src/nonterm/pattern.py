@@ -2,11 +2,12 @@
 
 A pattern rule pairs two normalized power terms (see `powers`); its
 instance n is the binary rule obtained by expanding every power symbol at
-n.  `initial_rules` extracts the seed set from recursive/base rule pairs
-whose heads differ only by one ground context layer per argument: such a
-pair yields a family of rules covering every unrolling depth at once.  The
-paper writes those families as skeleton . sigma^n . mu; they are built as
-power terms directly, and no part of the prover sees that notation.
+n.  `initial_rules` extracts the seed set from recursive/base rule pairs:
+the recursive body matches the head by sigma and the base fact by mu, and
+when sigma wraps each variable in a ground context, such a pair yields a
+family of rules covering every unrolling depth at once.  The paper writes
+those families as skeleton . sigma^n . mu; they are built as power terms
+directly (`power_form`), and no part of the prover sees that notation.
 """
 
 from __future__ import annotations
@@ -19,15 +20,13 @@ from .binrules import BinaryRule, canonical_key
 from .powers import expand_at, least_shift, power_form, shift
 from .program import Program
 from .terms import (
-    App,
     EPSILON,
+    Subst,
     Term,
     Var,
     decompose_power,
-    hole,
-    hole_index,
     is_epsilon,
-    is_hole,
+    match,
     render,
     term_vars,
 )
@@ -66,67 +65,19 @@ class PatternRule:
         return f"{render(self.lhs)} => {render(self.rhs)}"
 
 
-def _context_of(t: Term) -> Optional[tuple[Term, tuple[Var, ...]]]:
-    """Strip the distinct variables of t into holes, left to right.
-
-    Returns (context, variable order) or None when some variable repeats;
-    the result context is variable-free by construction.
-    """
-    seen: list[Var] = []
-    # Post-order without recursion: (node, False) visits, (node, True)
-    # builds the node from the results its arguments left on `built`.
-    built: list[Term] = []
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        u, ready = stack.pop()
-        if ready:
-            n = len(u.args)
-            args = tuple(built[-n:])
-            del built[-n:]
-            built.append(App(u.symbol, args))
-        elif isinstance(u, Var):
-            if u in seen:
-                return None
-            seen.append(u)
-            built.append(hole(len(seen)))
-        elif u.ground or not u.args:
-            built.append(u)
-        else:
-            stack.append((u, True))
-            stack.extend((a, False) for a in reversed(u.args))
-    return built[0], tuple(seen)
-
-
-def _match_against_context(ctx: Term, t: Term, m: int) -> Optional[list[Term]]:
-    """If t equals ctx with its m holes filled, return the fillers in order."""
-    fillers: list[Optional[Term]] = [None] * m
-    stack = [(ctx, t)]
-    while stack:
-        c, u = stack.pop()
-        if is_hole(c):
-            fillers[hole_index(c) - 1] = u
-        elif isinstance(c, Var) or isinstance(u, Var):
-            return None
-        elif c.symbol == u.symbol:
-            stack.extend(zip(c.args, u.args))
-        else:
-            return None
-    if any(f is None for f in fillers):
-        return None
-    return fillers  # type: ignore[return-value]
-
-
 def initial_rules(program: Program) -> list[PatternRule]:
     """Seed pattern rules from recursive/base pairs of binary rules.
 
-    A recursive rule (c(c1(x1)..cm(xm)), c(x1..xm)) with ground 1-contexts
-    c_k and a base fact c(t1..tm) generate two correct families:
-      - c(c1^n(t1)..cm^n(tm)) => epsilon          (n unrollings, then the base)
-      - c(c1^(n+1)(x1)..cm^(n+1)(xm)) => c(x1..xm)  (the body left open)
+    A recursive rule (head, body) whose body has no repeated variable and
+    matches the head by sigma = {x1 -> c1(x1), .., xm -> cm(xm)}, with
+    ground 1-contexts c_k, and a base fact that the body matches by
+    mu = {x1 -> t1, .., xm -> tm} generate two correct families:
+      - body . sigma^n . mu => epsilon    (n unrollings, then the base)
+      - head . sigma^n => body            (the body left open)
     Each is built as a power term (`power_form`): with c_k = d^a for a
-    ground d of minimal period, c_k^n(t_k) is d^(a,b)(t) where t_k = d^b(t),
-    and c_k^(n+1)(x_k) is d^(a,a)(x_k).  Only same-root pairs can share the
-    outer context, so the scan is per predicate.
+    ground d of minimal period, x_k goes to d^(a,b)(t) where t_k = d^b(t),
+    in the head to d^(a,a)(x_k).  A variable sigma leaves alone keeps its
+    filler.
     """
     out: list[PatternRule] = []
     seen: set[tuple] = set()
@@ -134,30 +85,20 @@ def initial_rules(program: Program) -> list[PatternRule]:
     facts = [r for r in program.rules if not r.body]
     for rec in recursive:
         body = rec.body[0]
-        head = rec.head
-        if isinstance(body, Var) or isinstance(head, Var):
+        if isinstance(body, Var) or not _is_linear(body):
             continue
-        if body.symbol != head.symbol:
-            continue
-        split = _context_of(body)
-        if split is None:
-            continue
-        ctx, xs = split
-        m = len(xs)
-        wrapped = _match_against_context(ctx, head, m)
+        wrapped = match(body, rec.head)
         if wrapped is None:
             continue
-        moved = _wrap_powers(xs, wrapped)
+        moved = _wrap_powers(wrapped)
         if moved is None:
             continue
-        open_ = power_form(ctx, wrapped, moved)
+        open_ = power_form(body, wrapped, moved)
         for base in facts:
-            if not isinstance(base.head, App) or base.head.symbol != head.symbol:
-                continue
-            ts = _match_against_context(ctx, base.head, m)
+            ts = match(body, base.head)
             if ts is None:
                 continue
-            closing = power_form(ctx, ts, moved)
+            closing = power_form(body, ts, moved)
             for rule in (PatternRule(closing, EPSILON), PatternRule(open_, body)):
                 key = rule.key()
                 if key not in seen:
@@ -166,21 +107,31 @@ def initial_rules(program: Program) -> list[PatternRule]:
     return out
 
 
-def _wrap_powers(
-    xs: tuple[Var, ...], wrapped: list[Term]
-) -> Optional[list[Optional[tuple[Term, int]]]]:
-    """How each head argument wraps its variable: None for x itself, (d, a)
-    for d^a(x) with d a ground 1-context of minimal period.  None overall
-    when some argument wraps anything else."""
-    out: list[Optional[tuple[Term, int]]] = []
-    for x, s in zip(xs, wrapped):
-        if s == x:
-            out.append(None)
-        elif term_vars(s) == {x}:
-            d, a, _ = decompose_power(s, x)
-            out.append((d, a))
-        else:
+def _is_linear(t: Term) -> bool:
+    """Whether no variable occurs twice in t."""
+    seen: set[Var] = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            if u in seen:
+                return False
+            seen.add(u)
+        elif not u.ground:
+            stack.extend(u.args)
+    return True
+
+
+def _wrap_powers(wrapped: Subst) -> Optional[dict[Var, tuple[Term, int]]]:
+    """How the head wraps each variable the matcher moves: (d, a) for
+    d^a(x) with d a ground 1-context of minimal period.  None when some
+    variable is wrapped in anything else."""
+    out: dict[Var, tuple[Term, int]] = {}
+    for x, s in wrapped.items():
+        split = decompose_power(s, x)
+        if split is None:
             return None
+        out[x] = split
     return out
 
 

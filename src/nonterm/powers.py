@@ -10,19 +10,19 @@ layer directly above or below a power of the same context is absorbed into
 its offset, and powers with a = 0 are expanded away.
 
 Rule families are stored as normalized power terms.  The paper writes a
-family as skeleton . sigma^n . mu; the seeds are built as power terms
-directly (`power_form`), and that notation is left to the tests.
-Unification of families (`unify`, `pattern_mgu`) is syntactic unification
-of their power terms with one more rule: two powers of the same context and
-slope meet by peeling the smaller offset off both.  Any other pair of distinct power symbols
-clashes, which is known to be incomplete: a unifiable pair may still fail
-when the two sides factor the same tower through powers of different
-slopes, or through a power on one side and concrete layers on the other.
+family as skeleton . sigma^n . mu; a seed is built by applying to its
+skeleton a substitution that sends each variable sigma moves to one power
+(`power_form`), and that notation is left to the tests.  Families are
+unified (`pattern_mgu`) by `terms.unify`, the one unifier of the prover:
+two powers of the same context and slope meet by peeling the smaller
+offset off both.  Any other pair of distinct power symbols clashes, which
+is known to be incomplete: a unifiable pair may still fail when the two
+sides factor the same tower through powers of different slopes, or
+through a power on one side and concrete layers on the other.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
 
@@ -31,13 +31,13 @@ from .terms import (
     Subst,
     Term,
     Var,
-    _occurs_bound,
-    is_one_layer,
+    apply,
+    concrete_power,
     match_context,
-    plug,
     render,
     resolve,
     strip_power,
+    unify,
 )
 
 
@@ -45,8 +45,8 @@ from .terms import (
 class PowerSymbol:
     """Unary symbol for the tower family c^(a*n+b) over a ground 1-context.
 
-    To unification (`unify`), two symbols of equal context and slope meet
-    whatever their offsets; any other pair of distinct symbols clashes.
+    To unification (`terms.unify`), two symbols of equal context and slope
+    meet whatever their offsets; any other pair of distinct symbols clashes.
     `power_form` always factors contexts down to their minimal period,
     which makes that test as permissive as it can be without a search over
     alternative representatives.
@@ -77,18 +77,6 @@ class PowerSymbol:
 
 def is_power(t: Term) -> bool:
     return isinstance(t, App) and isinstance(t.symbol, PowerSymbol)
-
-
-def concrete_power(c: Term, k: int, inner: Term) -> Term:
-    """The tower c^k(inner), one copy of c plugged over the next."""
-    if is_one_layer(c):
-        sym, n = c.symbol, len(c.args)
-        for _ in range(k):
-            inner = App(sym, (inner,) * n)
-        return inner
-    for _ in range(k):
-        inner = plug(c, [inner])
-    return inner
 
 
 def _map_powers(t: Term, on_power: Callable[[PowerSymbol, Term], Term]) -> Term:
@@ -237,24 +225,20 @@ def is_simple(t: Term) -> bool:
     return all(not v.args[0].powered for v in _power_nodes(t))
 
 
-def power_form(
-    ctx: Term, fillers: Sequence[Term], moved: Sequence[Optional[tuple[Term, int]]]
-) -> Term:
-    """The canonical power term of a seed family: ctx with hole #k filled.
+def power_form(t: Term, fillers: Subst, moved: Mapping[Var, tuple[Term, int]]) -> Term:
+    """The canonical power term of a seed family: t under `fillers`, with
+    every moved variable raised to a power.
 
-    `moved[k-1]` is None when the family's index leaves hole #k alone; the
-    hole then gets its filler as is.  Otherwise it is (c, a), the hole's
+    `moved` maps each variable the family's index drives to (c, a), the
     variable being driven by the ground 1-context c^a, with c of minimal
-    period; the filler then splits as c^b(t) with t not c-headed, and the
-    hole gets c^(a,b)(t).
+    period; its filler then splits as c^b(u) with u not c-headed, and the
+    variable gets c^(a,b)(u).  Any other variable gets its filler as is.
     """
-    args = list(fillers)
-    for k, split in enumerate(moved):
-        if split is not None:
-            c, a = split
-            b, rest = strip_power(args[k], c)
-            args[k] = App(PowerSymbol(c, a, b), (rest,))
-    return normalize(plug(ctx, args))
+    theta = dict(fillers.items())
+    for x, (c, a) in moved.items():
+        b, rest = strip_power(fillers.lookup(x), c)
+        theta[x] = App(PowerSymbol(c, a, b), (rest,))
+    return normalize(apply(t, Subst(theta)))
 
 
 def pattern_form(theta: Subst) -> Optional[Subst]:
@@ -276,66 +260,12 @@ def pattern_form(theta: Subst) -> Optional[Subst]:
     return Subst(out)
 
 
-def same_slope(p, q) -> bool:
-    """Whether symbols p and q are powers of one context and slope, which
-    `unify` meets whatever their offsets."""
-    return p.is_power and q.is_power and p.a == q.a and p.context == q.context
-
-
-def unify(
-    bindings: Mapping[Var, Term], pairs: Iterable[tuple[Term, Term]]
-) -> Optional[dict[Var, Term]]:
-    """`terms.unify` over power terms, with one more rule for powers.
-
-    c^(a,b)(u) and c^(a,b')(v) with b <= b' expand at n to c^(a*n+b)(u)
-    and c^(a*n+b)(c^(b'-b)(v)); plugging a ground 1-context is injective,
-    so they unify exactly when u and c^(b'-b)(v) do.  Read c^(a,b)(u) as a
-    symbol of its own over the tower c^b(u), and this is syntactic
-    unification, so the rule is sound and complete and the result does not
-    depend on the order of the equations.  Any other two distinct symbols
-    clash, power or not.  Bindings are triangular, as in `terms.unify`;
-    `bindings` itself is never changed.
-    """
-    out = dict(bindings)
-    eqs = deque(pairs)
-    while eqs:
-        x, y = eqs.popleft()
-        while isinstance(x, Var) and x in out:
-            x = out[x]
-        while isinstance(y, Var) and y in out:
-            y = out[y]
-        if x is y or x == y:
-            continue
-        if isinstance(x, Var):
-            if isinstance(y, App) and not y.ground and _occurs_bound(x, y, out):
-                return None
-            out[x] = y
-        elif isinstance(y, Var):
-            if not x.ground and _occurs_bound(y, x, out):
-                return None
-            out[y] = x
-        elif x.symbol != y.symbol:
-            p, q = x.symbol, y.symbol
-            if not same_slope(p, q):
-                return None
-            # Peel the smaller offset off both sides; each keeps its side.
-            if p.b <= q.b:
-                eqs.append((x.args[0], concrete_power(p.context, q.b - p.b, y.args[0])))
-            else:
-                eqs.append((concrete_power(p.context, p.b - q.b, x.args[0]), y.args[0]))
-        elif x.ground and y.ground and not (x.powered or y.powered):
-            return None
-        else:
-            eqs.extend(zip(x.args, y.args))
-    return out
-
-
 def pattern_mgu(
     left: Sequence[Term],
     right: Sequence[Term],
     bindings: Optional[Mapping[Var, Term]] = None,
 ) -> Optional[Subst]:
-    """Most general unifier of two sequences of power terms (`unify`).
+    """Most general unifier of two sequences of power terms (`terms.unify`).
 
     With `bindings`, a triangular binding map of equations already solved,
     the unifier extends it.  Fails (None) when the terms clash or some

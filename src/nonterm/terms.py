@@ -5,6 +5,12 @@ immutable and hashable.  Derivations produce very deep terms (number towers
 like ``s(s(...s(0)))``), so the hot operations -- equality, substitution
 application, unification, variable collection -- are iterative and
 short-circuit on ground subterms instead of recursing node by node.
+
+A symbol may also be a power symbol (`powers.PowerSymbol`), a tower of a
+ground context whose height grows with an index.  One unifier serves both
+kinds of term: `unify` treats a power symbol like any other symbol, except
+that two powers of one context and slope meet by peeling the smaller
+offset off both.
 """
 
 from __future__ import annotations
@@ -273,6 +279,14 @@ def unify(
     in the tests).  Returns an extended copy, or None
     when some pair clashes or fails the occurs check; `bindings` itself is
     never changed.
+
+    Power terms (`powers`) take one more rule: c^(a,b)(u) and c^(a,b')(v)
+    with b <= b' expand at n to c^(a*n+b)(u) and c^(a*n+b)(c^(b'-b)(v));
+    plugging a ground 1-context is injective, so they unify exactly when u
+    and c^(b'-b)(v) do.  Read c^(a,b)(u) as a symbol of its own over the
+    tower c^b(u), and this is still syntactic unification, so the rule is
+    sound and complete and the result does not depend on the order of the
+    equations.  Any other two distinct symbols clash, power or not.
     """
     b = dict(bindings)
     eqs = deque(pairs)
@@ -292,7 +306,16 @@ def unify(
             if not x.ground and _occurs_bound(y, x, b):
                 return None
             b[y] = x
-        elif x.symbol != y.symbol or (x.ground and y.ground):
+        elif x.symbol != y.symbol:
+            p, q = x.symbol, y.symbol
+            if not same_slope(p, q):
+                return None
+            # Peel the smaller offset off both sides; each keeps its side.
+            if p.b <= q.b:
+                eqs.append((x.args[0], concrete_power(p.context, q.b - p.b, y.args[0])))
+            else:
+                eqs.append((concrete_power(p.context, p.b - q.b, x.args[0]), y.args[0]))
+        elif x.ground and y.ground and not (x.powered or y.powered):
             return None
         else:
             eqs.extend(zip(x.args, y.args))
@@ -536,6 +559,24 @@ def match_context(c: Term, t: Term) -> Optional[Term]:
     return filler
 
 
+def concrete_power(c: Term, k: int, inner: Term) -> Term:
+    """The tower c^k(inner), one copy of c plugged over the next."""
+    if is_one_layer(c):
+        sym, n = c.symbol, len(c.args)
+        for _ in range(k):
+            inner = App(sym, (inner,) * n)
+        return inner
+    for _ in range(k):
+        inner = plug(c, [inner])
+    return inner
+
+
+def same_slope(p, q) -> bool:
+    """Whether symbols p and q are powers of one context and slope, which
+    `unify` meets whatever their offsets."""
+    return p.is_power and q.is_power and p.a == q.a and p.context == q.context
+
+
 def strip_power(t: Term, c: Term) -> tuple[int, Term]:
     """Maximal k and rest with t = c^k(rest); rest is not of the form c(u)."""
     k = 0
@@ -613,26 +654,23 @@ def primitive_context(c: Term) -> tuple[Term, int]:
     return c, 1
 
 
-def decompose_power(t: Term, var: Var) -> Optional[tuple[Optional[Term], int, Term]]:
+def decompose_power(t: Term, var: Var) -> Optional[tuple[Term, int]]:
     """Split t as c^a(var) with c a ground, minimal-period 1-context.
 
     Every occurrence of var must sit at a hole position of c^a; this
-    recognizes bindings of the form x -> c^a(x).  Returns (None, 0, t) when
-    t is var itself, and None when no ground decomposition exists (e.g. the
-    would-be context contains another variable).
+    recognizes a binding x -> c^a(x) that moves x.  Returns (c, a), or
+    None when no ground decomposition exists (e.g. the would-be context
+    contains another variable).
     """
-    if t == var:
-        return None, 0, t
     if isinstance(t, App) and var in t.args and all(a == var or a.ground for a in t.args):
         # One layer over var: its own primitive root, no search needed.
-        return App(t.symbol, tuple(_HOLE1 if a == var else a for a in t.args)), 1, var
+        return App(t.symbol, tuple(_HOLE1 if a == var else a for a in t.args)), 1
     if var not in term_vars(t):
         return None
     skel = _subst_dict(t, {var: _HOLE1})
     if term_vars(skel):
         return None
-    c, a = primitive_context(skel)
-    return c, a, var
+    return primitive_context(skel)
 
 
 def render(t: Term) -> str:

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional, TextIO
 
 from .binrules import canonical_key
 from .pattern import PatternRule, rule_base
-from .powers import is_simple, normalize, pattern_mgu, same_slope, unify
+from .powers import is_simple, normalize, pattern_mgu
 from .program import Program, Rule
 from .terms import (
     App,
@@ -29,7 +29,9 @@ from .terms import (
     Var,
     apply,
     fresh_renaming,
+    same_slope,
     strip_power,
+    unify,
     VarSource,
 )
 
@@ -191,7 +193,7 @@ def rename_pattern_rule(rule: PatternRule, ren: Subst) -> PatternRule:
 def _clashes(a: Term, b: Term) -> bool:
     """True when a and b carry different symbols at a position where
     neither has a variable, and those are not two powers of one context
-    and slope.  Such a pair never unifies (`powers.unify`), whatever other
+    and slope.  Such a pair never unifies (`terms.unify`), whatever other
     equations join it.  Two powers that differ only in offset are not
     looked into."""
     stack = [(a, b)]

@@ -18,14 +18,8 @@ from typing import Iterator, Mapping, NamedTuple, Optional
 
 from nonterm.binrules import BinaryRuleSet, saturate
 from nonterm import program as program_module
-from nonterm.pattern import PatternRule, _context_of, _match_against_context
-from nonterm.powers import (
-    PowerSymbol,
-    concrete_power,
-    expand_at,
-    is_power,
-    normalize,
-)
+from nonterm.pattern import PatternRule
+from nonterm.powers import PowerSymbol, expand_at, is_power, normalize
 from nonterm.program import (
     DerivationStatus,
     ParseError,
@@ -48,8 +42,10 @@ from nonterm.terms import (
     _replace_subterm,
     _subst_dict,
     compose,
+    concrete_power,
     decompose_power,
     hole,
+    match,
     match_context,
     plug,
     primitive_context,
@@ -197,11 +193,7 @@ def sigma_powers(sigma: Subst) -> dict[Var, Optional[tuple[Term, int]]]:
     """Each variable sigma moves, split as sigma(x) = c^a(x) with c a
     ground 1-context of minimal period: x -> (c, a), or x -> None when its
     binding has another shape."""
-    out: dict[Var, Optional[tuple[Term, int]]] = {}
-    for x, sx in sigma.items():
-        split = decompose_power(sx, x)
-        out[x] = None if split is None else (split[0], split[1])
-    return out
+    return {x: decompose_power(sx, x) for x, sx in sigma.items()}
 
 
 def reference_power_form(
@@ -320,7 +312,9 @@ def _reference_occurs(v: Var, t: Term) -> bool:
 def reference_mgu(left, right) -> Optional[Subst]:
     """Martelli-Montanari with an eager solved form: every new binding is
     substituted into every earlier one, and each equation is fully
-    substituted before it is looked at."""
+    substituted before it is looked at.  Two powers of one context and
+    slope meet by offset: c^(a,b)(u) against c^(a,b+d)(v) gives u against
+    the tower c^d(v)."""
     if isinstance(left, tuple) != isinstance(right, tuple):
         left, right = (
             left if isinstance(left, tuple) else (left,),
@@ -357,7 +351,13 @@ def reference_mgu(left, right) -> Optional[Subst]:
         elif a.symbol == b.symbol:
             eqs.extend(zip(a.args, b.args))
         else:
-            return None
+            p, q = a.symbol, b.symbol
+            if not (is_power(a) and is_power(b) and (p.context, p.a) == (q.context, q.a)):
+                return None
+            if p.b <= q.b:
+                eqs.append((a.args[0], reference_concrete_power(p.context, q.b - p.b, b.args[0])))
+            else:
+                eqs.append((reference_concrete_power(p.context, p.b - q.b, a.args[0]), b.args[0]))
     return Subst(sol)
 
 
@@ -451,8 +451,9 @@ def reference_normalize(t: Term) -> Term:
 def reference_initial_rules(program: Program) -> list[PatternRule]:
     """`initial_rules` through the paper's notation: each recursive/base
     pair gives the triples (body, sigma, mu) => epsilon and (head, sigma,
-    empty) => body, with sigma = {x_k -> c_k(x_k)} and mu = {x_k -> t_k},
-    converted by `reference_power_form`."""
+    empty) => body, with sigma the matcher of the body onto the head and
+    mu the matcher of the body onto the fact, converted by
+    `reference_power_form`.  A body with a repeated variable gives no seed."""
     out: list[PatternRule] = []
     seen: set[tuple] = set()
     facts = [r for r in program.rules if not r.body]
@@ -460,33 +461,33 @@ def reference_initial_rules(program: Program) -> list[PatternRule]:
         if len(rec.body) != 1:
             continue
         body, head = rec.body[0], rec.head
-        if isinstance(body, Var) or isinstance(head, Var) or body.symbol != head.symbol:
+        occurrences = _var_occurrences(body)
+        if len(occurrences) != len(set(occurrences)):
             continue
-        split = _context_of(body)
-        if split is None:
+        sigma = match(body, head)
+        if sigma is None:
             continue
-        ctx, xs = split
-        wrapped = _match_against_context(ctx, head, len(xs))
-        if wrapped is None:
-            continue
-        if any(s != x and term_vars(s) != {x} for x, s in zip(xs, wrapped)):
-            continue
-        sigma = Subst({x: s for x, s in zip(xs, wrapped) if s != x})
         moved = sigma_powers(sigma)
+        if None in moved.values():
+            continue
         open_ = reference_power_form(head, sigma, Subst(), moved)
         for base in facts:
-            if not isinstance(base.head, App) or base.head.symbol != head.symbol:
+            mu = match(body, base.head)
+            if mu is None:
                 continue
-            ts = _match_against_context(ctx, base.head, len(xs))
-            if ts is None:
-                continue
-            mu = Subst({x: t for x, t in zip(xs, ts) if t != x})
             closing = reference_power_form(body, sigma, mu, moved)
             for rule in (PatternRule(closing, EPSILON), PatternRule(open_, body)):
                 if rule.key() not in seen:
                     seen.add(rule.key())
                     out.append(rule)
     return out
+
+
+def _var_occurrences(t: Term) -> list[Var]:
+    """Every variable occurrence of t, repeats included."""
+    if isinstance(t, Var):
+        return [t]
+    return [v for a in t.args for v in _var_occurrences(a)]
 
 
 def reference_match_context(c: Term, t: Term) -> Optional[Term]:
@@ -600,6 +601,19 @@ G = Symbol("g", 1)
 ZERO = App(Symbol("0", 0), ())
 NIL = App(Symbol("nil", 0), ())
 VARS = [Var(n) for n in ("X", "Y", "Z", "W")]
+
+
+# Parts of random recursive programs p(..L(W(X))..) :- p(..L(X)..).
+# Head wraps W of a body variable: unmoved, slope 1 and 2, a two-layer
+# context, non-linear and one-layer contexts with ground arguments.
+SEED_WRAPS = ["{x}", "s({x})", "s(s({x}))", "t(g({x}))", "f({x},{x})", "f({x},0)", "f(0,s({x}))",
+              "g(s(g(s({x}))))"]
+# A context layer L above the variable in the body, which `normalize`
+# absorbs when it is the power's own context.
+SEED_LAYERS = ["{x}", "{x}", "s({x})", "g({x})"]
+# Base fact arguments: deeper towers of every wrap, and other terms.
+SEED_FILLERS = ["0", "Y", "s(s(s(0)))", "t(g(t(g(0))))", "f(f(0,0),f(0,0))", "f(f(Y,0),0)",
+                "f(0,s(f(0,s(0))))", "g(s(g(s(g(s(0))))))", "s(g(0))", "t(0)"]
 
 
 def random_term(rng: random.Random, max_depth: int = 3, vars=VARS) -> Term:

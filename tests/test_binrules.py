@@ -14,9 +14,19 @@ from nonterm.binrules import (
     saturate,
     step,
 )
-from nonterm.powers import concrete_power
 from nonterm.program import parse_program
-from nonterm.terms import EPSILON, App, Subst, Var, apply, hole, match, plug, term_vars
+from nonterm.terms import (
+    EPSILON,
+    App,
+    Subst,
+    Var,
+    apply,
+    concrete_power,
+    hole,
+    match,
+    plug,
+    term_vars,
+)
 
 from conftest import random_ground_term
 

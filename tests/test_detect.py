@@ -3,7 +3,21 @@
 import random
 from fractions import Fraction
 
-from conftest import WHILE_GT_ADD, Family, context_power, fam, random_context, subst, term
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    SEED_FILLERS,
+    SEED_LAYERS,
+    SEED_WRAPS,
+    WHILE_GT_ADD,
+    Family,
+    context_power,
+    fam,
+    random_context,
+    subst,
+    term,
+)
 from nonterm.detect import (
     GROUND_ONLY,
     MIXED,
@@ -239,6 +253,41 @@ class TestProve:
         assert p.queries[0].predicate.name == "gt"
         out = prove(p, p.queries[0], UnfoldBudget(max_iterations=3))
         assert not out.proven
+
+
+@st.composite
+def _recursive_programs(draw):
+    """p(..L(W(X))..) :- p(..L(X)..), or the same with head and body
+    swapped so that the recursion shrinks, sometimes behind the guard
+    q(X0) that counts X0 down to 0, and a few facts."""
+    xs = [f"X{i}" for i in range(draw(st.integers(1, 3)))]
+    layers = [draw(st.sampled_from(SEED_LAYERS)) for _ in xs]
+    wraps = [draw(st.sampled_from(SEED_WRAPS)) for _ in xs]
+    grown = ",".join(lay.format(x=w.format(x=x)) for lay, w, x in zip(layers, wraps, xs))
+    plain = ",".join(lay.format(x=x) for lay, x in zip(layers, xs))
+    head, body = (grown, plain) if draw(st.booleans()) else (plain, grown)
+    guard = "q(X0), " if draw(st.booleans()) else ""
+    lines = [
+        f"%query: p({','.join('i' for _ in xs)}).",
+        f"p({head}) :- {guard}p({body}).",
+        "q(0).",
+        "q(s(X)) :- q(X).",
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(f"p({','.join(draw(st.sampled_from(SEED_FILLERS)) for _ in xs)}).")
+    return "\n".join(lines)
+
+
+class TestWitnessesRun:
+    @settings(max_examples=200, deadline=None)
+    @given(_recursive_programs())
+    @example("%query: p(i).\np(X0) :- p(s(X0)).\nq(0).\nq(s(X)) :- q(X).")
+    @example("%query: p(i,i).\np(X0,X1) :- q(X0), p(X0,s(X1)).\nq(0).\nq(s(X)) :- q(X).")
+    def test_proven_witness_survives_the_interpreter(self, text):
+        program = parse_program(text)
+        out = prove(program, program.queries[0], UnfoldBudget(max_iterations=5))
+        if out.proven:
+            assert derive_bounded(program, (out.witness.term,), 200).reached_bound
 
 
 class TestGeneralShapeOnRunningExample:

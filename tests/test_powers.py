@@ -26,7 +26,6 @@ from conftest import (
     subst_at,
     term,
 )
-from nonterm import terms
 from nonterm.powers import (
     PowerSymbol,
     expand_at,
@@ -35,7 +34,6 @@ from nonterm.powers import (
     pattern_form,
     pattern_mgu,
     shift,
-    unify,
 )
 from nonterm.terms import (
     App,
@@ -49,6 +47,7 @@ from nonterm.terms import (
     plug,
     resolve,
     term_vars,
+    unify,
 )
 
 S1 = App(Symbol("s", 1), (hole(1),))  # s(#1)
@@ -359,11 +358,6 @@ class TestPowerUnify:
 
     def test_ground_spellings_of_one_tower_unify(self):
         assert unify({}, [(pw(S1, 1, 1, term("0")), pw(S1, 1, 0, term("s(0)")))]) == {}
-
-    def test_plain_unifier_keeps_powers_opaque(self):
-        pair = [(pw(S1, 1, 1, X), pw(S1, 1, 3, Y))]
-        assert terms.unify({}, pair) is None
-        assert unify({}, pair) is not None
 
     def test_bindings_are_walked(self):
         # X is bound to a power first; the second equation meets it there.

@@ -34,3 +34,11 @@ def test_unfold_binds_pattern_mgu_by_name():
     from nonterm import powers, unfold
 
     assert unfold.pattern_mgu is powers.pattern_mgu
+
+
+def test_one_unifier_for_plain_and_power_terms():
+    # A forked copy of the unifier would escape whatever patches
+    # `unfold.unify` (the deadline test, a tracer layer).
+    from nonterm import powers, terms, unfold
+
+    assert unfold.unify is powers.unify is terms.unify

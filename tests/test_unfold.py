@@ -33,7 +33,6 @@ from nonterm.detect import prove
 from nonterm.pattern import PatternRule, initial_rules, pattern_rule_key, rule_base
 from nonterm.powers import (
     PowerSymbol,
-    concrete_power,
     expand_at,
     is_simple,
     normalize,
@@ -49,6 +48,7 @@ from nonterm.terms import (
     Var,
     VarSource,
     apply,
+    concrete_power,
     fresh_renaming,
     hole,
     match,
