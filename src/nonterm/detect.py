@@ -20,7 +20,7 @@ from typing import Optional
 
 from .pattern import PatternRule, initial_rules
 from .powers import expand_at, is_power, strip_power
-from .program import Program, QueryMode, derive_bounded
+from .program import Program, QueryMode, cone, derive_bounded
 from .terms import (
     App,
     Subst,
@@ -328,19 +328,31 @@ def prove(
 ) -> ProofOutcome:
     """Search for a ground query on the given predicate that runs forever.
 
-    Seeds the unfolding with the program's initial rule families and stops
+    Seeds the unfolding with the initial rule families of the predicate's
+    `cone` and saturates them toward it (`saturate` with a goal), stopping
     at the first stored rule that pumps itself on the queried predicate.
-    Every claim is re-checked: the instance embedding must hold at the
-    reported index, and optionally a bounded interpreter run must keep the
-    witness alive for validate_steps steps.
+    Rules outside the cone only derive families of predicates outside it,
+    which no rule of the cone ever selects, so the cut changes no verdict.
+    Witnesses are grounded, and validated, over the whole program.  Every
+    claim is re-checked: the instance embedding must hold at the reported
+    index, and optionally a bounded interpreter run must keep the witness
+    alive for validate_steps steps.
     """
     t0 = time.monotonic()
-    base = initial_rules(program)
+    goal = query.predicate
+    reach = cone(program, goal)
+    if trace:
+        kept = reach.head_symbols()
+        trace.write(
+            f"goal: {goal.name}/{goal.arity}; cone: {', '.join(sym.name for sym in kept)} "
+            f"({len(kept)} of {len(program.head_symbols())} predicates)\n"
+        )
+    base = initial_rules(reach)
     found: list[Witness] = []
     constant = ground_constant(program)
 
     def on_rule(rule: PatternRule) -> bool:
-        if not isinstance(rule.lhs, App) or rule.lhs.symbol != query.predicate:
+        if not isinstance(rule.lhs, App) or rule.lhs.symbol != goal:
             return False
         data = match_pumping(rule)
         if data is None:
@@ -351,7 +363,7 @@ def prove(
         found.append(w)
         return True
 
-    _, stats = saturate(program, base, budget, on_rule=on_rule, trace=trace)
+    _, stats = saturate(reach, base, budget, on_rule=on_rule, trace=trace, goal=goal)
     elapsed = (time.monotonic() - t0) * 1000.0
     if not found:
         return ProofOutcome("unknown", None, stats.generated, elapsed, reason=stats.stop)

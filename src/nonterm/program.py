@@ -75,6 +75,39 @@ class Program:
         return tuple(seen)
 
 
+def _head_symbol(rule: Rule) -> Optional[Symbol]:
+    """The predicate a rule defines, or None for a variable head."""
+    return rule.head.symbol if isinstance(rule.head, App) else None
+
+
+def cone(program: Program, predicate: Symbol) -> Program:
+    """The program cut to the rules a call to `predicate` can reach.
+
+    A predicate is in the cone when it is `predicate`, or the root of a
+    body atom of a rule in the cone.  A rule with a variable head may
+    answer any call, so it is always kept, and its body predicates are
+    reachable from every predicate; a variable body atom may call anything,
+    so it keeps every rule.  `symbols` and `queries` stay as they are.
+    """
+    by_head: dict[Optional[Symbol], list[Rule]] = {}
+    for rule in program.rules:
+        by_head.setdefault(_head_symbol(rule), []).append(rule)
+    reached: set[Optional[Symbol]] = {predicate, None}
+    pending = [predicate, None]
+    while pending:
+        for rule in by_head.get(pending.pop(), ()):
+            for atom in rule.body:
+                if isinstance(atom, Var):
+                    return program
+                if atom.symbol not in reached:
+                    reached.add(atom.symbol)
+                    pending.append(atom.symbol)
+    kept = tuple(r for r in program.rules if _head_symbol(r) in reached)
+    if len(kept) == len(program.rules):
+        return program
+    return Program(program.name, kept, program.symbols, program.queries)
+
+
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")

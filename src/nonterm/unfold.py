@@ -25,6 +25,7 @@ from .program import Program, Rule
 from .terms import (
     App,
     Subst,
+    Symbol,
     Term,
     Var,
     apply,
@@ -169,7 +170,9 @@ class UnfoldBudget:
 
 @dataclass
 class UnfoldStats:
-    generated: int = 0  # distinct unfolded rules, seed set excluded
+    # Distinct unfolded rules stored, seed set excluded; with a goal, only
+    # rules with epsilon or an instance of a goal atom on the right.
+    generated: int = 0
     subsumed: int = 0  # rules not stored: a stored one covers them (shift or instance)
     iterations: int = 0
     elapsed_ms: float = 0.0
@@ -178,11 +181,24 @@ class UnfoldStats:
 
 def identity_pattern_rules(program: Program) -> list[PatternRule]:
     """One constant-family identity rule per program symbol."""
-    out = []
-    for sym in program.symbols:
-        t = App(sym, tuple(Var(f"X{i + 1}") for i in range(sym.arity)))
-        out.append(PatternRule(t, t))
-    return out
+    return [_identity(sym) for sym in program.symbols]
+
+
+def _identity(sym: Symbol) -> PatternRule:
+    t = App(sym, tuple(Var(f"X{i + 1}") for i in range(sym.arity)))
+    return PatternRule(t, t)
+
+
+def _toward(goal: Symbol, rule: PatternRule) -> bool:
+    """Whether the rule's right side is epsilon or an atom of goal.
+
+    A derived rule's right side is its last pick's under theta, normalized,
+    and a closing pick's is epsilon.  So a rule that fails this only ever
+    leads to rules whose right side is an instance of another predicate's
+    atom, and none of them pumps on goal.
+    """
+    rhs = rule.rhs
+    return rule.rhs_is_epsilon() or (isinstance(rhs, App) and rhs.symbol == goal)
 
 
 def rename_pattern_rule(rule: PatternRule, ren: Subst) -> PatternRule:
@@ -364,6 +380,7 @@ def saturate(
     budget: UnfoldBudget = UnfoldBudget(),
     on_rule: Optional[Callable[[PatternRule], bool]] = None,
     trace: Optional[TextIO] = None,
+    goal: Optional[Symbol] = None,
 ) -> tuple[PatternRuleSet, UnfoldStats]:
     """Iterate the unfolding step to a fixpoint or until the budget trips.
 
@@ -372,13 +389,21 @@ def saturate(
     on the first rule that witnesses non-termination.  Stats report the
     number of generated rules and the stop reason; exhausting the budget is
     a normal outcome, not an error.
+
+    With a goal predicate, only the rules that may lead to one pumping on
+    it are kept: a base rule is stored only when its right side is epsilon
+    or a goal atom (`_toward`), and the goal's is the only identity
+    offered.  Every derived rule then has epsilon or an instance of a goal
+    atom on the right.  They are exactly the rules of that kind that a run
+    without a goal stores, in the same rounds and order; the fixpoint,
+    `generated` and `max_rules` refer to them alone.
     """
     t0 = time.monotonic()
     deadline = t0 + budget.wall_clock
     stored = PatternRuleSet()
     stats = UnfoldStats()
     source = VarSource()
-    patid = identity_pattern_rules(program)
+    patid = identity_pattern_rules(program) if goal is None else [_identity(goal)]
     lists = _SlotLists(program, patid)
 
     def finish(reason: str) -> tuple[PatternRuleSet, UnfoldStats]:
@@ -393,6 +418,8 @@ def saturate(
             trace.write(f"subsumed: {rule}  ({how} of {by})\n")
 
     for rule in base:
+        if goal is not None and not _toward(goal, rule):
+            continue
         if stored.add(rule, subsumed):
             if trace:
                 trace.write(f"seed: {rule}\n")

@@ -13,6 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import strategies as st
 
 from typing import Iterator, Mapping, NamedTuple, Optional
 
@@ -614,6 +615,29 @@ SEED_LAYERS = ["{x}", "{x}", "s({x})", "g({x})"]
 # Base fact arguments: deeper towers of every wrap, and other terms.
 SEED_FILLERS = ["0", "Y", "s(s(s(0)))", "t(g(t(g(0))))", "f(f(0,0),f(0,0))", "f(f(Y,0),0)",
                 "f(0,s(f(0,s(0))))", "g(s(g(s(g(s(0))))))", "s(g(0))", "t(0)"]
+
+
+@st.composite
+def recursive_programs(draw):
+    """p(..L(W(X))..) :- p(..L(X)..), or the same with head and body
+    swapped so that the recursion shrinks, sometimes behind the guard
+    q(X0) that counts X0 down to 0, and a few facts."""
+    xs = [f"X{i}" for i in range(draw(st.integers(1, 3)))]
+    layers = [draw(st.sampled_from(SEED_LAYERS)) for _ in xs]
+    wraps = [draw(st.sampled_from(SEED_WRAPS)) for _ in xs]
+    grown = ",".join(lay.format(x=w.format(x=x)) for lay, w, x in zip(layers, wraps, xs))
+    plain = ",".join(lay.format(x=x) for lay, x in zip(layers, xs))
+    head, body = (grown, plain) if draw(st.booleans()) else (plain, grown)
+    guard = "q(X0), " if draw(st.booleans()) else ""
+    lines = [
+        f"%query: p({','.join('i' for _ in xs)}).",
+        f"p({head}) :- {guard}p({body}).",
+        "q(0).",
+        "q(s(X)) :- q(X).",
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(f"p({','.join(draw(st.sampled_from(SEED_FILLERS)) for _ in xs)}).")
+    return "\n".join(lines)
 
 
 def random_term(rng: random.Random, max_depth: int = 3, vars=VARS) -> Term:

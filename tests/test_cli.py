@@ -215,10 +215,24 @@ class TestRun:
         assert code == 0
         assert json.loads(out)[0]["validated"] is True
 
-    def test_timeout_status(self):
+    def test_columns_count_the_whole_file(self, tmp_path):
+        # h and k are outside f's cone; the rules and relations still count them.
+        src = tmp_path / "cut.pl"
+        src.write_text("%query: f(i).\nf(X) :- f(s(X)).\nh(X) :- f(X).\nk(0).\nk(s(X)) :- k(X).\n")
+        code, out, _ = run_cli(src, as_json=True)
+        assert code == 0
+        row = json.loads(out)[0]
+        assert (row["rules"], row["relations"], row["status"]) == (4, 3, "Proven")
+        assert row["witness"] == "f(0)"
+
+    def test_timeout_status(self, tmp_path):
         # An unprovable saturation under a tiny wall clock reports a timeout.
+        # The len control stores a new family every round, so only the
+        # clock can stop it.
+        src = tmp_path / "len.pl"
+        src.write_text("%query: len(i,i).\nlen(nil,0).\nlen(cons(X,L),s(N)) :- len(L,N).\n")
         code, out, _ = run_cli(
-            PROGRAMS_DIR / "islist-grow.pl",
+            src,
             timeout=0.001,
             max_iterations=10_000,
             as_json=True,
@@ -276,8 +290,21 @@ class TestMain:
         assert exc.value.code == 2
         assert "--timeout must be positive" in capsys.readouterr().err
 
-    def test_trace_goes_to_stderr(self, capsys):
+    def test_trace_goes_to_stderr(self, capsys, tmp_path):
         code = main([str(PROGRAMS_DIR / "grow.pl"), "--trace"])
         captured = capsys.readouterr()
         assert code == 0
+        assert captured.err.splitlines()[0] == "goal: f/1; cone: f (1 of 1 predicates)"
         assert "seed:" in captured.err or "round" in captured.err
+        # mul calls add, but the loop never calls mul: it is left out.
+        src = tmp_path / "loop.pl"
+        src.write_text(
+            "%query: while(i,i).\n"
+            "while(X, Y) :- gt(X, Y), add(X, Y, Z), while(Z, s(Y)).\n"
+            "gt(s(X), 0).\ngt(s(X), s(Y)) :- gt(X, Y).\n"
+            "add(X, 0, X).\nadd(X, s(Y), s(Z)) :- add(X, Y, Z).\n"
+            "mul(X, 0, 0).\nmul(X, s(Y), Z) :- mul(X, Y, W), add(W, X, Z).\n"
+        )
+        assert main([str(src), "--trace"]) == 0
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first == "goal: while/2; cone: while, gt, add (3 of 4 predicates)"

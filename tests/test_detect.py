@@ -4,17 +4,14 @@ import random
 from fractions import Fraction
 
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from conftest import (
-    SEED_FILLERS,
-    SEED_LAYERS,
-    SEED_WRAPS,
     WHILE_GT_ADD,
     Family,
     context_power,
     fam,
     random_context,
+    recursive_programs,
     subst,
     term,
 )
@@ -246,6 +243,13 @@ class TestProve:
         out = prove(p, p.queries[0], UnfoldBudget(max_iterations=6))
         assert not out.proven
 
+    def test_witness_constant_from_a_rule_outside_the_cone(self):
+        # g is outside f's cone, but its constant still grounds f's witness.
+        p = parse_program("%query: f(i).\nf(X) :- f(s(X)).\ng(0).")
+        out = prove(p, p.queries[0], UnfoldBudget(max_iterations=3))
+        assert out.proven
+        assert str(out.witness) == "f(0)"
+
     def test_query_filter_restricts_predicate(self):
         # asking about gt must not return the while witness
         src = WHILE_GT_ADD.replace("%query: while(i,i).", "%query: gt(i,i).")
@@ -255,32 +259,9 @@ class TestProve:
         assert not out.proven
 
 
-@st.composite
-def _recursive_programs(draw):
-    """p(..L(W(X))..) :- p(..L(X)..), or the same with head and body
-    swapped so that the recursion shrinks, sometimes behind the guard
-    q(X0) that counts X0 down to 0, and a few facts."""
-    xs = [f"X{i}" for i in range(draw(st.integers(1, 3)))]
-    layers = [draw(st.sampled_from(SEED_LAYERS)) for _ in xs]
-    wraps = [draw(st.sampled_from(SEED_WRAPS)) for _ in xs]
-    grown = ",".join(lay.format(x=w.format(x=x)) for lay, w, x in zip(layers, wraps, xs))
-    plain = ",".join(lay.format(x=x) for lay, x in zip(layers, xs))
-    head, body = (grown, plain) if draw(st.booleans()) else (plain, grown)
-    guard = "q(X0), " if draw(st.booleans()) else ""
-    lines = [
-        f"%query: p({','.join('i' for _ in xs)}).",
-        f"p({head}) :- {guard}p({body}).",
-        "q(0).",
-        "q(s(X)) :- q(X).",
-    ]
-    for _ in range(draw(st.integers(0, 2))):
-        lines.append(f"p({','.join(draw(st.sampled_from(SEED_FILLERS)) for _ in xs)}).")
-    return "\n".join(lines)
-
-
 class TestWitnessesRun:
     @settings(max_examples=200, deadline=None)
-    @given(_recursive_programs())
+    @given(recursive_programs())
     @example("%query: p(i).\np(X0) :- p(s(X0)).\nq(0).\nq(s(X)) :- q(X).")
     @example("%query: p(i,i).\np(X0,X1) :- q(X0), p(X0,s(X1)).\nq(0).\nq(s(X)) :- q(X).")
     def test_proven_witness_survives_the_interpreter(self, text):

@@ -17,11 +17,47 @@ from nonterm.program import (
     Rule,
     _line_col,
     _tokenize,
+    cone,
     derive_bounded,
     parse_program,
     rewrite_step,
 )
 from nonterm.terms import EPSILON, App, Symbol, Var, VarSource, apply, match
+
+
+def _cone_rules(text: str) -> list[str]:
+    program = parse_program(text)
+    return [str(r) for r in cone(program, program.queries[0].predicate).rules]
+
+
+class TestCone:
+    def test_caller_of_the_goal_is_dropped(self):
+        # h calls f, but nothing f calls reaches h; k is reached through g.
+        text = "%query: f(i).\nf(X) :- g(X), f(s(X)).\nh(X) :- f(X).\ng(X) :- k(X).\nk(0).\nm(0)."
+        assert _cone_rules(text) == ["f(X) :- g(X), f(s(X)).", "g(X) :- k(X).", "k(0)."]
+
+    def test_symbols_and_queries_stay(self):
+        program = parse_program("%query: f(i).\nf(X) :- f(s(X)).\nh(X) :- f(X).")
+        cut = cone(program, program.queries[0].predicate)
+        assert len(cut.rules) == 1
+        assert (cut.name, cut.symbols, cut.queries) == (program.name, program.symbols, program.queries)
+
+    def test_whole_cone_is_the_program_itself(self):
+        program = parse_program("%query: f(i).\nf(X) :- g(X).\ng(X) :- f(X).")
+        assert cone(program, program.queries[0].predicate) is program
+
+    def test_variable_head_keeps_its_body_predicates(self):
+        # A variable head answers every call, so g is reachable from f.
+        text = "%query: f(i).\nf(X) :- f(s(X)).\nX :- g(X).\ng(0).\nh(0)."
+        assert _cone_rules(text) == ["f(X) :- f(s(X)).", "X :- g(X).", "g(0)."]
+
+    def test_variable_body_atom_keeps_every_rule(self):
+        text = "%query: f(i).\nf(X) :- X.\ng(0).\nh(X) :- g(X)."
+        assert _cone_rules(text) == ["f(X) :- X.", "g(0).", "h(X) :- g(X)."]
+
+    def test_variable_body_atom_outside_the_cone_keeps_nothing_more(self):
+        text = "%query: f(i).\nf(X) :- f(s(X)).\nh(X) :- X."
+        assert _cone_rules(text) == ["f(X) :- f(s(X))."]
 
 
 class TestParser:

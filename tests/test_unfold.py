@@ -21,6 +21,7 @@ from conftest import (
     fam,
     random_simple_pattern,
     random_term,
+    recursive_programs,
     step,
     step_candidates,
     subst,
@@ -29,7 +30,7 @@ from conftest import (
 from nonterm import powers, unfold
 from nonterm.binrules import BinaryRule, canonical_key
 from nonterm.binrules import saturate as binary_saturate
-from nonterm.detect import prove
+from nonterm.detect import check_pumps, ground_constant, match_pumping, prove, witness_from
 from nonterm.pattern import PatternRule, initial_rules, pattern_rule_key, rule_base
 from nonterm.powers import (
     PowerSymbol,
@@ -929,4 +930,110 @@ class TestOffsets:
         budget = UnfoldBudget(wall_clock=600.0, max_iterations=20)
         out = prove(program, program.queries[0], budget)
         assert not out.proven
-        assert out.reason == "iteration-cap"
+        assert out.reason == "fixpoint"
+
+
+# While loops over the gt/add/mul/le library: proven, diverging but out of
+# reach, and terminating.  Each leaves some library predicate out of its
+# cone, and each calls predicates that grow families of their own.
+WHILE_LOOPS = {
+    "gt-add": "while(X, Y) :- gt(X, Y), add(X, Y, Z), while(Z, s(Y)).",
+    "add-gt": "while(X, Y) :- add(X, Y, Z), gt(Z, Y), while(Z, s(Y)).",
+    "gt-add-gtx": "while(X, Y) :- gt(X, Y), add(X, Y, Z), gt(Z, X), while(Z, s(Y)).",
+    "le-add-le": "while(X, Y) :- le(s(Y), X), add(X, Y, Z), le(s(Y), Z), while(Z, s(Y)).",
+    "gt-mul": "while(X, Y) :- gt(X, Y), mul(X, Y, Z), while(Z, s(Y)).",
+    "le-add": "while(X, Y) :- le(s(X), Y), add(X, Y, Z), while(X, Z).",
+    "gt-step": "while(X, Y) :- gt(X, Y), add(Y, Y, Z), while(X, s(Y)).",
+    "gt-mul-step": "while(X, Y) :- gt(X, Y), mul(Y, Y, Z), while(X, s(Y)).",
+    "le-step": "while(X, Y) :- le(s(Y), X), while(X, s(Y)).",
+}
+
+
+def _leads_to_goal(rule, goal):
+    """Epsilon on the right, or an atom whose instances are all goal atoms:
+    a power there is one of its own context, at an offset of at least 1."""
+    rhs = rule.rhs
+    if rule.rhs_is_epsilon():
+        return True
+    if isinstance(rhs, App) and rhs.symbol.is_power:
+        return rhs.symbol.b >= 1 and rhs.symbol.context.symbol == goal
+    return isinstance(rhs, App) and rhs.symbol == goal
+
+
+def full_saturation_prove(program, query, budget):
+    """Reference for `prove`: the whole program saturated without a goal,
+    stopping at the first stored rule that pumps on the query."""
+    constant = ground_constant(program)
+    found = []
+
+    def on_rule(rule):
+        if not isinstance(rule.lhs, App) or rule.lhs.symbol != query.predicate:
+            return False
+        data = match_pumping(rule)
+        if data is None:
+            return False
+        w = witness_from(rule, data, constant)
+        if not check_pumps(rule, data, w.n):
+            return False
+        found.append(w)
+        return True
+
+    _, stats = saturate(program, initial_rules(program), budget, on_rule=on_rule)
+    return (found[0] if found else None), stats
+
+
+class TestGoalDirected:
+    """With a goal, saturation stores exactly the families a run without
+    one stores with epsilon or an instance of a goal atom on the right, in
+    the same order, and the prover's answers do not change."""
+
+    def check_useful_families(self, program, rounds):
+        goal = program.queries[0].predicate
+        base = initial_rules(program)
+        budget = UnfoldBudget(wall_clock=3600.0, max_iterations=rounds)
+        full, full_stats = saturate(program, base, budget)
+        kept, stats = saturate(program, base, budget, goal=goal)
+        want = [pattern_rule_key(r) for r in full if _leads_to_goal(r, goal)]
+        assert [pattern_rule_key(r) for r in kept] == want
+        assert stats.generated <= full_stats.generated
+        if full_stats.stop == "fixpoint":
+            assert stats.stop == "fixpoint"
+
+    def check_same_answers(self, program, rounds):
+        query = program.queries[0]
+        budget = UnfoldBudget(wall_clock=3600.0, max_iterations=rounds)
+        ref, ref_stats = full_saturation_prove(program, query, budget)
+        out = prove(program, query, budget)
+        assert out.proven == (ref is not None)
+        if ref is not None:
+            w = out.witness
+            assert (str(w), w.n, w.data.k, w.data.alpha) == (
+                str(ref), ref.n, ref.data.k, ref.data.alpha
+            )
+        else:
+            assert out.reason in (ref_stats.stop, "fixpoint")
+        assert out.unfolded <= ref_stats.generated
+
+    @settings(max_examples=100, deadline=None)
+    @given(recursive_programs())
+    @example("%query: p(i).\np(X0) :- q(X0), p(s(X0)).\nq(0).\nq(s(X)) :- q(X).")
+    # The guard closes only through r, which p reaches through q.
+    @example("%query: p(i).\np(X0) :- q(X0), p(s(X0)).\nq(X) :- r(X).\nr(0).\nr(s(X)) :- r(X).")
+    # The goal as a context: the right side p(p(p^n(0))) is a power of p.
+    @example("%query: p(i).\np(X0) :- q(X0), r(p(X0)).\nr(X) :- p(X).\nq(p(X)) :- q(X).\nq(0).")
+    def test_random_recursive_programs(self, text):
+        program = parse_program(text)
+        self.check_useful_families(program, 4)
+        self.check_same_answers(program, 4)
+
+    @pytest.mark.parametrize("name", sorted(WHILE_LOOPS))
+    def test_while_loops(self, name):
+        program = _while_loop(WHILE_LOOPS[name])
+        self.check_useful_families(program, 6)
+        self.check_same_answers(program, 6)
+
+    @pytest.mark.parametrize("name", sorted(PROGRAM_SOURCES))
+    def test_bundled_programs(self, name):
+        program = parse_program(PROGRAM_SOURCES[name], name)
+        self.check_useful_families(program, 6)
+        self.check_same_answers(program, 6)
