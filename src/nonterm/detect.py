@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .pattern import PatternRule, initial_rules
-from .powers import expand_at, is_power, strip_power
+from .powers import expand_at, instance_root, is_power, strip_power
 from .program import Program, QueryMode, cone, derive_bounded
 from .terms import (
     App,
@@ -352,7 +352,7 @@ def prove(
     constant = ground_constant(program)
 
     def on_rule(rule: PatternRule) -> bool:
-        if not isinstance(rule.lhs, App) or rule.lhs.symbol != goal:
+        if instance_root(rule.lhs) != goal:
             return False
         data = match_pumping(rule)
         if data is None:

@@ -29,6 +29,7 @@ from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
 from .terms import (
     App,
     Subst,
+    Symbol,
     Term,
     Var,
     apply,
@@ -128,6 +129,20 @@ def least_shift(terms: Iterable[Term]) -> int:
             if d is None or k < d:
                 d = k
     return d or 0
+
+
+def instance_root(t: Term) -> Optional[Symbol]:
+    """The root symbol that every instance of t has, or None.
+
+    A plain root is its own; a power c^(a,b) with b >= 1 has the root of
+    c at every index.  A variable, or a power c^(a,0), whose instance at
+    index 0 is its argument, has none.
+    """
+    if isinstance(t, Var):
+        return None
+    if not t.symbol.is_power:
+        return t.symbol
+    return t.symbol.context.symbol if t.symbol.b >= 1 else None
 
 
 def _power_nodes(t: Term) -> list[App]:

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional, TextIO
 
 from .binrules import canonical_key
 from .pattern import PatternRule, rule_base
-from .powers import is_simple, normalize, pattern_mgu
+from .powers import instance_root, is_simple, normalize, pattern_mgu
 from .program import Program, Rule
 from .terms import (
     App,
@@ -54,9 +54,9 @@ class PatternRuleSet:
         self._rules: list[PatternRule] = []
         # Base key -> the least shift stored for it, and that rule.
         self._least: dict[tuple, tuple[int, PatternRule]] = {}
-        # Root symbol of the left side -> the stored rules with a power,
-        # each with the keys of its instances met so far, by index.
-        self._powered: dict[object, list[tuple[PatternRule, dict[int, tuple]]]] = {}
+        # The stored rules with a power, in storage order, each with the
+        # keys of its instances met so far, by index.
+        self._powered: list[tuple[PatternRule, dict[int, tuple]]] = []
         for r in rules:
             self.add(r)
 
@@ -74,11 +74,7 @@ class PatternRuleSet:
         if rule.lhs.powered or rule.rhs.powered:
             return None
         # Without powers the rule is its own base, so base_key is its key.
-        root = _root(rule.lhs)
-        families = self._powered.get(root, ())
-        if root is not None and None in self._powered:
-            families = [*families, *self._powered[None]]
-        for stored, keys in families:
+        for stored, keys in self._powered:
             n = _index_at(rule, stored)
             if n is None:
                 continue
@@ -115,7 +111,7 @@ class PatternRuleSet:
         self._least[key] = (d, rule)
         self._rules.append(rule)
         if rule.lhs.powered or rule.rhs.powered:
-            self._powered.setdefault(_root(rule.lhs), []).append((rule, {}))
+            self._powered.append((rule, {}))
         return True
 
     def contains_variant(self, rule: PatternRule) -> bool:
@@ -128,12 +124,6 @@ class PatternRuleSet:
 
     def __len__(self) -> int:
         return len(self._rules)
-
-
-def _root(t: Term) -> object:
-    """The root symbol of every instance of t, or None when it may vary
-    (t a variable or a power, which expands to its argument at index 0)."""
-    return None if isinstance(t, Var) or t.symbol.is_power else t.symbol
 
 
 def _index_at(rule: PatternRule, family: PatternRule) -> Optional[int]:
@@ -190,15 +180,15 @@ def _identity(sym: Symbol) -> PatternRule:
 
 
 def _toward(goal: Symbol, rule: PatternRule) -> bool:
-    """Whether the rule's right side is epsilon or an atom of goal.
+    """Whether the rule's right side is epsilon or, at every index, an
+    atom of goal (`powers.instance_root`).
 
     A derived rule's right side is its last pick's under theta, normalized,
     and a closing pick's is epsilon.  So a rule that fails this only ever
     leads to rules whose right side is an instance of another predicate's
     atom, and none of them pumps on goal.
     """
-    rhs = rule.rhs
-    return rule.rhs_is_epsilon() or (isinstance(rhs, App) and rhs.symbol == goal)
+    return rule.rhs_is_epsilon() or instance_root(rule.rhs) == goal
 
 
 def rename_pattern_rule(rule: PatternRule, ren: Subst) -> PatternRule:
@@ -225,61 +215,12 @@ def _clashes(a: Term, b: Term) -> bool:
     return False
 
 
-class _SlotLists:
-    """Each body atom's slot lists, kept over a pool that only grows.
-
-    For each program rule and body atom: the closing pool rules (right side
-    epsilon) that do not clash with it, and the pool rules a prefix may end
-    with (right side not epsilon, or anything for the last atom), then the
-    identities that may.  A rule's lists take in only the pool rules added
-    since its previous turn, so every pool rule meets each atom's clash
-    test once, and a step that stops early filters nothing for the rules
-    it did not reach.  Filtering keeps pool order, so the selections left
-    come out in the order they would without it.
-    """
-
-    def __init__(self, program: Program, patid: list[PatternRule]):
-        self._patid = patid
-        self._rules = [(idx, rule) for idx, rule in enumerate(program.rules) if rule.body]
-        # Per rule, from its first turn: the pool size it has taken in, and
-        # per atom [closing, ending, identities].
-        self._sizes = [0] * len(self._rules)
-        self._lists: list[Optional[list[list[list[PatternRule]]]]] = [None] * len(self._rules)
-
-    def per_rule(
-        self, pool: list[PatternRule]
-    ) -> Iterator[tuple[int, Rule, list[list[PatternRule]], list[list[PatternRule]]]]:
-        """(index, rule, closing lists, ending lists) per program rule with
-        a body, the ending lists with the identities last.  The pool rules
-        before those a rule has taken in must be the ones it saw."""
-        for r, (idx, rule) in enumerate(self._rules):
-            atoms = self._lists[r]
-            if atoms is None:
-                atoms = self._lists[r] = [
-                    [[], [], [pr for pr in self._patid if not _clashes(pr.lhs, atom)]]
-                    for atom in rule.body
-                ]
-            last = len(rule.body) - 1
-            for pr in pool[self._sizes[r]:]:
-                eps = pr.rhs_is_epsilon()
-                for i, atom in enumerate(rule.body):
-                    if not _clashes(pr.lhs, atom):
-                        # A closing rule closes an inner atom; at the last
-                        # atom it ends the prefix, like any other rule.
-                        atoms[i][0 if eps and i < last else 1].append(pr)
-            self._sizes[r] = len(pool)
-            closing = [atom[0] for atom in atoms[:-1]]
-            ending = [[*atom[1], *atom[2]] for atom in atoms]
-            yield idx, rule, closing, ending
-
-
 def _attempts(
     program: Program,
     pool: list[PatternRule],
     patid: list[PatternRule],
     source: VarSource,
     new: Optional[set[int]] = None,
-    lists: Optional[_SlotLists] = None,
 ) -> Iterator[tuple[Optional[PatternRule], tuple]]:
     """Every selection one unfolding step tries, with the rule it derives.
 
@@ -289,21 +230,31 @@ def _attempts(
     length ascending, selections in pool insertion order (identities
     last), the last slot varying fastest.
 
-    Selections are built slot by slot (`_join`): a family whose left side
-    does not unify with its body atom under the bindings of the slots
-    before it ends every selection through that prefix, which yields one
-    None, with the prefix's picks as provenance.
+    Each body atom's slot lists are built from the pool when the step
+    reaches its program rule, keeping pool order, and hold only the rules
+    whose left side does not clash with the atom (`_clashes`): an inner
+    slot takes the closing rules (right side epsilon), and the slot a
+    prefix ends with takes the others (any rule at the last atom), then
+    the identities.  Selections are built slot by slot (`_join`): a family
+    whose left side does not unify with its body atom under the bindings
+    of the slots before it ends every selection through that prefix, which
+    yields one None, with the prefix's picks as provenance.
 
     With `new` (the ids of the pool rules that are new since the previous
     step over the same program), selections made only of older rules are
     skipped: the previous step already tried each of them, and it can only
-    give again a variant of what it gave then.  `lists`, kept from the
-    previous step over the same program and a prefix of this pool, saves
-    filtering the older rules again.
+    give again a variant of what it gave then.
     """
-    if lists is None:
-        lists = _SlotLists(program, patid)
-    for rule_idx, rule, closing, ending in lists.per_rule(pool):
+    for rule_idx, rule in enumerate(program.rules):
+        last = len(rule.body) - 1
+        closing: list[list[PatternRule]] = []
+        ending: list[list[PatternRule]] = []
+        for i, atom in enumerate(rule.body):
+            fits = [pr for pr in pool if not _clashes(pr.lhs, atom)]
+            if i < last:
+                closing.append([pr for pr in fits if pr.rhs_is_epsilon()])
+                fits = [pr for pr in fits if not pr.rhs_is_epsilon()]
+            ending.append([*fits, *(pr for pr in patid if not _clashes(pr.lhs, atom))])
         rule_vars = rule.vars()
         for i in range(1, len(rule.body) + 1):
             slots = [*closing[: i - 1], ending[i - 1]]
@@ -404,7 +355,6 @@ def saturate(
     stats = UnfoldStats()
     source = VarSource()
     patid = identity_pattern_rules(program) if goal is None else [_identity(goal)]
-    lists = _SlotLists(program, patid)
 
     def finish(reason: str) -> tuple[PatternRuleSet, UnfoldStats]:
         stats.stop = reason
@@ -434,7 +384,7 @@ def saturate(
         stats.iterations = round_no
         snapshot = list(stored)
         grew = False
-        attempts = _attempts(program, snapshot, patid, source, new, lists)
+        attempts = _attempts(program, snapshot, patid, source, new)
         for attempt, (candidate, provenance) in enumerate(attempts, 1):
             # Every yield counts: each complete selection and each failed
             # unification at an inner slot.  So a long run of failing

@@ -640,6 +640,40 @@ def recursive_programs(draw):
     return "\n".join(lines)
 
 
+# The goal g wraps its own argument, and the guard h lets through exactly
+# the towers of g over 0, so g(0) runs forever; saturation stores the
+# pumping family g(#1)^(1n+1)(0) => g(#1)^(1n+2)(0), whose left side is a
+# power of the goal.
+G_WRAPS_ITSELF = "%query: g(i).\ng(X) :- h(X), g(g(X)).\nh(g(X)) :- h(X).\nh(0)."
+
+# Wraps W of the goal's own argument, each holding g.
+SELF_WRAPS = ["g({x})", "g(g({x}))", "g(s({x}))", "s(g({x}))"]
+# Layers L of the guard's rule h(L(X)) :- h(X), and base facts.
+GUARD_LAYERS = ["g({x})", "s({x})", "g(g({x}))"]
+GUARD_BASES = ["0", "g(0)", "s(0)", "Y"]
+
+
+@st.composite
+def self_wrapping_programs(draw):
+    """g(X) :- h(X), g(W(X)), or g(W(X)) :- h(X), g(X): the unary goal
+    calls itself on its argument wrapped in a W that holds g, or unwraps
+    it, sometimes without the guard h, which counts its argument down
+    through a layer L to a base fact; and maybe a fact of g."""
+    wrap = draw(st.sampled_from(SELF_WRAPS)).format(x="X")
+    head, call = ("X", wrap) if draw(st.booleans()) else (wrap, "X")
+    layer = draw(st.sampled_from(GUARD_LAYERS)).format(x="X")
+    guard = "h(X), " if draw(st.booleans()) else ""
+    lines = [
+        "%query: g(i).",
+        f"g({head}) :- {guard}g({call}).",
+        f"h({layer}) :- h(X).",
+        f"h({draw(st.sampled_from(GUARD_BASES))}).",
+    ]
+    if draw(st.booleans()):
+        lines.append(f"g({draw(st.sampled_from(GUARD_BASES))}).")
+    return "\n".join(lines)
+
+
 def random_term(rng: random.Random, max_depth: int = 3, vars=VARS) -> Term:
     if max_depth == 0 or rng.random() < 0.3:
         return rng.choice([*vars, ZERO, NIL])

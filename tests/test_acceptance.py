@@ -26,7 +26,7 @@ from nonterm.detect import check_pumps, ground_constant, match_pumping, prove, w
 from nonterm.pattern import PatternRule, initial_rules, pattern_rule_key
 from nonterm.powers import expand_at, pattern_form, pattern_mgu
 from nonterm.program import derive_bounded, parse_program
-from nonterm.terms import EPSILON, App, apply, match, mgu, render, term_vars
+from nonterm.terms import EPSILON, apply, match, mgu, render, term_vars
 from nonterm.unfold import UnfoldBudget, saturate
 
 POSITIVE_PROGRAMS = [
@@ -57,13 +57,11 @@ def proof_and_prefix(program):
 
     def collect(rule):
         collected.append(rule)
-        if not isinstance(rule.lhs, App) or rule.lhs.symbol != query.predicate:
-            return False
         data = match_pumping(rule)
         if data is None:
             return False
         w = witness_from(rule, data, ground_constant(program))
-        return check_pumps(rule, data, w.n)
+        return w.term.symbol == query.predicate and check_pumps(rule, data, w.n)
 
     _, stats = saturate(program, initial_rules(program), UnfoldBudget(), on_rule=collect)
     return collected, stats

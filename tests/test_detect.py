@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 
 from conftest import (
+    G_WRAPS_ITSELF,
     WHILE_GT_ADD,
     Family,
     context_power,
@@ -250,6 +251,15 @@ class TestProve:
         assert out.proven
         assert str(out.witness) == "f(0)"
 
+    def test_left_side_a_power_of_the_goal(self):
+        # The pumping family g(#1)^(1n+1)(0) => g(#1)^(1n+2)(0) has a power
+        # of g at the root of its left side: every instance is a g atom.
+        p = parse_program(G_WRAPS_ITSELF)
+        out = prove(p, p.queries[0], UnfoldBudget())
+        assert out.proven
+        assert str(out.witness) == "g(0)"
+        assert derive_bounded(p, (out.witness.term,), 300).reached_bound
+
     def test_query_filter_restricts_predicate(self):
         # asking about gt must not return the while witness
         src = WHILE_GT_ADD.replace("%query: while(i,i).", "%query: gt(i,i).")
@@ -264,6 +274,7 @@ class TestWitnessesRun:
     @given(recursive_programs())
     @example("%query: p(i).\np(X0) :- p(s(X0)).\nq(0).\nq(s(X)) :- q(X).")
     @example("%query: p(i,i).\np(X0,X1) :- q(X0), p(X0,s(X1)).\nq(0).\nq(s(X)) :- q(X).")
+    @example(G_WRAPS_ITSELF)
     def test_proven_witness_survives_the_interpreter(self, text):
         program = parse_program(text)
         out = prove(program, program.queries[0], UnfoldBudget(max_iterations=5))

@@ -29,6 +29,7 @@ from conftest import (
 from nonterm.powers import (
     PowerSymbol,
     expand_at,
+    instance_root,
     least_shift,
     normalize,
     pattern_form,
@@ -177,6 +178,24 @@ class TestNormalizeProperties:
         nt = normalize(t)
         for n in range(5):
             assert expand_at(nt, n) == expand_at(t, n)
+
+
+class TestInstanceRoot:
+    def test_plain_root_power_and_variable(self):
+        assert instance_root(term("f(X,0)")) == F
+        assert instance_root(pw(S1, 1, 1, Var("X"))) == S
+        # At index 0 the power is its argument, g(X).
+        assert instance_root(pw(S1, 1, 0, term("g(X)"))) is None
+        assert instance_root(Var("X")) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=_power_terms())
+    def test_every_instance_has_it(self, t):
+        t = normalize(t)
+        root = instance_root(t)
+        if root is not None:
+            for n in range(4):
+                assert expand_at(t, n).symbol == root
 
 
 def _random_power_term(rng: random.Random) -> "App":

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     F,
     G,
+    G_WRAPS_ITSELF,
     NIL,
     PROGRAMS_DIR,
     S,
@@ -22,6 +23,7 @@ from conftest import (
     random_simple_pattern,
     random_term,
     recursive_programs,
+    self_wrapping_programs,
     step,
     step_candidates,
     subst,
@@ -52,6 +54,7 @@ from nonterm.terms import (
     concrete_power,
     fresh_renaming,
     hole,
+    is_hole,
     match,
     mgu,
     plug,
@@ -63,7 +66,6 @@ from nonterm.unfold import (
     UnfoldBudget,
     _attempts,
     _clashes,
-    _SlotLists,
     identity_pattern_rules,
     rename_pattern_rule,
     saturate,
@@ -562,7 +564,9 @@ class TestClashFilter:
 
 def full_renaming_attempts(program, pool, patid, source, new):
     """Reference for `_attempts`: slots filtered by root symbol only, and
-    every selected family renamed apart before the unifier sees it."""
+    every selected family renamed apart before the unifier sees it.
+    Yields each derived family with its provenance (rule index, prefix
+    length, picks)."""
 
     def root(t):
         return t.symbol if isinstance(t, App) else None
@@ -574,7 +578,7 @@ def full_renaming_attempts(program, pool, patid, source, new):
     eps_rules = [r for r in pool if r.rhs_is_epsilon()]
     all_rules = [*pool, *patid]
     noneps_rules = [r for r in all_rules if not r.rhs_is_epsilon()]
-    for rule in program.rules:
+    for rule_idx, rule in enumerate(program.rules):
         m = len(rule.body)
         for i in range(1, m + 1):
             slots = [compatible(eps_rules, rule.body[j]) for j in range(i - 1)]
@@ -593,7 +597,7 @@ def full_renaming_attempts(program, pool, patid, source, new):
                     continue
                 rhs = normalize(apply(picked[-1].rhs, theta))
                 if is_simple(rhs):
-                    yield PatternRule(normalize(apply(rule.head, theta)), rhs)
+                    yield PatternRule(normalize(apply(rule.head, theta)), rhs), (rule_idx, i, combo)
 
 
 def full_renaming_saturate(program, base, rounds):
@@ -604,7 +608,7 @@ def full_renaming_saturate(program, base, rounds):
     generated, new = 0, None
     for _ in range(rounds):
         snapshot = list(stored)
-        for candidate in full_renaming_attempts(program, snapshot, patid, source, new):
+        for candidate, _ in full_renaming_attempts(program, snapshot, patid, source, new):
             if stored.add(candidate):
                 generated += 1
         if len(stored) == len(snapshot):
@@ -637,6 +641,38 @@ class TestSameAsFullRenaming:
         assert [pattern_rule_key(r) for r in rules] == [pattern_rule_key(r) for r in ref]
         assert stats.generated == generated
         assert stats.stop == stop
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_same_derivations_each_round(self, name):
+        # Over the same pool, each round derives the same families from
+        # the same selections, in the same order, as the reference: slot
+        # lists rebuilt from the pool and the pruned join drop only
+        # selections that derive nothing.
+        program = parse_program(self.SOURCES[name], name)
+        patid = identity_pattern_rules(program)
+        stored = PatternRuleSet(initial_rules(program))
+        new = None
+        for _ in range(6):
+            snapshot = list(stored)
+            # Picks by position: pool index, or identity as -1, -2, ...
+            pos = {id(r): j for j, r in enumerate(snapshot)}
+            pos.update((id(r), -1 - j) for j, r in enumerate(patid))
+
+            def derived(attempts):
+                return [
+                    (rule_idx, i, tuple(pos[id(r)] for r in combo), pattern_rule_key(rule), rule)
+                    for rule, (rule_idx, i, combo) in attempts
+                    if rule is not None
+                ]
+
+            got = derived(_attempts(program, snapshot, patid, VarSource(), new))
+            want = derived(full_renaming_attempts(program, snapshot, patid, VarSource("_f"), new))
+            assert [d[:4] for d in got] == [d[:4] for d in want]
+            for *_, rule in got:
+                stored.add(rule)
+            if len(stored) == len(snapshot):
+                return
+            new = {id(r) for r in list(stored)[len(snapshot):]}
 
 
 def _random_rule(rng):
@@ -778,10 +814,11 @@ def _replace_at(t, path, new):
 
 def _near_instances(rule, n):
     """Power-free rules close to rule.at(n): itself renamed, and with the
-    subterm under the first power of the left side grown or cut by one
-    layer of its context, put under another symbol, or over another
-    argument."""
-    path, node = _first_power_path(rule.lhs)
+    subterm under the first power (of the left side if it has one) grown
+    or cut by one layer of its context, put under another symbol, or over
+    another argument."""
+    on_left = rule.lhs.powered
+    path, node = _first_power_path(rule.lhs if on_left else rule.rhs)
     c, u = node.symbol.context, node.args[0]
     tower = expand_at(node, n)
     k = node.symbol.a * n + node.symbol.b
@@ -791,8 +828,65 @@ def _near_instances(rule, n):
     inst = rule.at(n)
     out = [_renamed(_concrete(inst))]
     for t in others:
-        out.append(PatternRule(_replace_at(inst.head, path, t), inst.body))
+        if on_left:
+            out.append(PatternRule(_replace_at(inst.head, path, t), inst.body))
+        else:
+            out.append(PatternRule(inst.head, _replace_at(inst.body, path, t)))
     return out
+
+
+def _depth(t):
+    """The height of t, each shared subterm visited once."""
+    heights = {}
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        args = u.args if isinstance(u, App) else ()
+        pending = [a for a in args if id(a) not in heights]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        heights[id(u)] = 1 + max((heights[id(a)] for a in args), default=0)
+    return heights[id(t)]
+
+
+def _size_at(t, m, memo):
+    """The number of nodes, as a tree, of t's instance at index m, counted
+    without building it: a tower of k layers of a context of |c| nodes, h
+    of them holes, over u has h^k |u| + (|c| - h)(1 + h + ... + h^(k-1))."""
+    if id(t) not in memo:
+        if isinstance(t, Var):
+            size = 1
+        elif t.symbol.is_power:
+            c, k = t.symbol.context, t.symbol.a * m + t.symbol.b
+            n, h = _size_at(c, m, memo), _holes(c)
+            layers = k if h == 1 else (h**k - 1) // (h - 1)
+            size = h**k * _size_at(t.args[0], m, memo) + (n - h) * layers
+        else:
+            size = 1 + sum(_size_at(a, m, memo) for a in t.args)
+        memo[id(t)] = size
+    return memo[id(t)]
+
+
+def _holes(c):
+    return 1 if is_hole(c) else sum(_holes(a) for a in c.args)
+
+
+def _is_instance(rule, family):
+    """Whether the power-free rule is a variant of the family's instance at
+    some index, by brute force.  Each layer of a power's context adds to
+    the height along its hole, so no instance past the rule's height can
+    be one; nor can one of another size, which is counted first."""
+
+    def size(r, m):
+        return _size_at(r.lhs, m, {}) + _size_at(r.rhs, m, {})
+
+    inst, want = rule.at(0), size(rule, 0)
+    height = max(_depth(inst.head), _depth(inst.body))
+    return any(
+        size(family, m) == want and is_variant(inst, family.at(m)) for m in range(height + 1)
+    )
 
 
 class TestInstanceSubsumption:
@@ -816,16 +910,25 @@ class TestInstanceSubsumption:
     def test_covered_exactly_when_a_variant_of_an_instance(self, seed, n):
         # Near misses -- one context layer more or less at the first
         # power, another base term, another symbol above it -- are stored
-        # unless they happen to be a variant of the family's instance at
-        # some index, checked here by brute force.
-        rule = _random_rule(random.Random(seed))
-        if not rule.lhs.powered:
-            return
-        for candidate in _near_instances(rule, n):
-            want = any(is_variant(candidate.at(0), rule.at(m)) for m in range(n + 3))
-            rules = PatternRuleSet([rule])
-            assert rules.contains_variant(candidate) == want, (rule, candidate)
-            assert rules.add(candidate) != want
+        # unless they happen to be a variant of an instance of a stored
+        # family, checked here by brute force.  Two random families are
+        # stored, and each meets the near misses of both: it may be rooted
+        # at another symbol, have its only power on the right, or have none.
+        rng = random.Random(seed)
+        families = [_random_rule(rng), _random_rule(rng)]
+        if rng.random() < 0.5:
+            # The second family's left side at one index, its right side
+            # at every index: its only power, if any, is on the right.
+            lhs, rhs = families[1].lhs, families[1].rhs
+            families[1] = PatternRule(expand_at(lhs, rng.randint(0, 2)), rhs)
+        for near in families:
+            if not (near.lhs.powered or near.rhs.powered):
+                continue
+            for candidate in _near_instances(near, n):
+                want = any(_is_instance(candidate, family) for family in families)
+                rules = PatternRuleSet(families)
+                assert rules.contains_variant(candidate) == want, (families, candidate)
+                assert rules.add(candidate) != want
 
     def test_off_by_one_layer_or_base_is_stored(self):
         # gt(s^(n+1)(X), s^n(0)) => e.
@@ -859,35 +962,6 @@ class TestInstanceSubsumption:
         merged = apply(parts, Subst({v: vs[0] for v in vs}))
         variants = match(parts, merged) is not None and match(merged, parts) is not None
         assert (canonical_key(merged) == canonical_key(parts)) == variants
-
-
-class TestSlotLists:
-    @pytest.mark.parametrize("name", sorted(TestSameAsFullRenaming.SOURCES))
-    def test_kept_lists_give_the_same_attempts(self, name):
-        # Slot lists kept over the rounds and extended with the new families
-        # give the same selections as lists built afresh every round.
-        program = parse_program(TestSameAsFullRenaming.SOURCES[name], name)
-        patid = identity_pattern_rules(program)
-        runs = []
-        for keep in (True, False):
-            stored = PatternRuleSet(initial_rules(program))
-            lists = _SlotLists(program, patid) if keep else None
-            source, new, seen = VarSource(), None, []
-            for _ in range(5):
-                snapshot = list(stored)
-                # Picks by position: pool index, or identity as -1, -2, ...
-                pos = {id(r): j for j, r in enumerate(snapshot)}
-                pos.update((id(r), -1 - j) for j, r in enumerate(patid))
-                for rule, (rule_idx, i, combo) in _attempts(
-                    program, snapshot, patid, source, new, lists
-                ):
-                    key = None if rule is None else pattern_rule_key(rule)
-                    seen.append((key, rule_idx, i, tuple(pos[id(r)] for r in combo)))
-                    if rule is not None:
-                        stored.add(rule)
-                new = {id(r) for r in list(stored)[len(snapshot):]}
-            runs.append((seen, [pattern_rule_key(r) for r in stored]))
-        assert runs[0] == runs[1]
 
 
 # The gt/le/add/mul library of the clash loops.
@@ -962,18 +1036,17 @@ def _leads_to_goal(rule, goal):
 
 def full_saturation_prove(program, query, budget):
     """Reference for `prove`: the whole program saturated without a goal,
-    stopping at the first stored rule that pumps on the query."""
+    stopping at the first stored rule that pumps with a witness on the
+    query's predicate."""
     constant = ground_constant(program)
     found = []
 
     def on_rule(rule):
-        if not isinstance(rule.lhs, App) or rule.lhs.symbol != query.predicate:
-            return False
         data = match_pumping(rule)
         if data is None:
             return False
         w = witness_from(rule, data, constant)
-        if not check_pumps(rule, data, w.n):
+        if w.term.symbol != query.predicate or not check_pumps(rule, data, w.n):
             return False
         found.append(w)
         return True
@@ -1025,6 +1098,28 @@ class TestGoalDirected:
         program = parse_program(text)
         self.check_useful_families(program, 4)
         self.check_same_answers(program, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(self_wrapping_programs())
+    @example(G_WRAPS_ITSELF)
+    def test_goal_wrapping_itself(self, text):
+        # The goal's own towers fold into powers of the goal: a family may
+        # have one at the root of either side.
+        program = parse_program(text)
+        self.check_useful_families(program, 4)
+        self.check_same_answers(program, 4)
+
+    def test_base_family_with_a_power_of_the_goal_on_the_right(self):
+        # g(#1)^(1n+1)(0) is a goal atom at every index and is kept; at
+        # offset 0, the instance at 0 is the argument, an h atom.
+        program = parse_program(G_WRAPS_ITSELF)
+        goal = program.queries[0].predicate
+        g = App(goal, (hole(1),))
+        kept = PatternRule(App(PowerSymbol(g, 1, 1), (ZERO,)), App(PowerSymbol(g, 1, 2), (ZERO,)))
+        dropped = PatternRule(term("h(0)"), App(PowerSymbol(g, 1, 0), (term("h(0)"),)))
+        budget = UnfoldBudget(max_iterations=0)
+        rules, _ = saturate(program, [kept, dropped], budget, goal=goal)
+        assert list(rules) == [kept]
 
     @pytest.mark.parametrize("name", sorted(WHILE_LOOPS))
     def test_while_loops(self, name):
