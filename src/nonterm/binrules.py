@@ -3,9 +3,12 @@
 The binary rules of a program relate a head to one of the calls it can
 lead to under leftmost resolution; saturating them (unfold a body prefix
 with already-derived rules, closing consumed atoms with empty-bodied ones)
-under-approximates the full, generally infinite, set.  The prover never
-relies on this module; tests use it to certify that generated pattern
-rules only describe genuine call patterns.
+under-approximates the full, generally infinite, set.  Tests use the
+saturation to certify that generated pattern rules only describe genuine
+call patterns, and `--dump-binunf` prints it.  The prover itself uses only
+`BinaryRule`, the form of a family's instance at one index, and
+`canonical_key`, the renaming-invariant key that saturation deduplicates
+families and instances on.
 """
 
 from __future__ import annotations

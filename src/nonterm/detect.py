@@ -311,7 +311,8 @@ class ProofOutcome:
     witness: Optional[Witness]
     unfolded: int
     time_ms: float
-    reason: Optional[str] = None  # for unknown: timeout | iteration-cap | rule-cap | fixpoint
+    # For unknown: timeout | iteration-cap | rule-cap | fixpoint | validation-failed.
+    reason: Optional[str] = None
     validated: Optional[bool] = None
 
     @property

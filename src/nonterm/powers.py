@@ -7,7 +7,9 @@ interchangeable when they expand identically at every index; `normalize`
 picks a canonical representative of that class by fusing adjacent material:
 stacked powers of the same context add their exponents, a concrete context
 layer directly above or below a power of the same context is absorbed into
-its offset, and powers with a = 0 are expanded away.
+its offset, and powers with a = 0 are expanded away.  `normalize`,
+`expand_at` and `shift` are each one `terms.rebuild` pass over the nodes
+that hold a power; power-free subterms are kept as they are.
 
 Rule families are stored as normalized power terms.  The paper writes a
 family as skeleton . sigma^n . mu; a seed is built by applying to its
@@ -35,6 +37,7 @@ from .terms import (
     apply,
     concrete_power,
     match_context,
+    rebuild,
     render,
     resolve,
     strip_power,
@@ -80,30 +83,19 @@ def is_power(t: Term) -> bool:
     return isinstance(t, App) and isinstance(t.symbol, PowerSymbol)
 
 
+def _plain(u: Term) -> Optional[Term]:
+    """`terms.rebuild` leaf for the power walks: power-free u is kept."""
+    return None if u.powered else u
+
+
 def _map_powers(t: Term, on_power: Callable[[PowerSymbol, Term], Term]) -> Term:
     """t with every power node c^(a,b)(u) replaced by on_power(c^(a,b), u'),
     u' being u so rebuilt; power-free subtrees are shared, not copied."""
-    if not t.powered:
-        return t
-    # Only nodes that hold a power are visited; the others are kept as is.
-    done: dict[int, Term] = {}
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        if id(node) in done:
-            stack.pop()
-            continue
-        pending = [a for a in node.args if a.powered and id(a) not in done]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        args = tuple(done[id(a)] if a.powered else a for a in node.args)
-        if node.symbol.is_power:
-            done[id(node)] = on_power(node.symbol, args[0])
-        else:
-            done[id(node)] = App(node.symbol, args)
-    return done[id(t)]
+    return rebuild(
+        t,
+        _plain,
+        lambda u, args: on_power(u.symbol, args[0]) if u.symbol.is_power else App(u.symbol, args),
+    )
 
 
 def expand_at(t: Term, n: int) -> Term:
@@ -191,44 +183,36 @@ def normalize(t: Term) -> Term:
     """Canonical form: fused exponents, maximal offsets, no a = 0 powers.
 
     Expansion at any index is preserved; normalizing twice is the same as
-    normalizing once.  One bottom-up pass over the nodes that hold a power;
-    each result is kept with a power node reachable from it through plain
-    nodes (its top power), which is all that absorbing a concrete layer
-    above a power needs.
+    normalizing once.  One bottom-up pass (`terms.rebuild`) over the nodes
+    that hold a power.  Each result's top power, a power node reachable
+    from it through plain nodes, is kept by the result's id; it is all
+    that absorbing a concrete layer above a power needs, and reading it
+    off the arguments keeps the pass linear in a deep plain spine.
     """
-    if not t.powered:
-        return t
-    done: dict[int, tuple[Term, Optional[App]]] = {}
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        if id(node) in done:
-            stack.pop()
-            continue
-        pending = [a for a in node.args if a.powered and id(a) not in done]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if node.symbol.is_power:
-            u = done[id(node.args[0])][0] if node.args[0].powered else node.args[0]
-            out = _fuse(node.symbol, u)
-            done[id(node)] = (out, out if is_power(out) else _top_power(out))
-            continue
-        args = tuple(done[id(a)][0] if a.powered else a for a in node.args)
-        out = node if all(x is y for x, y in zip(args, node.args)) else App(node.symbol, args)
-        # An a = 0 power may have expanded into a plain term.
-        top = next((done[id(a)][1] for a in node.args if a.powered and done[id(a)][1]), None)
-        # A concrete copy of c directly above c^(a,b)(w) is absorbed: the
-        # whole node must be exactly one c-layer whose every hole holds that
-        # power.  Contexts hold no powers, so every power reachable through
-        # plain nodes is then that one, and the top power stands for all.
-        if top is not None and match_context(top.symbol.context, out) == top:
-            sym = top.symbol
-            out = App(PowerSymbol(sym.context, sym.a, sym.b + 1), (top.args[0],))
-            top = out
-        done[id(node)] = (out, top)
-    return done[id(t)][0]
+    tops: dict[int, App] = {}
+
+    def node(u: App, args: tuple[Term, ...]) -> Term:
+        if u.symbol.is_power:
+            out = _fuse(u.symbol, args[0])
+            top = out if is_power(out) else _top_power(out)
+        else:
+            out = App(u.symbol, args)
+            # An argument has no top when power-free, or when an a = 0
+            # power expanded into a plain term.
+            top = next((tops[id(a)] for a in args if id(a) in tops), None)
+            # A concrete copy of c directly above c^(a,b)(w) is absorbed: the
+            # whole node must be exactly one c-layer whose every hole holds
+            # that power.  Contexts hold no powers, so every power reachable
+            # through plain nodes is then that one, and the top power stands
+            # for all.
+            if top is not None and match_context(top.symbol.context, out) == top:
+                sym = top.symbol
+                out = top = App(PowerSymbol(sym.context, sym.a, sym.b + 1), (top.args[0],))
+        if top is not None:
+            tops[id(out)] = top
+        return out
+
+    return rebuild(t, _plain, node)
 
 
 def is_simple(t: Term) -> bool:

@@ -54,6 +54,8 @@ class QueryMode:
     modes: tuple[str, ...]
 
     def __repr__(self) -> str:
+        if not self.modes:
+            return self.predicate.name
         return f"{self.predicate.name}({','.join(self.modes)})"
 
 

@@ -4,7 +4,10 @@ The term language is small: variables and symbol applications.  Values are
 immutable and hashable.  Derivations produce very deep terms (number towers
 like ``s(s(...s(0)))``), so the hot operations -- equality, substitution
 application, unification, variable collection -- are iterative and
-short-circuit on ground subterms instead of recursing node by node.
+short-circuit on ground subterms instead of recursing node by node.  Every
+walk that builds a new term (substitution, plugging a context, replacing a
+subterm, and the power walks of `powers`) is one `rebuild`: a bottom-up
+pass that visits each node of the DAG once and keeps it shared.
 
 A symbol may also be a power symbol (`powers.PowerSymbol`), a tower of a
 ground context whose height grows with an index.  One unifier serves both
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -199,31 +202,57 @@ class Subst:
         return "{" + inner + "}"
 
 
-def _subst_dict(t: Term, m: Mapping[Var, Term]) -> Term:
-    """Apply a raw binding dict to a term, iteratively and with sharing."""
-    if not m or t.ground:
-        return t
-    if isinstance(t, Var):
-        return m.get(t, t)
-    # Only non-ground applications are visited; variables and ground
-    # arguments are read off in place.
+def rebuild(
+    t: Term,
+    leaf: Callable[[Term], Optional[Term]],
+    node: Optional[Callable[[App, tuple[Term, ...]], Term]] = None,
+) -> Term:
+    """t rebuilt bottom-up, iteratively and with sharing.
+
+    `leaf(u)` returns u's replacement, or None to descend into u: u's
+    arguments are rebuilt first, then u becomes `node(u, args)`, or, when
+    no `node` is given, u itself if every argument came back as the same
+    object and `App(u.symbol, args)` otherwise.  Results are kept by node,
+    so each node of the DAG is rebuilt once (`leaf` may still be asked
+    about it twice) and a subterm shared in t stays shared in the result.
+    """
+    out = leaf(t)
+    if out is not None:
+        return out
     done: dict[int, Term] = {}
     stack = [t]
     while stack:
-        n = stack[-1]
-        if id(n) in done:
+        u = stack[-1]
+        if id(u) in done:
             stack.pop()
             continue
-        pending = [a for a in n.args if not a.ground and isinstance(a, App) and id(a) not in done]
+        pending = False
+        for a in u.args:
+            if id(a) not in done:
+                r = leaf(a)
+                if r is None:
+                    stack.append(a)
+                    pending = True
+                else:
+                    done[id(a)] = r
         if pending:
-            stack.extend(pending)
             continue
         stack.pop()
-        args = tuple(
-            a if a.ground else m.get(a, a) if isinstance(a, Var) else done[id(a)] for a in n.args
-        )
-        done[id(n)] = n if all(x is y for x, y in zip(args, n.args)) else App(n.symbol, args)
+        args = tuple([done[id(a)] for a in u.args])
+        if node is not None:
+            done[id(u)] = node(u, args)
+        elif all(x is y for x, y in zip(args, u.args)):
+            done[id(u)] = u
+        else:
+            done[id(u)] = App(u.symbol, args)
     return done[id(t)]
+
+
+def _subst_dict(t: Term, m: Mapping[Var, Term]) -> Term:
+    """Apply a raw binding dict to a term, iteratively and with sharing."""
+    if not m:
+        return t
+    return rebuild(t, lambda u: u if u.ground else m.get(u, u) if isinstance(u, Var) else None)
 
 
 def apply(t, s: Subst):
@@ -492,35 +521,27 @@ def context_holes(c: Term) -> set[int]:
 
 def plug(c: Term, fillers: Sequence[Term]) -> Term:
     """Replace every occurrence of hole #i by fillers[i-1]."""
-    done: dict[int, Term] = {}
     used = 0
-    stack = [c]
-    while stack:
-        n = stack[-1]
-        if id(n) in done:
-            stack.pop()
-        elif n.ground or isinstance(n, Var):
-            done[id(n)] = n
-            stack.pop()
-        elif not n.args:  # the only non-ground constants are holes
-            i = hole_index(n)
-            if i > len(fillers):
-                top = max(context_holes(c))
-                raise ValueError(f"context has hole #{top} but only {len(fillers)} fillers")
-            used = max(used, i)
-            done[id(n)] = fillers[i - 1]
-            stack.pop()
-        else:
-            pending = [a for a in n.args if id(a) not in done]
-            if pending:
-                stack.extend(pending)
-            else:
-                done[id(n)] = App(n.symbol, tuple(done[id(a)] for a in n.args))
-                stack.pop()
+
+    def leaf(u: Term) -> Optional[Term]:
+        nonlocal used
+        if u.ground or isinstance(u, Var):
+            return u
+        if u.args:
+            return None
+        # The only non-ground constants are holes.
+        i = hole_index(u)
+        if i > len(fillers):
+            top = max(context_holes(c))
+            raise ValueError(f"context has hole #{top} but only {len(fillers)} fillers")
+        used = max(used, i)
+        return fillers[i - 1]
+
+    out = rebuild(c, leaf)
     if len(fillers) > used:
         present = sorted(context_holes(c))
         raise ValueError(f"{len(fillers)} fillers for a context with holes {present}")
-    return done[id(c)]
+    return out
 
 
 _HOLE1 = hole(1)
@@ -600,27 +621,7 @@ def _first_hole_path(c: Term) -> Optional[list[int]]:
 
 
 def _replace_subterm(t: Term, old: Term, new: Term) -> Term:
-    done: dict[int, Term] = {}
-    stack = [t]
-    while stack:
-        n = stack[-1]
-        if id(n) in done:
-            stack.pop()
-            continue
-        if n == old:
-            done[id(n)] = new
-            stack.pop()
-        elif isinstance(n, Var):
-            done[id(n)] = n
-            stack.pop()
-        else:
-            pending = [a for a in n.args if id(a) not in done]
-            if pending:
-                stack.extend(pending)
-            else:
-                done[id(n)] = App(n.symbol, tuple(done[id(a)] for a in n.args))
-                stack.pop()
-    return done[id(t)]
+    return rebuild(t, lambda u: new if u == old else u if isinstance(u, Var) else None)
 
 
 def primitive_context(c: Term) -> tuple[Term, int]:
@@ -637,19 +638,9 @@ def primitive_context(c: Term) -> tuple[Term, int]:
         sub: Term = c
         for i in path[:depth]:
             sub = sub.args[i]
-        cand = _replace_subterm(c, sub, hole(1))
-        cur: Term = c
-        k = 0
-        while True:
-            if cur == hole(1):
-                break
-            w = match_context(cand, cur)
-            if w is None:
-                k = -1
-                break
-            k += 1
-            cur = w
-        if k >= 1:
+        cand = _replace_subterm(c, sub, _HOLE1)
+        k, rest = strip_power(c, cand)
+        if k >= 1 and rest == _HOLE1:
             return cand, k
     return c, 1
 

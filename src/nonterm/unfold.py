@@ -165,7 +165,6 @@ class UnfoldStats:
     generated: int = 0
     subsumed: int = 0  # rules not stored: a stored one covers them (shift or instance)
     iterations: int = 0
-    elapsed_ms: float = 0.0
     stop: str = "fixpoint"  # fixpoint | proved | timeout | iteration-cap | rule-cap
 
 
@@ -349,8 +348,7 @@ def saturate(
     without a goal stores, in the same rounds and order; the fixpoint,
     `generated` and `max_rules` refer to them alone.
     """
-    t0 = time.monotonic()
-    deadline = t0 + budget.wall_clock
+    deadline = time.monotonic() + budget.wall_clock
     stored = PatternRuleSet()
     stats = UnfoldStats()
     source = VarSource()
@@ -358,7 +356,6 @@ def saturate(
 
     def finish(reason: str) -> tuple[PatternRuleSet, UnfoldStats]:
         stats.stop = reason
-        stats.elapsed_ms = (time.monotonic() - t0) * 1000.0
         return stored, stats
 
     def subsumed(rule: PatternRule, by: PatternRule, kind: str, k: int) -> None:

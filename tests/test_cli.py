@@ -200,6 +200,17 @@ class TestRun:
             ("g(i)", False),
         ]
 
+    def test_zero_arity_query_as_written(self, tmp_path):
+        f = tmp_path / "zero.pl"
+        f.write_text("%query: p.\np :- p.\n")
+        code, out, _ = run_cli(f, as_json=True)
+        assert code == 0
+        row = json.loads(out)[0]
+        assert (row["mode"], row["status"], row["witness"]) == ("p", "Proven", "p")
+        code, out, _ = run_cli(f)
+        # The row reads: program, (#rules, #rel), mode, witness, ...
+        assert out.splitlines()[1].split()[3] == "p"
+
     def test_determinism_modulo_time(self):
         _, out1, _ = run_cli(PROGRAMS_DIR / "while-gt-add.pl", as_json=True)
         _, out2, _ = run_cli(PROGRAMS_DIR / "while-gt-add.pl", as_json=True)

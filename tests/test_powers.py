@@ -384,6 +384,20 @@ class TestPowerUnify:
         assert resolve(solved) == Subst({X: pw(S1, 1, 2, Z), Y: term("s(s(Z))")})
 
 
+class TestSharing:
+    def test_expand_at_keeps_a_shared_power_shared(self):
+        p = pw(S1, 1, 0, Var("X"))
+        out = expand_at(App(F, (p, p)), 3)
+        assert out == term("f(s(s(s(X))),s(s(s(X))))")
+        assert out.args[0] is out.args[1]
+
+    def test_normalize_keeps_a_shared_subterm_shared(self):
+        q = plug(S1, [pw(S1, 1, 0, Var("X"))])
+        out = normalize(App(F, (q, q)))
+        assert out.args[0] == pw(S1, 1, 1, Var("X"))
+        assert out.args[0] is out.args[1]
+
+
 class TestShift:
     def test_shift_moves_the_index(self, rng):
         for _ in range(100):

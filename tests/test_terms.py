@@ -1,5 +1,7 @@
 """Term kernel: substitutions, unification, contexts, powers."""
 
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,7 @@ from nonterm.terms import (
     mgu,
     plug,
     primitive_context,
+    rebuild,
     render,
     resolve,
     strip_power,
@@ -70,6 +73,35 @@ class TestApply:
     def test_sequences_elementwise(self):
         q = (term("p(X)"), term("q(X,Y)"))
         assert apply(q, subst(X="0")) == (term("p(0)"), term("q(0,Y)"))
+
+
+class TestRebuild:
+    def test_unmoved_subterms_are_returned_as_they_are(self):
+        t = term("f(g(X),s(Y))")
+        assert apply(t, subst(Z="0")) is t
+        out = apply(t, subst(Y="0"))
+        assert out == term("f(g(X),s(0))") and out.args[0] is t.args[0]
+
+    def test_shared_subterm_stays_shared(self):
+        u = term("g(s(X))")
+        out = apply(App(F, (u, u)), subst(X="0"))
+        assert out == term("f(g(s(0)),g(s(0)))")
+        assert out.args[0] is out.args[1]
+
+    def test_each_dag_node_is_rebuilt_once(self):
+        # 60 levels of f(t, t): a tree of 2^60 leaves in a DAG of 61 nodes.
+        t = Var("X")
+        for _ in range(60):
+            t = App(F, (t, t))
+        calls = []
+
+        def node(u, args):
+            calls.append(u)
+            return App(u.symbol, args)
+
+        out = rebuild(t, lambda u: ZERO if isinstance(u, Var) else None, node)
+        assert len(calls) == len({id(u) for u in calls}) == 60
+        assert out.ground and out.args[0] is out.args[1]
 
 
 class TestCompose:
@@ -412,6 +444,18 @@ class TestDeepTerms:
         for _ in range(k):
             u = App(G, (App(_POWERS[0], (u,)),))
         assert normalize(u) == u
+
+    def test_plain_spine_above_a_power_normalizes_in_linear_time(self):
+        # g(...g(s(#1)^(1n+0)(X))...): no layer absorbs, so the term is
+        # already normal.  A walk that looks for the top power again at
+        # every plain node is quadratic here and takes minutes.
+        t = App(_POWERS[0], (Var("X"),))
+        for _ in range(20_000):
+            t = App(G, (t,))
+        start = time.perf_counter()
+        out = normalize(t)
+        assert time.perf_counter() - start < 5.0
+        assert out == t
 
     def test_deep_seed_head_context(self):
         # p(s^3001(X),Y) :- p(s^3000(X),Y) with the fact p(s^3000(0),0):
