@@ -330,8 +330,10 @@ def prove(
     """Search for a ground query on the given predicate that runs forever.
 
     Seeds the unfolding with the initial rule families of the predicate's
-    `cone` and saturates them toward it (`saturate` with a goal), stopping
-    at the first stored rule that pumps itself on the queried predicate.
+    `cone` that can lead to it (`initial_rules` with a goal: the closing
+    families of the cone, the open ones of the predicate) and saturates
+    them toward it (`saturate` with a goal), stopping at the first stored
+    rule that pumps itself on the queried predicate.
     Rules outside the cone only derive families of predicates outside it,
     which no rule of the cone ever selects, so the cut changes no verdict.
     Witnesses are grounded, and validated, over the whole program.  Every
@@ -348,7 +350,7 @@ def prove(
             f"goal: {goal.name}/{goal.arity}; cone: {', '.join(sym.name for sym in kept)} "
             f"({len(kept)} of {len(program.head_symbols())} predicates)\n"
         )
-    base = initial_rules(reach)
+    base = initial_rules(reach, goal)
     found: list[Witness] = []
     constant = ground_constant(program)
 

@@ -21,7 +21,9 @@ from .powers import expand_at, least_shift, power_form, shift
 from .program import Program
 from .terms import (
     EPSILON,
+    App,
     Subst,
+    Symbol,
     Term,
     Var,
     decompose_power,
@@ -65,7 +67,7 @@ class PatternRule:
         return f"{render(self.lhs)} => {render(self.rhs)}"
 
 
-def initial_rules(program: Program) -> list[PatternRule]:
+def initial_rules(program: Program, goal: Optional[Symbol] = None) -> list[PatternRule]:
     """Seed pattern rules from recursive/base pairs of binary rules.
 
     A recursive rule (head, body) whose body has no repeated variable and
@@ -77,15 +79,25 @@ def initial_rules(program: Program) -> list[PatternRule]:
     Each is built as a power term (`power_form`): with c_k = d^a for a
     ground d of minimal period, x_k goes to d^(a,b)(t) where t_k = d^b(t),
     in the head to d^(a,a)(x_k).  A variable sigma leaves alone keeps its
-    filler.
+    filler.  Each recursive rule is tried against the facts of its body's
+    predicate only, in program order; no other fact matches the body.
+
+    With a goal, the open family is built only for a recursive rule whose
+    body is a goal atom, and the closing families for every predicate,
+    since inner slots need them.  Those are exactly the seeds goal-directed
+    saturation stores (`unfold._toward`), in the same order:
+    initial_rules(p, g) == [r for r in initial_rules(p) if _toward(g, r)].
     """
     out: list[PatternRule] = []
     seen: set[tuple] = set()
     recursive = [r for r in program.rules if len(r.body) == 1]
-    facts = [r for r in program.rules if not r.body]
+    facts: dict[Symbol, list[Term]] = {}
+    for rule in program.rules:
+        if not rule.body and isinstance(rule.head, App):
+            facts.setdefault(rule.head.symbol, []).append(rule.head)
     for rec in recursive:
         body = rec.body[0]
-        if isinstance(body, Var) or not _is_linear(body):
+        if isinstance(body, Var) or body.symbol not in facts or not _is_linear(body):
             continue
         wrapped = match(body, rec.head)
         if wrapped is None:
@@ -93,13 +105,15 @@ def initial_rules(program: Program) -> list[PatternRule]:
         moved = _wrap_powers(wrapped)
         if moved is None:
             continue
-        open_ = power_form(body, wrapped, moved)
-        for base in facts:
-            ts = match(body, base.head)
+        open_ = None
+        if goal is None or body.symbol == goal:
+            open_ = PatternRule(power_form(body, wrapped, moved), body)
+        for fact in facts[body.symbol]:
+            ts = match(body, fact)
             if ts is None:
                 continue
-            closing = power_form(body, ts, moved)
-            for rule in (PatternRule(closing, EPSILON), PatternRule(open_, body)):
+            closing = PatternRule(power_form(body, ts, moved), EPSILON)
+            for rule in (closing,) if open_ is None else (closing, open_):
                 key = rule.key()
                 if key not in seen:
                     seen.add(key)

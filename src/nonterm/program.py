@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .terms import (
@@ -38,6 +39,12 @@ class Rule:
     body: tuple[Term, ...] = ()
 
     def vars(self) -> frozenset[Var]:
+        return self._vars
+
+    @cached_property
+    def _vars(self) -> frozenset[Var]:
+        # Computed once: every unfolding round and interpreter step renames
+        # program rules apart.
         return term_vars((self.head, *self.body))
 
     def __repr__(self) -> str:

@@ -60,6 +60,21 @@ class TestCone:
         assert _cone_rules(text) == ["f(X) :- f(s(X))."]
 
 
+class TestRule:
+    def test_vars_computed_once(self):
+        rule = parse_program("p(X, s(Y)) :- q(Y, Z), p(X, Z).").rules[0]
+        assert rule.vars() is rule.vars()
+        assert rule.vars() == {Var("X"), Var("Y"), Var("Z")}
+
+    def test_equality_and_hash_compare_head_and_body_only(self):
+        head, body = term("p(s(X))"), (term("p(X)"),)
+        asked, fresh = Rule(head, body), Rule(head, body)
+        asked.vars()
+        assert asked == fresh and hash(asked) == hash(fresh)
+        assert Rule(head, body) != Rule(head, (term("p(s(X))"),))
+        assert Rule(head) != Rule(head, body)
+
+
 class TestParser:
     def test_single_fact(self):
         p = parse_program("p(X).")

@@ -23,6 +23,7 @@ from conftest import (
     random_simple_pattern,
     random_term,
     recursive_programs,
+    reference_initial_rules,
     self_wrapping_programs,
     step,
     step_candidates,
@@ -66,6 +67,7 @@ from nonterm.unfold import (
     UnfoldBudget,
     _attempts,
     _clashes,
+    _toward,
     identity_pattern_rules,
     rename_pattern_rule,
     saturate,
@@ -1063,6 +1065,10 @@ class TestGoalDirected:
     def check_useful_families(self, program, rounds):
         goal = program.queries[0].predicate
         base = initial_rules(program)
+        assert base == reference_initial_rules(program)
+        # Seeding with the goal builds exactly the seeds saturation keeps.
+        seeds = initial_rules(program, goal)
+        assert seeds == [r for r in base if _toward(goal, r)]
         budget = UnfoldBudget(wall_clock=3600.0, max_iterations=rounds)
         full, full_stats = saturate(program, base, budget)
         kept, stats = saturate(program, base, budget, goal=goal)
@@ -1094,6 +1100,9 @@ class TestGoalDirected:
     @example("%query: p(i).\np(X0) :- q(X0), p(s(X0)).\nq(X) :- r(X).\nr(0).\nr(s(X)) :- r(X).")
     # The goal as a context: the right side p(p(p^n(0))) is a power of p.
     @example("%query: p(i).\np(X0) :- q(X0), r(p(X0)).\nr(X) :- p(X).\nq(p(X)) :- q(X).\nq(0).")
+    # Facts of p and q interleaved with a variable-headed fact: each seed
+    # still pairs a recursive rule with its predicate's facts in order.
+    @example("%query: p(i).\np(s(X0)) :- p(X0).\nq(s(X)) :- q(X).\np(s(s(0))).\nX.\nq(0).\np(0).\nq(s(0)).")
     def test_random_recursive_programs(self, text):
         program = parse_program(text)
         self.check_useful_families(program, 4)
