@@ -1,13 +1,19 @@
 """Recognition of self-pumping pattern rules and witness construction.
 
-A stored pattern rule (p, q) proves non-termination when, over a common
-variable-free outer context, every argument position relates a power
-c^(a,b)(t) on the left to a power of the same context c^(a',b')(t rho) on
-the right, with exponents aligned so that q(n) is an instance of p(n + k)
-for all large enough n.  Then any ground instance of p(n) heads an
-infinite derivation: it must call an instance of q(n), which embeds into
-p(n + k), and the argument repeats forever.  The index threshold alpha and
-the shift k fall out of the exponent arithmetic.
+A stored pattern rule (p, q) proves non-termination when q(n) is an
+instance of p(n + k) for every index n >= alpha (Emmes, Enger & Giesl's
+rule-family argument).  Then any ground instance of p(n) heads an infinite
+derivation: it must call an instance of q(n), which embeds into p(n + k),
+and the argument repeats forever.
+
+`match_pumping` checks the embedding position by position.  The two sides
+are walked down through identical plain symbols; each pair where they
+part reads as c^(a,b)(t) on the left against c^(ra,rb)(u) on the right,
+with t a variable or a ground term.  A ground t must reappear as u, under
+the same slope a >= 1, and fixes the shift k = (rb - b) / a; all ground
+positions must agree on it.  A variable t = X is bound to
+c^((ra-a)n + rb-b-a*k)(u), an exponent that must not shrink and must be
+non-negative from alpha on; every position of X must bind it alike.
 """
 
 from __future__ import annotations
@@ -28,22 +34,16 @@ from .terms import (
     Term,
     Var,
     apply,
-    hole,
     match,
     render,
     term_vars,
 )
 from .unfold import UnfoldBudget, saturate
 
-# How the argument positions of a pumping rule are populated.
-MIXED = "mixed"  # ground-anchored and variable positions both present
-VARS_ONLY = "vars-only"  # every position carries a variable
-GROUND_ONLY = "ground-only"  # every position carries a ground term
-
 
 @dataclass(frozen=True)
 class Hole:
-    """One argument position: c^(a,b)(t) on the left, c^(ra,rb)(t rho) right.
+    """One argument position: c^(a,b)(t) on the left, c^(ra,rb)(u) right.
 
     context is None when both sides are plain terms at this position (then
     all four exponents are zero).
@@ -59,59 +59,30 @@ class Hole:
 
 @dataclass(frozen=True)
 class PumpData:
-    """Everything extracted from a rule that certifies self-pumping."""
+    """The certificate of self-pumping: q(n) instantiates p(n + k) for n >= alpha."""
 
-    outer: Term  # variable-free context over the argument positions
-    holes: tuple[Hole, ...]
-    rho: Subst
-    e: int
-    a: int
-    ra: int
-    b: int
-    rb: int
-    d: int
-    rd: int
     k: int
     alpha: Fraction
-    variant: str
 
 
-def _split_outer(u: Term, v: Term) -> tuple[Term, list[tuple[Term, Term]]]:
-    """Maximal common variable-free context of two power terms.
+def _positions(u: Term, v: Term) -> list[tuple[Term, Term]]:
+    """The pairs of subterms, left to right, where two power terms part.
 
-    Descends through identical plain symbols; a position becomes a hole as
-    soon as either side is a variable or a power, or the symbols differ.
-    Identical ground material is absorbed into the context, never turned
-    into a hole.
+    Descends through identical plain symbols without recursing.  An
+    identical pair is skipped only when it is ground and power-free: a
+    ground power still moves with n, and a variable pins itself.
     """
-    holes: list[tuple[Term, Term]] = []
-    # Post-order without recursion: (pair, False) visits, (pair, True)
-    # builds the context node from its arguments' results on `built`.
-    built: list[Term] = []
-    stack: list[tuple[Term, Term, bool]] = [(u, v, False)]
+    out: list[tuple[Term, Term]] = []
+    stack = [(u, v)]
     while stack:
-        a, b, ready = stack.pop()
-        if ready:
-            n = len(a.args)
-            args = tuple(built[-n:])
-            del built[-n:]
-            built.append(App(a.symbol, args))
-        elif (
-            isinstance(a, App)
-            and isinstance(b, App)
-            and not is_power(a)
-            and not is_power(b)
-            and a.symbol == b.symbol
-        ):
-            if a.args:
-                stack.append((a, b, True))
-                stack.extend((x, y, False) for x, y in zip(reversed(a.args), reversed(b.args)))
-            else:
-                built.append(a)
+        a, b = stack.pop()
+        if a.ground and not a.powered and a == b:
+            continue
+        if isinstance(a, App) and isinstance(b, App) and a.symbol == b.symbol and not is_power(a):
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
         else:
-            holes.append((a, b))
-            built.append(hole(len(holes)))
-    return built[0], holes
+            out.append((a, b))
+    return out
 
 
 def _read_hole(left: Term, right: Term) -> Optional[tuple[Hole, Term]]:
@@ -145,121 +116,53 @@ def _read_hole(left: Term, right: Term) -> Optional[tuple[Hole, Term]]:
 
 
 def match_pumping(rule: PatternRule) -> Optional[PumpData]:
-    """Check whether a simple pattern rule pumps itself; None if not.
+    """The shift k and threshold alpha with which a rule pumps itself; None if not.
 
+    Solves the embedding q(n) = p(n + k) theta position by position (see
+    the module docstring).  alpha is the largest bound that a growing
+    variable position puts on n, or 0 without one; it may be negative.
     Works on the canonical power terms only: the underlying property is
     existential over all equivalent representatives, so this recognizer is
     deliberately incomplete but sound.
     """
     if rule.rhs_is_epsilon():
         return None
-
-    outer, pairs = _split_outer(rule.lhs, rule.rhs)
-    holes: list[Hole] = []
-    rights: list[Term] = []
-    for left, right in pairs:
+    holes: list[tuple[Hole, Term]] = []
+    for left, right in _positions(rule.lhs, rule.rhs):
         read = _read_hole(left, right)
         if read is None:
             return None
-        h, right_inner = read
-        holes.append(h)
-        rights.append(right_inner)
-    return _classify(outer, holes, rights)
+        holes.append(read)
 
-
-def _classify(outer: Term, holes: list[Hole], rights: list[Term]) -> Optional[PumpData]:
-    # Every left inner term is a variable or ground; rho maps the variable
-    # ones consistently, ground ones must reappear verbatim.
-    rho_map: dict[Var, Term] = {}
-    ground_idx: list[int] = []
-    var_idx: list[int] = []
-    for i, h in enumerate(holes):
+    # A ground position needs c^(a(n+k)+b)(t) = c^(ra*n+rb)(t) at every n.
+    k: Optional[int] = None
+    for h, u in holes:
         if isinstance(h.t, Var):
-            var_idx.append(i)
-            if h.t in rho_map:
-                if rho_map[h.t] != rights[i]:
-                    return None
-            else:
-                rho_map[h.t] = rights[i]
-        elif h.t.ground:
-            ground_idx.append(i)
-            if rights[i] != h.t:
-                return None
-        else:
+            continue
+        if not h.t.ground or u != h.t or h.a != h.ra or h.a < 1:
             return None
+        shift, rest = divmod(h.rb - h.b, h.a)
+        if rest or shift < 0 or k not in (None, shift):
+            return None
+        k = shift
+    k = k or 0
 
-    # A shared variable must be driven by one and the same context.
-    by_var: dict[Var, Optional[Term]] = {}
-    for i in var_idx:
-        h = holes[i]
-        if h.t in by_var:
-            if by_var[h.t] != h.context:
-                return None
-        else:
-            by_var[h.t] = h.context
-
-    def unique(pairs_set: set[tuple[int, int]]) -> Optional[tuple[int, int]]:
-        return next(iter(pairs_set)) if len(pairs_set) == 1 else None
-
-    ground_a = {(holes[i].a, holes[i].ra) for i in ground_idx}
-    ground_b = {(holes[i].b, holes[i].rb) for i in ground_idx}
-    var_a = {(holes[i].a, holes[i].ra) for i in var_idx}
-    var_b = {(holes[i].b, holes[i].rb) for i in var_idx}
-    rho = Subst(rho_map)
-
-    if ground_idx and var_idx:
-        ga, gb, va, vb = unique(ground_a), unique(ground_b), unique(var_a), unique(var_b)
-        if ga is None or gb is None or va is None or vb is None:
+    # A variable position binds X to c^(slope*n + offset)(u).
+    bindings: dict[Var, tuple[Optional[Term], int, int, Term]] = {}
+    alpha: Optional[Fraction] = None
+    for h, u in holes:
+        if not isinstance(h.t, Var):
+            continue
+        slope, offset = h.ra - h.a, h.rb - h.b - h.a * k
+        if slope < 0 or (slope == 0 and offset < 0):
             return None
-        e, e2 = ga
-        if e != e2 or e <= 0:
+        binding = (h.context, slope, offset, u)
+        if bindings.setdefault(h.t, binding) != binding:
             return None
-        b, rb = gb
-        if b > rb:
-            return None
-        a, ra = va
-        if a > ra:
-            return None
-        d, rd = vb
-        if (rb - b) % e != 0:
-            return None
-        k = (rb - b) // e
-        if a == ra and (rd - d) - a * k < 0:
-            return None
-        alpha = Fraction(0) if a == ra else Fraction(a * k - (rd - d), ra - a)
-        return PumpData(outer, tuple(holes), rho, e, a, ra, b, rb, d, rd, k, alpha, MIXED)
-
-    # Single-kind positions demand uniform exponents on each side.
-    left_pairs = {(h.a, h.b) for h in holes}
-    right_pairs = {(h.ra, h.rb) for h in holes}
-    if holes:
-        lp, rp = unique(left_pairs), unique(right_pairs)
-        if lp is None or rp is None:
-            return None
-        a, b = lp
-        ra, rb = rp
-    else:
-        a = b = ra = rb = 0
-
-    if not ground_idx:  # every position carries a variable (or no positions)
-        if a > ra:
-            return None
-        if a == ra and b > rb:
-            return None
-        alpha = Fraction(0) if a == ra else Fraction(b - rb, ra - a)
-        return PumpData(
-            outer, tuple(holes), rho, 0, a, ra, b, rb, b, rb, 0, alpha, VARS_ONLY
-        )
-
-    # Every position carries a ground term.
-    if a != ra or a <= 0:
-        return None
-    if rb < b or (rb - b) % a != 0:
-        return None
-    k = (rb - b) // a
-    return PumpData(
-        outer, tuple(holes), rho, a, a, ra, b, rb, 0, 0, k, Fraction(0), GROUND_ONLY
-    )
+        if slope:
+            least = Fraction(-offset, slope)
+            alpha = least if alpha is None else max(alpha, least)
+    return PumpData(k, Fraction(0) if alpha is None else alpha)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,12 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 
 from conftest import (
+    F,
+    G,
     G_WRAPS_ITSELF,
+    NIL,
     WHILE_GT_ADD,
+    ZERO,
     Family,
     context_power,
     fam,
@@ -17,9 +21,6 @@ from conftest import (
     term,
 )
 from nonterm.detect import (
-    GROUND_ONLY,
-    MIXED,
-    VARS_ONLY,
     check_pumps,
     ground_constant,
     match_pumping,
@@ -27,8 +28,9 @@ from nonterm.detect import (
     witness_from,
 )
 from nonterm.pattern import PatternRule
+from nonterm.powers import PowerSymbol
 from nonterm.program import derive_bounded, parse_program
-from nonterm.terms import EPSILON, App, Subst, Symbol, Var, match, plug, render
+from nonterm.terms import EPSILON, App, Subst, Symbol, Var, hole, match, plug, render
 from nonterm.unfold import UnfoldBudget
 
 
@@ -43,12 +45,8 @@ class TestMatchPumping:
     def test_loop_rule_numbers(self):
         data = match_pumping(loop_rule())
         assert data is not None
-        assert data.variant == MIXED
-        assert (data.e, data.b, data.rb) == (1, 0, 1)
-        assert (data.a, data.ra, data.d, data.rd) == (1, 2, 1, 1)
         assert data.k == 1
         assert data.alpha == Fraction(1)
-        assert data.rho == Subst()
 
     def test_different_roots_rejected(self):
         r = PatternRule(term("f(X)"), term("g(X)"))
@@ -79,16 +77,14 @@ class TestMatchPumping:
         r = PatternRule(term("p(X)"), term("p(X)"))
         data = match_pumping(r)
         assert data is not None
-        assert data.variant == VARS_ONLY
         assert data.k == 0 and data.alpha == 0
 
     def test_growing_argument_is_pumping(self):
-        # p(X) calls p(s(X)): vars-only with a pure shift in rho.
+        # p(X) calls p(s(X)): X is bound to s(X) at every index.
         r = PatternRule(term("p(X)"), term("p(s(X))"))
         data = match_pumping(r)
         assert data is not None
-        assert data.variant == VARS_ONLY
-        assert data.rho == subst(X="s(X)")
+        assert data.k == 0 and data.alpha == 0
 
     def test_ground_only_variant(self):
         r = PatternRule(
@@ -97,7 +93,6 @@ class TestMatchPumping:
         )
         data = match_pumping(r)
         assert data is not None
-        assert data.variant == GROUND_ONLY
         assert data.k == 1 and data.alpha == 0
 
     def test_ground_only_divisibility(self):
@@ -121,6 +116,57 @@ class TestMatchPumping:
             fam("f(X,Y)", subst(X="s(s(X))", Y="g(g(Y))"), subst(X="Z", Y="Z")),
         )
         assert match_pumping(r) is None
+
+    def _pumps(self, r: PatternRule, k: int, alpha: int = 0) -> None:
+        data = match_pumping(r)
+        assert data is not None and (data.k, data.alpha) == (k, alpha)
+        for n in range(6):
+            assert check_pumps(r, data, n), n
+
+    def test_fixed_argument_beside_a_growing_one(self):
+        # p(X, s^n(Y)) => p(X, s^(n+1)(Y)): X stays, Y grows.
+        r = PatternRule(
+            fam("p(X,Y)", subst(Y="s(Y)")),
+            fam("p(X,Y)", subst(Y="s(Y)"), subst(Y="s(Y)")),
+        )
+        self._pumps(r, k=0)
+
+    def test_ground_positions_of_different_slopes_share_the_shift(self):
+        # f(s^n(0), g^(2n)(0)) => f(s^(n+1)(0), g^(2n+2)(0)): slopes 1 and 2.
+        r = PatternRule(
+            fam("f(X,Y)", subst(X="s(X)", Y="g(g(Y))"), subst(X="0", Y="0")),
+            fam("f(X,Y)", subst(X="s(X)", Y="g(g(Y))"), subst(X="s(0)", Y="g(g(0))")),
+        )
+        self._pumps(r, k=1)
+
+    def test_variable_with_two_bindings_rejected(self):
+        # f(s^n(X), s^n(X)) => f(s^(n+1)(X), s^(n+2)(X))
+        r = PatternRule(
+            fam("f(X,Y)", subst(X="s(X)", Y="s(Y)"), subst(X="Z", Y="Z")),
+            fam("f(X,Y)", subst(X="s(X)", Y="s(Y)"), subst(X="s(Z)", Y="s(s(Z))")),
+        )
+        assert match_pumping(r) is None
+
+    def test_variable_pinned_by_its_plain_copy_rejected(self):
+        # f(X, s^n(X)) => f(X, s^(n+1)(X)): the first position binds X to X.
+        r = PatternRule(
+            fam("f(X,Y)", subst(Y="s(Y)"), subst(Y="X")),
+            fam("f(X,Y)", subst(Y="s(Y)"), subst(Y="s(X)")),
+        )
+        assert match_pumping(r) is None
+
+    def test_identical_ground_power_still_moves(self):
+        # The first position is the same ground power on both sides, so it
+        # fixes k = 0, while the second asks for k = 2.
+        h = hole(1)
+        c1 = App(F, (App(G, (h,)), App(G, (h,))))
+        c2 = App(F, (h, App(G, (NIL,))))
+        p = Symbol("p", 2)
+
+        def side(b2: int) -> App:
+            return App(p, (App(PowerSymbol(c1, 1, 2), (ZERO,)), App(PowerSymbol(c2, 1, b2), (ZERO,))))
+
+        assert match_pumping(PatternRule(side(1), side(3))) is None
 
 
 class TestWitness:
