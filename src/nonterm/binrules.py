@@ -65,9 +65,9 @@ def canonical_key(parts: tuple[Term, ...]) -> tuple:
     apart by term equality: within one key, two subterms are equal exactly
     when they have the same symbol and refs, so two term tuples have equal
     keys exactly when they are variants, whether or not the terms share
-    their subterms.  Plugging a multi-hole context shares subterms, so
-    terms are DAGs; a node met again is already numbered, and the walk is
-    linear in the DAG's size.
+    their subterms.  Plugging a context with a repeated hole shares
+    subterms, so terms are DAGs; a node met again is already numbered, and
+    the walk is linear in the DAG's size.
     """
     order: dict[Var, int] = {}
     numbers: dict[Term, int] = {}

@@ -13,7 +13,8 @@ with t a variable or a ground term.  A ground t must reappear as u, under
 the same slope a >= 1, and fixes the shift k = (rb - b) / a; all ground
 positions must agree on it.  A variable t = X is bound to
 c^((ra-a)n + rb-b-a*k)(u), an exponent that must not shrink and must be
-non-negative from alpha on; every position of X must bind it alike.
+non-negative from alpha on; every position of X must bind it alike, and
+a binding without growth is u itself, whatever its context.
 """
 
 from __future__ import annotations
@@ -156,7 +157,8 @@ def match_pumping(rule: PatternRule) -> Optional[PumpData]:
         slope, offset = h.ra - h.a, h.rb - h.b - h.a * k
         if slope < 0 or (slope == 0 and offset < 0):
             return None
-        binding = (h.context, slope, offset, u)
+        # Without growth X is bound to u itself, whatever the context.
+        binding = (h.context, slope, offset, u) if slope or offset else (None, 0, 0, u)
         if bindings.setdefault(h.t, binding) != binding:
             return None
         if slope:

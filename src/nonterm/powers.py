@@ -20,7 +20,11 @@ two powers of the same context and slope meet by peeling the smaller
 offset off both.  Any other pair of distinct power symbols clashes, which
 is known to be incomplete: a unifiable pair may still fail when the two
 sides factor the same tower through powers of different slopes, or
-through a power on one side and concrete layers on the other.
+through a power on one side and concrete layers on the other.  A unifier
+need not have the paper's shape: a binding may hold a power under a plain
+symbol, or powers of two contexts.  Expansion at an index is a
+homomorphism, so its instances are still the classical unifiers; the
+family it derives is kept only if it is simple (`is_simple`).
 """
 
 from __future__ import annotations
@@ -247,6 +251,11 @@ def pattern_form(theta: Subst) -> Optional[Subst]:
     over a plain term; it is what sigma^n . mu gives one variable.  Anything
     else -- stacked powers of different contexts, a power buried under an
     alien symbol -- yields None.
+
+    No prover code calls it: `unfold` keeps a derived family when it is
+    simple, whatever shape the unifier has.  It is kept for the tests,
+    which read a unifier back as (sigma, mu) through it, and for
+    `bench/layers.py`, which traces it.
     """
     out: dict[Var, Term] = {}
     for v, u in theta.items():
@@ -267,13 +276,11 @@ def pattern_mgu(
     """Most general unifier of two sequences of power terms (`terms.unify`).
 
     With `bindings`, a triangular binding map of equations already solved,
-    the unifier extends it.  Fails (None) when the terms clash or some
-    binding is not a pattern binding (`pattern_form`); failure does not
-    entail non-unifiability.
+    the unifier extends it.  Fails (None) when the sequences differ in
+    length or the terms clash; failure does not entail non-unifiability.
+    Bindings are resolved but not normalized, and may have any shape.
     """
     if len(left) != len(right):
         return None
     solved = unify(bindings or {}, zip(left, right))
-    if solved is None:
-        return None
-    return pattern_form(resolve(solved))
+    return None if solved is None else resolve(solved)

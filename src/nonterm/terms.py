@@ -63,6 +63,10 @@ class Var:
         return self.name
 
 
+# The name of the context hole (`HOLE`); the parser cannot lex it.
+_HOLE_NAME = "#1"
+
+
 class App:
     """Application of a symbol to argument terms.
 
@@ -82,9 +86,9 @@ class App:
             )
         self.symbol = symbol
         self.args = args
-        # Context holes (#1, #2, ...) are placeholders, not constants: a term
-        # containing one must never take the ground fast paths.  Holes are
-        # constants, so the name is read only without arguments (a power
+        # The context hole #1 is a placeholder, not a constant: a term
+        # containing it must never take the ground fast paths.  The hole is
+        # a constant, so the name is read only without arguments (a power
         # symbol's name renders its whole context).
         if args:
             ground, powered = True, symbol.is_power
@@ -93,7 +97,7 @@ class App:
                 powered = powered or a.powered
             self.ground, self.powered = ground, powered
         else:
-            self.ground, self.powered = not symbol.name.startswith("#"), False
+            self.ground, self.powered = symbol.name != _HOLE_NAME, False
         self._hash = hash((symbol, *[a._hash for a in args]))
 
     def __eq__(self, other: object) -> bool:
@@ -101,8 +105,9 @@ class App:
             return True
         if not isinstance(other, App) or self._hash != other._hash:
             return False
-        # Plugging a multi-hole context shares subterms, so terms are DAGs;
-        # memoizing compared pairs keeps equality proportional to DAG size.
+        # Plugging a context with a repeated hole shares subterms, so terms
+        # are DAGs; memoizing compared pairs keeps equality proportional to
+        # DAG size.
         seen: set[tuple[int, int]] = set()
         stack = [(self, other)]
         while stack:
@@ -483,77 +488,34 @@ def fresh_renaming(
 
 # --- Contexts -------------------------------------------------------------
 #
-# A context is a term over the program signature plus reserved hole symbols
-# #1, #2, ...; a 1-context uses only #1.  Ground 1-contexts (no variables)
-# are the building blocks of context powers: c^0 = #1, c^(n+1) = c(c^n).
+# A context is a term over the program signature plus the reserved hole
+# constant #1 (`HOLE`), which may occur more than once.  Ground contexts (no
+# variables) are the building blocks of context powers: c^0 = #1,
+# c^(n+1) = c(c^n).
 
-_HOLE_PREFIX = "#"
-_hole_cache: dict[int, App] = {}
-
-
-def hole(i: int = 1) -> App:
-    if i not in _hole_cache:
-        _hole_cache[i] = App(Symbol(f"{_HOLE_PREFIX}{i}", 0), ())
-    return _hole_cache[i]
+HOLE = App(Symbol(_HOLE_NAME, 0), ())
 
 
-def is_hole(t: Term) -> bool:
-    return isinstance(t, App) and not t.args and t.symbol.name.startswith(_HOLE_PREFIX)
+def plug(c: Term, u: Term) -> Term:
+    """c with every occurrence of the hole replaced by u."""
 
+    def leaf(w: Term) -> Optional[Term]:
+        if w.ground or isinstance(w, Var):
+            return w
+        # The only non-ground constant is the hole.
+        return None if w.args else u
 
-def hole_index(t: App) -> int:
-    return int(t.symbol.name[len(_HOLE_PREFIX):])
-
-
-def context_holes(c: Term) -> set[int]:
-    out = set()
-    seen: set[int] = set()
-    stack = [c]
-    while stack:
-        u = stack.pop()
-        if is_hole(u):
-            out.add(hole_index(u))
-        elif isinstance(u, App) and not u.ground and id(u) not in seen:
-            seen.add(id(u))
-            stack.extend(u.args)
-    return out
-
-
-def plug(c: Term, fillers: Sequence[Term]) -> Term:
-    """Replace every occurrence of hole #i by fillers[i-1]."""
-    used = 0
-
-    def leaf(u: Term) -> Optional[Term]:
-        nonlocal used
-        if u.ground or isinstance(u, Var):
-            return u
-        if u.args:
-            return None
-        # The only non-ground constants are holes.
-        i = hole_index(u)
-        if i > len(fillers):
-            top = max(context_holes(c))
-            raise ValueError(f"context has hole #{top} but only {len(fillers)} fillers")
-        used = max(used, i)
-        return fillers[i - 1]
-
-    out = rebuild(c, leaf)
-    if len(fillers) > used:
-        present = sorted(context_holes(c))
-        raise ValueError(f"{len(fillers)} fillers for a context with holes {present}")
-    return out
-
-
-_HOLE1 = hole(1)
+    return rebuild(c, leaf)
 
 
 def is_one_layer(c: Term) -> bool:
     """Whether c is one symbol over #1 alone, like s(#1) or f(#1,#1)."""
-    return 0 < len(c.args) == c.args.count(_HOLE1)
+    return 0 < len(c.args) == c.args.count(HOLE)
 
 
 def match_context(c: Term, t: Term) -> Optional[Term]:
-    """If t == c(u) for a single filler u at every hole of c, return u."""
+    """If t == c(u) for a single filler u at every occurrence of the hole
+    in c, return u."""
     if is_one_layer(c):
         if isinstance(t, Var) or (t.symbol is not c.symbol and t.symbol != c.symbol):
             return None
@@ -566,7 +528,7 @@ def match_context(c: Term, t: Term) -> Optional[Term]:
     stack = [(c, t)]
     while stack:
         cn, tn = stack.pop()
-        if is_hole(cn):
+        if cn == HOLE:
             if filler is None:
                 filler = tn
             elif filler != tn:
@@ -588,7 +550,7 @@ def concrete_power(c: Term, k: int, inner: Term) -> Term:
             inner = App(sym, (inner,) * n)
         return inner
     for _ in range(k):
-        inner = plug(c, [inner])
+        inner = plug(c, inner)
     return inner
 
 
@@ -612,7 +574,7 @@ def _first_hole_path(c: Term) -> Optional[list[int]]:
     stack: list[tuple[Term, list[int]]] = [(c, [])]
     while stack:
         u, path = stack.pop()
-        if is_hole(u):
+        if u == HOLE:
             return path
         if isinstance(u, App):
             for i in range(len(u.args) - 1, -1, -1):
@@ -638,9 +600,9 @@ def primitive_context(c: Term) -> tuple[Term, int]:
         sub: Term = c
         for i in path[:depth]:
             sub = sub.args[i]
-        cand = _replace_subterm(c, sub, _HOLE1)
+        cand = _replace_subterm(c, sub, HOLE)
         k, rest = strip_power(c, cand)
-        if k >= 1 and rest == _HOLE1:
+        if k >= 1 and rest == HOLE:
             return cand, k
     return c, 1
 
@@ -655,10 +617,10 @@ def decompose_power(t: Term, var: Var) -> Optional[tuple[Term, int]]:
     """
     if isinstance(t, App) and var in t.args and all(a == var or a.ground for a in t.args):
         # One layer over var: its own primitive root, no search needed.
-        return App(t.symbol, tuple(_HOLE1 if a == var else a for a in t.args)), 1
+        return App(t.symbol, tuple(HOLE if a == var else a for a in t.args)), 1
     if var not in term_vars(t):
         return None
-    skel = _subst_dict(t, {var: _HOLE1})
+    skel = _subst_dict(t, {var: HOLE})
     if term_vars(skel):
         return None
     return primitive_context(skel)

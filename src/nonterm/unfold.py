@@ -315,13 +315,13 @@ def _derive(head: Term, last: PatternRule, theta: Optional[Subst]) -> Optional[P
     """The rule a selection derives from its unifier, or None."""
     if theta is None:
         return None
-    # A power of one context may land inside a power of another, a shape
-    # no stored family has, so such a result is dropped.  The head is plain
-    # and theta binds single powers, so the left side never has it.
+    # A power of one context may land inside a power of another, on either
+    # side, a shape no stored family has, so such a result is dropped.
+    lhs = normalize(apply(head, theta))
     rhs = normalize(apply(last.rhs, theta))
-    if not is_simple(rhs):
+    if not (is_simple(lhs) and is_simple(rhs)):
         return None
-    return PatternRule(normalize(apply(head, theta)), rhs)
+    return PatternRule(lhs, rhs)
 
 
 def saturate(

@@ -33,6 +33,7 @@ from nonterm.program import (
 )
 from nonterm.terms import (
     EPSILON,
+    HOLE,
     App,
     Subst,
     Symbol,
@@ -45,7 +46,6 @@ from nonterm.terms import (
     compose,
     concrete_power,
     decompose_power,
-    hole,
     match,
     match_context,
     plug,
@@ -92,9 +92,9 @@ def range_vars(theta: Subst) -> frozenset[Var]:
 
 def context_power(c: Term, n: int) -> Term:
     """n-fold self-embedding of a 1-context: c^0 = #1, c^(n+1) = c(c^n)."""
-    acc: Term = hole(1)
+    acc: Term = HOLE
     for _ in range(n):
-        acc = plug(c, [acc])
+        acc = plug(c, acc)
     return acc
 
 
@@ -181,7 +181,7 @@ def reference_decompose_power(t: Term) -> Optional[tuple[Term, int, Term]]:
     sub = t
     for _ in path:
         sub = sub.args[0]
-        skel = _replace_subterm(t, sub, hole(1))
+        skel = _replace_subterm(t, sub, HOLE)
         if term_vars(skel):
             continue
         c, a = primitive_context(skel)
@@ -260,12 +260,13 @@ def fam(skeleton: str, sigma: Subst = Subst(), mu: Subst = Subst()) -> Term:
 def pattern_substitution(theta: Subst) -> tuple[Subst, Subst]:
     """Read a unifier returned by `pattern_mgu` as (sigma, mu).
 
-    A binding c^(a,b)(t) becomes sigma: x -> c^a(x), mu: x -> c^b(t); a
-    plain binding goes to mu alone.
+    Each binding is normalized first.  A binding c^(a,b)(t) becomes
+    sigma: x -> c^a(x), mu: x -> c^b(t); a plain binding goes to mu alone.
     """
     sigma: dict[Var, Term] = {}
     mu: dict[Var, Term] = {}
     for v, u in theta.items():
+        u = normalize(u)
         if u.powered:
             assert is_power(u) and not u.args[0].powered, f"{v} -> {u}"
             sym = u.symbol
@@ -438,12 +439,12 @@ def reference_normalize(t: Term) -> Term:
                 continue
             break
         if a == 0:
-            return plug(context_power(c, b), [u])
+            return plug(context_power(c, b), u)
         return App(PowerSymbol(c, a, b), (u,))
     args = tuple(reference_normalize(a) for a in t.args)
     out = t if all(x is y for x, y in zip(args, t.args)) else App(t.symbol, args)
     for v in _reference_power_nodes(out):
-        if _replace_subterm(out, v, hole(1)) == v.symbol.context:
+        if _replace_subterm(out, v, HOLE) == v.symbol.context:
             sym = v.symbol
             return App(PowerSymbol(sym.context, sym.a, sym.b + 1), (v.args[0],))
     return out
@@ -497,7 +498,7 @@ def reference_match_context(c: Term, t: Term) -> Optional[Term]:
     stack = [(c, t)]
     while stack:
         cn, tn = stack.pop()
-        if cn == hole(1):
+        if cn == HOLE:
             if filler is None:
                 filler = tn
             elif filler != tn:
@@ -512,7 +513,7 @@ def reference_match_context(c: Term, t: Term) -> Optional[Term]:
 def reference_concrete_power(c: Term, k: int, inner: Term) -> Term:
     """`concrete_power` by plugging, whatever the context."""
     for _ in range(k):
-        inner = plug(c, [inner])
+        inner = plug(c, inner)
     return inner
 
 
@@ -698,7 +699,7 @@ def random_subst(rng: random.Random, max_bindings: int = 3) -> Subst:
 def random_context(rng: random.Random, max_depth: int = 3) -> Term:
     """A ground 1-context: at least one #1 occurrence, no variables."""
     layer = rng.choice(["s", "g", "f-left", "f-right", "f-both"])
-    inner = hole(1) if max_depth <= 1 or rng.random() < 0.5 else random_context(rng, max_depth - 1)
+    inner = HOLE if max_depth <= 1 or rng.random() < 0.5 else random_context(rng, max_depth - 1)
     if layer == "s":
         return App(S, (inner,))
     if layer == "g":
@@ -733,8 +734,8 @@ def random_simple_pattern(
             c = random_context(rng, rng.randint(1, 3))
             a = rng.randint(1, max_exp)
             b = rng.randint(0, max_exp)
-            sigma[v] = plug(context_power(c, a), [v])
-            mu[v] = plug(context_power(c, b), [random_term(rng, 1)])
+            sigma[v] = plug(context_power(c, a), v)
+            mu[v] = plug(context_power(c, b), random_term(rng, 1))
     return Family(skel, Subst(sigma), Subst(mu))
 
 
@@ -758,11 +759,11 @@ def random_simple_subst(rng: random.Random) -> Subst:
         a, b = rng.randint(0, 3), rng.randint(0, 3)
         t: Term = random_term(rng, 1)
         if rng.random() < 0.5 and b > 0:
-            t = plug(context_power(c, 1), [t])
+            t = plug(context_power(c, 1), t)
             b -= 1
         body: Term = App(PowerSymbol(c, a, b), (t,))
         if rng.random() < 0.5:
-            body = plug(context_power(c, rng.randint(0, 2)), [body])
+            body = plug(context_power(c, rng.randint(0, 2)), body)
         out[Var(name)] = body
     return Subst(out)
 

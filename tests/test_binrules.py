@@ -17,12 +17,12 @@ from nonterm.binrules import (
 from nonterm.program import parse_program
 from nonterm.terms import (
     EPSILON,
+    HOLE,
     App,
     Subst,
     Var,
     apply,
     concrete_power,
-    hole,
     match,
     plug,
     term_vars,
@@ -76,13 +76,13 @@ def _shared_terms():
     """Terms over X, Y, Z whose subterms are often shared: plugging
     f(#1, #1) puts one argument object in two places."""
     leaves = st.sampled_from([Var("X"), Var("Y"), Var("Z"), ZERO, NIL])
-    both = App(F, (hole(1), hole(1)))
+    both = App(F, (HOLE, HOLE))
 
     def extend(sub):
         return st.one_of(
             st.builds(lambda sym, a: App(sym, (a,)), st.sampled_from([S, G]), sub),
             st.builds(lambda a, b: App(F, (a, b)), sub, sub),
-            st.builds(lambda a: plug(both, [a]), sub),
+            st.builds(lambda a: plug(both, a), sub),
         )
 
     return st.recursive(leaves, extend, max_leaves=8)
@@ -121,7 +121,7 @@ class TestCanonicalKey:
     def test_linear_in_shared_size(self):
         # 2^80 paths through 81 distinct nodes; the key has one entry per
         # non-ground node, each naming its children by number.
-        t = concrete_power(App(F, (hole(1), hole(1))), 80, Var("X"))
+        t = concrete_power(App(F, (HOLE, HOLE)), 80, Var("X"))
         (root,), entries = canonical_key((t,))
         assert entries == ((F, -1, -1), *((F, k, k) for k in range(79)))
         assert root == 79
@@ -129,7 +129,7 @@ class TestCanonicalKey:
     def test_tall_tower_hashes_and_compares_fast(self):
         # Two variants of a tower with 2^80 paths: their keys are equal, and
         # hashing and comparing them take time linear in 81 nodes.
-        c = App(F, (hole(1), hole(1)))
+        c = App(F, (HOLE, HOLE))
         t = concrete_power(c, 80, Var("X"))
         u = concrete_power(c, 80, Var("Y"))
         start = time.perf_counter()

@@ -30,7 +30,7 @@ from nonterm.detect import (
 from nonterm.pattern import PatternRule
 from nonterm.powers import PowerSymbol
 from nonterm.program import derive_bounded, parse_program
-from nonterm.terms import EPSILON, App, Subst, Symbol, Var, hole, match, plug, render
+from nonterm.terms import EPSILON, HOLE, App, Subst, Symbol, Var, match, plug, render
 from nonterm.unfold import UnfoldBudget
 
 
@@ -155,10 +155,18 @@ class TestMatchPumping:
         )
         assert match_pumping(r) is None
 
+    def test_variable_without_growth_ignores_its_context(self):
+        # f(X, s^n(X)) => f(X, s^n(X)): both positions bind X to X itself.
+        r = PatternRule(
+            fam("f(X,Y)", subst(Y="s(Y)"), subst(Y="X")),
+            fam("f(X,Y)", subst(Y="s(Y)"), subst(Y="X")),
+        )
+        self._pumps(r, k=0)
+
     def test_identical_ground_power_still_moves(self):
         # The first position is the same ground power on both sides, so it
         # fixes k = 0, while the second asks for k = 2.
-        h = hole(1)
+        h = HOLE
         c1 = App(F, (App(G, (h,)), App(G, (h,))))
         c2 = App(F, (h, App(G, (NIL,))))
         p = Symbol("p", 2)
@@ -233,8 +241,8 @@ def _random_candidate_rule(rng: random.Random) -> PatternRule:
         mu = {}
         for v, c, a, b, t in zip((x, y), ctxs, slopes, offsets, inners):
             if a:
-                sigma[v] = plug(context_power(c, a), [v])
-            mu[v] = plug(context_power(c, b), [t])
+                sigma[v] = plug(context_power(c, a), v)
+            mu[v] = plug(context_power(c, b), t)
         return Family(App(root, (x, y)), Subst(sigma), Subst(mu)).power()
 
     t1 = rng.choice([Var("Z"), term("0")])

@@ -37,12 +37,12 @@ from nonterm.powers import (
     shift,
 )
 from nonterm.terms import (
+    HOLE,
     App,
     Subst,
     Symbol,
     Var,
     apply,
-    hole,
     match,
     mgu,
     plug,
@@ -51,8 +51,8 @@ from nonterm.terms import (
     unify,
 )
 
-S1 = App(Symbol("s", 1), (hole(1),))  # s(#1)
-FC = App(Symbol("f", 3), (hole(1), term("0"), hole(1)))  # f(#1, 0, #1)
+S1 = App(Symbol("s", 1), (HOLE,))  # s(#1)
+FC = App(Symbol("f", 3), (HOLE, term("0"), HOLE))  # f(#1, 0, #1)
 
 
 def pw(c, a, b, inner):
@@ -78,13 +78,13 @@ class TestExpand:
 
 class TestGroundness:
     def test_holes_contexts_and_power_nodes(self):
-        assert not hole(1).ground
+        assert not HOLE.ground
         assert not S1.ground and not FC.ground
         assert pw(S1, 1, 0, term("0")).ground
         assert pw(FC, 2, 1, term("f(1,0,1)")).ground
         assert not pw(S1, 1, 0, Var("X")).ground
         assert not pw(S1, 1, 0, S1).ground
-        assert not App(Symbol("g", 2), (pw(S1, 1, 0, term("0")), hole(2))).ground
+        assert not App(Symbol("g", 2), (pw(S1, 1, 0, term("0")), HOLE)).ground
 
     def test_power_node_does_not_render_its_context(self, monkeypatch):
         # Groundness reads a symbol's name only for constants; a power
@@ -101,7 +101,7 @@ class TestGroundness:
 class TestNormalize:
     def test_layered_tower_collapses(self):
         # s(  s^{2n+1}( s^{n+2}( s(0) ) ) )  ==  s^{3n+5}(0)
-        u = plug(S1, [pw(S1, 2, 1, pw(S1, 1, 2, plug(S1, [term("0")])))])
+        u = plug(S1, pw(S1, 2, 1, pw(S1, 1, 2, plug(S1, term("0")))))
         assert normalize(u) == pw(S1, 3, 5, term("0"))
 
     def test_pure_term_is_fixed(self):
@@ -109,7 +109,7 @@ class TestNormalize:
         assert normalize(t) is t
 
     def test_concrete_layer_below_power(self):
-        u = pw(FC, 1, 0, plug(FC, [term("1")]))
+        u = pw(FC, 1, 0, plug(FC, term("1")))
         assert normalize(u) == pw(FC, 1, 1, term("1"))
 
     def test_zero_slope_power_expands(self):
@@ -133,11 +133,11 @@ class TestNormalize:
 # Primitive contexts, as `power_form` makes them, with slopes and offsets
 # from 0 to 2 (a = 0 powers expand away).
 _CONTEXTS = [
-    App(S, (hole(1),)),
-    App(G, (hole(1),)),
-    App(F, (hole(1), ZERO)),
-    App(F, (ZERO, hole(1))),
-    App(F, (hole(1), hole(1))),
+    App(S, (HOLE,)),
+    App(G, (HOLE,)),
+    App(F, (HOLE, ZERO)),
+    App(F, (ZERO, HOLE)),
+    App(F, (HOLE, HOLE)),
 ]
 
 
@@ -151,7 +151,7 @@ def _power_terms():
         return st.one_of(
             st.builds(lambda sym, a: App(sym, (a,)), st.one_of(st.sampled_from([S, G]), powers), sub),
             st.builds(lambda a, b: App(F, (a, b)), sub, sub),
-            st.builds(lambda c, a: plug(c, [a]), st.sampled_from(_CONTEXTS), sub),
+            st.builds(lambda c, a: plug(c, a), st.sampled_from(_CONTEXTS), sub),
         )
 
     return st.recursive(leaves, extend, max_leaves=10)
@@ -208,7 +208,7 @@ def _random_power_term(rng: random.Random) -> "App":
         if kind < 0.4:
             t = pw(c if rng.random() < 0.7 else random_context(rng, 2), rng.randint(0, 2), rng.randint(0, 2), t)
         else:
-            t = plug(context_power(c, rng.randint(1, 2)), [t])
+            t = plug(context_power(c, rng.randint(1, 2)), t)
     wrap = rng.choice([None, Symbol("g", 1)])
     return App(wrap, (t,)) if wrap else t
 
@@ -250,8 +250,8 @@ class TestPatternForm:
     def test_mixed_layers_example(self):
         theta = Subst(
             {
-                Var("X"): plug(context_power(S1, 2), [term("1")]),
-                Var("Y"): plug(S1, [pw(S1, 2, 1, pw(S1, 1, 2, plug(S1, [term("0")])))]),
+                Var("X"): plug(context_power(S1, 2), term("1")),
+                Var("Y"): plug(S1, pw(S1, 2, 1, pw(S1, 1, 2, plug(S1, term("0"))))),
             }
         )
         got = pattern_form(theta)
@@ -266,7 +266,7 @@ class TestPatternForm:
         assert pattern_form(theta) == theta
 
     def test_stacked_foreign_contexts_rejected(self):
-        g1 = App(Symbol("g", 1), (hole(1),))
+        g1 = App(Symbol("g", 1), (HOLE,))
         theta = Subst({Var("X"): pw(S1, 1, 0, pw(g1, 1, 0, term("0")))})
         assert pattern_form(theta) is None
 
@@ -353,7 +353,7 @@ class TestPatternMgu:
         assert successes >= 5
 
 
-G1 = App(G, (hole(1),))  # g(#1)
+G1 = App(G, (HOLE,))  # g(#1)
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 
 
@@ -392,7 +392,7 @@ class TestSharing:
         assert out.args[0] is out.args[1]
 
     def test_normalize_keeps_a_shared_subterm_shared(self):
-        q = plug(S1, [pw(S1, 1, 0, Var("X"))])
+        q = plug(S1, pw(S1, 1, 0, Var("X")))
         out = normalize(App(F, (q, q)))
         assert out.args[0] == pw(S1, 1, 1, Var("X"))
         assert out.args[0] is out.args[1]
@@ -419,7 +419,7 @@ class TestShift:
 # Families in the paper's notation over two contexts and slopes 1 and 2,
 # so that two random families often move a position by the same power
 # and differ only in offset.
-_FAMILY_CONTEXTS = [App(S, (hole(1),)), App(F, (hole(1), ZERO))]
+_FAMILY_CONTEXTS = [App(S, (HOLE,)), App(F, (HOLE, ZERO))]
 
 
 def _plain_terms(names, max_leaves=4):
@@ -441,9 +441,9 @@ def _families(draw, names, skeleton=None):
     for v in sorted(term_vars(skel), key=lambda w: w.name):
         if draw(st.booleans()):
             c = draw(st.sampled_from(_FAMILY_CONTEXTS))
-            sigma[v] = plug(context_power(c, draw(st.integers(1, 2))), [v])
+            sigma[v] = plug(context_power(c, draw(st.integers(1, 2))), v)
             inner = draw(st.one_of(st.sampled_from([Var(n) for n in names]), _plain_terms(names, 2)))
-            mu[v] = plug(context_power(c, draw(st.integers(0, 3))), [inner])
+            mu[v] = plug(context_power(c, draw(st.integers(0, 3))), inner)
         elif draw(st.booleans()):
             mu[v] = draw(_plain_terms(names, max_leaves=2))
     return Family(skel, Subst(sigma), Subst(mu))
@@ -473,17 +473,20 @@ class TestPatternMguProperties:
         )
     )
     def test_unifier_unifies_the_expansions(self, pair):
-        # Checked with the reference evaluator: theta read back as
-        # sigma^n . mu unifies the two families' instances at each n, and
-        # is as general as their classical mgu there.
+        # Checked with the reference evaluator: theta expanded at each n
+        # unifies the two families' instances there, and is as general as
+        # their classical mgu.  When theta has the paper's shape, reading
+        # it back as sigma^n . mu gives the same expansions.
         left, right = pair
         theta = pattern_mgu([left.power()], [right.power()])
         if theta is None:
             return
-        sigma, mu = pattern_substitution(theta)
+        triple = pattern_form(theta)
         for n in range(5):
-            theta_n = family_subst_at(sigma, mu, n)
+            theta_n = subst_at(theta, n)
             assert apply(left.at(n), theta_n) == apply(right.at(n), theta_n)
+            if triple is not None:
+                assert family_subst_at(*pattern_substitution(triple), n) == theta_n
         assert_unifies_like_classical_mgu(theta, [left], [right], 4)
 
     def test_offset_only_pairs_unify(self):

@@ -19,6 +19,7 @@ from conftest import (
     ZERO,
     Family,
     calls_bounded,
+    check_correct_sampled,
     fam,
     random_simple_pattern,
     random_term,
@@ -46,6 +47,7 @@ from nonterm.powers import (
 from nonterm.program import parse_program
 from nonterm.terms import (
     EPSILON,
+    HOLE,
     App,
     Subst,
     Symbol,
@@ -54,8 +56,6 @@ from nonterm.terms import (
     apply,
     concrete_power,
     fresh_renaming,
-    hole,
-    is_hole,
     match,
     mgu,
     plug,
@@ -177,8 +177,8 @@ class TestRuleSet:
 
     def test_rejects_non_simple(self):
         # A power of s inside a power of g: no single tower per position.
-        s_ctx = App(Symbol("s", 1), (hole(1),))
-        g_ctx = App(Symbol("g", 1), (hole(1),))
+        s_ctx = App(Symbol("s", 1), (HOLE,))
+        g_ctx = App(Symbol("g", 1), (HOLE,))
         inner = App(PowerSymbol(s_ctx, 1, 0), (term("0"),))
         bad = PatternRule(App(PowerSymbol(g_ctx, 1, 0), (inner,)), EPSILON)
         with pytest.raises(ValueError):
@@ -321,6 +321,46 @@ class TestGuards:
             r.lhs.symbol.name == "while" and r.rhs.symbol.name == "while"
             for r in rules
         )
+
+
+class TestShapeGuard:
+    """`_derive` keeps a derived family when both of its sides are simple,
+    whatever shape the unifier's bindings have, and drops it otherwise."""
+
+    # The unifier binds X to g(s^n(0)), a power under a plain symbol.
+    POWER_UNDER_PLAIN = """
+    %query: p(i).
+    p(X) :- q(X).
+    q(g(s(Y))) :- q(g(Y)).
+    q(g(0)).
+    """
+
+    # The unifier gives the head p(s^n(f^n(0))), a power inside a power.
+    NESTED_HEAD = """
+    %query: p(i).
+    p(X) :- r(X,Z), q(Z).
+    r(s(A),B) :- r(A,B).
+    r(W,W).
+    q(f(C)) :- q(C).
+    q(0).
+    """
+
+    def _goal_families(self, source):
+        program = parse_program(source)
+        goal = Symbol("p", 1)
+        rules, stats = saturate(program, initial_rules(program, goal), goal=goal)
+        assert stats.stop == "fixpoint"
+        return program, [r for r in rules if r.lhs.symbol == goal]
+
+    def test_binding_with_a_power_under_a_plain_symbol_gives_a_family(self):
+        program, got = self._goal_families(self.POWER_UNDER_PLAIN)
+        assert [str(r) for r in got] == ["p(g(s(#1)^(1n+0)(0))) => ε"]
+        oracle = binary_saturate(program, 8)
+        assert check_correct_sampled(got[0], program, 3, 8, oracle)
+
+    def test_head_with_a_power_inside_a_power_is_dropped(self):
+        _, got = self._goal_families(self.NESTED_HEAD)
+        assert got == []
 
 
 class TestSoundnessSampled:
@@ -480,8 +520,8 @@ class TestExactness:
 
 # Power symbols over two contexts, s(#1) and f(#1, 0), at several slopes
 # and offsets: distinct symbols, each opaque to the unifier.
-_S_CTX = App(S, (hole(1),))
-_F_CTX = App(F, (hole(1), ZERO))
+_S_CTX = App(S, (HOLE,))
+_F_CTX = App(F, (HOLE, ZERO))
 _POWERS = [
     PowerSymbol(_S_CTX, 1, 0),
     PowerSymbol(_S_CTX, 1, 1),
@@ -824,7 +864,7 @@ def _near_instances(rule, n):
     c, u = node.symbol.context, node.args[0]
     tower = expand_at(node, n)
     k = node.symbol.a * n + node.symbol.b
-    others = [plug(c, [tower]), App(G, (tower,)), concrete_power(c, k, NIL if u != NIL else ZERO)]
+    others = [plug(c, tower), App(G, (tower,)), concrete_power(c, k, NIL if u != NIL else ZERO)]
     if k > 0:
         others.append(concrete_power(c, k - 1, u))
     inst = rule.at(n)
@@ -872,7 +912,7 @@ def _size_at(t, m, memo):
 
 
 def _holes(c):
-    return 1 if is_hole(c) else sum(_holes(a) for a in c.args)
+    return 1 if c == HOLE else sum(_holes(a) for a in c.args)
 
 
 def _is_instance(rule, family):
@@ -1123,7 +1163,7 @@ class TestGoalDirected:
         # offset 0, the instance at 0 is the argument, an h atom.
         program = parse_program(G_WRAPS_ITSELF)
         goal = program.queries[0].predicate
-        g = App(goal, (hole(1),))
+        g = App(goal, (HOLE,))
         kept = PatternRule(App(PowerSymbol(g, 1, 1), (ZERO,)), App(PowerSymbol(g, 1, 2), (ZERO,)))
         dropped = PatternRule(term("h(0)"), App(PowerSymbol(g, 1, 0), (term("h(0)"),)))
         budget = UnfoldBudget(max_iterations=0)
