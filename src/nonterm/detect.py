@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .pattern import PatternRule, initial_rules
-from .powers import expand_at, instance_root, is_power, strip_power
+from .powers import expand_at, instance_root, is_power, tower
 from .program import Program, QueryMode, cone, derive_bounded
 from .terms import (
     App,
@@ -89,31 +89,20 @@ def _positions(u: Term, v: Term) -> list[tuple[Term, Term]]:
 def _read_hole(left: Term, right: Term) -> Optional[tuple[Hole, Term]]:
     """Pair one argument position, borrowing the context across plain sides.
 
-    Returns the hole plus the right-hand inner term.  Plain (power-free)
-    sides read as exponents (0, 0) after peeling the partner's context off
-    them maximally; when both sides are plain there is no context at all.
+    Returns the hole plus the right-hand inner term.  Both sides are read
+    as towers (`tower`) of the one context of the powers at the position;
+    powers of two contexts give None, and without a power there is no
+    context at all.
     """
-    if is_power(left) and is_power(right):
-        if left.symbol.context != right.symbol.context:
-            return None
-        h = Hole(
-            left.symbol.context,
-            left.symbol.a,
-            left.symbol.b,
-            left.args[0],
-            right.symbol.a,
-            right.symbol.b,
-        )
-        return h, right.args[0]
-    if is_power(left):
-        c = left.symbol.context
-        rb, rest = strip_power(right, c)
-        return Hole(c, left.symbol.a, left.symbol.b, left.args[0], 0, rb), rest
-    if is_power(right):
-        c = right.symbol.context
-        b, rest = strip_power(left, c)
-        return Hole(c, 0, b, rest, right.symbol.a, right.symbol.b), right.args[0]
-    return Hole(None, 0, 0, left, 0, 0), right
+    contexts = {t.symbol.context for t in (left, right) if is_power(t)}
+    if not contexts:
+        return Hole(None, 0, 0, left, 0, 0), right
+    if len(contexts) > 1:
+        return None
+    (c,) = contexts
+    a, b, t = tower(left, c)
+    ra, rb, u = tower(right, c)
+    return Hole(c, a, b, t, ra, rb), u
 
 
 def match_pumping(rule: PatternRule) -> Optional[PumpData]:

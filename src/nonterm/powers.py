@@ -9,7 +9,8 @@ stacked powers of the same context add their exponents, a concrete context
 layer directly above or below a power of the same context is absorbed into
 its offset, and powers with a = 0 are expanded away.  `normalize`,
 `expand_at` and `shift` are each one `terms.rebuild` pass over the nodes
-that hold a power; power-free subterms are kept as they are.
+that hold a power; power-free subterms are kept as they are.  `tower`
+reads a term as one tower c^(a*n+b)(u) of a given context c.
 
 Rule families are stored as normalized power terms.  The paper writes a
 family as skeleton . sigma^n . mu; a seed is built by applying to its
@@ -127,6 +128,18 @@ def least_shift(terms: Iterable[Term]) -> int:
     return d or 0
 
 
+def tower(t: Term, c: Term) -> tuple[int, int, Term]:
+    """t read as c^(a*n+b)(u), with u not c-headed: (a, b, u).
+
+    A power of c gives its own slope, offset and argument; any other term
+    gives its concrete c layers, with a = 0.
+    """
+    if is_power(t) and t.symbol.context == c:
+        return t.symbol.a, t.symbol.b, t.args[0]
+    b, u = strip_power(t, c)
+    return 0, b, u
+
+
 def instance_root(t: Term) -> Optional[Symbol]:
     """The root symbol that every instance of t has, or None.
 
@@ -157,20 +170,12 @@ def _power_nodes(t: Term) -> list[App]:
 
 
 def _fuse(sym: PowerSymbol, u: Term) -> Term:
-    """c^(a,b) over a normalized u: stacked powers of c add their exponents,
-    concrete c layers below raise the offset, and a = 0 expands away."""
-    c, a, b = sym.context, sym.a, sym.b
-    while True:
-        if is_power(u) and u.symbol.context == c:
-            a += u.symbol.a
-            b += u.symbol.b
-            u = u.args[0]
-            continue
-        w = match_context(c, u)
-        if w is None:
-            break
-        b += 1
-        u = w
+    """c^(a,b) over a normalized u, whose `tower` of c adds to the exponents;
+    a = 0 expands away.  One read is exact, as normal u stacks no c layer
+    or power of c on a power of c."""
+    c = sym.context
+    a, b, u = tower(u, c)
+    a, b = a + sym.a, b + sym.b
     if a == 0:
         return concrete_power(c, b, u)
     return App(PowerSymbol(c, a, b), (u,))

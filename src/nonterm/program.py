@@ -327,7 +327,9 @@ class DerivationStatus:
 
     reached_bound: some single chain grew to max_steps.
     Otherwise the whole tree was exhausted and steps is its maximal depth.
-    empty_reached notes whether the empty query showed up on some branch.
+    empty_reached notes whether the empty query showed up on some branch;
+    when the bound is reached it is a lower bound, since the exploration
+    stops there and branches it has not visited may still succeed.
     """
 
     reached_bound: bool
@@ -335,11 +337,18 @@ class DerivationStatus:
     empty_reached: bool = False
 
 
-def _explore(
-    program: Program, query: Query, limit: int, source: VarSource
-) -> tuple[bool, int, bool]:
-    """DFS to depth `limit`; returns (hit_limit, max_depth_seen, empty_seen)."""
-    hit = False
+def derive_bounded(program: Program, query: Query, max_steps: int) -> DerivationStatus:
+    """Explore rewrite chains from a query depth first, trying rules in
+    program order.
+
+    One pass to depth max_steps: reports reached_bound as soon as any chain
+    has max_steps steps, or that all branches are finite once the tree is
+    exhausted earlier.  A query that runs forever along the first branch
+    it tries costs one `rewrite_step` per rule and step of that chain.
+    """
+    if max_steps <= 0:
+        raise ValueError("max_steps must be positive")
+    source = VarSource()
     deepest = 0
     empty = False
     stack: list[tuple[Query, int]] = [(query, 0)]
@@ -349,40 +358,9 @@ def _explore(
         if not q:
             empty = True
             continue
-        if depth >= limit:
-            hit = True
-            break
+        if depth >= max_steps:
+            return DerivationStatus(True, max_steps, empty)
         for rule in reversed(program.rules):
             for nq, _ in rewrite_step(q, rule, source):
                 stack.append((nq, depth + 1))
-    return hit, deepest, empty
-
-
-def derive_bounded(program: Program, query: Query, max_steps: int) -> DerivationStatus:
-    """Explore rewrite chains from a query, trying rules in program order.
-
-    Reports reached_bound as soon as any chain has max_steps steps, or that
-    all branches are finite once the tree is exhausted earlier.  Iterative
-    deepening doubles the depth limit, which keeps the cost within a
-    constant factor of the final pass while never committing to an unfair
-    branch order.
-    """
-    if max_steps <= 0:
-        raise ValueError("max_steps must be positive")
-    source = VarSource()
-    limits = []
-    limit = 1
-    while limit < max_steps:
-        limits.append(limit)
-        limit *= 2
-    limits.append(max_steps)
-
-    empty_seen = False
-    for limit in limits:
-        hit, deepest, empty = _explore(program, query, limit, source)
-        empty_seen = empty_seen or empty
-        if not hit:
-            return DerivationStatus(False, deepest, empty_seen)
-        if limit == max_steps:
-            return DerivationStatus(True, max_steps, empty_seen)
-    raise AssertionError("unreachable")
+    return DerivationStatus(False, deepest, empty)

@@ -7,7 +7,8 @@ application, unification, variable collection -- are iterative and
 short-circuit on ground subterms instead of recursing node by node.  Every
 walk that builds a new term (substitution, plugging a context, replacing a
 subterm, and the power walks of `powers`) is one `rebuild`: a bottom-up
-pass that visits each node of the DAG once and keeps it shared.
+pass that visits each node of the DAG once and keeps it shared.  Resolving
+a triangular unifier (`resolve`) is one `rebuild` per bound variable.
 
 A symbol may also be a power symbol (`powers.PowerSymbol`), a tower of a
 ground context whose height grows with an index.  One unifier serves both
@@ -357,48 +358,36 @@ def unify(
 
 
 def resolve(bindings: Mapping[Var, Term]) -> Subst:
-    """The idempotent substitution a triangular binding map stands for."""
-    # Resolved forms, keyed by the variable itself or by the id of a term.
-    done: dict[object, Term] = {}
-    out: dict[Var, Term] = {}
+    """The idempotent substitution a triangular binding map stands for.
+
+    Bound variables are resolved in dependency order, each after the bound
+    variables of its binding; the order is kept on an explicit stack, so a
+    long binding chain cannot overflow.  Resolving a variable is one
+    `rebuild` of its binding whose leaf maps each variable to its result;
+    a binding without bound variables is its own result.
+    """
+    done: dict[Var, Term] = {}
+
+    def leaf(u: Term) -> Optional[Term]:
+        if u.ground:
+            return u
+        return done.get(u, u) if isinstance(u, Var) else None
+
     for v in bindings:
-        stack: list[Term] = [v]
+        # (x, True) is popped only after every variable pushed above it.
+        stack = [(v, False)]
         while stack:
-            n = stack[-1]
-            if isinstance(n, Var):
-                if n in done:
-                    stack.pop()
-                    continue
-                w = bindings.get(n)
-                if w is None or w.ground:
-                    done[n] = n if w is None else w
-                    stack.pop()
-                    continue
-                r = done.get(w if isinstance(w, Var) else id(w))
-                if r is None:
-                    stack.append(w)
-                else:
-                    done[n] = r
-                    stack.pop()
+            x, ready = stack.pop()
+            if x in done:
                 continue
-            if id(n) in done:
-                stack.pop()
-                continue
-            pending = [
-                a
-                for a in n.args
-                if not a.ground and (a if isinstance(a, Var) else id(a)) not in done
-            ]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            args = tuple(
-                a if a.ground else done[a if isinstance(a, Var) else id(a)] for a in n.args
-            )
-            done[id(n)] = n if all(x is y for x, y in zip(args, n.args)) else App(n.symbol, args)
-        out[v] = done[v]
-    return Subst(out)
+            w = bindings[x]
+            deps = [] if ready or w.ground else [y for y in term_vars(w) if y in bindings]
+            if deps:
+                stack.append((x, True))
+                stack.extend((y, False) for y in deps)
+            else:
+                done[x] = rebuild(w, leaf) if ready else w
+    return Subst({v: done[v] for v in bindings})
 
 
 def mgu(left, right) -> Optional[Subst]:

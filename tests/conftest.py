@@ -22,11 +22,9 @@ from nonterm import program as program_module
 from nonterm.pattern import PatternRule
 from nonterm.powers import PowerSymbol, expand_at, is_power, normalize
 from nonterm.program import (
-    DerivationStatus,
     ParseError,
     Program,
     Query,
-    _explore,
     _Parser,
     parse_program,
     rewrite_step,
@@ -149,13 +147,6 @@ def calls_bounded(program: Program, start: Term, max_steps: int) -> set[Term]:
             for nq, _ in rewrite_step(q, rule, source):
                 stack.append((nq, depth + 1))
     return out
-
-
-def derive_depth_first(program: Program, query: Query, max_steps: int) -> DerivationStatus:
-    """`derive_bounded` in one depth-first pass to max_steps, without
-    iterative deepening."""
-    hit, deepest, empty = _explore(program, query, max_steps, VarSource())
-    return DerivationStatus(hit, max_steps if hit else deepest, empty)
 
 
 # --- the paper's notation, evaluated directly --------------------------------

@@ -30,11 +30,13 @@ from nonterm.powers import (
     PowerSymbol,
     expand_at,
     instance_root,
+    is_power,
     least_shift,
     normalize,
     pattern_form,
     pattern_mgu,
     shift,
+    tower,
 )
 from nonterm.terms import (
     HOLE,
@@ -43,7 +45,9 @@ from nonterm.terms import (
     Symbol,
     Var,
     apply,
+    concrete_power,
     match,
+    match_context,
     mgu,
     plug,
     resolve,
@@ -414,6 +418,49 @@ class TestShift:
         assert least_shift([t, pw(S1, 1, 1, Z)]) == 1
         assert shift(t, -2) == App(F, (pw(S1, 2, 1, X), pw(G1, 1, 1, Y)))
         assert least_shift([term("f(X,0)")]) == 0
+
+
+def _subterms(t):
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        if isinstance(u, App):
+            stack.extend(u.args)
+
+
+class TestTower:
+    def test_power_of_the_context(self):
+        assert tower(pw(S1, 2, 1, X), S1) == (2, 1, X)
+
+    def test_concrete_layers_over_another_head(self):
+        assert tower(term("s(s(g(s(0))))"), S1) == (0, 2, term("g(s(0))"))
+
+    def test_power_of_another_context(self):
+        t = pw(G1, 1, 0, X)
+        assert tower(t, S1) == (0, 0, t)
+
+    def test_variable(self):
+        assert tower(X, S1) == (0, 0, X)
+
+    def test_repeated_hole_context(self):
+        ff = App(F, (HOLE, HOLE))  # f(#1, #1)
+        assert tower(term("f(f(0,0),f(0,0))"), ff) == (0, 2, ZERO)
+        assert tower(term("f(f(0,0),f(0,1))"), ff) == (0, 0, term("f(f(0,0),f(0,1))"))
+        assert tower(pw(ff, 1, 2, term("f(0,1)")), ff) == (1, 2, term("f(0,1)"))
+
+    def test_reads_every_subterm_of_a_family(self, rng):
+        """c^(a*n+b)(u) expands like the subterm it was read from."""
+        for _ in range(100):
+            t = random_simple_pattern(rng).power()
+            contexts = {u.symbol.context for u in _subterms(t) if is_power(u)} | {S1}
+            for u in _subterms(t):
+                for c in contexts:
+                    a, b, rest = tower(u, c)
+                    assert match_context(c, rest) is None
+                    for n in range(4):
+                        expected = concrete_power(c, a * n + b, expand_at(rest, n))
+                        assert expand_at(u, n) == expected
 
 
 # Families in the paper's notation over two contexts and slopes 1 and 2,

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     calls_bounded,
-    derive_depth_first,
     reference_parse,
     reference_tokenize,
     term,
 )
+from nonterm import program as program_module
 from nonterm.program import (
     DerivationStatus,
     ParseError,
@@ -287,14 +287,21 @@ class TestDeriveBounded:
         for k in (1, 5, 50, 200):
             assert derive_bounded(ex_program, q, k).reached_bound
 
-    def test_strategies_agree(self, ex_program):
-        for q, expect in [
-            ((term("while(s(s(0)),s(0))"),), True),
-            ((term("gt(s(0),0)"),), False),
-        ]:
-            a = derive_bounded(ex_program, q, 300)
-            b = derive_depth_first(ex_program, q, 300)
-            assert a.reached_bound == b.reached_bound == expect
+    def test_one_pass_to_the_bound(self, monkeypatch):
+        # One step per depth of the only chain; repeating shallower passes
+        # (depth limits 1, 2, 4, ..., 64) would take 127.
+        calls = 0
+        step = program_module.rewrite_step
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return step(*args)
+
+        monkeypatch.setattr(program_module, "rewrite_step", counted)
+        program = parse_program("p(X) :- p(s(X)).")
+        assert derive_bounded(program, (term("p(0)"),), 64).reached_bound
+        assert calls <= 64 * len(program.rules)
 
     def test_rejects_nonpositive_bound(self, ex_program):
         with pytest.raises(ValueError):

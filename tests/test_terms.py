@@ -462,6 +462,18 @@ class TestDeepTerms:
         assert open_.lhs == App(p, (App(PowerSymbol(_S_CTX, 1, 3001), (Var("X"),)), Var("Y")))
         assert open_.rhs == body
 
+    def test_resolve_long_binding_chain(self):
+        # X0 -> f(X1), ..., X4999 -> f(0): each binding waits on the next.
+        f = Symbol("f", 1)
+        xs = [Var(f"X{i}") for i in range(5000)]
+        bindings = {x: App(f, (y,)) for x, y in zip(xs, xs[1:])}
+        bindings[xs[-1]] = App(f, (ZERO,))
+        theta = resolve(bindings)
+        assert [v for v, _ in theta.items()] == xs
+        assert all(t.ground for _, t in theta.items())
+        assert all(apply(t, theta) == t for _, t in theta.items())
+        assert theta.lookup(xs[0]) == plug(context_power(App(f, (HOLE,)), 5000), ZERO)
+
     def test_deep_common_outer_context(self):
         left, right = Var("X"), Var("Y")
         for _ in range(3000):
