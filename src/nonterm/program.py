@@ -1,5 +1,11 @@
 """Programs, a Prolog-style parser, and the leftmost-resolution interpreter.
 
+The parser reads a file in one regex scan for the token texts and builds
+the clauses in one loop over them, with an explicit stack for nesting.
+Within a clause each variable name is one `Var`, and within a program each
+constant one `App`.  Offsets are worked out only for an error message, by
+scanning again.
+
 A rule rewrites the first term of a query: rename the rule apart, unify its
 head with the leftmost term, replace that term by the instantiated body.
 The bounded interpreter below exists to validate non-termination witnesses
@@ -44,7 +50,7 @@ class Rule:
     @cached_property
     def _vars(self) -> frozenset[Var]:
         # Computed once: every unfolding round and interpreter step renames
-        # program rules apart.
+        # program rules apart.  The parser fills it from its variable table.
         return term_vars((self.head, *self.body))
 
     def __repr__(self) -> str:
@@ -124,30 +130,19 @@ class ParseError(Exception):
         self.col = col
 
 
-# A line comment that is a query directive, after its '%': the predicate
-# (group 1) and its mode flags (group 2).  Whitespace in it never spans a
-# newline, and the directive runs to the end of its line.
-_SP = r"[^\S\n]*"
-_DIRECTIVE_BODY = (
-    rf"{_SP}(?:query|mode){_SP}:{_SP}([a-z][A-Za-z0-9_]*|[0-9]+){_SP}"
-    rf"(?:\(((?:[^\S\n]|[a-z,])*)\))?{_SP}\.{_SP}(?![^\n])"
+# A query directive, matched against a whole comment (from its '%' to the
+# end of its line): the predicate (group 1) and its mode flags (group 2).
+_QUERY_DIRECTIVE = re.compile(
+    r"%\s*(?:query|mode)\s*:\s*([a-z][A-Za-z0-9_]*|[0-9]+)\s*(?:\(([\sa-z,]*)\))?\s*\.\s*"
 )
-_QUERY_DIRECTIVE = re.compile("%" + _DIRECTIVE_BODY)
 
-# One match per token: whitespace and comments other than directives are
-# skipped in front of it.  Then exactly one named group matches, `end` at
-# the end of the text and `bad` at a character no token starts with, so
-# the skip never backtracks.
-_TOKEN = re.compile(
-    r"(?:\s+|%(?!" + _DIRECTIVE_BODY + r")[^\n]*)*"
-    r"(?:(?P<directive>%" + _DIRECTIVE_BODY + r")"
-    r"|(?P<name>[a-z][A-Za-z0-9_]*|[0-9]+)"
-    r"|(?P<var>[A-Z_][A-Za-z0-9_]*)"
-    r"|(?P<neck>:-)"
-    r"|(?P<punct>[(),.])"
-    r"|(?P<end>\Z)"
-    r"|(?P<bad>.))"
-)
+# One match per token: a name, a variable, ':-', a line comment, or any
+# other single non-blank character.  Blanks match nothing and are skipped.
+# A token's kind is read off its first character (`_kind`); of the
+# comments, only a whole line that is a query directive is kept.
+_TOKEN = re.compile(r"[a-z][A-Za-z0-9_]*|[0-9]+|[A-Z_][A-Za-z0-9_]*|:-|%[^\n]*|\S")
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
+_VAR_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 
 # A token is (kind, text, offset of its first character).
 _Token = tuple[str, str, int]
@@ -158,146 +153,193 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
+def _kind(token: str) -> str:
+    c = token[0]
+    if c in _NAME_START:
+        return "name"
+    if c in _VAR_START:
+        return "var"
+    if c == "%":
+        return "directive" if _QUERY_DIRECTIVE.fullmatch(token) else "comment"
+    if token == ":-":
+        return "neck"
+    return "punct" if c in "(),." else "bad"
+
+
+def _token_texts(text: str) -> list[str]:
+    """The texts of the tokens the parser reads, bad characters included."""
+    return [t for t in _TOKEN.findall(text) if t[0] != "%" or _QUERY_DIRECTIVE.fullmatch(t)]
+
+
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens `_token_texts` reads, with kinds and offsets; raises at the
+    first bad character.  Only a parse error needs the offsets."""
     tokens: list[_Token] = []
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "end":
-            break
-        start = m.start(kind)
+        token = m.group()
+        kind = _kind(token)
         if kind == "bad":
-            raise ParseError(f"unexpected character {text[start]!r}", *_line_col(text, start))
-        tokens.append((kind, m.group(kind), start))
+            raise ParseError(f"unexpected character {token!r}", *_line_col(text, m.start()))
+        if kind != "comment":
+            tokens.append((kind, token, m.start()))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.symbols: dict[str, Symbol] = {}
-        self.rules: list[Rule] = []
-        self.directives: list[tuple[str, int]] = []
+class _Failure(Exception):
+    """A parse error (message, token index), not yet located in the text."""
 
-    def _error(self, message: str, offset: int) -> ParseError:
-        return ParseError(message, *_line_col(self.text, offset))
 
-    def _declare(self, name: str, arity: int, offset: int) -> Symbol:
-        """The symbol of a name; a name may carry only one arity program-wide."""
-        known = self.symbols.get(name)
+# What the builder reads next: a clause or a directive, a term, the token
+# after a name (an argument list or not), or the token after a term.
+_CLAUSE, _TERM, _NAMED, _AFTER = range(4)
+
+
+def _build(tokens: list[str], program_name: str) -> Program:
+    """The program of the token texts, in one pass without recursion.
+
+    `stack` holds (name, its token index, arguments so far) per compound
+    term being read, and `args` the list the next finished term joins: the
+    top's arguments, or the clause's head and body.  A symbol is declared
+    once its arguments are read, innermost first, and a name keeps one
+    arity program-wide.  Each variable name is one `Var` per clause (the
+    table is the rule's variable set) and each constant one `App` per
+    program.
+    """
+    symbols: dict[str, Symbol] = {}
+    constants: dict[str, App] = {}
+    rules: list[Rule] = []
+    directives: list[tuple[str, int]] = []
+    stack: list[tuple[str, int, list[Term]]] = []
+    clause: list[Term] = []
+    args = clause
+    table: dict[str, Var] = {}
+    state = _CLAUSE
+    named, at = "", 0
+
+    def declare(name: str, arity: int, at: int) -> Symbol:
+        known = symbols.get(name)
         if known is None:
-            sym = self.symbols[name] = Symbol(name, arity)
+            sym = symbols[name] = Symbol(name, arity)
             return sym
         if known.arity != arity:
-            raise self._error(
-                f"symbol '{name}' used with arity {arity} but previously with {known.arity}",
-                offset,
+            raise _Failure(
+                f"symbol '{name}' used with arity {arity} but previously with {known.arity}", at
             )
         return known
 
-    def _peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def constant(name: str, at: int) -> App:
+        known = constants.get(name)
+        if known is None:
+            known = constants[name] = App(declare(name, 0, at), ())
+        return known
 
-    def _next(self, expected: str) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            offset = self.tokens[-1][2] if self.tokens else 0
-            raise self._error(f"unexpected end of input, expected {expected}", offset)
-        self.pos += 1
-        return tok
-
-    def _expect(self, text: str) -> None:
-        _, found, offset = self._next(repr(text))
-        if found != text:
-            raise self._error(f"expected {text!r}, found {found!r}", offset)
-
-    def term(self) -> Term:
-        # Iterative, so nesting depth is bounded by memory only: `pending`
-        # holds (name, its offset, arguments so far) per compound term
-        # being read.  A symbol is declared once its arguments are read,
-        # innermost first.
-        tokens, end = self.tokens, len(self.tokens)
-        pending: list[tuple[str, int, list[Term]]] = []
-        while True:
-            kind, text, offset = self._next("a term")
-            if kind == "var":
-                done: Term = Var(text)
-            elif kind != "name":
-                raise self._error(f"expected a term, found {text!r}", offset)
-            elif self.pos < end and tokens[self.pos][1] == "(":
-                self.pos += 1
-                pending.append((text, offset, []))
+    for i, tok in enumerate(tokens):
+        if state == _CLAUSE:
+            if tok[0] == "%":
+                directives.append((tok, i))
                 continue
+            clause = args = []
+            table = {}
+            state = _TERM
+        if state == _TERM:
+            c = tok[0]
+            if c in _VAR_START:
+                v = table.get(tok)
+                if v is None:
+                    v = table[tok] = Var(tok)
+                args.append(v)
+                state = _AFTER
+            elif c in _NAME_START:
+                named, at = tok, i
+                state = _NAMED
             else:
-                done = App(self._declare(text, 0, offset), ())
-            while pending:
-                name, at, args = pending[-1]
-                args.append(done)
-                if self.pos < end and tokens[self.pos][1] == ",":
-                    self.pos += 1
-                    break
-                self._expect(")")
-                pending.pop()
-                done = App(self._declare(name, len(args), at), tuple(args))
+                raise _Failure(f"expected a term, found {tok!r}", i)
+            continue
+        if state == _NAMED:
+            if tok == "(":
+                args = []
+                stack.append((named, at, args))
+                state = _TERM
+                continue
+            args.append(constant(named, at))
+            state = _AFTER
+        if stack:
+            if tok == ",":
+                state = _TERM
+            elif tok == ")":
+                named, at, done = stack.pop()
+                args = stack[-1][2] if stack else clause
+                sym = symbols.get(named)
+                if sym is None or sym.arity != len(done):
+                    sym = declare(named, len(done), at)
+                args.append(App(sym, tuple(done)))
             else:
-                return done
+                raise _Failure(f"expected {_follows(stack, clause)}, found {tok!r}", i)
+        elif tok == ".":
+            rule = Rule(clause[0], tuple(clause[1:]))
+            rule.__dict__["_vars"] = frozenset(table.values())  # fills Rule.vars()
+            rules.append(rule)
+            state = _CLAUSE
+        elif tok == (":-" if len(clause) == 1 else ","):
+            state = _TERM
+        else:
+            raise _Failure(f"expected {_follows(stack, clause)}, found {tok!r}", i)
 
-    def clause(self) -> Rule:
-        head = self.term()
-        kind, text, offset = self._next("':-' or '.'")
-        body: list[Term] = []
-        if kind == "neck":
-            body.append(self.term())
-            while True:
-                _, text, offset = self._next("',' or '.'")
-                if text == ",":
-                    body.append(self.term())
-                elif text == ".":
-                    break
-                else:
-                    raise self._error(f"expected ',' or '.', found {text!r}", offset)
-        elif text != ".":
-            raise self._error(f"expected ':-' or '.', found {text!r}", offset)
-        return Rule(head, tuple(body))
+    if state == _NAMED:
+        args.append(constant(named, at))
+        state = _AFTER
+    if state != _CLAUSE:
+        expected = "a term" if state == _TERM else _follows(stack, clause)
+        raise _Failure(f"unexpected end of input, expected {expected}", len(tokens) - 1)
+    queries = tuple(_query_mode(text, i, symbols) for text, i in directives)
+    return Program(program_name, tuple(rules), tuple(symbols.values()), queries)
 
-    def run(self, name: str) -> Program:
-        while (tok := self._peek()) is not None:
-            if tok[0] == "directive":
-                self.pos += 1
-                self.directives.append((tok[1], tok[2]))
-            else:
-                self.rules.append(self.clause())
-        queries = [self._resolve_directive(*d) for d in self.directives]
-        return Program(name, tuple(self.rules), tuple(self.symbols.values()), tuple(queries))
 
-    def _resolve_directive(self, text: str, offset: int) -> QueryMode:
-        m = _QUERY_DIRECTIVE.match(text)
-        assert m is not None
-        pred_name = m.group(1)
-        flags = tuple(f.strip() for f in (m.group(2) or "").split(",") if f.strip())
-        for f in flags:
-            if f != "i":
-                raise self._error(f"unsupported mode flag {f!r} (only 'i' is supported)", offset)
-        sym = self.symbols.get(pred_name)
-        if sym is None:
-            raise self._error(f"query names unknown symbol '{pred_name}'", offset)
-        if sym.arity != len(flags):
-            raise self._error(
-                f"query for '{pred_name}' has {len(flags)} modes but the symbol has arity {sym.arity}",
-                offset,
-            )
-        return QueryMode(sym, flags)
+def _follows(stack: list, clause: list[Term]) -> str:
+    """What may follow a finished term, for an error message."""
+    if stack:
+        return "')'"
+    return "':-' or '.'" if len(clause) == 1 else "',' or '.'"
+
+
+def _query_mode(text: str, index: int, symbols: dict[str, Symbol]) -> QueryMode:
+    m = _QUERY_DIRECTIVE.fullmatch(text)
+    assert m is not None
+    pred_name = m.group(1)
+    flags = tuple(f.strip() for f in (m.group(2) or "").split(",") if f.strip())
+    for f in flags:
+        if f != "i":
+            raise _Failure(f"unsupported mode flag {f!r} (only 'i' is supported)", index)
+    sym = symbols.get(pred_name)
+    if sym is None:
+        raise _Failure(f"query names unknown symbol '{pred_name}'", index)
+    if sym.arity != len(flags):
+        raise _Failure(
+            f"query for '{pred_name}' has {len(flags)} modes but the symbol has arity {sym.arity}",
+            index,
+        )
+    return QueryMode(sym, flags)
 
 
 def parse_program(text: str, name: str = "<input>") -> Program:
     """Parse clauses (`h :- b1, ..., bm.` or `h.`) plus %query: directives.
 
     Lowercase/digit-initial identifiers are symbols, uppercase/underscore
-    are variables; `%` starts a line comment; `%query:`/`%mode:` comments
-    declare the queries of interest.
+    are variables; `%` starts a line comment; a `%query:`/`%mode:` comment
+    that fills its line declares a query of interest.
+
+    The text is scanned once for token texts and built in one pass.  Only
+    on an error is it scanned again, with offsets: a bad character anywhere
+    is reported first, as it stops the build too; otherwise the error is
+    placed at the token the build stopped on.
     """
-    return _Parser(text).run(name)
+    tokens = _token_texts(text)
+    try:
+        return _build(tokens, name)
+    except _Failure as failure:
+        message, index = failure.args
+    offset = _tokenize(text)[index][2]
+    raise ParseError(message, *_line_col(text, offset))
 
 
 def rewrite_step(
@@ -307,18 +349,17 @@ def rewrite_step(
 
     The rule is renamed apart from the query; on unification of the renamed
     head with the first query term, the result is (body ++ rest) under the
+    unifier.  The body is built once, under the renaming followed by the
     unifier.  At most one result (the mgu is unique up to renaming).
     """
     if not query:
         return []
-    qvars = term_vars(query)
-    ren = fresh_renaming(rule.vars(), qvars, source)
-    head = apply(rule.head, ren)
-    body = apply(rule.body, ren)
-    theta = mgu(head, query[0])
+    ren = fresh_renaming(rule.vars(), term_vars(query), source)
+    theta = mgu(apply(rule.head, ren), query[0])
     if theta is None:
         return []
-    return [(apply(body + query[1:], theta), theta)]
+    both = Subst({v: theta.lookup(w) for v, w in ren.items()})
+    return [(apply(rule.body, both) + apply(query[1:], theta), theta)]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Shared fixtures: term parsing shorthand, program sources, random generators,
 a reference evaluator for the paper's family notation, reference versions
-of the unifier, of normalization, of the variant key and of the tokenizer,
-and helpers that only the tests use."""
+of the unifier, of normalization, of the variant key, of the tokenizer and
+of the parser, and helpers that only the tests use."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
@@ -18,14 +17,16 @@ from hypothesis import strategies as st
 from typing import Iterator, Mapping, NamedTuple, Optional
 
 from nonterm.binrules import BinaryRuleSet, saturate
-from nonterm import program as program_module
 from nonterm.pattern import PatternRule
 from nonterm.powers import PowerSymbol, expand_at, is_power, normalize
 from nonterm.program import (
     ParseError,
     Program,
     Query,
-    _Parser,
+    QueryMode,
+    Rule,
+    _line_col,
+    _tokenize,
     parse_program,
     rewrite_step,
 )
@@ -60,7 +61,8 @@ ISLIST_GROW = (PROGRAMS_DIR / "islist-grow.pl").read_text()
 
 
 def term(src: str) -> Term:
-    """Parse a single term; arities are checked within this call only."""
+    """Parse a single term with the reference parser; arities are checked
+    within this call only."""
     p = _Parser(src)
     t = p.term()
     assert p._peek() is None, f"trailing input in {src!r}"
@@ -510,8 +512,8 @@ def reference_concrete_power(c: Term, k: int, inner: Term) -> Term:
 
 # --- reference tokenizer ----------------------------------------------------
 #
-# The tokenizer the one-pass scanner replaced: one match per token, comments
-# and whitespace included, and line and column advanced chunk by chunk.
+# A tokenizer with one match per chunk, comments and whitespace included,
+# and line and column advanced chunk by chunk.
 
 _REFERENCE_TOKEN = re.compile(
     r"""(?P<ws>\s+)
@@ -560,15 +562,142 @@ def reference_tokenize(text: str) -> Iterator[ReferenceToken]:
         pos = m.end()
 
 
+# --- reference parser --------------------------------------------------------
+#
+# The recursive-descent parser `parse_program` replaced: one method call per
+# token read, over the located tokens of a tokenizer, and each variable or
+# constant occurrence its own object.
+
+_Token = tuple[str, str, int]
+
+
+class _Parser:
+    def __init__(self, text: str, tokens: Optional[list[_Token]] = None):
+        self.text = text
+        self.tokens = _tokenize(text) if tokens is None else tokens
+        self.pos = 0
+        self.symbols: dict[str, Symbol] = {}
+        self.rules: list[Rule] = []
+        self.directives: list[tuple[str, int]] = []
+
+    def _error(self, message: str, offset: int) -> ParseError:
+        return ParseError(message, *_line_col(self.text, offset))
+
+    def _declare(self, name: str, arity: int, offset: int) -> Symbol:
+        """The symbol of a name; a name may carry only one arity program-wide."""
+        known = self.symbols.get(name)
+        if known is None:
+            sym = self.symbols[name] = Symbol(name, arity)
+            return sym
+        if known.arity != arity:
+            raise self._error(
+                f"symbol '{name}' used with arity {arity} but previously with {known.arity}",
+                offset,
+            )
+        return known
+
+    def _peek(self) -> Optional[_Token]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _next(self, expected: str) -> _Token:
+        tok = self._peek()
+        if tok is None:
+            offset = self.tokens[-1][2] if self.tokens else 0
+            raise self._error(f"unexpected end of input, expected {expected}", offset)
+        self.pos += 1
+        return tok
+
+    def _expect(self, text: str) -> None:
+        _, found, offset = self._next(repr(text))
+        if found != text:
+            raise self._error(f"expected {text!r}, found {found!r}", offset)
+
+    def term(self) -> Term:
+        # Iterative, so nesting depth is bounded by memory only: `pending`
+        # holds (name, its offset, arguments so far) per compound term
+        # being read.  A symbol is declared once its arguments are read,
+        # innermost first.
+        tokens, end = self.tokens, len(self.tokens)
+        pending: list[tuple[str, int, list[Term]]] = []
+        while True:
+            kind, text, offset = self._next("a term")
+            if kind == "var":
+                done: Term = Var(text)
+            elif kind != "name":
+                raise self._error(f"expected a term, found {text!r}", offset)
+            elif self.pos < end and tokens[self.pos][1] == "(":
+                self.pos += 1
+                pending.append((text, offset, []))
+                continue
+            else:
+                done = App(self._declare(text, 0, offset), ())
+            while pending:
+                name, at, args = pending[-1]
+                args.append(done)
+                if self.pos < end and tokens[self.pos][1] == ",":
+                    self.pos += 1
+                    break
+                self._expect(")")
+                pending.pop()
+                done = App(self._declare(name, len(args), at), tuple(args))
+            else:
+                return done
+
+    def clause(self) -> Rule:
+        head = self.term()
+        kind, text, offset = self._next("':-' or '.'")
+        body: list[Term] = []
+        if kind == "neck":
+            body.append(self.term())
+            while True:
+                _, text, offset = self._next("',' or '.'")
+                if text == ",":
+                    body.append(self.term())
+                elif text == ".":
+                    break
+                else:
+                    raise self._error(f"expected ',' or '.', found {text!r}", offset)
+        elif text != ".":
+            raise self._error(f"expected ':-' or '.', found {text!r}", offset)
+        return Rule(head, tuple(body))
+
+    def run(self, name: str) -> Program:
+        while (tok := self._peek()) is not None:
+            if tok[0] == "directive":
+                self.pos += 1
+                self.directives.append((tok[1], tok[2]))
+            else:
+                self.rules.append(self.clause())
+        queries = [self._resolve_directive(*d) for d in self.directives]
+        return Program(name, tuple(self.rules), tuple(self.symbols.values()), tuple(queries))
+
+    def _resolve_directive(self, text: str, offset: int) -> QueryMode:
+        m = _REFERENCE_DIRECTIVE.match(text)
+        assert m is not None
+        pred_name = m.group(1)
+        flags = tuple(f.strip() for f in (m.group(2) or "").split(",") if f.strip())
+        for f in flags:
+            if f != "i":
+                raise self._error(f"unsupported mode flag {f!r} (only 'i' is supported)", offset)
+        sym = self.symbols.get(pred_name)
+        if sym is None:
+            raise self._error(f"query names unknown symbol '{pred_name}'", offset)
+        if sym.arity != len(flags):
+            raise self._error(
+                f"query for '{pred_name}' has {len(flags)} modes but the symbol has arity {sym.arity}",
+                offset,
+            )
+        return QueryMode(sym, flags)
+
+
 def reference_parse(text: str, name: str = "<input>") -> Program:
-    """`parse_program` over the tokens of `reference_tokenize`."""
+    """The reference parser over the tokens of `reference_tokenize`."""
     line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
     tokens = [
         (tok.kind, tok.text, line_starts[tok.line - 1] + tok.col - 1)
         for tok in reference_tokenize(text)
     ]
-    with mock.patch.object(program_module, "_tokenize", lambda _: tokens):
-        return _Parser(text).run(name)
+    return _Parser(text, tokens).run(name)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    PROGRAMS_DIR,
     calls_bounded,
     reference_parse,
     reference_tokenize,
@@ -16,13 +17,14 @@ from nonterm.program import (
     ParseError,
     Rule,
     _line_col,
+    _token_texts,
     _tokenize,
     cone,
     derive_bounded,
     parse_program,
     rewrite_step,
 )
-from nonterm.terms import EPSILON, App, Symbol, Var, VarSource, apply, match
+from nonterm.terms import EPSILON, App, Symbol, Var, VarSource, apply, match, term_vars
 
 
 def _cone_rules(text: str) -> list[str]:
@@ -127,6 +129,51 @@ class TestParser:
         p = parse_program("p(0, 1).")
         assert p.rules[0].head == term("p(0,1)")
 
+    def test_deep_term_parses(self):
+        depth = 200_000
+        p = parse_program("p(" + "s(" * depth + "X" + ")" * (depth + 1) + ".")
+        t, height = p.rules[0].head.args[0], 0
+        while isinstance(t, App):
+            t, height = t.args[0], height + 1
+        assert (t, height) == (Var("X"), depth)
+        assert p.rules[0].vars() == {Var("X")}
+
+
+def _occurrences(t):
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        if isinstance(u, App):
+            stack.extend(u.args)
+
+
+class TestTables:
+    def test_one_var_object_per_name_and_clause(self):
+        text = "p(X, s(Y), X) :- q(Y, X), p(X, Y, Y).\nq(X, Y) :- q(Y, X)."
+        by_rule = []
+        for rule in parse_program(text).rules:
+            seen = {}
+            for atom in (rule.head, *rule.body):
+                for u in _occurrences(atom):
+                    if isinstance(u, Var):
+                        assert seen.setdefault(u.name, u) is u
+            by_rule.append(seen)
+        first, second = by_rule
+        assert set(first) == {"X", "Y"} and set(second) == {"X", "Y"}
+        assert all(first[n] is not second[n] for n in first)
+
+    def test_one_app_object_per_constant_and_program(self):
+        rules = parse_program("p(0, nil) :- q(0).\nq(s(0)).\nr(nil, 0).").rules
+        zeros = {id(u) for r in rules for a in (r.head, *r.body) for u in _occurrences(a)
+                 if isinstance(u, App) and u.symbol.name == "0"}
+        assert len(zeros) == 1
+
+    @pytest.mark.parametrize("path", sorted(PROGRAMS_DIR.glob("*.pl")), ids=lambda p: p.stem)
+    def test_rule_vars_are_the_clause_variables(self, path):
+        for rule in parse_program(path.read_text(), path.stem).rules:
+            assert rule.vars() == term_vars((rule.head, *rule.body))
+
 
 # --- parser properties -------------------------------------------------------
 
@@ -166,12 +213,7 @@ def _programs(draw):
 
 
 def _symbols_of(t):
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, App):
-            yield u.symbol
-            stack.extend(u.args)
+    return (u.symbol for u in _occurrences(t) if isinstance(u, App))
 
 
 # Fragments of programs, most of them broken when put together at random.
@@ -184,10 +226,9 @@ _FRAGMENTS = ["p", "q", "s", "0", "42", "X", "_Y", "(", ")", ",", ".", ":-", ":"
 
 def _outcome(parse, text):
     try:
-        program = parse(text)
+        return "ok", parse(text)
     except ParseError as exc:
         return "error", str(exc)
-    return "ok", program.rules, program.symbols, program.queries
 
 
 class TestParserProperties:
@@ -198,6 +239,8 @@ class TestParserProperties:
         program = parse_program(text)
         assert program.rules == tuple(rules)
         assert [q.predicate for q in program.queries] == queries
+        for rule in program.rules:
+            assert rule.vars() == term_vars((rule.head, *rule.body))
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=25).map("".join))
@@ -206,6 +249,11 @@ class TestParserProperties:
     @example("% only a comment")
     @example("%query: p(i).\r\np(X, Y).\r\n")
     @example("p(X).\n  q(X) \t @")
+    @example("p(X) :- .\nq(X) @")  # a bad character after a syntax error
+    @example("p(X) :-\n%query: p(i).\n  q(X).")  # a directive inside a clause
+    @example("p(X) :- % why\n  q(X), % and\n  p(s(X)).")  # comments inside a clause
+    @example("%query: p(i).\r\np(X) :-\r\n  p(s(X)).\r\np(0).\r\n")  # CRLF line ends
+    @example("%query: p(i).\r\np(X) :-\r\n  p(s(X)) q.\r\n")
     def test_errors_match_the_reference_tokenizer(self, text):
         assert _outcome(parse_program, text) == _outcome(reference_parse, text)
 
@@ -221,6 +269,21 @@ class TestParserProperties:
         got = tokens(lambda t: ((k, s, *_line_col(t, o)) for k, s, o in _tokenize(t)))
         want = tokens(lambda t: ((r.kind, r.text, r.line, r.col) for r in reference_tokenize(t)))
         assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=25).map("".join))
+    @example("p(X) :- q(X). % note @\n@")
+    def test_parser_reads_the_tokens_of_tokenize(self, text):
+        # Up to the first bad character, which the parser reads as a token
+        # of its own and `_tokenize` rejects.
+        texts = _token_texts(text)
+        try:
+            located = _tokenize(text)
+        except ParseError as exc:
+            offset = next(o for o in range(len(text)) if _line_col(text, o) == (exc.line, exc.col))
+            located = _tokenize(text[:offset]) + [("bad", text[offset], offset)]
+            texts = texts[: len(located)]
+        assert texts == [t for _, t, _ in located]
 
 
 class TestRewriteStep:
@@ -247,6 +310,24 @@ class TestRewriteStep:
         q = (term("gt(s(0),0)"), term("while(0,0)"))
         (result, _) = rewrite_step(q, r2, VarSource())[0]
         assert result == (term("while(0,0)"),)
+
+    def test_body_is_built_once_per_step(self, monkeypatch):
+        # Each step builds the renamed head p(_k) and the body p(s^k(_k))
+        # under the unifier, and nothing else: 1 + (k + 1) nodes.
+        k, steps = 60, 10
+        program = parse_program(f"p(X) :- p({'s(' * k}X{')' * k}).\np(0).")
+        start = (term("p(0)"),)
+        built = 0
+        init = App.__init__
+
+        def counted(self, *args):
+            nonlocal built
+            built += 1
+            init(self, *args)
+
+        monkeypatch.setattr(App, "__init__", counted)
+        assert derive_bounded(program, start, steps).reached_bound
+        assert built == steps * (k + 2)
 
     def test_steps_satisfy_rewrite_relation(self, ex_program):
         # Post-hoc re-check of each produced step: the leftmost term was
