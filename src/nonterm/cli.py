@@ -95,7 +95,7 @@ _STATUS = {
 
 
 def analyze_file(path: Path, config: RunConfig, err: TextIO) -> list[ReportRow]:
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     program = parse_program(text, path.stem)
     budget = UnfoldBudget(
         wall_clock=config.timeout,
@@ -117,7 +117,7 @@ def analyze_file(path: Path, config: RunConfig, err: TextIO) -> list[ReportRow]:
             status = "Proven"
             witness = render(outcome.witness.term)
         else:
-            status = _STATUS.get(outcome.reason or "", "Unknown-cap")
+            status = _STATUS[outcome.reason]
             witness = "?"
         rows.append(
             ReportRow(
@@ -199,7 +199,7 @@ def run(config: RunConfig, out: Optional[TextIO] = None, err: Optional[TextIO] =
     if config.dump_initial or config.dump_binunf is not None:
         for path in files:
             try:
-                program = parse_program(path.read_text(encoding="utf-8"), path.stem)
+                program = parse_program(path.read_text(encoding="utf-8-sig"), path.stem)
             except _FILE_ERRORS as exc:
                 errors.append(_file_error(path, exc, err))
                 continue

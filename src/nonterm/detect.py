@@ -43,22 +43,6 @@ from .unfold import UnfoldBudget, saturate
 
 
 @dataclass(frozen=True)
-class Hole:
-    """One argument position: c^(a,b)(t) on the left, c^(ra,rb)(u) right.
-
-    context is None when both sides are plain terms at this position (then
-    all four exponents are zero).
-    """
-
-    context: Optional[Term]
-    a: int
-    b: int
-    t: Term
-    ra: int
-    rb: int
-
-
-@dataclass(frozen=True)
 class PumpData:
     """The certificate of self-pumping: q(n) instantiates p(n + k) for n >= alpha."""
 
@@ -86,23 +70,25 @@ def _positions(u: Term, v: Term) -> list[tuple[Term, Term]]:
     return out
 
 
-def _read_hole(left: Term, right: Term) -> Optional[tuple[Hole, Term]]:
+def _read_hole(
+    left: Term, right: Term
+) -> Optional[tuple[Optional[Term], int, int, Term, int, int, Term]]:
     """Pair one argument position, borrowing the context across plain sides.
 
-    Returns the hole plus the right-hand inner term.  Both sides are read
-    as towers (`tower`) of the one context of the powers at the position;
-    powers of two contexts give None, and without a power there is no
-    context at all.
+    Returns (c, a, b, t, ra, rb, u), the left side read as c^(a,b)(t) and
+    the right as c^(ra,rb)(u), both as towers (`tower`) of the one context
+    c of the powers at the position.  Powers of two contexts give None;
+    without a power, c is None and every exponent is zero.
     """
     contexts = {t.symbol.context for t in (left, right) if is_power(t)}
     if not contexts:
-        return Hole(None, 0, 0, left, 0, 0), right
+        return None, 0, 0, left, 0, 0, right
     if len(contexts) > 1:
         return None
     (c,) = contexts
     a, b, t = tower(left, c)
     ra, rb, u = tower(right, c)
-    return Hole(c, a, b, t, ra, rb), u
+    return c, a, b, t, ra, rb, u
 
 
 def match_pumping(rule: PatternRule) -> Optional[PumpData]:
@@ -117,7 +103,7 @@ def match_pumping(rule: PatternRule) -> Optional[PumpData]:
     """
     if rule.rhs_is_epsilon():
         return None
-    holes: list[tuple[Hole, Term]] = []
+    holes = []
     for left, right in _positions(rule.lhs, rule.rhs):
         read = _read_hole(left, right)
         if read is None:
@@ -126,12 +112,12 @@ def match_pumping(rule: PatternRule) -> Optional[PumpData]:
 
     # A ground position needs c^(a(n+k)+b)(t) = c^(ra*n+rb)(t) at every n.
     k: Optional[int] = None
-    for h, u in holes:
-        if isinstance(h.t, Var):
+    for _, a, b, t, ra, rb, u in holes:
+        if isinstance(t, Var):
             continue
-        if not h.t.ground or u != h.t or h.a != h.ra or h.a < 1:
+        if not t.ground or u != t or a != ra or a < 1:
             return None
-        shift, rest = divmod(h.rb - h.b, h.a)
+        shift, rest = divmod(rb - b, a)
         if rest or shift < 0 or k not in (None, shift):
             return None
         k = shift
@@ -140,15 +126,15 @@ def match_pumping(rule: PatternRule) -> Optional[PumpData]:
     # A variable position binds X to c^(slope*n + offset)(u).
     bindings: dict[Var, tuple[Optional[Term], int, int, Term]] = {}
     alpha: Optional[Fraction] = None
-    for h, u in holes:
-        if not isinstance(h.t, Var):
+    for c, a, b, t, ra, rb, u in holes:
+        if not isinstance(t, Var):
             continue
-        slope, offset = h.ra - h.a, h.rb - h.b - h.a * k
+        slope, offset = ra - a, rb - b - a * k
         if slope < 0 or (slope == 0 and offset < 0):
             return None
         # Without growth X is bound to u itself, whatever the context.
-        binding = (h.context, slope, offset, u) if slope or offset else (None, 0, 0, u)
-        if bindings.setdefault(h.t, binding) != binding:
+        binding = (c, slope, offset, u) if slope or offset else (None, 0, 0, u)
+        if bindings.setdefault(t, binding) != binding:
             return None
         if slope:
             least = Fraction(-offset, slope)
@@ -163,22 +149,18 @@ class Witness:
     rule: PatternRule
     data: PumpData
     n: int
-    grounding: Subst
     term: Term
 
     def __repr__(self) -> str:
         return render(self.term)
 
 
-def ground_constant(program: Program, preferred: str = "0") -> Symbol:
+def ground_constant(program: Program) -> Symbol:
     """The constant used to ground witnesses: '0' if declared, else the
     first declared constant, else a fresh reporting-only one."""
-    for sym in program.constants():
-        if sym.name == preferred:
-            return sym
     consts = program.constants()
     if consts:
-        return consts[0]
+        return next((sym for sym in consts if sym.name == "0"), consts[0])
     names = {s.name for s in program.symbols}
     i = 0
     while f"c{i}" in names:
@@ -190,8 +172,7 @@ def witness_from(rule: PatternRule, data: PumpData, constant: Symbol) -> Witness
     n = max(0, math.ceil(data.alpha))
     base = expand_at(rule.lhs, n)
     unit = App(constant, ())
-    grounding = Subst({v: unit for v in term_vars(base)})
-    return Witness(rule, data, n, grounding, apply(base, grounding))
+    return Witness(rule, data, n, apply(base, Subst({v: unit for v in term_vars(base)})))
 
 
 def check_pumps(rule: PatternRule, data: PumpData, n: int) -> bool:
@@ -261,24 +242,15 @@ def prove(
         return True
 
     _, stats = saturate(reach, base, budget, on_rule=on_rule, trace=trace, goal=goal)
-    elapsed = (time.monotonic() - t0) * 1000.0
-    if not found:
-        return ProofOutcome("unknown", None, stats.generated, elapsed, reason=stats.stop)
-    witness = found[0]
+    witness = found[0] if found else None
+    reason = None if found else stats.stop
     validated: Optional[bool] = None
-    if validate_steps > 0:
-        status = derive_bounded(program, (witness.term,), validate_steps)
-        validated = status.reached_bound
+    if witness is not None and validate_steps > 0:
+        validated = derive_bounded(program, (witness.term,), validate_steps).reached_bound
         if not validated:
             # The theory says this cannot happen; reporting unknown keeps
             # the tool honest if it ever does.
-            return ProofOutcome(
-                "unknown",
-                None,
-                stats.generated,
-                (time.monotonic() - t0) * 1000.0,
-                reason="validation-failed",
-            )
-    return ProofOutcome(
-        "proven", witness, stats.generated, (time.monotonic() - t0) * 1000.0, validated=validated
-    )
+            witness, reason, validated = None, "validation-failed", None
+    status = "unknown" if witness is None else "proven"
+    elapsed = (time.monotonic() - t0) * 1000.0
+    return ProofOutcome(status, witness, stats.generated, elapsed, reason, validated)

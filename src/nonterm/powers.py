@@ -56,9 +56,10 @@ class PowerSymbol:
 
     To unification (`terms.unify`), two symbols of equal context and slope
     meet whatever their offsets; any other pair of distinct symbols clashes.
-    `power_form` always factors contexts down to their minimal period,
-    which makes that test as permissive as it can be without a search over
-    alternative representatives.
+    Seed contexts are factored down to their minimal period before
+    `power_form` raises them (`terms.decompose_power`, through
+    `terms.primitive_context`), which makes that test as permissive as it
+    can be without a search over alternative representatives.
     """
 
     context: Term
@@ -239,13 +240,13 @@ def power_form(t: Term, fillers: Subst, moved: Mapping[Var, tuple[Term, int]]) -
 
     `moved` maps each variable the family's index drives to (c, a), the
     variable being driven by the ground 1-context c^a, with c of minimal
-    period; its filler then splits as c^b(u) with u not c-headed, and the
-    variable gets c^(a,b)(u).  Any other variable gets its filler as is.
+    period; the variable gets c^(a,0) over its filler, and `normalize`
+    strips the filler's c layers into the offset.  Any other variable gets
+    its filler as is.
     """
     theta = dict(fillers.items())
     for x, (c, a) in moved.items():
-        b, rest = strip_power(fillers.lookup(x), c)
-        theta[x] = App(PowerSymbol(c, a, b), (rest,))
+        theta[x] = App(PowerSymbol(c, a, 0), (fillers.lookup(x),))
     return normalize(apply(t, Subst(theta)))
 
 

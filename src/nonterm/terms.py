@@ -558,19 +558,6 @@ def strip_power(t: Term, c: Term) -> tuple[int, Term]:
     return k, t
 
 
-def _first_hole_path(c: Term) -> Optional[list[int]]:
-    # Depth-first, leftmost; iterative because contexts can be deep towers.
-    stack: list[tuple[Term, list[int]]] = [(c, [])]
-    while stack:
-        u, path = stack.pop()
-        if u == HOLE:
-            return path
-        if isinstance(u, App):
-            for i in range(len(u.args) - 1, -1, -1):
-                stack.append((u.args[i], path + [i]))
-    return None
-
-
 def _replace_subterm(t: Term, old: Term, new: Term) -> Term:
     return rebuild(t, lambda u: new if u == old else u if isinstance(u, Var) else None)
 
@@ -579,16 +566,15 @@ def primitive_context(c: Term) -> tuple[Term, int]:
     """Factor a ground 1-context as d^k with d of minimal period.
 
     Minimal period means d itself is not e^j for any j > 1.  Candidates are
-    cuts of increasing depth along the path to the first hole; the shallowest
-    cut that tiles c exactly is the primitive root.
+    cuts of increasing depth along the path to the first hole, which in a
+    ground context descends into the leftmost argument that is not ground;
+    the shallowest cut that tiles c exactly is the primitive root.
     """
-    path = _first_hole_path(c)
-    if path is None:
+    if c.ground:
         raise ValueError("not a context: no hole")
-    for depth in range(1, len(path) + 1):
-        sub: Term = c
-        for i in path[:depth]:
-            sub = sub.args[i]
+    sub = c
+    while sub != HOLE:
+        sub = next(a for a in sub.args if not a.ground)
         cand = _replace_subterm(c, sub, HOLE)
         k, rest = strip_power(c, cand)
         if k >= 1 and rest == HOLE:

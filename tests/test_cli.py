@@ -173,6 +173,22 @@ class TestRun:
         assert row["reason"] == "validation-failed"
         assert row["witness"] is None
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # A BOM-prefixed copy parses like the plain file, in analysis and dumps.
+        src = PROGRAMS_DIR / "while-gt-add.pl"
+        bom = tmp_path / src.name
+        bom.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        rows = []
+        for path in (src, bom):
+            code, out, err = run_cli(path, as_json=True)
+            assert code == 0 and err == ""
+            (row,) = json.loads(out)
+            del row["time_ms"]
+            rows.append(row)
+        assert rows[0] == rows[1] and rows[0]["status"] == "Proven"
+        dumps = [run_cli(path, dump_initial=True) for path in (src, bom)]
+        assert dumps[0] == dumps[1] and dumps[0][0] == 0
+
     def test_empty_directory(self, tmp_path):
         code, out, _ = run_cli(tmp_path)
         assert code == 0

@@ -10,6 +10,7 @@ from conftest import (
     G,
     G_WRAPS_ITSELF,
     NIL,
+    PROGRAMS_DIR,
     WHILE_GT_ADD,
     ZERO,
     Family,
@@ -20,6 +21,7 @@ from conftest import (
     subst,
     term,
 )
+from nonterm import detect
 from nonterm.detect import (
     check_pumps,
     ground_constant,
@@ -29,7 +31,7 @@ from nonterm.detect import (
 )
 from nonterm.pattern import PatternRule
 from nonterm.powers import PowerSymbol
-from nonterm.program import derive_bounded, parse_program
+from nonterm.program import DerivationStatus, derive_bounded, parse_program
 from nonterm.terms import EPSILON, HOLE, App, Subst, Symbol, Var, match, plug, render
 from nonterm.unfold import UnfoldBudget
 
@@ -321,6 +323,30 @@ class TestProve:
         assert p.queries[0].predicate.name == "gt"
         out = prove(p, p.queries[0], UnfoldBudget(max_iterations=3))
         assert not out.proven
+
+
+class TestProofOutcome:
+    def test_one_outcome_per_bundled_query(self):
+        # A witness exactly when proven, a stop reason exactly when not,
+        # and no validation verdict when none was asked for.
+        for path in sorted(PROGRAMS_DIR.glob("*.pl")):
+            program = parse_program(path.read_text(encoding="utf-8"), path.stem)
+            for query in program.queries:
+                out = prove(program, query, UnfoldBudget())
+                assert out.proven == (out.witness is not None), path.stem
+                assert (out.reason is None) == out.proven, path.stem
+                assert out.validated is None, path.stem
+
+    def test_failed_validation_is_unknown(self, monkeypatch):
+        monkeypatch.setattr(
+            detect, "derive_bounded", lambda *_: DerivationStatus(reached_bound=False, steps=3)
+        )
+        p = parse_program((PROGRAMS_DIR / "while-lt.pl").read_text(encoding="utf-8"))
+        out = prove(p, p.queries[0], UnfoldBudget(), validate_steps=10)
+        assert out.status == "unknown" and not out.proven
+        assert out.witness is None
+        assert out.reason == "validation-failed"
+        assert out.validated is None
 
 
 class TestWitnessesRun:

@@ -2,6 +2,7 @@
 
 import time
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -396,6 +397,22 @@ class TestDecomposePower:
         f = App(Symbol("f", 2), (HOLE, term("0")))
         assert primitive_context(context_power(f, 2)) == (f, 2)
         assert primitive_context(f) == (f, 1)
+        ff = App(F, (HOLE, HOLE))
+        assert primitive_context(context_power(ff, 2)) == (ff, 2)
+        for c in (App(F, (App(G, (HOLE,)), App(G, (HOLE,)))), App(G, (ff,))):
+            assert primitive_context(c) == (c, 1)
+        assert primitive_context(HOLE) == (HOLE, 1)
+        with pytest.raises(ValueError):
+            primitive_context(term("f(s(0),nil)"))
+
+    def test_primitive_context_is_a_primitive_root(self, rng):
+        # Whatever power of a context goes in, a root that tiles it comes out,
+        # and that root is its own primitive root.
+        for _ in range(300):
+            d, k = random_context(rng), rng.randint(1, 3)
+            e, j = primitive_context(concrete_power(d, k, HOLE))
+            assert concrete_power(e, j, HOLE) == concrete_power(d, k, HOLE)
+            assert primitive_context(e) == (e, 1)
 
     def test_round_trip(self, rng):
         for _ in range(150):
