@@ -30,7 +30,6 @@ family it derives is kept only if it is simple (`is_simple`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .terms import (
@@ -50,32 +49,42 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
 class PowerSymbol:
     """Unary symbol for the tower family c^(a*n+b) over a ground 1-context.
 
-    To unification (`terms.unify`), two symbols of equal context and slope
-    meet whatever their offsets; any other pair of distinct symbols clashes.
-    Seed contexts are factored down to their minimal period before
-    `power_form` raises them (`terms.decompose_power`, through
-    `terms.primitive_context`), which makes that test as permissive as it
-    can be without a search over alternative representatives.
+    Unlike `terms.Symbol`, a power symbol is not interned: two built
+    separately from equal contexts are distinct objects that compare equal
+    and hash alike, by value.  To unification (`terms.unify`), two symbols
+    of equal context and slope meet whatever their offsets; any other pair
+    of distinct symbols clashes.  Seed contexts are factored down to their
+    minimal period before `power_form` raises them
+    (`terms.decompose_power`, through `terms.primitive_context`), which
+    makes that test as permissive as it can be without a search over
+    alternative representatives.
     """
 
-    context: Term
-    a: int
-    b: int
-    # Every `App` built over the symbol hashes it, so the hash is kept.
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("context", "a", "b", "_hash")
 
     is_power: ClassVar[bool] = True
     arity: ClassVar[int] = 1
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.context, self.a, self.b)))
+    def __init__(self, context: Term, a: int, b: int):
+        self.context, self.a, self.b = context, a, b
+        # Every `App` built over the symbol hashes it, so the hash is kept.
+        self._hash = hash((context._hash, a, b))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not PowerSymbol:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.context == other.context
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return PowerSymbol, (self.context, self.a, self.b)
 
     @property
     def name(self) -> str:

@@ -201,9 +201,9 @@ def _build(tokens: list[str], program_name: str) -> Program:
     term being read, and `args` the list the next finished term joins: the
     top's arguments, or the clause's head and body.  A symbol is declared
     once its arguments are read, innermost first, and a name keeps one
-    arity program-wide.  Each variable name is one `Var` per clause (the
-    table is the rule's variable set) and each constant one `App` per
-    program.
+    arity program-wide.  A clause's variables are kept by name in a table
+    that becomes the rule's variable set, and each constant is one `App`
+    per program.
     """
     symbols: dict[str, Symbol] = {}
     constants: dict[str, App] = {}
@@ -386,10 +386,13 @@ def derive_bounded(program: Program, query: Query, max_steps: int) -> Derivation
     has max_steps steps, or that all branches are finite once the tree is
     exhausted earlier.  A query that runs forever along the first branch
     it tries costs one `rewrite_step` per rule and step of that chain.
+    A step renames the rule apart from its own query only, so each step
+    draws fresh names from a new `VarSource`: however many steps run, it
+    interns (`terms.Var`) no more names than its largest query and a rule
+    hold together.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    source = VarSource()
     deepest = 0
     empty = False
     stack: list[tuple[Query, int]] = [(query, 0)]
@@ -402,6 +405,6 @@ def derive_bounded(program: Program, query: Query, max_steps: int) -> Derivation
         if depth >= max_steps:
             return DerivationStatus(True, max_steps, empty)
         for rule in reversed(program.rules):
-            for nq, _ in rewrite_step(q, rule, source):
+            for nq, _ in rewrite_step(q, rule, VarSource()):
                 stack.append((nq, depth + 1))
     return DerivationStatus(False, deepest, empty)

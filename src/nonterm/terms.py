@@ -1,7 +1,13 @@
 """First-order terms, substitutions, unification and ground contexts.
 
-The term language is small: variables and symbol applications.  Values are
-immutable and hashable.  Derivations produce very deep terms (number towers
+The term language is small: variables and symbol applications.  Terms are
+immutable and hashable.  A variable is one object per name and a plain
+symbol one object per name and arity, kept in class-wide tables for the
+life of the process, so both compare and hash by identity.  An application
+compares structurally: by a hash computed once at construction, then
+argument by argument.  Terms pickle by value: loading rebuilds each one
+through its constructor, which interns names afresh and recomputes hashes
+in the loading process.  Derivations produce very deep terms (number towers
 like ``s(s(...s(0)))``), so the hot operations -- equality, substitution
 application, unification, variable collection -- are iterative and
 short-circuit on ground subterms instead of recursing node by node.  Every
@@ -20,52 +26,74 @@ offset off both.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional, Sequence
 
 
-@dataclass(frozen=True)
 class Symbol:
-    """A function symbol; identity is the (name, arity) pair."""
+    """A function symbol: one object per (name, arity) pair.
 
-    name: str
-    arity: int
-    # Every `App` built over the symbol hashes it, so the hash is kept.
-    _hash: int = field(init=False, repr=False, compare=False)
+    The constructor returns the entry of a class-wide table, so equality
+    and hashing are those of the object itself, with no Python-level call.
+    The table holds every symbol for the life of the process; its size is
+    bounded by the names programs use.
+    """
+
+    __slots__ = ("name", "arity", "_hash")
+    _table: ClassVar[dict[tuple[str, int], "Symbol"]] = {}
 
     # Power symbols (`powers.PowerSymbol`) set this; see `App.powered`.
     is_power: ClassVar[bool] = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.name, self.arity)))
+    def __new__(cls, name: str, arity: int) -> "Symbol":
+        key = (name, arity)
+        sym = cls._table.get(key)
+        if sym is None:
+            sym = object.__new__(cls)
+            # Every `App` built over the symbol hashes it, so the hash is kept.
+            sym.name, sym.arity, sym._hash = name, arity, hash(key)
+            # setdefault keeps one winner if two threads build the same name.
+            sym = cls._table.setdefault(key, sym)
+        return sym
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        # Rebuilt through the table, so a loaded symbol is the local one.
+        return Symbol, (self.name, self.arity)
+
+    def __repr__(self) -> str:
+        return f"Symbol({self.name!r}, {self.arity})"
 
 
 class Var:
-    """A variable, identified by name."""
+    """A variable: one object per name, kept in a class-wide table.
+
+    Equality and hashing are the object's own.  `_hash` is a hash of the
+    name, which `App`'s structural hash reads.  The table holds every
+    variable for the life of the process; fresh names (`VarSource`) are
+    drawn from one numbered sequence that every search reuses.
+    """
 
     __slots__ = ("name", "_hash")
+    _table: ClassVar[dict[str, "Var"]] = {}
     ground = False
     powered = False
 
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("var", name))
+    def __new__(cls, name: str) -> "Var":
+        v = cls._table.get(name)
+        if v is None:
+            v = object.__new__(cls)
+            v.name, v._hash = name, hash(("var", name))
+            v = cls._table.setdefault(name, v)
+        return v
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Var) and self.name == other.name
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return Var, (self.name,)
 
     def __repr__(self) -> str:
         return self.name
 
 
-# The name of the context hole (`HOLE`); the parser cannot lex it.
-_HOLE_NAME = "#1"
+# The context hole (`HOLE`); the parser cannot lex its name.
+_HOLE_SYMBOL = Symbol("#1", 0)
 
 
 class App:
@@ -80,26 +108,26 @@ class App:
     __slots__ = ("symbol", "args", "ground", "powered", "_hash")
 
     def __init__(self, symbol, args: Sequence["Term"] = ()):
-        args = tuple(args)
+        if type(args) is not tuple:
+            args = tuple(args)
         if len(args) != symbol.arity:
             raise ValueError(
                 f"symbol {symbol.name}/{symbol.arity} applied to {len(args)} arguments"
             )
         self.symbol = symbol
         self.args = args
-        # The context hole #1 is a placeholder, not a constant: a term
-        # containing it must never take the ground fast paths.  The hole is
-        # a constant, so the name is read only without arguments (a power
-        # symbol's name renders its whole context).
         if args:
-            ground, powered = True, symbol.is_power
+            ground, powered, h = True, symbol.is_power, symbol._hash
             for a in args:
                 ground = ground and a.ground
                 powered = powered or a.powered
-            self.ground, self.powered = ground, powered
+                h = hash((h, a._hash))
+            self.ground, self.powered, self._hash = ground, powered, h
         else:
-            self.ground, self.powered = symbol.name != _HOLE_NAME, False
-        self._hash = hash((symbol, *[a._hash for a in args]))
+            # The context hole #1 is a placeholder, not a constant: a term
+            # containing it must never take the ground fast paths.
+            self.ground, self.powered = symbol is not _HOLE_SYMBOL, False
+            self._hash = symbol._hash
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -108,27 +136,29 @@ class App:
             return False
         # Plugging a context with a repeated hole shares subterms, so terms
         # are DAGs; memoizing compared pairs keeps equality proportional to
-        # DAG size.
+        # DAG size.  Symbols and variables are one object per name, so two
+        # that are not the same object differ.
         seen: set[tuple[int, int]] = set()
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
             if a is b:
                 continue
-            if type(a) is not type(b):
+            if type(a) is Var or type(b) is Var:
                 return False
-            if isinstance(a, Var):
-                if a.name != b.name:
-                    return False
-                continue
             key = (id(a), id(b))
             if key in seen:
                 continue
             seen.add(key)
-            if a.symbol != b.symbol or a._hash != b._hash:
+            if a._hash != b._hash or a.symbol != b.symbol:
                 return False
             stack.extend(zip(a.args, b.args))
         return True
+
+    def __reduce__(self):
+        # Pickled by value: the loaded term is rebuilt, so its symbols are
+        # interned and its hash is computed afresh in the loading process.
+        return App, (self.symbol, self.args)
 
     def __hash__(self) -> int:
         return self._hash
@@ -178,7 +208,7 @@ class Subst:
     def __init__(self, mapping: Mapping[Var, Term] | Iterable[tuple[Var, Term]] = ()):
         # A dict is tested first: the check against typing's Mapping is slow.
         items = mapping.items() if isinstance(mapping, (dict, Mapping)) else mapping
-        self._m: dict[Var, Term] = {v: t for v, t in items if t != v}
+        self._m: dict[Var, Term] = {v: t for v, t in items if t is not v}
         self._hash: Optional[int] = None
 
     def lookup(self, v: Var) -> Term:
@@ -200,6 +230,11 @@ class Subst:
         if self._hash is None:
             self._hash = hash(frozenset(self._m.items()))
         return self._hash
+
+    def __reduce__(self):
+        # Like a term, a substitution pickles by value: the cached hash
+        # belongs to the process that computed it.
+        return Subst, (self._m,)
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -289,7 +324,7 @@ def _occurs_bound(v: Var, t: Term, bindings: Mapping[Var, Term]) -> bool:
     while stack:
         u = stack.pop()
         if isinstance(u, Var):
-            if u == v:
+            if u is v:
                 return True
             w = bindings.get(u)
             if w is not None:
@@ -331,8 +366,10 @@ def unify(
             x = b[x]
         while isinstance(y, Var) and y in b:
             y = b[y]
-        if x is y or x == y:
+        if x is y:
             continue
+        # Variables are one object per name: two that are not the same
+        # object differ, and a variable never equals an application.
         if isinstance(x, Var):
             if isinstance(y, App) and not y.ground and _occurs_bound(x, y, b):
                 return None
@@ -341,6 +378,8 @@ def unify(
             if not x.ground and _occurs_bound(y, x, b):
                 return None
             b[y] = x
+        elif x == y:
+            continue
         elif x.symbol != y.symbol:
             p, q = x.symbol, y.symbol
             if not same_slope(p, q):
@@ -482,7 +521,7 @@ def fresh_renaming(
 # variables) are the building blocks of context powers: c^0 = #1,
 # c^(n+1) = c(c^n).
 
-HOLE = App(Symbol(_HOLE_NAME, 0), ())
+HOLE = App(_HOLE_SYMBOL, ())
 
 
 def plug(c: Term, u: Term) -> Term:
@@ -590,9 +629,9 @@ def decompose_power(t: Term, var: Var) -> Optional[tuple[Term, int]]:
     None when no ground decomposition exists (e.g. the would-be context
     contains another variable).
     """
-    if isinstance(t, App) and var in t.args and all(a == var or a.ground for a in t.args):
+    if isinstance(t, App) and var in t.args and all(a is var or a.ground for a in t.args):
         # One layer over var: its own primitive root, no search needed.
-        return App(t.symbol, tuple(HOLE if a == var else a for a in t.args)), 1
+        return App(t.symbol, tuple(HOLE if a is var else a for a in t.args)), 1
     if var not in term_vars(t):
         return None
     skel = _subst_dict(t, {var: HOLE})

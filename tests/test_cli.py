@@ -13,6 +13,7 @@ from conftest import PROGRAMS_DIR
 from nonterm import cli, detect
 from nonterm.cli import RunConfig, count_relations, main, run
 from nonterm.program import DerivationStatus, parse_program
+from nonterm.terms import Symbol, Var
 
 
 def run_cli(*inputs, **kwargs):
@@ -32,6 +33,22 @@ class TestCountRelations:
     def test_counts_heads_not_symbols(self):
         p = parse_program("p(X) :- q(s(X)).")
         assert count_relations(p) == 1
+
+
+class TestNameTables:
+    def test_a_second_pass_adds_no_names(self):
+        # Symbols and variables are interned for the life of the process,
+        # so a pass must reuse the names the one before it made: program
+        # names, and the fresh names every search draws from one sequence.
+        paths = sorted(PROGRAMS_DIR.glob("*.pl"))
+        config = RunConfig(inputs=tuple(paths))
+
+        def one_pass():
+            for path in paths:
+                cli.analyze_file(path, config, io.StringIO())
+            return len(Symbol._table), len(Var._table)
+
+        assert one_pass() == one_pass()
 
 
 class TestRun:

@@ -161,7 +161,7 @@ class TestTables:
             by_rule.append(seen)
         first, second = by_rule
         assert set(first) == {"X", "Y"} and set(second) == {"X", "Y"}
-        assert all(first[n] is not second[n] for n in first)
+        assert all(first[n] is second[n] for n in first)
 
     def test_one_app_object_per_constant_and_program(self):
         rules = parse_program("p(0, nil) :- q(0).\nq(s(0)).\nr(nil, 0).").rules
@@ -387,6 +387,15 @@ class TestDeriveBounded:
     def test_rejects_nonpositive_bound(self, ex_program):
         with pytest.raises(ValueError):
             derive_bounded(ex_program, (term("gt(0,0)"),), 0)
+
+    def test_a_long_run_reuses_fresh_names(self, ex_program):
+        # Variables are interned for the life of the process, so the fresh
+        # names of one step must be reused by the next.
+        q = (term("while(s(s(0)),s(0))"),)
+        derive_bounded(ex_program, q, 10)
+        before = len(Var._table)
+        assert derive_bounded(ex_program, q, 2000).reached_bound
+        assert len(Var._table) - before <= 10
 
 
 class TestCallsBounded:

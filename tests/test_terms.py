@@ -1,6 +1,13 @@
 """Term kernel: substitutions, unification, contexts, powers."""
 
+import copy
+import json
+import os
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +17,7 @@ from conftest import (
     F,
     G,
     NIL,
+    PROGRAMS_DIR,
     S,
     ZERO,
     context_power,
@@ -29,7 +37,7 @@ from conftest import (
 from nonterm.detect import _positions
 from nonterm.pattern import initial_rules
 from nonterm.powers import PowerSymbol, normalize
-from nonterm.program import Program, Rule
+from nonterm.program import Program, Rule, parse_program
 from nonterm.terms import (
     HOLE,
     App,
@@ -496,3 +504,154 @@ class TestDeepTerms:
         for _ in range(3000):
             left, right = App(G, (left,)), App(G, (right,))
         assert _positions(left, right) == [(Var("X"), Var("Y"))]
+
+
+def _specs():
+    """Term descriptions by name, so one can be built twice from scratch."""
+    leaves = st.one_of(
+        st.tuples(st.just("var"), st.sampled_from("XYZ")),
+        st.tuples(st.just("app"), st.sampled_from(["0", "nil"]), st.just(())),
+    )
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(st.just("app"), st.sampled_from("fg"), st.lists(sub, min_size=1, max_size=3).map(tuple)),
+            st.tuples(st.just("power"), st.sampled_from("sg"), st.integers(1, 2), st.integers(0, 2), sub),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _built(spec, primed: int = -1):
+    """A new term of the description, every App and power symbol in it new,
+    and its number of nodes.  Node `primed` (in preorder) has its name
+    primed: one variable, symbol or power's context symbol then differs."""
+    count = 0
+
+    def build(s):
+        nonlocal count
+        kind, name = s[0], s[1] + ("'" if count == primed else "")
+        count += 1
+        if kind == "var":
+            return Var(name)
+        if kind == "app":
+            args = tuple(build(a) for a in s[2])
+            return App(Symbol(name, len(args)), args)
+        _, _, a, b, arg = s
+        return App(PowerSymbol(App(Symbol(name, 1), (HOLE,)), a, b), (build(arg),))
+
+    return build(spec), count
+
+
+class TestInterning:
+    def test_one_var_per_name(self):
+        assert Var("X") is Var("X")
+        assert Var("X") is not Var("Y")
+
+    def test_one_symbol_per_name_and_arity(self):
+        assert Symbol("s", 1) is Symbol("s", 1)
+        assert Symbol("s", 1) is not Symbol("s", 2)
+
+    def test_power_symbols_compare_by_value(self):
+        one = PowerSymbol(App(Symbol("s", 1), (HOLE,)), 1, 0)
+        other = PowerSymbol(App(Symbol("s", 1), (HOLE,)), 1, 0)
+        assert one is not other and one.context is not other.context
+        assert one == other and hash(one) == hash(other)
+        assert one != PowerSymbol(one.context, 1, 1) and one != PowerSymbol(one.context, 2, 0)
+
+    def test_threads_get_one_object_per_name(self):
+        # Eight threads build the same new names at once, switching as often
+        # as the interpreter allows: every thread must get the same objects.
+        names = [f"Threaded{i}" for i in range(3000)]
+        start = threading.Barrier(8)
+        built = []
+
+        def build():
+            start.wait(timeout=30)
+            built.append([Var(n) for n in names] + [Symbol(n, 1) for n in names])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(built) == 8
+        assert all(a is b for objects in built[1:] for a, b in zip(objects, built[0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_specs(), data=st.data())
+    def test_equal_exactly_when_built_alike(self, spec, data):
+        (one, size), (other, _) = _built(spec), _built(spec)
+        assert one == other and hash(one) == hash(other)
+        changed, _ = _built(spec, data.draw(st.integers(0, size - 1)))
+        assert one != changed and changed != one
+
+
+# Both scripts read the program file argv[1]; the pickle goes to argv[2].
+_DUMP = """
+import pickle, sys
+from nonterm.pattern import initial_rules
+from nonterm.program import parse_program
+from nonterm.terms import match
+program = parse_program(open(sys.argv[1]).read(), "p")
+theta = match(program.rules[0].head, program.rules[0].body[-1])
+hash(theta)  # the cached hash must not travel
+with open(sys.argv[2], "wb") as fh:
+    pickle.dump((program, initial_rules(program), theta), fh)
+"""
+
+_LOAD = """
+import json, pickle, sys
+from nonterm.pattern import initial_rules
+from nonterm.program import parse_program
+from nonterm.terms import Var, match
+program = parse_program(open(sys.argv[1]).read(), "p")
+rules = initial_rules(program)
+theta = match(program.rules[0].head, program.rules[0].body[-1])
+with open(sys.argv[2], "rb") as fh:
+    loaded, loaded_rules, loaded_theta = pickle.load(fh)
+sides = [(a, b) for r, s in zip(loaded_rules, rules) for a, b in ((r.lhs, s.lhs), (r.rhs, s.rhs))]
+print(json.dumps({
+    "program": loaded == program and hash(loaded) == hash(program),
+    "families": len(loaded_rules) == len(rules) > 0 and loaded_rules == rules,
+    "powered": any(a.powered for a, _ in sides),
+    "sides": all(a == b and hash(a) == hash(b) for a, b in sides),
+    "subst": bool(theta) and loaded_theta == theta and hash(loaded_theta) == hash(theta),
+    "symbols": [s.name for s, t in zip(loaded.symbols, program.symbols) if s is not t],
+    "vars": sorted(v.name for r in loaded.rules for v in r.vars() if v is not Var(v.name)),
+}))
+"""
+
+
+class TestPickling:
+    def _run(self, script: str, hash_seed: str, *args) -> str:
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run(
+            [sys.executable, "-c", script, *map(str, args)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_loaded_terms_are_rebuilt_under_another_hash_seed(self, tmp_path):
+        path, pickled = PROGRAMS_DIR / "while-gt-add.pl", tmp_path / "program.pickle"
+        self._run(_DUMP, "1", path, pickled)
+        got = json.loads(self._run(_LOAD, "2", path, pickled))
+        assert got == {
+            "program": True, "families": True, "powered": True, "sides": True,
+            "subst": True, "symbols": [], "vars": [],
+        }
+
+    def test_deepcopy_keeps_names_interned(self):
+        program = parse_program((PROGRAMS_DIR / "while-gt-add.pl").read_text(), "p")
+        copied = copy.deepcopy(program)
+        assert copied == program and hash(copied) == hash(program)
+        assert all(a is b for a, b in zip(copied.symbols, program.symbols))
+        family = initial_rules(program)[0]
+        assert copy.deepcopy(family) == family
