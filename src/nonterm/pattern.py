@@ -12,13 +12,13 @@ directly (`power_form`), and no part of the prover sees that notation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 from .binrules import BinaryRule, canonical_key
 from .powers import expand_at, least_shift, power_form, shift
-from .program import Program
+from .program import Program, Rule
 from .terms import (
     EPSILON,
     App,
@@ -36,10 +36,17 @@ from .terms import (
 
 @dataclass(frozen=True)
 class PatternRule:
-    """A pair of power terms; instance n is the binary rule (lhs(n), rhs(n))."""
+    """A pair of power terms; instance n is the binary rule (lhs(n), rhs(n)).
+
+    `source` is the recursive program rule a seed family was built from
+    (`initial_rules`), and None for every other rule.  It takes no part in
+    equality, hashing or repr, and it is compared by identity, so two
+    identical clauses stay two rules.
+    """
 
     lhs: Term
     rhs: Term
+    source: Optional[Rule] = field(default=None, compare=False, repr=False)
 
     def at(self, n: int) -> BinaryRule:
         return BinaryRule(expand_at(self.lhs, n), expand_at(self.rhs, n))
@@ -81,6 +88,10 @@ def initial_rules(program: Program, goal: Optional[Symbol] = None) -> list[Patte
     in the head to d^(a,a)(x_k).  A variable sigma leaves alone keeps its
     filler.  Each recursive rule is tried against the facts of its body's
     predicate only, in program order; no other fact matches the body.
+    Each seed records the recursive rule it was built from as its
+    `source`: both families are that rule unfolded n times with itself,
+    so unfolding it once more with one of them gives nothing new
+    (`unfold._attempts`).
 
     With a goal, the open family is built only for a recursive rule whose
     body is a goal atom, and the closing families for every predicate,
@@ -107,12 +118,12 @@ def initial_rules(program: Program, goal: Optional[Symbol] = None) -> list[Patte
             continue
         open_ = None
         if goal is None or body.symbol == goal:
-            open_ = PatternRule(power_form(body, wrapped, moved), body)
+            open_ = PatternRule(power_form(body, wrapped, moved), body, rec)
         for fact in facts[body.symbol]:
             ts = match(body, fact)
             if ts is None:
                 continue
-            closing = PatternRule(power_form(body, ts, moved), EPSILON)
+            closing = PatternRule(power_form(body, ts, moved), EPSILON, rec)
             for rule in (closing,) if open_ is None else (closing, open_):
                 key = rule.key()
                 if key not in seen:

@@ -607,13 +607,20 @@ def primitive_context(c: Term) -> tuple[Term, int]:
     Minimal period means d itself is not e^j for any j > 1.  Candidates are
     cuts of increasing depth along the path to the first hole, which in a
     ground context descends into the leftmost argument that is not ground;
-    the shallowest cut that tiles c exactly is the primitive root.
+    the shallowest cut that tiles c exactly is the primitive root.  The
+    path to the first hole of d^k is k copies of d's, so only a cut whose
+    depth divides the hole's depth can tile c, and only those are tried.
     """
     if c.ground:
         raise ValueError("not a context: no hole")
+    path = []
     sub = c
     while sub != HOLE:
         sub = next(a for a in sub.args if not a.ground)
+        path.append(sub)
+    for depth, sub in enumerate(path, 1):
+        if len(path) % depth:
+            continue
         cand = _replace_subterm(c, sub, HOLE)
         k, rest = strip_power(c, cand)
         if k >= 1 and rest == HOLE:

@@ -46,6 +46,8 @@ class PatternRuleSet:
       - it has no power, and it is a variant of a stored rule's instance
         at some index n.
     Stored rules are never removed, even when a later one covers them.
+    The covered rules that a seed's own recursive rule would derive from
+    it are never built (`_attempts`), so they never reach `add`.
     Only simple rules (`powers.is_simple` on both sides) may be stored;
     insertion order is preserved so saturation rounds are reproducible.
     """
@@ -163,7 +165,9 @@ class UnfoldStats:
     # Distinct unfolded rules stored, seed set excluded; with a goal, only
     # rules with epsilon or an instance of a goal atom on the right.
     generated: int = 0
-    subsumed: int = 0  # rules not stored: a stored one covers them (shift or instance)
+    # Derived rules not stored because a stored one covers them (shift or
+    # instance); the selections `_attempts` leaves out are not counted.
+    subsumed: int = 0
     iterations: int = 0
     stop: str = "fixpoint"  # fixpoint | proved | timeout | iteration-cap | rule-cap
 
@@ -234,26 +238,39 @@ def _attempts(
     whose left side does not clash with the atom (`_clashes`): an inner
     slot takes the closing rules (right side epsilon), and the slot a
     prefix ends with takes the others (any rule at the last atom), then
-    the identities.  Selections are built slot by slot (`_join`): a family
-    whose left side does not unify with its body atom under the bindings
-    of the slots before it ends every selection through that prefix, which
-    yields one None, with the prefix's picks as provenance.
+    the identities.
+
+    A one-atom rule's slot leaves out the seeds whose `source` it is, and
+    the identities while its open seed is in the pool.  A seed is that
+    rule unfolded n times with itself, so the rule unfolded with it gives
+    at most the seed shifted by one, and with the identity the rule
+    itself, the open seed's instance at 0.  The seed covers both
+    (`PatternRuleSet`), so neither is built.  Rules are compared by
+    identity, so a copy of the clause keeps every pick.
+
+    Selections are built slot by slot (`_join`): a family whose left side
+    does not unify with its body atom under the bindings of the slots
+    before it ends every selection through that prefix, which yields one
+    None, with the prefix's picks as provenance.
 
     With `new` (the ids of the pool rules that are new since the previous
     step over the same program), selections made only of older rules are
     skipped: the previous step already tried each of them, and it can only
     give again a variant of what it gave then.
     """
+    # The program rules whose open seed is in the pool, by identity.
+    opened = {id(pr.source) for pr in pool if pr.source is not None and not pr.rhs_is_epsilon()}
     for rule_idx, rule in enumerate(program.rules):
         last = len(rule.body) - 1
         closing: list[list[PatternRule]] = []
         ending: list[list[PatternRule]] = []
+        identities = () if id(rule) in opened else patid
         for i, atom in enumerate(rule.body):
-            fits = [pr for pr in pool if not _clashes(pr.lhs, atom)]
+            fits = [pr for pr in pool if pr.source is not rule and not _clashes(pr.lhs, atom)]
             if i < last:
                 closing.append([pr for pr in fits if pr.rhs_is_epsilon()])
                 fits = [pr for pr in fits if not pr.rhs_is_epsilon()]
-            ending.append([*fits, *(pr for pr in patid if not _clashes(pr.lhs, atom))])
+            ending.append([*fits, *(pr for pr in identities if not _clashes(pr.lhs, atom))])
         rule_vars = rule.vars()
         for i in range(1, len(rule.body) + 1):
             slots = [*closing[: i - 1], ending[i - 1]]

@@ -34,6 +34,7 @@ from conftest import (
     subst,
     term,
 )
+from nonterm import terms
 from nonterm.detect import _positions
 from nonterm.pattern import initial_rules
 from nonterm.powers import PowerSymbol, normalize
@@ -380,6 +381,19 @@ class TestOneLayerContexts:
             assert strip_power(concrete_power(c, k, u), c)[0] >= k
 
 
+def every_cut_primitive_context(c):
+    """Reference for `primitive_context`: every cut along the path to the
+    first hole is tried, shallowest first."""
+    sub = c
+    while sub != HOLE:
+        sub = next(a for a in sub.args if not a.ground)
+        cand = rebuild(c, lambda u: HOLE if u == sub else u if isinstance(u, Var) else None)
+        k, rest = strip_power(c, cand)
+        if k >= 1 and rest == HOLE:
+            return cand, k
+    return c, 1
+
+
 class TestDecomposePower:
     def test_variable_tower(self):
         assert decompose_power(term("s(s(X))"), Var("X")) == (App(Symbol("s", 1), (HOLE,)), 2)
@@ -421,6 +435,28 @@ class TestDecomposePower:
             e, j = primitive_context(concrete_power(d, k, HOLE))
             assert concrete_power(e, j, HOLE) == concrete_power(d, k, HOLE)
             assert primitive_context(e) == (e, 1)
+
+    def test_primitive_context_same_as_trying_every_cut(self, rng):
+        # Skipping the cuts whose depth does not divide the hole's depth
+        # changes no answer.
+        for _ in range(300):
+            c = concrete_power(random_context(rng), rng.randint(1, 4), HOLE)
+            assert primitive_context(c) == every_cut_primitive_context(c)
+
+    def test_primitive_context_tries_only_dividing_cuts(self, monkeypatch):
+        # s^2000(g(#1)) has its hole at depth 2001 = 3 * 23 * 29, so 8 cuts
+        # are tried, not 2001; the last, at full depth, is c itself.
+        c = concrete_power(App(S, (HOLE,)), 2000, App(G, (HOLE,)))
+        cuts = []
+        real = terms.strip_power
+
+        def counting(t, d):
+            cuts.append(d)
+            return real(t, d)
+
+        monkeypatch.setattr(terms, "strip_power", counting)
+        assert primitive_context(c) == (c, 1)
+        assert len(cuts) == 8
 
     def test_round_trip(self, rng):
         for _ in range(150):

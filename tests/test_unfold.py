@@ -2,6 +2,7 @@
 
 import io
 import random
+from functools import reduce
 from itertools import product
 from types import SimpleNamespace
 
@@ -59,6 +60,7 @@ from nonterm.terms import (
     match,
     mgu,
     plug,
+    render,
     strip_power,
     term_vars,
 )
@@ -492,27 +494,40 @@ class TestExactness:
     def test_families_are_concrete_compositions(self, name):
         # Each family an attempted selection derives is, at every sampled
         # index, a variant of the classical unfolding of the selected
-        # families' instances at that index.
+        # families' instances at that index.  So is each family a
+        # selection `_attempts` leaves out derives (`own_seed_picks`),
+        # built here over explicit slots.
         program = parse_program(PROGRAM_SOURCES[name], name)
         stored = PatternRuleSet(initial_rules(program))
         patid = identity_pattern_rules(program)
         source = VarSource()
-        new = None
-        checked = 0
-        for _ in range(3):
-            snapshot = list(stored)
-            for rule, (rule_idx, prefix_len, combo) in _attempts(
-                program, snapshot, patid, source, new
-            ):
+
+        def check(attempts):
+            """The families derived, each checked at n = 0..3."""
+            rules = []
+            for rule, (rule_idx, prefix_len, combo) in attempts:
                 if rule is None:
                     continue
-                checked += 1
                 for n in range(4):
                     want = concrete_unfold(
                         program.rules[rule_idx], prefix_len, [r.at(n) for r in combo]
                     )
                     assert want is not None, (rule, n)
                     assert is_variant(rule.at(n), want), (rule, n)
+                rules.append(rule)
+            return rules
+
+        checked = 0
+        seeds = list(stored)
+        for rule_idx, rule in enumerate(program.rules):
+            slots = [own_seed_picks(rule, seeds, patid)]
+            attempts = unfold._join(rule, rule.vars(), (rule_idx, 1), slots, source, None)
+            checked += len(check(attempts))
+        new = None
+        for _ in range(3):
+            snapshot = list(stored)
+            for rule in check(_attempts(program, snapshot, patid, source, new)):
+                checked += 1
                 stored.add(rule)
             new = {id(r) for r in list(stored)[len(snapshot):]}
         assert checked > 0
@@ -604,11 +619,24 @@ class TestClashFilter:
         assert not _clashes(App(_PAIR, (Var("X"), Var("X"))), App(_PAIR, (ZERO, NIL)))
 
 
-def full_renaming_attempts(program, pool, patid, source, new):
+def own_seed_picks(rule, pool, patid):
+    """The picks `_attempts` leaves out of a program rule's slots: the
+    seed families built from that very rule, and the identities when its
+    open seed is in the pool.  Unfolding the rule with one of them gives
+    back a seed shifted by one, or the open seed's instance at 0."""
+    own = [pr for pr in pool if pr.source is rule]
+    if any(not pr.rhs_is_epsilon() for pr in own):
+        own.extend(patid)
+    return own
+
+
+def full_renaming_attempts(program, pool, patid, source, new, own_seeds=False):
     """Reference for `_attempts`: slots filtered by root symbol only, and
     every selected family renamed apart before the unifier sees it.
     Yields each derived family with its provenance (rule index, prefix
-    length, picks)."""
+    length, picks).  Selections with a pick from `own_seed_picks` are left
+    out, as `_attempts` leaves them out; with `own_seeds`, only those are
+    made."""
 
     def root(t):
         return t.symbol if isinstance(t, App) else None
@@ -622,11 +650,14 @@ def full_renaming_attempts(program, pool, patid, source, new):
     noneps_rules = [r for r in all_rules if not r.rhs_is_epsilon()]
     for rule_idx, rule in enumerate(program.rules):
         m = len(rule.body)
+        omitted = {id(pr) for pr in own_seed_picks(rule, pool, patid)}
         for i in range(1, m + 1):
             slots = [compatible(eps_rules, rule.body[j]) for j in range(i - 1)]
             slots.append(compatible(all_rules if i == m else noneps_rules, rule.body[i - 1]))
             for combo in product(*slots):
                 if new is not None and not any(id(pr) in new for pr in combo):
+                    continue
+                if any(id(pr) in omitted for pr in combo) != own_seeds:
                     continue
                 avoid = set(rule.vars())
                 picked = []
@@ -689,10 +720,17 @@ class TestSameAsFullRenaming:
         # Over the same pool, each round derives the same families from
         # the same selections, in the same order, as the reference: slot
         # lists rebuilt from the pool and the pruned join drop only
-        # selections that derive nothing.
+        # selections that derive nothing.  The selections both leave out,
+        # a rule unfolded with its own seeds, derive only families the
+        # pool already covers.
         program = parse_program(self.SOURCES[name], name)
         patid = identity_pattern_rules(program)
         stored = PatternRuleSet(initial_rules(program))
+        if any(r.source is not None for r in stored):
+            omitted = full_renaming_attempts(
+                program, list(stored), patid, VarSource("_o"), None, own_seeds=True
+            )
+            assert next(omitted, None) is not None
         new = None
         for _ in range(6):
             snapshot = list(stored)
@@ -710,11 +748,122 @@ class TestSameAsFullRenaming:
             got = derived(_attempts(program, snapshot, patid, VarSource(), new))
             want = derived(full_renaming_attempts(program, snapshot, patid, VarSource("_f"), new))
             assert [d[:4] for d in got] == [d[:4] for d in want]
+            covered = PatternRuleSet(snapshot)
+            omitted = full_renaming_attempts(
+                program, snapshot, patid, VarSource("_o"), new, own_seeds=True
+            )
+            for rule, provenance in omitted:
+                assert covered.contains_variant(rule), (rule, provenance)
             for *_, rule in got:
                 stored.add(rule)
             if len(stored) == len(snapshot):
                 return
             new = {id(r) for r in list(stored)[len(snapshot):]}
+
+
+# shrink with its recursive clause written twice.
+SHRINK_TWICE = "%query: f(i).\nf(s(X)) :- f(X).\nf(s(X)) :- f(X).\nf(0).\n"
+
+
+# One layer of a ground context: one symbol over the hole, with ground
+# arguments or the hole repeated.
+_ONE_LAYERS = [
+    App(S, (HOLE,)),
+    App(G, (HOLE,)),
+    App(F, (HOLE, ZERO)),
+    App(F, (NIL, HOLE)),
+    App(F, (HOLE, HOLE)),
+]
+
+
+def _ground_contexts():
+    """One or two layers, such as s(#1), f(#1,#1) or s(g(#1)), taken once
+    or twice, such as s(g(s(g(#1))))."""
+    layers = st.lists(st.sampled_from(_ONE_LAYERS), min_size=1, max_size=2)
+    return st.builds(
+        lambda ls, k: concrete_power(reduce(plug, ls), k, HOLE),
+        layers,
+        st.integers(1, 2),
+    )
+
+
+@st.composite
+def own_seed_programs(draw):
+    """p(L1(W1(X1)),..) :- p(L1(X1),..), a linear one-atom recursive rule
+    where W_k is a random ground context or nothing (at least one is
+    not) and L_k an optional layer in both, and one or two facts whose
+    arguments are towers of W_k over a small base."""
+    m = draw(st.integers(1, 3))
+    xs = [Var(f"X{k}") for k in range(1, m + 1)]
+    wraps = [draw(st.one_of(st.none(), _ground_contexts())) for _ in xs]
+    if all(w is None for w in wraps):
+        wraps[0] = draw(_ground_contexts())
+    layers = [draw(st.sampled_from([None, *_ONE_LAYERS[:4]])) for _ in xs]
+
+    def layered(layer, t):
+        return t if layer is None else plug(layer, t)
+
+    p = Symbol("p", m)
+    grown = [x if w is None else plug(w, x) for w, x in zip(wraps, xs)]
+    head = App(p, tuple(layered(l, g) for l, g in zip(layers, grown)))
+    body = App(p, tuple(layered(l, x) for l, x in zip(layers, xs)))
+    lines = [f"%query: p({','.join('i' for _ in xs)}).", f"{render(head)} :- {render(body)}."]
+    bases = st.sampled_from([ZERO, NIL, App(G, (ZERO,)), Var("Y")])
+    for _ in range(draw(st.integers(1, 2))):
+        args = []
+        for l, w in zip(layers, wraps):
+            k = draw(st.integers(0, 2))
+            args.append(layered(l, concrete_power(w if w is not None else HOLE, k, draw(bases))))
+        lines.append(f"{render(App(p, tuple(args)))}.")
+    return "\n".join(lines)
+
+
+class TestOwnSeeds:
+    """A seed family is its recursive rule unfolded n times with itself,
+    so unfolding the rule once more with that seed gives back the seed
+    shifted by one, and unfolding it with the identity gives back the open
+    seed's instance at 0: the selections `_attempts` leaves out.
+
+    When a layer of the body is the power's own context, `normalize` has
+    folded it into the seed's power, and the unifier, to which a power is
+    opaque, does not peel it off again: that selection derives nothing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(own_seed_programs())
+    @example("%query: p(i).\np(s(g(X))) :- p(X).\np(0).")
+    @example("%query: p(i,i).\np(f(X,X),Y) :- p(X,Y).\np(f(0,0),s(0)).\np(0,Y).")
+    def test_unfolding_with_an_own_seed_gives_it_back(self, text):
+        program = parse_program(text)
+        rec = program.rules[0]
+        seeds = [r for r in initial_rules(program) if r.source is rec]
+        open_ = [r for r in seeds if not r.rhs_is_epsilon()]
+        assert len(open_) == 1 and len(seeds) > 1
+
+        def unfold_with(pick):
+            slots = [[pick]]
+            [(got, _)] = unfold._join(rec, rec.vars(), (0, 1), slots, VarSource(), None)
+            return got
+
+        has_layer = not all(isinstance(a, Var) for a in rec.body[0].args)
+        for seed in seeds:
+            got = unfold_with(seed)
+            if got is None:
+                assert has_layer, seed
+                continue
+            base, d = rule_base(seed)
+            got_base, got_d = rule_base(got)
+            assert (pattern_rule_key(got_base), got_d) == (pattern_rule_key(base), d + 1)
+            drops = []
+            assert not PatternRuleSet([seed]).add(got, lambda *args: drops.append(args[2:]))
+            assert drops == [("shift", 1)]
+        pred = rec.body[0].symbol
+        [identity] = [r for r in identity_pattern_rules(program) if r.lhs.symbol == pred]
+        got = unfold_with(identity)
+        assert not (got.lhs.powered or got.rhs.powered)
+        assert is_variant(got.at(0), open_[0].at(0))
+        drops = []
+        assert not PatternRuleSet(open_).add(got, lambda *args: drops.append(args[2:]))
+        assert drops == [("instance", 0)]
 
 
 def _random_rule(rng):
@@ -800,31 +949,46 @@ class TestSubsumption:
             for n in range(4):
                 assert is_variant(dropped.at(n), held.at(n + k)), (dropped, held, k)
 
+    # The second copy of shrink's recursive clause built no seed, so it is
+    # unfolded with the closing seed, the open seed and the identity: the
+    # first two give their own shift by one, the last the open seed's
+    # instance at 0.
+    SHRINK_LINES = [
+        "subsumed: f(s(#1)^(1n+1)(0)) => ε  (shift 1 of f(s(#1)^(1n+0)(0)) => ε)",
+        "subsumed: f(s(#1)^(1n+2)(_0)) => f(_0)  (shift 1 of f(s(#1)^(1n+1)(X)) => f(X))",
+        "subsumed: f(s(X)) => f(X)  (instance n=0 of f(s(#1)^(1n+1)(X)) => f(X))",
+    ]
+
     def test_counted_and_traced(self):
+        out = io.StringIO()
+        program = parse_program(SHRINK_TWICE, "shrink-twice")
+        _, stats = saturate(program, initial_rules(program), UnfoldBudget(max_iterations=3), trace=out)
+        lines = [l for l in out.getvalue().splitlines() if l.startswith("subsumed:")]
+        assert stats.subsumed == len(lines)
+        assert lines == self.SHRINK_LINES
+        # Written once, the clause is the source of both seeds, and none
+        # of these selections is made.
         program = parse_program((PROGRAMS_DIR / "shrink.pl").read_text(), "shrink")
         out = io.StringIO()
         _, stats = saturate(program, initial_rules(program), UnfoldBudget(max_iterations=3), trace=out)
-        lines = [l for l in out.getvalue().splitlines() if l.startswith("subsumed:")]
-        assert stats.subsumed == len(lines) > 0
-        # The open seed f(s^(n+1)(X)) => f(X), unfolded with itself, is its
-        # own shift by one.
-        assert "subsumed: f(s(#1)^(1n+2)(_0)) => f(_0)  (shift 1 of f(s(#1)^(1n+1)(X)) => f(X))" in lines
-
+        assert stats.subsumed == 0 and "subsumed:" not in out.getvalue()
 
     def test_shrink_reaches_a_fixpoint(self):
         # Round 1 gives only shifts of the two seeds and f(s(X)) => f(X),
-        # the open seed's instance at 0; all are dropped, so saturation
-        # stops at a fixpoint whatever the round cap.
-        program = parse_program((PROGRAMS_DIR / "shrink.pl").read_text(), "shrink")
-        base = initial_rules(program)
-        for rounds in range(1, 7):
-            out = io.StringIO()
-            rules, stats = saturate(program, base, UnfoldBudget(max_iterations=rounds), trace=out)
-            assert (stats.generated, stats.stop, stats.iterations) == (0, "fixpoint", 1)
-            assert len(rules) == len(base)
-            assert "subsumed: f(s(X)) => f(X)  (instance n=0 of f(s(#1)^(1n+1)(X)) => f(X))" in (
-                out.getvalue().splitlines()
-            )
+        # the open seed's instance at 0; all are dropped (or, on shrink,
+        # not built), so saturation stops at a fixpoint whatever the cap.
+        shrink = (PROGRAMS_DIR / "shrink.pl").read_text()
+        for text, want in ((shrink, []), (SHRINK_TWICE, self.SHRINK_LINES)):
+            program = parse_program(text)
+            base = initial_rules(program)
+            for rounds in range(1, 7):
+                out = io.StringIO()
+                budget = UnfoldBudget(max_iterations=rounds)
+                rules, stats = saturate(program, base, budget, trace=out)
+                assert (stats.generated, stats.stop, stats.iterations) == (0, "fixpoint", 1)
+                assert len(rules) == len(base)
+                lines = [l for l in out.getvalue().splitlines() if l.startswith("subsumed:")]
+                assert lines == want
 
 
 def _concrete(binary):
