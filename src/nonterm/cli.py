@@ -235,10 +235,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         description="Prove non-termination of pure logic programs.",
     )
     parser.add_argument("inputs", nargs="+", type=Path, help="program files or directories of .pl files")
-    parser.add_argument("--timeout", type=float, default=10.0, metavar="SECS", help="wall-clock budget for each query's search, not its --validate run (default 10)")
+    parser.add_argument("--timeout", type=float, default=10.0, metavar="SECS", help="wall-clock budget for each query's search and --validate run (default 10)")
     parser.add_argument("--max-iter", type=int, default=10, metavar="N", help="unfolding rounds per query (default 10)")
     parser.add_argument("--max-rules", type=int, default=100_000, metavar="N", help="cap on generated rules (default 100000)")
-    parser.add_argument("--validate", type=int, default=0, metavar="STEPS", help="re-run each witness in the interpreter for STEPS steps, outside --timeout (0 disables)")
+    parser.add_argument("--validate", type=int, default=0, metavar="STEPS", help="re-run each witness in the interpreter for STEPS steps, within --timeout (0 disables)")
     parser.add_argument("--json", action="store_true", help="emit rows as a JSON array")
     parser.add_argument("--trace", action="store_true", help="stream generated pattern rules to stderr")
     parser.add_argument("--dump-initial", action="store_true", help="print the seed pattern rules and exit")

@@ -214,7 +214,9 @@ def prove(
     Witnesses are grounded, and validated, over the whole program.  Every
     claim is re-checked: the instance embedding must hold at the reported
     index, and optionally a bounded interpreter run must keep the witness
-    alive for validate_steps steps.
+    alive for validate_steps steps.  That run shares the query's wall-clock
+    budget: one the deadline cuts short leaves the proof standing, with
+    `validated` None.
     """
     t0 = time.monotonic()
     goal = query.predicate
@@ -246,11 +248,13 @@ def prove(
     reason = None if found else stats.stop
     validated: Optional[bool] = None
     if witness is not None and validate_steps > 0:
-        validated = derive_bounded(program, (witness.term,), validate_steps).reached_bound
-        if not validated:
+        run = derive_bounded(program, (witness.term,), validate_steps, t0 + budget.wall_clock)
+        if run.reached_bound:
+            validated = True
+        elif not run.timed_out:
             # The theory says this cannot happen; reporting unknown keeps
             # the tool honest if it ever does.
-            witness, reason, validated = None, "validation-failed", None
+            witness, reason = None, "validation-failed"
     status = "unknown" if witness is None else "proven"
     elapsed = (time.monotonic() - t0) * 1000.0
     return ProofOutcome(status, witness, stats.generated, elapsed, reason, validated)

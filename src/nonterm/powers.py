@@ -50,7 +50,10 @@ from .terms import (
 
 
 class PowerSymbol:
-    """Unary symbol for the tower family c^(a*n+b) over a ground 1-context.
+    """Unary symbol for the tower family c^(a*n+b) over a 1-context c.
+
+    A context is a term in the reserved variable #1 (`terms.HOLE`); c is
+    ground apart from it, and holds no power symbol.
 
     Unlike `terms.Symbol`, a power symbol is not interned: two built
     separately from equal contexts are distinct objects that compare equal

@@ -17,6 +17,7 @@ distinguished).
 from __future__ import annotations
 
 import re
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -367,18 +368,23 @@ class DerivationStatus:
     """Outcome of a bounded exploration of the rewrite tree.
 
     reached_bound: some single chain grew to max_steps.
+    timed_out: the deadline passed first, so nothing is decided; steps is
+    the depth reached so far.
     Otherwise the whole tree was exhausted and steps is its maximal depth.
     empty_reached notes whether the empty query showed up on some branch;
-    when the bound is reached it is a lower bound, since the exploration
-    stops there and branches it has not visited may still succeed.
+    when the bound is reached or the run timed out it is a lower bound,
+    since branches the exploration has not visited may still succeed.
     """
 
     reached_bound: bool
     steps: int
     empty_reached: bool = False
+    timed_out: bool = False
 
 
-def derive_bounded(program: Program, query: Query, max_steps: int) -> DerivationStatus:
+def derive_bounded(
+    program: Program, query: Query, max_steps: int, deadline: Optional[float] = None
+) -> DerivationStatus:
     """Explore rewrite chains from a query depth first, trying rules in
     program order.
 
@@ -390,6 +396,9 @@ def derive_bounded(program: Program, query: Query, max_steps: int) -> Derivation
     draws fresh names from a new `VarSource`: however many steps run, it
     interns (`terms.Var`) no more names than its largest query and a rule
     hold together.
+
+    With a `deadline` (a `time.monotonic` reading), the clock is read once
+    per step, and a run still going when it has passed stops as timed_out.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
@@ -397,6 +406,8 @@ def derive_bounded(program: Program, query: Query, max_steps: int) -> Derivation
     empty = False
     stack: list[tuple[Query, int]] = [(query, 0)]
     while stack:
+        if deadline is not None and time.monotonic() > deadline:
+            return DerivationStatus(False, deepest, empty, timed_out=True)
         q, depth = stack.pop()
         deepest = max(deepest, depth)
         if not q:

@@ -1,4 +1,4 @@
-"""First-order terms, substitutions, unification and ground contexts.
+"""First-order terms, substitutions, unification and contexts.
 
 The term language is small: variables and symbol applications.  Terms are
 immutable and hashable.  A variable is one object per name and a plain
@@ -16,11 +16,13 @@ subterm, and the power walks of `powers`) is one `rebuild`: a bottom-up
 pass that visits each node of the DAG once and keeps it shared.  Resolving
 a triangular unifier (`resolve`) is one `rebuild` per bound variable.
 
-A symbol may also be a power symbol (`powers.PowerSymbol`), a tower of a
-ground context whose height grows with an index.  One unifier serves both
-kinds of term: `unify` treats a power symbol like any other symbol, except
-that two powers of one context and slope meet by peeling the smaller
-offset off both.
+A context is an ordinary term in the reserved variable #1 (`HOLE`):
+plugging is substitution for it, and reading a layer is matching.  A
+symbol may also be a power symbol (`powers.PowerSymbol`), a tower of a
+context, ground apart from its hole, whose height grows with an index.
+One unifier serves both kinds of term: `unify` treats a power symbol like
+any other symbol, except that two powers of one context and slope meet by
+peeling the smaller offset off both.
 """
 
 from __future__ import annotations
@@ -92,10 +94,6 @@ class Var:
         return self.name
 
 
-# The context hole (`HOLE`); the parser cannot lex its name.
-_HOLE_SYMBOL = Symbol("#1", 0)
-
-
 class App:
     """Application of a symbol to argument terms.
 
@@ -116,18 +114,12 @@ class App:
             )
         self.symbol = symbol
         self.args = args
-        if args:
-            ground, powered, h = True, symbol.is_power, symbol._hash
-            for a in args:
-                ground = ground and a.ground
-                powered = powered or a.powered
-                h = hash((h, a._hash))
-            self.ground, self.powered, self._hash = ground, powered, h
-        else:
-            # The context hole #1 is a placeholder, not a constant: a term
-            # containing it must never take the ground fast paths.
-            self.ground, self.powered = symbol is not _HOLE_SYMBOL, False
-            self._hash = symbol._hash
+        ground, powered, h = True, symbol.is_power, symbol._hash
+        for a in args:
+            ground = ground and a.ground
+            powered = powered or a.powered
+            h = hash((h, a._hash))
+        self.ground, self.powered, self._hash = ground, powered, h
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -429,34 +421,36 @@ def resolve(bindings: Mapping[Var, Term]) -> Subst:
     return Subst({v: done[v] for v in bindings})
 
 
+def _pairs(left, right) -> Optional[list[tuple[Term, Term]]]:
+    """The equations left = right stands for: one pair of two terms, or the
+    pairs of two term sequences of one length; None for any other shape."""
+    if isinstance(left, tuple) or isinstance(right, tuple):
+        if not (isinstance(left, tuple) and isinstance(right, tuple)) or len(left) != len(right):
+            return None
+        return list(zip(left, right))
+    return [(left, right)]
+
+
 def mgu(left, right) -> Optional[Subst]:
     """Most general unifier of two terms or two term sequences.
 
     Returns an idempotent substitution, or None when not unifiable (clash,
-    occurs check, or sequence-length mismatch).
+    occurs check) or when the two sides differ in shape or length.
     """
-    if isinstance(left, tuple) != isinstance(right, tuple):
-        left, right = (
-            left if isinstance(left, tuple) else (left,),
-            right if isinstance(right, tuple) else (right,),
-        )
-    if isinstance(left, tuple):
-        if len(left) != len(right):
-            return None
-        pairs = zip(left, right)
-    else:
-        pairs = [(left, right)]
-    bindings = unify({}, pairs)
+    pairs = _pairs(left, right)
+    bindings = None if pairs is None else unify({}, pairs)
     return None if bindings is None else resolve(bindings)
 
 
 def match(pattern, target) -> Optional[Subst]:
-    """One-way matching: a substitution s with apply(pattern, s) == target."""
-    if isinstance(pattern, tuple) != isinstance(target, tuple):
+    """One-way matching: a substitution s with apply(pattern, s) == target.
+
+    Both sides are terms or term sequences of one length, as for `mgu`.
+    """
+    eqs = _pairs(pattern, target)
+    if eqs is None:
         return None
-    pairs = deque(zip(pattern, target)) if isinstance(pattern, tuple) else deque([(pattern, target)])
-    if isinstance(pattern, tuple) and len(pattern) != len(target):
-        return None
+    pairs = deque(eqs)
     binds: dict[Var, Term] = {}
     seen: set[tuple[int, int]] = set()  # matching is per-pair idempotent
     while pairs:
@@ -516,29 +510,22 @@ def fresh_renaming(
 
 # --- Contexts -------------------------------------------------------------
 #
-# A context is a term over the program signature plus the reserved hole
-# constant #1 (`HOLE`), which may occur more than once.  Ground contexts (no
-# variables) are the building blocks of context powers: c^0 = #1,
-# c^(n+1) = c(c^n).
+# A context is a term in the reserved variable #1 (`HOLE`), which may occur
+# more than once; the parser cannot lex that name and fresh names are `_N`,
+# so no program term holds it.  Contexts ground apart from #1 are the
+# building blocks of context powers: c^0 = #1, c^(n+1) = c(c^n).
 
-HOLE = App(_HOLE_SYMBOL, ())
+HOLE = Var("#1")
 
 
 def plug(c: Term, u: Term) -> Term:
     """c with every occurrence of the hole replaced by u."""
-
-    def leaf(w: Term) -> Optional[Term]:
-        if w.ground or isinstance(w, Var):
-            return w
-        # The only non-ground constant is the hole.
-        return None if w.args else u
-
-    return rebuild(c, leaf)
+    return _subst_dict(c, {HOLE: u})
 
 
 def is_one_layer(c: Term) -> bool:
     """Whether c is one symbol over #1 alone, like s(#1) or f(#1,#1)."""
-    return 0 < len(c.args) == c.args.count(HOLE)
+    return type(c) is App and 0 < len(c.args) == c.args.count(HOLE)
 
 
 def match_context(c: Term, t: Term) -> Optional[Term]:
@@ -552,22 +539,10 @@ def match_context(c: Term, t: Term) -> Optional[Term]:
             if w is not u and w != u:
                 return None
         return u
-    filler: Optional[Term] = None
-    stack = [(c, t)]
-    while stack:
-        cn, tn = stack.pop()
-        if cn == HOLE:
-            if filler is None:
-                filler = tn
-            elif filler != tn:
-                return None
-        elif isinstance(cn, Var) or isinstance(tn, Var):
-            return None
-        elif cn.symbol == tn.symbol:
-            stack.extend(zip(cn.args, tn.args))
-        else:
-            return None
-    return filler
+    theta = match(c, t)
+    # A filler that is the hole itself, as when `primitive_context` strips
+    # a context off a context, is pruned from theta; lookup still gives it.
+    return None if theta is None else theta.lookup(HOLE)
 
 
 def concrete_power(c: Term, k: int, inner: Term) -> Term:
@@ -602,11 +577,12 @@ def _replace_subterm(t: Term, old: Term, new: Term) -> Term:
 
 
 def primitive_context(c: Term) -> tuple[Term, int]:
-    """Factor a ground 1-context as d^k with d of minimal period.
+    """Factor a 1-context, ground apart from the hole, as d^k with d of
+    minimal period.
 
     Minimal period means d itself is not e^j for any j > 1.  Candidates are
-    cuts of increasing depth along the path to the first hole, which in a
-    ground context descends into the leftmost argument that is not ground;
+    cuts of increasing depth along the path to the first hole, which
+    descends into the leftmost argument that is not ground;
     the shallowest cut that tiles c exactly is the primitive root.  The
     path to the first hole of d^k is k copies of d's, so only a cut whose
     depth divides the hole's depth can tile c, and only those are tried.
@@ -629,22 +605,20 @@ def primitive_context(c: Term) -> tuple[Term, int]:
 
 
 def decompose_power(t: Term, var: Var) -> Optional[tuple[Term, int]]:
-    """Split t as c^a(var) with c a ground, minimal-period 1-context.
+    """Split t as c^a(var) with c a minimal-period 1-context, ground apart
+    from the hole.
 
     Every occurrence of var must sit at a hole position of c^a; this
     recognizes a binding x -> c^a(x) that moves x.  Returns (c, a), or
-    None when no ground decomposition exists (e.g. the would-be context
+    None when var is not the only variable of t (e.g. the would-be context
     contains another variable).
     """
     if isinstance(t, App) and var in t.args and all(a is var or a.ground for a in t.args):
         # One layer over var: its own primitive root, no search needed.
         return App(t.symbol, tuple(HOLE if a is var else a for a in t.args)), 1
-    if var not in term_vars(t):
+    if term_vars(t) != {var}:
         return None
-    skel = _subst_dict(t, {var: HOLE})
-    if term_vars(skel):
-        return None
-    return primitive_context(skel)
+    return primitive_context(_subst_dict(t, {var: HOLE}))
 
 
 def render(t: Term) -> str:

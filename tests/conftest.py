@@ -175,7 +175,7 @@ def reference_decompose_power(t: Term) -> Optional[tuple[Term, int, Term]]:
     for _ in path:
         sub = sub.args[0]
         skel = _replace_subterm(t, sub, HOLE)
-        if term_vars(skel):
+        if term_vars(skel) != {HOLE}:
             continue
         c, a = primitive_context(skel)
         extra, rest = strip_power(sub, c)

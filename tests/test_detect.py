@@ -1,6 +1,7 @@
 """Pumping-rule detection, witnesses, and the prove pipeline."""
 
 import random
+import time
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -347,6 +348,32 @@ class TestProofOutcome:
         assert out.witness is None
         assert out.reason == "validation-failed"
         assert out.validated is None
+
+
+    def test_validation_shares_the_query_deadline(self, monkeypatch):
+        # A clock that reads 1, 2, 3, ... at its successive calls.  The
+        # search starts at 1 and reads it a few times; the interpreter reads
+        # it once per step and must stop at the first read past the query's
+        # deadline, 1 + 100, long before its step bound.  The last read
+        # times the query.
+        reads = 0
+
+        def clock():
+            nonlocal reads
+            reads += 1
+            return float(reads)
+
+        monkeypatch.setattr(time, "monotonic", clock)
+        p = parse_program("%query: p(i).\np(X) :- p(s(X)).\np(0).\n")
+        out = prove(p, p.queries[0], UnfoldBudget(wall_clock=100.0), validate_steps=500)
+        assert out.proven and out.reason is None
+        assert out.validated is None
+        assert reads == 103
+
+        # With room to finish, the same run validates.
+        reads = 0
+        out = prove(p, p.queries[0], UnfoldBudget(wall_clock=100.0), validate_steps=20)
+        assert out.proven and out.validated is True
 
 
 class TestWitnessesRun:

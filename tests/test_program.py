@@ -384,6 +384,26 @@ class TestDeriveBounded:
         assert derive_bounded(program, (term("p(0)"),), 64).reached_bound
         assert calls <= 64 * len(program.rules)
 
+    def test_stops_once_the_deadline_has_passed(self, monkeypatch):
+        # A clock that reads 1, 2, 3, ... at its successive calls: one read
+        # per step, so the deadline 5 is past at the sixth read.
+        reads = 0
+
+        def clock():
+            nonlocal reads
+            reads += 1
+            return float(reads)
+
+        monkeypatch.setattr(program_module.time, "monotonic", clock)
+        program = parse_program("p(X) :- p(s(X)).")
+        status = derive_bounded(program, (term("p(0)"),), 500, deadline=5.0)
+        assert status == DerivationStatus(False, 4, False, timed_out=True)
+        assert reads == 6
+
+    def test_a_run_that_ends_in_time_is_not_timed_out(self, ex_program):
+        q = (term("while(s(s(0)),s(0))"),)
+        assert derive_bounded(ex_program, q, 50, deadline=float("inf")) == derive_bounded(ex_program, q, 50)
+
     def test_rejects_nonpositive_bound(self, ex_program):
         with pytest.raises(ValueError):
             derive_bounded(ex_program, (term("gt(0,0)"),), 0)

@@ -167,6 +167,11 @@ class TestMgu:
     def test_length_mismatch(self):
         assert mgu((term("p(X)"),), (term("p(X)"), term("q(X)"))) is None
 
+    def test_term_beside_a_sequence(self):
+        # One term is not read as a sequence of one, whichever side it is on.
+        assert mgu(term("p(X)"), (term("p(0)"),)) is None
+        assert mgu((term("p(X)"),), term("p(0)")) is None
+
     def test_unifies_both_sides(self, rng):
         hits = 0
         for _ in range(400):
@@ -202,6 +207,27 @@ class TestMgu:
             )
             assert delta is not None
         assert found > 20
+
+
+class TestMatch:
+    def test_binds_the_pattern_side_only(self):
+        assert match(term("f(X,s(Y))"), term("f(0,s(Z))")) == subst(X="0", Y="Z")
+        assert match(term("f(0,Y)"), term("f(X,Y)")) is None
+
+    def test_repeated_variable_needs_equal_targets(self):
+        assert match(term("f(X,X)"), term("f(0,0)")) == subst(X="0")
+        assert match(term("f(X,X)"), term("f(0,nil)")) is None
+
+    def test_sequences_elementwise(self):
+        assert match((term("p(X)"), term("q(X)")), (term("p(0)"), term("q(0)"))) == subst(X="0")
+        assert match((term("p(X)"), term("q(X)")), (term("p(0)"), term("q(nil)"))) is None
+
+    def test_length_mismatch(self):
+        assert match((term("p(X)"),), (term("p(0)"), term("q(0)"))) is None
+
+    def test_term_beside_a_sequence(self):
+        assert match(term("p(X)"), (term("p(0)"),)) is None
+        assert match((term("p(X)"),), term("p(0)")) is None
 
 
 # Power symbols over s(#1) and f(#1, 0).  The first two differ only in
@@ -308,6 +334,12 @@ class TestRenameApart:
 
 
 class TestContexts:
+    def test_hole_is_the_reserved_variable(self):
+        assert isinstance(HOLE, Var) and HOLE is Var("#1")
+        assert not HOLE.ground
+        fact = parse_program("p(0, nil).").rules[0].head
+        assert fact.ground and all(a.ground for a in fact.args)
+
     def test_plug_identity_context(self):
         t = term("f(X,0)")
         assert plug(HOLE, t) == t
@@ -347,13 +379,27 @@ class TestContexts:
         assert strip_power(term("s(s(X))"), c) == (2, Var("X"))
 
 
+def _fill(c, filler):
+    """c with each occurrence of the hole replaced by its own call of filler."""
+    if c is HOLE:
+        return filler()
+    if c.ground:
+        return c
+    return App(c.symbol, tuple(_fill(a, filler) for a in c.args))
+
+
 class TestOneLayerContexts:
     """`match_context` and `concrete_power` take a direct path for a context
-    that is one symbol over #1 alone; it must agree with the generic walk."""
+    that is one symbol over #1 alone; it must agree with the generic walk,
+    and so must the general path that any other context takes."""
 
     H = Symbol("h", 3)
 
-    def _one_layer(self, rng):
+    def _context(self, rng):
+        # A third are any ground 1-context, such as s(g(#1)), f(#1,g(#1))
+        # or f(g(#1),0); most of those are not one layer.
+        if rng.random() < 1 / 3:
+            return random_context(rng)
         sym = rng.choice([S, G, F, self.H])
         return App(sym, (HOLE,) * sym.arity)
 
@@ -361,24 +407,30 @@ class TestOneLayerContexts:
         assert is_one_layer(App(F, (HOLE, HOLE)))
         assert not is_one_layer(App(F, (HOLE, ZERO)))
         assert not is_one_layer(App(S, (App(S, (HOLE,)),)))
+        assert not is_one_layer(HOLE)
 
     def test_agrees_with_the_generic_walk(self, rng):
+        general = 0
         for _ in range(2000):
-            c = self._one_layer(rng)
+            c = self._context(rng)
             u = random_term(rng, 2)
-            fillers = [u if rng.random() < 0.7 else random_term(rng, 2) for _ in c.args]
             roll = rng.random()
             if roll < 0.5:
-                t = App(c.symbol, tuple(fillers))
+                t = _fill(c, lambda: u if rng.random() < 0.7 else random_term(rng, 2))
             elif roll < 0.6:
                 t = App(PowerSymbol(c, 1, rng.randint(0, 2)), (u,))
             else:
                 t = random_term(rng, 3)
-            assert is_one_layer(c)
-            assert match_context(c, t) == reference_match_context(c, t)
+            got = match_context(c, t)
+            assert got == reference_match_context(c, t)
+            general += got is not None and not is_one_layer(c)
             k = rng.randint(0, 4)
             assert concrete_power(c, k, u) == reference_concrete_power(c, k, u)
             assert strip_power(concrete_power(c, k, u), c)[0] >= k
+            j, rest = strip_power(t, c)
+            assert reference_concrete_power(c, j, rest) == t
+            assert reference_match_context(c, rest) is None
+        assert general > 50
 
 
 def every_cut_primitive_context(c):
