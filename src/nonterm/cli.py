@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, TextIO
 
-from .binrules import saturate as binary_saturate
+from .binrules import clause, saturate as binary_saturate
 from .detect import ProofOutcome, prove
 from .pattern import initial_rules
 from .program import ParseError, Program, parse_program
@@ -209,7 +209,7 @@ def run(config: RunConfig, out: Optional[TextIO] = None, err: Optional[TextIO] =
                     out.write(f"{rule}\n")
             else:
                 for rule in binary_saturate(program, config.dump_binunf):
-                    out.write(f"{rule}\n")
+                    out.write(f"{clause(rule)}\n")
         return 1 if errors else 0
 
     rows: list[ReportRow] = []

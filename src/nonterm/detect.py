@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -214,9 +214,10 @@ def prove(
     Witnesses are grounded, and validated, over the whole program.  Every
     claim is re-checked: the instance embedding must hold at the reported
     index, and optionally a bounded interpreter run must keep the witness
-    alive for validate_steps steps.  That run shares the query's wall-clock
-    budget: one the deadline cuts short leaves the proof standing, with
-    `validated` None.
+    alive for validate_steps steps.  The search gets what seeding left of
+    the budget's wall clock, counted from the start of the call, and that
+    run what the search left; a run the deadline cuts short leaves the
+    proof standing, with `validated` None.
     """
     t0 = time.monotonic()
     goal = query.predicate
@@ -243,7 +244,8 @@ def prove(
         found.append(w)
         return True
 
-    _, stats = saturate(reach, base, budget, on_rule=on_rule, trace=trace, goal=goal)
+    left = replace(budget, wall_clock=t0 + budget.wall_clock - time.monotonic())
+    _, stats = saturate(reach, base, left, on_rule=on_rule, trace=trace, goal=goal)
     witness = found[0] if found else None
     reason = None if found else stats.stop
     validated: Optional[bool] = None

@@ -1,8 +1,10 @@
 """Rule families as pairs of power terms, and the seed families.
 
 A pattern rule pairs two normalized power terms (see `powers`); its
-instance n is the binary rule obtained by expanding every power symbol at
-n.  `initial_rules` extracts the seed set from recursive/base rule pairs:
+instance n, the binary rule obtained by expanding every power symbol at
+n, is a power-free pattern rule.  The binary-unfolding oracle (`binrules`)
+uses the same record, and the same identities (`identity_rules`).
+`initial_rules` extracts the seed set from recursive/base rule pairs:
 the recursive body matches the head by sigma and the base fact by mu, and
 when sigma wraps each variable in a ground context, such a pair yields a
 family of rules covering every unrolling depth at once.  The paper writes
@@ -14,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Optional
 
-from .binrules import BinaryRule, canonical_key
 from .powers import expand_at, least_shift, power_form, shift
 from .program import Program, Rule
 from .terms import (
@@ -26,6 +27,7 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    canonical_key,
     decompose_power,
     is_epsilon,
     match,
@@ -36,7 +38,7 @@ from .terms import (
 
 @dataclass(frozen=True)
 class PatternRule:
-    """A pair of power terms; instance n is the binary rule (lhs(n), rhs(n)).
+    """A pair of power terms; instance n is the power-free rule (lhs(n), rhs(n)).
 
     `source` is the recursive program rule a seed family was built from
     (`initial_rules`), and None for every other rule.  It takes no part in
@@ -48,8 +50,9 @@ class PatternRule:
     rhs: Term
     source: Optional[Rule] = field(default=None, compare=False, repr=False)
 
-    def at(self, n: int) -> BinaryRule:
-        return BinaryRule(expand_at(self.lhs, n), expand_at(self.rhs, n))
+    def at(self, n: int) -> PatternRule:
+        """The instance at n: the binary rule, a `PatternRule` without powers."""
+        return PatternRule(expand_at(self.lhs, n), expand_at(self.rhs, n))
 
     def vars(self) -> frozenset[Var]:
         return self._vars
@@ -72,6 +75,15 @@ class PatternRule:
 
     def __repr__(self) -> str:
         return f"{render(self.lhs)} => {render(self.rhs)}"
+
+
+def identity_rules(symbols: Iterable[Symbol]) -> list[PatternRule]:
+    """One identity rule f(X1,..,Xm) => f(X1,..,Xm) per symbol, in order."""
+    out = []
+    for sym in symbols:
+        t = App(sym, tuple(Var(f"X{i + 1}") for i in range(sym.arity)))
+        out.append(PatternRule(t, t))
+    return out
 
 
 def initial_rules(program: Program, goal: Optional[Symbol] = None) -> list[PatternRule]:

@@ -5,12 +5,14 @@ of towers c^(a*n+b); a term over the program signature plus power symbols
 therefore denotes one concrete term per index n.  Two such terms are
 interchangeable when they expand identically at every index; `normalize`
 picks a canonical representative of that class by fusing adjacent material:
-stacked powers of the same context add their exponents, a concrete context
-layer directly above or below a power of the same context is absorbed into
-its offset, and powers with a = 0 are expanded away.  `normalize`,
+stacked powers of the same context add their exponents, and a concrete
+context layer directly above or below a power of the same context is
+absorbed into its offset.  `normalize`,
 `expand_at` and `shift` are each one `terms.rebuild` pass over the nodes
 that hold a power; power-free subterms are kept as they are.  `tower`
-reads a term as one tower c^(a*n+b)(u) of a given context c.
+reads a term as one tower c^(a*n+b)(u) of a given context c.  A power
+symbol checks its contract when built (`PowerSymbol`): its slope a >= 1,
+so no power stands for a constant tower, and its offset b >= 0.
 
 Rule families are stored as normalized power terms.  The paper writes a
 family as skeleton . sigma^n . mu; a seed is built by applying to its
@@ -53,7 +55,9 @@ class PowerSymbol:
     """Unary symbol for the tower family c^(a*n+b) over a 1-context c.
 
     A context is a term in the reserved variable #1 (`terms.HOLE`); c is
-    ground apart from it, and holds no power symbol.
+    ground apart from it, and holds no power symbol.  The constructor
+    raises ValueError unless a >= 1, b >= 0 and c is a non-ground
+    application with no power; it reads only O(1) flags, not every node.
 
     Unlike `terms.Symbol`, a power symbol is not interned: two built
     separately from equal contexts are distinct objects that compare equal
@@ -72,6 +76,8 @@ class PowerSymbol:
     arity: ClassVar[int] = 1
 
     def __init__(self, context: Term, a: int, b: int):
+        if not (a >= 1 and b >= 0 and isinstance(context, App)) or context.ground or context.powered:
+            raise ValueError(f"not a power symbol: context {context!r}, slope {a}, offset {b}")
         self.context, self.a, self.b = context, a, b
         # Every `App` built over the symbol hashes it, so the hash is kept.
         self._hash = hash((context._hash, a, b))
@@ -182,27 +188,17 @@ def _power_nodes(t: Term) -> list[App]:
     return out
 
 
-def _fuse(sym: PowerSymbol, u: Term) -> Term:
-    """c^(a,b) over a normalized u, whose `tower` of c adds to the exponents;
-    a = 0 expands away.  One read is exact, as normal u stacks no c layer
-    or power of c on a power of c."""
+def _fuse(sym: PowerSymbol, u: Term) -> App:
+    """c^(a,b) over a normalized u, whose `tower` of c adds to the exponents.
+    One read is exact, as normal u stacks no c layer or power of c on a
+    power of c."""
     c = sym.context
     a, b, u = tower(u, c)
-    a, b = a + sym.a, b + sym.b
-    if a == 0:
-        return concrete_power(c, b, u)
-    return App(PowerSymbol(c, a, b), (u,))
-
-
-def _top_power(t: Term) -> Optional[App]:
-    """A power node of t reached through plain nodes only, if any."""
-    while t.powered and not t.symbol.is_power:
-        t = next(a for a in t.args if a.powered)
-    return t if t.powered else None
+    return App(PowerSymbol(c, a + sym.a, b + sym.b), (u,))
 
 
 def normalize(t: Term) -> Term:
-    """Canonical form: fused exponents, maximal offsets, no a = 0 powers.
+    """Canonical form: fused exponents and maximal offsets.
 
     Expansion at any index is preserved; normalizing twice is the same as
     normalizing once.  One bottom-up pass (`terms.rebuild`) over the nodes
@@ -215,12 +211,10 @@ def normalize(t: Term) -> Term:
 
     def node(u: App, args: tuple[Term, ...]) -> Term:
         if u.symbol.is_power:
-            out = _fuse(u.symbol, args[0])
-            top = out if is_power(out) else _top_power(out)
+            out = top = _fuse(u.symbol, args[0])
         else:
             out = App(u.symbol, args)
-            # An argument has no top when power-free, or when an a = 0
-            # power expanded into a plain term.
+            # An argument has no top when it is power-free.
             top = next((tops[id(a)] for a in args if id(a) in tops), None)
             # A concrete copy of c directly above c^(a,b)(w) is absorbed: the
             # whole node must be exactly one c-layer whose every hole holds

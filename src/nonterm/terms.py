@@ -15,6 +15,8 @@ walk that builds a new term (substitution, plugging a context, replacing a
 subterm, and the power walks of `powers`) is one `rebuild`: a bottom-up
 pass that visits each node of the DAG once and keeps it shared.  Resolving
 a triangular unifier (`resolve`) is one `rebuild` per bound variable.
+`canonical_key` keys a tuple of terms up to renaming: two tuples are
+variants exactly when their keys are equal.
 
 A context is an ordinary term in the reserved variable #1 (`HOLE`):
 plugging is substitution for it, and reading a layer is matching.  A
@@ -186,6 +188,49 @@ def term_vars(t: Term | Query) -> frozenset[Var]:
             seen.add(id(u))
             stack.extend(u.args)
     return frozenset(out)
+
+
+def canonical_key(parts: tuple[Term, ...]) -> tuple:
+    """A renaming-invariant key, flat so that hashing and comparing it take
+    time linear in the number of distinct subterms.
+
+    The key is (roots, entries).  Each distinct non-ground subterm has one
+    entry (symbol, *child refs), numbered in left-to-right post-order of
+    first occurrence; a ref is that number, -1-i for the i-th variable
+    numbered (a node numbers its variable arguments once its other
+    arguments are encoded), or a ground subterm itself.  Subterms are told
+    apart by term equality: within one key, two subterms are equal exactly
+    when they have the same symbol and refs, so two term tuples have equal
+    keys exactly when they are variants, whether or not the terms share
+    their subterms.  Plugging a context with a repeated hole shares
+    subterms, so terms are DAGs; a node met again is already numbered, and
+    the walk is linear in the DAG's size.
+    """
+    order: dict[Var, int] = {}
+    numbers: dict[Term, int] = {}
+    entries: list[tuple] = []
+    roots: list[object] = []
+
+    def ref(a: Term) -> object:
+        if a.ground:
+            return a
+        return -1 - order.setdefault(a, len(order)) if isinstance(a, Var) else numbers[a]
+
+    for part in parts:
+        # (node, False) visits, (node, True) numbers it from its arguments.
+        stack: list[tuple[Term, bool]] = [(part, False)]
+        while stack:
+            n, ready = stack.pop()
+            if ready:
+                numbers[n] = len(entries)
+                entries.append((n.symbol, *[ref(a) for a in n.args]))
+            elif not (n.ground or isinstance(n, Var) or n in numbers):
+                stack.append((n, True))
+                stack.extend(
+                    [(a, False) for a in reversed(n.args) if not a.ground and isinstance(a, App)]
+                )
+        roots.append(ref(part))
+    return tuple(roots), tuple(entries)
 
 
 class Subst:

@@ -18,12 +18,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, TextIO
 
-from .binrules import canonical_key
-from .pattern import PatternRule, rule_base
+from .pattern import PatternRule, identity_rules, rule_base
 from .powers import instance_root, is_simple, normalize, pattern_mgu
 from .program import Program, Rule
 from .terms import (
-    App,
     Subst,
     Symbol,
     Term,
@@ -82,8 +80,7 @@ class PatternRuleSet:
                 continue
             key = keys.get(n)
             if key is None:
-                inst = stored.at(n)
-                key = keys[n] = canonical_key((inst.head, inst.body))
+                key = keys[n] = stored.at(n).key()
             if key == base_key:
                 return "instance", stored, n
         return None
@@ -170,16 +167,6 @@ class UnfoldStats:
     subsumed: int = 0
     iterations: int = 0
     stop: str = "fixpoint"  # fixpoint | proved | timeout | iteration-cap | rule-cap
-
-
-def identity_pattern_rules(program: Program) -> list[PatternRule]:
-    """One constant-family identity rule per program symbol."""
-    return [_identity(sym) for sym in program.symbols]
-
-
-def _identity(sym: Symbol) -> PatternRule:
-    t = App(sym, tuple(Var(f"X{i + 1}") for i in range(sym.arity)))
-    return PatternRule(t, t)
 
 
 def _toward(goal: Symbol, rule: PatternRule) -> bool:
@@ -369,7 +356,7 @@ def saturate(
     stored = PatternRuleSet()
     stats = UnfoldStats()
     source = VarSource()
-    patid = identity_pattern_rules(program) if goal is None else [_identity(goal)]
+    patid = identity_rules(program.symbols if goal is None else (goal,))
 
     def finish(reason: str) -> tuple[PatternRuleSet, UnfoldStats]:
         stats.stop = reason

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from typing import Iterator, Mapping, NamedTuple, Optional
 
 from nonterm.binrules import BinaryRuleSet, saturate
-from nonterm.pattern import PatternRule
+from nonterm.pattern import PatternRule, identity_rules
 from nonterm.powers import PowerSymbol, expand_at, is_power, normalize
 from nonterm.program import (
     ParseError,
@@ -52,7 +52,7 @@ from nonterm.terms import (
     strip_power,
     term_vars,
 )
-from nonterm.unfold import PatternRuleSet, _attempts, identity_pattern_rules
+from nonterm.unfold import PatternRuleSet, _attempts
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -123,7 +123,7 @@ def step(program: Program, base: list[PatternRule], pool: PatternRuleSet) -> Pat
     for rule in base:
         out.add(rule)
     source = VarSource()
-    patid = identity_pattern_rules(program)
+    patid = identity_rules(program.symbols)
     for candidate, _ in step_candidates(program, list(pool), patid, source):
         out.add(candidate)
     return out
@@ -876,7 +876,7 @@ def random_simple_subst(rng: random.Random) -> Subst:
             out[Var(name)] = random_term(rng, 2)
             continue
         c = random_context(rng, 2)
-        a, b = rng.randint(0, 3), rng.randint(0, 3)
+        a, b = rng.randint(1, 3), rng.randint(0, 3)
         t: Term = random_term(rng, 1)
         if rng.random() < 0.5 and b > 0:
             t = plug(context_power(c, 1), t)

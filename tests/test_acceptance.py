@@ -181,8 +181,8 @@ def test_criterion_5_unfolding_soundness_sampled():
                 if oracle.contains_variant(inst):
                     continue
                 # interpreter fallback: the family's call is reachable
-                calls = calls_bounded(program, inst.head, 60)
-                assert any(match(inst.body, got) is not None for got in calls), (
+                calls = calls_bounded(program, inst.lhs, 60)
+                assert any(match(inst.rhs, got) is not None for got in calls), (
                     name,
                     str(rule),
                     n,

@@ -1,19 +1,24 @@
 """Binary-rule saturation oracle."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import F, G, NIL, S, ZERO, calls_bounded, reference_canonical_key, term
+from nonterm import terms
 from nonterm.binrules import (
-    BinaryRule,
     BinaryRuleSet,
     canonical_key,
-    identity_rules,
+    clause,
     saturate,
     step,
 )
+from nonterm.pattern import PatternRule, identity_rules
 from nonterm.program import parse_program
 from nonterm.terms import (
     EPSILON,
@@ -31,22 +36,51 @@ from nonterm.terms import (
 from conftest import random_ground_term
 
 
-def br(head: str, body: str | None = None) -> BinaryRule:
-    return BinaryRule(term(head), EPSILON if body is None else term(body))
+def br(head: str, body: str | None = None) -> PatternRule:
+    return PatternRule(term(head), EPSILON if body is None else term(body))
 
 
 class TestIdentityRules:
+    # The oracle unfolds with the prover's identity rules.
     def test_covers_every_symbol(self, ex_program):
-        rules = identity_rules(ex_program)
+        rules = BinaryRuleSet(identity_rules(ex_program.symbols))
         assert len(rules) == len(ex_program.symbols) == 6
 
     def test_while_identity(self, ex_program):
-        rules = identity_rules(ex_program)
+        rules = BinaryRuleSet(identity_rules(ex_program.symbols))
         assert rules.contains_variant(br("while(A,B)", "while(A,B)"))
 
     def test_constant_identity(self, ex_program):
-        rules = identity_rules(ex_program)
+        rules = BinaryRuleSet(identity_rules(ex_program.symbols))
         assert rules.contains_variant(br("0", "0"))
+
+
+class TestClause:
+    def test_fact(self):
+        assert clause(br("gt(s(X),0)")) == "gt(s(X),0)."
+
+    def test_rule(self):
+        assert clause(br("while(s(X),0)", "while(s(X),s(0))")) == "while(s(X),0) :- while(s(X),s(0))."
+
+
+class TestIndependence:
+    def test_one_key_function(self):
+        assert canonical_key is terms.canonical_key
+
+    def test_prover_does_not_import_the_oracle(self):
+        # Run in a fresh interpreter: this one has the oracle loaded.
+        code = (
+            "import sys\n"
+            "import nonterm.detect, nonterm.pattern, nonterm.powers, nonterm.program\n"
+            "import nonterm.terms, nonterm.unfold\n"
+            "print('nonterm.binrules' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(terms.__file__).resolve().parent.parent)}
+        got = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert got.returncode == 0, got.stderr
+        assert got.stdout.strip() == "False"
 
 
 class TestVariants:
@@ -190,14 +224,14 @@ class TestSaturate:
         checked = 0
         for rule in pool:
             grounding = Subst(
-                {v: random_ground_term(rng, 1) for v in term_vars(rule.head)}
+                {v: random_ground_term(rng, 1) for v in term_vars(rule.lhs)}
             )
-            start = apply(rule.head, grounding)
+            start = apply(rule.lhs, grounding)
             if not start.ground:
                 continue
             calls = calls_bounded(ex_program, start, 40)
             checked += 1
-            assert any(match(rule.body, got) is not None for got in calls), (
+            assert any(match(rule.rhs, got) is not None for got in calls), (
                 f"{rule} has no matching call from {start}"
             )
         assert checked >= 20

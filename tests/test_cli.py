@@ -296,7 +296,10 @@ class TestDumps:
     def test_dump_binunf(self):
         code, out, _ = run_cli(PROGRAMS_DIR / "while-gt-add.pl", dump_binunf=2)
         assert code == 0
-        assert "gt(s(X),0)." in out
+        lines = out.splitlines()
+        # One clause of each kind: a fact, and a rule with one body atom.
+        assert "gt(s(X),0)." in lines
+        assert "gt(s(X),s(Y)) :- gt(X,Y)." in lines
         assert "while(s(" in out
 
 

@@ -375,6 +375,26 @@ class TestProofOutcome:
         out = prove(p, p.queries[0], UnfoldBudget(wall_clock=100.0), validate_steps=20)
         assert out.proven and out.validated is True
 
+    def test_search_gets_what_seeding_left(self, monkeypatch):
+        # A clock that stands still except while seeding, which takes twice
+        # the query's budget: the search starts past the query's deadline,
+        # so it stops at its first check, after one stored rule at most.
+        now = 0.0
+        seed = detect.initial_rules
+
+        def slow_seeding(*args):
+            nonlocal now
+            now += 2.0
+            return seed(*args)
+
+        monkeypatch.setattr(time, "monotonic", lambda: now)
+        monkeypatch.setattr(detect, "initial_rules", slow_seeding)
+        lines = [f"p(s(X),c{i}) :- p(X,c{i})." for i in range(5)]
+        lines += [f"p(f{j},Y)." for j in range(5)]
+        p = parse_program("%query: p(i,i).\n" + "\n".join(lines))
+        out = prove(p, p.queries[0], UnfoldBudget(wall_clock=1.0))
+        assert out.reason == "timeout" and out.unfolded <= 1
+
 
 class TestWitnessesRun:
     @settings(max_examples=200, deadline=None)

@@ -56,7 +56,7 @@ class TestEvaluation:
         assert expand_at(q, 1) == term("while(s(s(s(s(s(X))))),s(s(s(0))))")
 
     def test_epsilon_stays_empty(self):
-        assert PatternRule(term("f(X)"), EPSILON).at(5).body == EPSILON
+        assert PatternRule(term("f(X)"), EPSILON).at(5).rhs == EPSILON
 
     def test_rule_instances(self):
         sigma = subst(X="s(X)", Y="s(Y)")
@@ -66,8 +66,8 @@ class TestEvaluation:
             fam("while(s(s(X)),s(s(Y)))", subst(X="s(s(X))", Y="s(Y)"), mu),
         )
         inst = r.at(0)
-        assert inst.head == term("while(s(s(X)),s(0))")
-        assert inst.body == term("while(s(s(s(X))),s(s(0)))")
+        assert inst == PatternRule(term("while(s(s(X)),s(0))"), term("while(s(s(s(X))),s(s(0)))"))
+        assert not (inst.lhs.powered or inst.rhs.powered)
 
 
 class TestInitialRules:
@@ -108,7 +108,7 @@ class TestInitialRules:
             if not rule.rhs_is_epsilon():
                 continue
             for n in range(3):
-                status = derive_bounded(ex_program, (rule.at(n).head,), 200)
+                status = derive_bounded(ex_program, (rule.at(n).lhs,), 200)
                 assert status.empty_reached, f"{rule} at {n}"
 
 

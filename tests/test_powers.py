@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +64,20 @@ def pw(c, a, b, inner):
     return App(PowerSymbol(c, a, b), (inner,))
 
 
+class TestPowerSymbol:
+    def test_rejects_a_broken_contract(self):
+        holds_power = App(F, (HOLE, pw(S1, 1, 0, ZERO)))
+        for context, a, b in [
+            (S1, 0, 2),  # no slope: a constant tower
+            (S1, 1, -1),  # negative offset
+            (term("s(0)"), 1, 0),  # ground: no hole
+            (HOLE, 1, 0),  # the bare hole, not an application
+            (holds_power, 1, 0),  # a power inside the context
+        ]:
+            with pytest.raises(ValueError):
+                PowerSymbol(context, a, b)
+
+
 class TestExpand:
     def test_branching_context_at_one(self):
         u = pw(FC, 1, 1, term("1"))
@@ -116,10 +131,6 @@ class TestNormalize:
         u = pw(FC, 1, 0, plug(FC, term("1")))
         assert normalize(u) == pw(FC, 1, 1, term("1"))
 
-    def test_zero_slope_power_expands(self):
-        u = pw(S1, 0, 2, Var("X"))
-        assert normalize(u) == term("s(s(X))")
-
     def test_idempotent(self, rng):
         for _ in range(200):
             u = _random_power_term(rng)
@@ -134,8 +145,8 @@ class TestNormalize:
                 assert expand_at(nu, n) == expand_at(u, n)
 
 
-# Primitive contexts, as `power_form` makes them, with slopes and offsets
-# from 0 to 2 (a = 0 powers expand away).
+# Primitive contexts, as `power_form` makes them, with slopes from 1 to 2
+# and offsets from 0 to 2.
 _CONTEXTS = [
     App(S, (HOLE,)),
     App(G, (HOLE,)),
@@ -148,7 +159,7 @@ _CONTEXTS = [
 def _power_terms():
     leaves = st.sampled_from([Var("X"), Var("Y"), ZERO, NIL])
     powers = st.builds(
-        PowerSymbol, st.sampled_from(_CONTEXTS), st.integers(0, 2), st.integers(0, 2)
+        PowerSymbol, st.sampled_from(_CONTEXTS), st.integers(1, 2), st.integers(0, 2)
     )
 
     def extend(sub):
@@ -164,9 +175,9 @@ def _power_terms():
 class TestNormalizeProperties:
     @settings(max_examples=500, deadline=None)
     @given(t=_power_terms())
-    # f(g^(0n+0)(0), c^(n)(X)) with c = f(0, #1): the first argument
-    # expands to 0, and then the whole node is one c layer over the power.
-    @example(t=App(F, (pw(_CONTEXTS[1], 0, 0, ZERO), pw(_CONTEXTS[3], 1, 0, Var("X")))))
+    # f(0, c^(n)(X)) with c = f(0, #1): the whole node is one c layer over
+    # the power.
+    @example(t=App(F, (ZERO, pw(_CONTEXTS[3], 1, 0, Var("X")))))
     def test_same_as_reference(self, t):
         assert normalize(t) == reference_normalize(t)
 
@@ -210,7 +221,7 @@ def _random_power_term(rng: random.Random) -> "App":
     for _ in range(rng.randint(1, 3)):
         kind = rng.random()
         if kind < 0.4:
-            t = pw(c if rng.random() < 0.7 else random_context(rng, 2), rng.randint(0, 2), rng.randint(0, 2), t)
+            t = pw(c if rng.random() < 0.7 else random_context(rng, 2), rng.randint(1, 2), rng.randint(0, 2), t)
         else:
             t = plug(context_power(c, rng.randint(1, 2)), t)
     wrap = rng.choice([None, Symbol("g", 1)])

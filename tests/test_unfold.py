@@ -33,10 +33,9 @@ from conftest import (
     term,
 )
 from nonterm import powers, unfold
-from nonterm.binrules import BinaryRule, canonical_key
 from nonterm.binrules import saturate as binary_saturate
 from nonterm.detect import check_pumps, ground_constant, match_pumping, prove, witness_from
-from nonterm.pattern import PatternRule, initial_rules, pattern_rule_key, rule_base
+from nonterm.pattern import PatternRule, identity_rules, initial_rules, pattern_rule_key, rule_base
 from nonterm.powers import (
     PowerSymbol,
     expand_at,
@@ -55,6 +54,7 @@ from nonterm.terms import (
     Var,
     VarSource,
     apply,
+    canonical_key,
     concrete_power,
     fresh_renaming,
     match,
@@ -70,7 +70,6 @@ from nonterm.unfold import (
     _attempts,
     _clashes,
     _toward,
-    identity_pattern_rules,
     rename_pattern_rule,
     saturate,
 )
@@ -119,26 +118,26 @@ def concrete_unfold(rule, prefix_len, instances):
     source = VarSource("_c")
     picked = []
     for inst in instances:
-        renamed = inst.rename(fresh_renaming(inst.vars(), avoid, source))
+        renamed = rename_pattern_rule(inst, fresh_renaming(inst.vars(), avoid, source))
         picked.append(renamed)
         avoid |= renamed.vars()
-    theta = mgu(tuple(r.head for r in picked), tuple(rule.body[:prefix_len]))
+    theta = mgu(tuple(r.lhs for r in picked), tuple(rule.body[:prefix_len]))
     if theta is None:
         return None
-    return BinaryRule(apply(rule.head, theta), apply(picked[-1].body, theta))
+    return PatternRule(apply(rule.head, theta), apply(picked[-1].rhs, theta))
 
 
 def is_variant(a, b) -> bool:
-    return canonical_key((a.head, a.body)) == canonical_key((b.head, b.body))
+    return canonical_key((a.lhs, a.rhs)) == canonical_key((b.lhs, b.rhs))
 
 
 class TestIdentityPatternRules:
     def test_one_per_symbol(self, ex_program):
-        rules = identity_pattern_rules(ex_program)
+        rules = identity_rules(ex_program.symbols)
         assert len(rules) == len(ex_program.symbols)
 
     def test_shape(self, ex_program):
-        rules = {r.lhs.symbol.name: r for r in identity_pattern_rules(ex_program)}
+        rules = {r.lhs.symbol.name: r for r in identity_rules(ex_program.symbols)}
         w = rules["while"]
         assert w.lhs == w.rhs == term("while(X1,X2)")
         assert rules["0"].lhs == term("0")
@@ -158,8 +157,8 @@ class TestRenaming:
         for n in range(3):
             a = rule.at(n)
             b = renamed.at(n)
-            assert match(a.head, b.head) is not None
-            assert match(b.head, a.head) is not None
+            assert match(a.lhs, b.lhs) is not None
+            assert match(b.lhs, a.lhs) is not None
 
 
 class TestRuleSet:
@@ -384,8 +383,8 @@ class TestSoundnessSampled:
                 inst = rule.at(n)
                 if oracle.contains_variant(inst):
                     continue
-                calls = calls_bounded(ex_program, inst.head, 60)
-                assert any(match(inst.body, got) is not None for got in calls), (
+                calls = calls_bounded(ex_program, inst.lhs, 60)
+                assert any(match(inst.rhs, got) is not None for got in calls), (
                     f"{rule} at {n} not certified"
                 )
 
@@ -394,7 +393,7 @@ def naive_saturate(program, base, rounds):
     """Reference for `saturate`: every round offers every selection over
     the whole pool, without the semi-naive skip."""
     stored = PatternRuleSet(base)
-    patid = identity_pattern_rules(program)
+    patid = identity_rules(program.symbols)
     source = VarSource()
     generated = 0
     for _ in range(rounds):
@@ -499,7 +498,7 @@ class TestExactness:
         # built here over explicit slots.
         program = parse_program(PROGRAM_SOURCES[name], name)
         stored = PatternRuleSet(initial_rules(program))
-        patid = identity_pattern_rules(program)
+        patid = identity_rules(program.symbols)
         source = VarSource()
 
         def check(attempts):
@@ -676,7 +675,7 @@ def full_renaming_attempts(program, pool, patid, source, new, own_seeds=False):
 def full_renaming_saturate(program, base, rounds):
     """Reference for `saturate` without budgets, semi-naive like it."""
     stored = PatternRuleSet(base)
-    patid = identity_pattern_rules(program)
+    patid = identity_rules(program.symbols)
     source = VarSource()
     generated, new = 0, None
     for _ in range(rounds):
@@ -724,7 +723,7 @@ class TestSameAsFullRenaming:
         # a rule unfolded with its own seeds, derive only families the
         # pool already covers.
         program = parse_program(self.SOURCES[name], name)
-        patid = identity_pattern_rules(program)
+        patid = identity_rules(program.symbols)
         stored = PatternRuleSet(initial_rules(program))
         if any(r.source is not None for r in stored):
             omitted = full_renaming_attempts(
@@ -857,7 +856,7 @@ class TestOwnSeeds:
             assert not PatternRuleSet([seed]).add(got, lambda *args: drops.append(args[2:]))
             assert drops == [("shift", 1)]
         pred = rec.body[0].symbol
-        [identity] = [r for r in identity_pattern_rules(program) if r.lhs.symbol == pred]
+        [identity] = [r for r in identity_rules(program.symbols) if r.lhs.symbol == pred]
         got = unfold_with(identity)
         assert not (got.lhs.powered or got.rhs.powered)
         assert is_variant(got.at(0), open_[0].at(0))
@@ -932,7 +931,7 @@ class TestSubsumption:
         stored = PatternRuleSet()
         for rule in initial_rules(program):
             stored.add(rule, record)
-        patid = identity_pattern_rules(program)
+        patid = identity_rules(program.symbols)
         source, new = VarSource(), None
         for _ in range(4):
             snapshot = list(stored)
@@ -991,11 +990,6 @@ class TestSubsumption:
                 assert lines == want
 
 
-def _concrete(binary):
-    """A binary rule as a power-free pattern rule."""
-    return PatternRule(binary.head, binary.body)
-
-
 def _renamed(rule):
     return rename_pattern_rule(rule, fresh_renaming(rule.vars(), rule.vars(), VarSource("_r")))
 
@@ -1032,12 +1026,12 @@ def _near_instances(rule, n):
     if k > 0:
         others.append(concrete_power(c, k - 1, u))
     inst = rule.at(n)
-    out = [_renamed(_concrete(inst))]
+    out = [_renamed(inst)]
     for t in others:
         if on_left:
-            out.append(PatternRule(_replace_at(inst.head, path, t), inst.body))
+            out.append(PatternRule(_replace_at(inst.lhs, path, t), inst.rhs))
         else:
-            out.append(PatternRule(inst.head, _replace_at(inst.body, path, t)))
+            out.append(PatternRule(inst.lhs, _replace_at(inst.rhs, path, t)))
     return out
 
 
@@ -1089,7 +1083,7 @@ def _is_instance(rule, family):
         return _size_at(r.lhs, m, {}) + _size_at(r.rhs, m, {})
 
     inst, want = rule.at(0), size(rule, 0)
-    height = max(_depth(inst.head), _depth(inst.body))
+    height = max(_depth(inst.lhs), _depth(inst.rhs))
     return any(
         size(family, m) == want and is_variant(inst, family.at(m)) for m in range(height + 1)
     )
@@ -1100,7 +1094,7 @@ class TestInstanceSubsumption:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 5))
     def test_renamed_instance_is_covered_and_dropped(self, seed, n):
         rule = _random_rule(random.Random(seed))
-        inst = _renamed(_concrete(rule.at(n)))
+        inst = _renamed(rule.at(n))
         rules = PatternRuleSet([rule])
         assert rules.contains_variant(inst)
         drops = []
