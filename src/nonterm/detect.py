@@ -30,7 +30,6 @@ from .powers import expand_at, instance_root, is_power, tower
 from .program import Program, QueryMode, cone, derive_bounded
 from .terms import (
     App,
-    Subst,
     Symbol,
     Term,
     Var,
@@ -172,7 +171,7 @@ def witness_from(rule: PatternRule, data: PumpData, constant: Symbol) -> Witness
     n = max(0, math.ceil(data.alpha))
     base = expand_at(rule.lhs, n)
     unit = App(constant, ())
-    return Witness(rule, data, n, apply(base, Subst({v: unit for v in term_vars(base)})))
+    return Witness(rule, data, n, apply(base, {v: unit for v in term_vars(base)}))
 
 
 def check_pumps(rule: PatternRule, data: PumpData, n: int) -> bool:
@@ -214,9 +213,10 @@ def prove(
     Witnesses are grounded, and validated, over the whole program.  Every
     claim is re-checked: the instance embedding must hold at the reported
     index, and optionally a bounded interpreter run must keep the witness
-    alive for validate_steps steps.  The search gets what seeding left of
-    the budget's wall clock, counted from the start of the call, and that
-    run what the search left; a run the deadline cuts short leaves the
+    alive for validate_steps steps.  The budget's wall clock, counted from
+    the start of the call, bounds all three: seeding stops at its deadline
+    with the seeds built so far, the search gets what seeding left, and
+    that run what the search left; a run the deadline cuts short leaves the
     proof standing, with `validated` None.
     """
     t0 = time.monotonic()
@@ -228,7 +228,8 @@ def prove(
             f"goal: {goal.name}/{goal.arity}; cone: {', '.join(sym.name for sym in kept)} "
             f"({len(kept)} of {len(program.head_symbols())} predicates)\n"
         )
-    base = initial_rules(reach, goal)
+    deadline = t0 + budget.wall_clock
+    base = initial_rules(reach, goal, deadline)
     found: list[Witness] = []
     constant = ground_constant(program)
 
@@ -244,13 +245,13 @@ def prove(
         found.append(w)
         return True
 
-    left = replace(budget, wall_clock=t0 + budget.wall_clock - time.monotonic())
+    left = replace(budget, wall_clock=deadline - time.monotonic())
     _, stats = saturate(reach, base, left, on_rule=on_rule, trace=trace, goal=goal)
     witness = found[0] if found else None
     reason = None if found else stats.stop
     validated: Optional[bool] = None
     if witness is not None and validate_steps > 0:
-        run = derive_bounded(program, (witness.term,), validate_steps, t0 + budget.wall_clock)
+        run = derive_bounded(program, (witness.term,), validate_steps, deadline)
         if run.reached_bound:
             validated = True
         elif not run.timed_out:

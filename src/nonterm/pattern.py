@@ -14,6 +14,7 @@ directly (`power_form`), and no part of the prover sees that notation.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
@@ -86,7 +87,9 @@ def identity_rules(symbols: Iterable[Symbol]) -> list[PatternRule]:
     return out
 
 
-def initial_rules(program: Program, goal: Optional[Symbol] = None) -> list[PatternRule]:
+def initial_rules(
+    program: Program, goal: Optional[Symbol] = None, deadline: Optional[float] = None
+) -> list[PatternRule]:
     """Seed pattern rules from recursive/base pairs of binary rules.
 
     A recursive rule (head, body) whose body has no repeated variable and
@@ -110,6 +113,10 @@ def initial_rules(program: Program, goal: Optional[Symbol] = None) -> list[Patte
     since inner slots need them.  Those are exactly the seeds goal-directed
     saturation stores (`unfold._toward`), in the same order:
     initial_rules(p, g) == [r for r in initial_rules(p) if _toward(g, r)].
+
+    With a deadline (a `time.monotonic` reading), the clock is read every
+    64 steps, one per recursive rule and per fact tried; once it has passed
+    the deadline, the seeds built so far, a prefix of the list, are returned.
     """
     out: list[PatternRule] = []
     seen: set[tuple] = set()
@@ -118,7 +125,11 @@ def initial_rules(program: Program, goal: Optional[Symbol] = None) -> list[Patte
     for rule in program.rules:
         if not rule.body and isinstance(rule.head, App):
             facts.setdefault(rule.head.symbol, []).append(rule.head)
+    steps = 0
     for rec in recursive:
+        steps += 1
+        if deadline is not None and steps % 64 == 0 and time.monotonic() > deadline:
+            return out
         body = rec.body[0]
         if isinstance(body, Var) or body.symbol not in facts or not _is_linear(body):
             continue
@@ -132,6 +143,9 @@ def initial_rules(program: Program, goal: Optional[Symbol] = None) -> list[Patte
         if goal is None or body.symbol == goal:
             open_ = PatternRule(power_form(body, wrapped, moved), body, rec)
         for fact in facts[body.symbol]:
+            steps += 1
+            if deadline is not None and steps % 64 == 0 and time.monotonic() > deadline:
+                return out
             ts = match(body, fact)
             if ts is None:
                 continue

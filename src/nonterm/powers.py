@@ -250,10 +250,8 @@ def power_form(t: Term, fillers: Subst, moved: Mapping[Var, tuple[Term, int]]) -
     strips the filler's c layers into the offset.  Any other variable gets
     its filler as is.
     """
-    theta = dict(fillers.items())
-    for x, (c, a) in moved.items():
-        theta[x] = App(PowerSymbol(c, a, 0), (fillers.lookup(x),))
-    return normalize(apply(t, Subst(theta)))
+    raised = {x: App(PowerSymbol(c, a, 0), (fillers.get(x, x),)) for x, (c, a) in moved.items()}
+    return normalize(apply(t, {**fillers, **raised}))
 
 
 def pattern_form(theta: Subst) -> Optional[Subst]:
@@ -277,7 +275,7 @@ def pattern_form(theta: Subst) -> Optional[Subst]:
         if not (plain or one_power):
             return None
         out[v] = nu
-    return Subst(out)
+    return out
 
 
 def pattern_mgu(

@@ -359,7 +359,7 @@ def rewrite_step(
     theta = mgu(apply(rule.head, ren), query[0])
     if theta is None:
         return []
-    both = Subst({v: theta.lookup(w) for v, w in ren.items()})
+    both = {v: theta.get(w, w) for v, w in ren.items()}
     return [(apply(rule.body, both) + apply(query[1:], theta), theta)]
 
 

@@ -11,10 +11,12 @@ in the loading process.  Derivations produce very deep terms (number towers
 like ``s(s(...s(0)))``), so the hot operations -- equality, substitution
 application, unification, variable collection -- are iterative and
 short-circuit on ground subterms instead of recursing node by node.  Every
-walk that builds a new term (substitution, plugging a context, replacing a
-subterm, and the power walks of `powers`) is one `rebuild`: a bottom-up
-pass that visits each node of the DAG once and keeps it shared.  Resolving
-a triangular unifier (`resolve`) is one `rebuild` per bound variable.
+walk that builds a new term (substitution, replacing a subterm, and the
+power walks of `powers`) is one `rebuild`: a bottom-up pass that visits
+each node of the DAG once and keeps it shared.  A substitution (`Subst`)
+is a plain dict from variables to terms, and `apply` is its one walk:
+plugging a context and resolving a triangular unifier (`resolve`, one
+`apply` per bound variable) go through it.
 `canonical_key` keys a tuple of terms up to renaming: two tuples are
 variants exactly when their keys are equal.
 
@@ -30,7 +32,7 @@ peeling the smaller offset off both.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
 
 
 class Symbol:
@@ -233,51 +235,10 @@ def canonical_key(parts: tuple[Term, ...]) -> tuple:
     return tuple(roots), tuple(entries)
 
 
-class Subst:
-    """A substitution: a finite map from variables to terms.
-
-    Bindings ``x -> x`` are pruned at construction, so the keys are
-    exactly the moved variables.
-    """
-
-    __slots__ = ("_m", "_hash")
-
-    def __init__(self, mapping: Mapping[Var, Term] | Iterable[tuple[Var, Term]] = ()):
-        # A dict is tested first: the check against typing's Mapping is slow.
-        items = mapping.items() if isinstance(mapping, (dict, Mapping)) else mapping
-        self._m: dict[Var, Term] = {v: t for v, t in items if t is not v}
-        self._hash: Optional[int] = None
-
-    def lookup(self, v: Var) -> Term:
-        return self._m.get(v, v)
-
-    def items(self) -> Iterator[tuple[Var, Term]]:
-        return iter(self._m.items())
-
-    def __bool__(self) -> bool:
-        return bool(self._m)
-
-    def __len__(self) -> int:
-        return len(self._m)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Subst) and self._m == other._m
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._m.items()))
-        return self._hash
-
-    def __reduce__(self):
-        # Like a term, a substitution pickles by value: the cached hash
-        # belongs to the process that computed it.
-        return Subst, (self._m,)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{v.name} -> {render(t)}" for v, t in sorted(self._m.items(), key=lambda it: it[0].name)
-        )
-        return "{" + inner + "}"
+# A substitution is a plain dict from variables to terms.  The ones this
+# module builds (`resolve`, `match`, `mgu`, `fresh_renaming`, `compose`)
+# bind no variable to itself, so their keys are exactly the moved variables.
+Subst = dict[Var, Term]
 
 
 def rebuild(
@@ -326,27 +287,25 @@ def rebuild(
     return done[id(t)]
 
 
-def _subst_dict(t: Term, m: Mapping[Var, Term]) -> Term:
-    """Apply a raw binding dict to a term, iteratively and with sharing."""
-    if not m:
-        return t
-    return rebuild(t, lambda u: u if u.ground else m.get(u, u) if isinstance(u, Var) else None)
-
-
 def apply(t, s: Subst):
-    """Apply a substitution homomorphically; accepts a term or a sequence."""
+    """t under the substitution s; t is a term or a tuple of terms.
+
+    The one substitution walk: a variable s binds becomes its binding, and
+    every other variable and every ground subterm is kept.  Each term is one
+    `rebuild`, so a subterm shared in t is visited once and stays shared.
+    """
     if isinstance(t, tuple):
-        return tuple(_subst_dict(u, s._m) for u in t)
-    return _subst_dict(t, s._m)
+        return tuple([apply(u, s) for u in t])
+    if not s:
+        return t
+    return rebuild(t, lambda u: u if u.ground else s.get(u, u) if isinstance(u, Var) else None)
 
 
 def compose(first: Subst, second: Subst) -> Subst:
     """The substitution applying ``first`` and then ``second``."""
-    out = {v: _subst_dict(t, second._m) for v, t in first.items()}
-    for v, t in second.items():
-        if v not in out:
-            out[v] = t
-    return Subst(out)
+    out = {v: apply(t, second) for v, t in first.items()}
+    out.update((v, t) for v, t in second.items() if v not in first)
+    return {v: t for v, t in out.items() if t is not v}
 
 
 def commutes(a: Subst, b: Subst) -> bool:
@@ -438,17 +397,11 @@ def resolve(bindings: Mapping[Var, Term]) -> Subst:
 
     Bound variables are resolved in dependency order, each after the bound
     variables of its binding; the order is kept on an explicit stack, so a
-    long binding chain cannot overflow.  Resolving a variable is one
-    `rebuild` of its binding whose leaf maps each variable to its result;
-    a binding without bound variables is its own result.
+    long binding chain cannot overflow.  Resolving a variable applies the
+    results so far to its binding; a binding without bound variables is its
+    own result.
     """
     done: dict[Var, Term] = {}
-
-    def leaf(u: Term) -> Optional[Term]:
-        if u.ground:
-            return u
-        return done.get(u, u) if isinstance(u, Var) else None
-
     for v in bindings:
         # (x, True) is popped only after every variable pushed above it.
         stack = [(v, False)]
@@ -462,8 +415,8 @@ def resolve(bindings: Mapping[Var, Term]) -> Subst:
                 stack.append((x, True))
                 stack.extend((y, False) for y in deps)
             else:
-                done[x] = rebuild(w, leaf) if ready else w
-    return Subst({v: done[v] for v in bindings})
+                done[x] = apply(w, done) if ready else w
+    return {v: done[v] for v in bindings}
 
 
 def _pairs(left, right) -> Optional[list[tuple[Term, Term]]]:
@@ -515,7 +468,8 @@ def match(pattern, target) -> Optional[Subst]:
                 pairs.extend(zip(p.args, t.args))
         else:
             return None
-    return Subst(binds)
+    # A variable matched to itself (Y in p(X,Y) against p(s(X),Y)) gets no binding.
+    return {v: t for v, t in binds.items() if t is not v}
 
 
 class VarSource:
@@ -550,7 +504,7 @@ def fresh_renaming(
         nv = source.fresh(avoid)
         avoid.add(nv)
         out[v] = nv
-    return Subst(out)
+    return out
 
 
 # --- Contexts -------------------------------------------------------------
@@ -565,7 +519,7 @@ HOLE = Var("#1")
 
 def plug(c: Term, u: Term) -> Term:
     """c with every occurrence of the hole replaced by u."""
-    return _subst_dict(c, {HOLE: u})
+    return apply(c, {HOLE: u})
 
 
 def is_one_layer(c: Term) -> bool:
@@ -586,8 +540,8 @@ def match_context(c: Term, t: Term) -> Optional[Term]:
         return u
     theta = match(c, t)
     # A filler that is the hole itself, as when `primitive_context` strips
-    # a context off a context, is pruned from theta; lookup still gives it.
-    return None if theta is None else theta.lookup(HOLE)
+    # a context off a context, is pruned from theta; get still gives it.
+    return None if theta is None else theta.get(HOLE, HOLE)
 
 
 def concrete_power(c: Term, k: int, inner: Term) -> Term:
@@ -663,7 +617,7 @@ def decompose_power(t: Term, var: Var) -> Optional[tuple[Term, int]]:
         return App(t.symbol, tuple(HOLE if a is var else a for a in t.args)), 1
     if term_vars(t) != {var}:
         return None
-    return primitive_context(_subst_dict(t, {var: HOLE}))
+    return primitive_context(apply(t, {var: HOLE}))
 
 
 def render(t: Term) -> str:

@@ -368,7 +368,10 @@ def saturate(
             how = f"shift {k}" if kind == "shift" else f"instance n={k}"
             trace.write(f"subsumed: {rule}  ({how} of {by})\n")
 
-    for rule in base:
+    for i, rule in enumerate(base, 1):
+        # A long seed list is cut short too, the clock read every 64 seeds.
+        if i % 64 == 0 and time.monotonic() > deadline:
+            return finish("timeout")
         if goal is not None and not _toward(goal, rule):
             continue
         if stored.add(rule, subsumed):

@@ -41,7 +41,6 @@ from nonterm.terms import (
     VarSource,
     apply,
     _replace_subterm,
-    _subst_dict,
     compose,
     concrete_power,
     decompose_power,
@@ -67,6 +66,12 @@ def term(src: str) -> Term:
     t = p.term()
     assert p._peek() is None, f"trailing input in {src!r}"
     return t
+
+
+def pruned(theta: Subst) -> Subst:
+    """theta without its bindings x -> x, which move nothing: two
+    substitutions that act alike on every term are then equal dicts."""
+    return {v: t for v, t in theta.items() if t is not v}
 
 
 def subst(**bindings: str) -> Subst:
@@ -99,8 +104,10 @@ def context_power(c: Term, n: int) -> Term:
 
 
 def subst_at(theta: Subst, n: int) -> Subst:
-    """Pointwise expansion of a substitution over power terms."""
-    return Subst({v: expand_at(u, n) for v, u in theta.items()})
+    """Pointwise expansion of a substitution over power terms; a binding
+    that expands to its own variable, like X -> c^(1n+0)(X) at 0, is
+    dropped."""
+    return pruned({v: expand_at(u, n) for v, u in theta.items()})
 
 
 def step_candidates(
@@ -210,7 +217,7 @@ def reference_power_form(
         moved = sigma_powers(sigma)
     theta: dict[Var, Term] = {}
     for x in sorted(term_vars(skeleton), key=lambda v: v.name):
-        mx = mu.lookup(x)
+        mx = mu.get(x, x)
         if x not in moved:
             theta[x] = mx
             continue
@@ -232,6 +239,8 @@ class Family(NamedTuple):
     prover's expansions against `at`, which evaluates the notation directly.
     """
 
+    # The two defaults are one shared dict: no helper mutates a family's
+    # substitutions, each builds a new one.
     skeleton: Term
     sigma: Subst = Subst()
     mu: Subst = Subst()
@@ -267,7 +276,7 @@ def pattern_substitution(theta: Subst) -> tuple[Subst, Subst]:
             mu[v] = concrete_power(sym.context, sym.b, u.args[0])
         else:
             mu[v] = u
-    return Subst(sigma), Subst(mu)
+    return sigma, pruned(mu)
 
 
 def check_correct_sampled(
@@ -327,14 +336,14 @@ def reference_mgu(left, right) -> Optional[Subst]:
         if _reference_occurs(v, t):
             return False
         for w, u in sol.items():
-            sol[w] = _subst_dict(u, {v: t})
+            sol[w] = apply(u, {v: t})
         sol[v] = t
         return True
 
     while eqs:
         a, b = eqs.popleft()
-        a = _subst_dict(a, sol)
-        b = _subst_dict(b, sol)
+        a = apply(a, sol)
+        b = apply(b, sol)
         if a is b or a == b:
             continue
         if isinstance(a, Var):
@@ -813,7 +822,7 @@ def random_subst(rng: random.Random, max_bindings: int = 3) -> Subst:
     out = {}
     for v in rng.sample(VARS, rng.randint(0, max_bindings)):
         out[v] = random_term(rng)
-    return Subst(out)
+    return pruned(out)
 
 
 def random_context(rng: random.Random, max_depth: int = 3) -> Term:
@@ -885,7 +894,7 @@ def random_simple_subst(rng: random.Random) -> Subst:
         if rng.random() < 0.5:
             body = plug(context_power(c, rng.randint(0, 2)), body)
         out[Var(name)] = body
-    return Subst(out)
+    return pruned(out)
 
 
 def _vars_of(t: Term):

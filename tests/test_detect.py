@@ -22,7 +22,7 @@ from conftest import (
     subst,
     term,
 )
-from nonterm import detect
+from nonterm import detect, pattern
 from nonterm.detect import (
     check_pumps,
     ground_constant,
@@ -394,6 +394,36 @@ class TestProofOutcome:
         p = parse_program("%query: p(i,i).\n" + "\n".join(lines))
         out = prove(p, p.queries[0], UnfoldBudget(wall_clock=1.0))
         assert out.reason == "timeout" and out.unfolded <= 1
+
+    def test_seeding_stops_at_the_deadline(self, monkeypatch):
+        # Every recursive rule misses every fact, so seeding would try all
+        # 100 * 100 pairs, one `match` per step, and build nothing.  The
+        # clock passes the deadline after k reads, the first of them the
+        # query's start, so seeding stops at its k-th read, at step 64 * k.
+        lines = [f"p(s(X),c{i}) :- p(X,c{i})." for i in range(100)]
+        lines += [f"p(f{j},Y)." for j in range(100)]
+        p = parse_program("%query: p(i,i).\n" + "\n".join(lines))
+        seed_match = pattern.match
+        tries = reads = 0
+
+        def counting_match(*args):
+            nonlocal tries
+            tries += 1
+            return seed_match(*args)
+
+        def clock():
+            nonlocal reads
+            reads += 1
+            return 0.0 if reads <= k else 1e9
+
+        monkeypatch.setattr(pattern, "match", counting_match)
+        monkeypatch.setattr(time, "monotonic", clock)
+        for k in (1, 2, 30):
+            tries = reads = 0
+            out = prove(p, p.queries[0], UnfoldBudget(wall_clock=1.0))
+            assert out.status == "unknown" and out.reason == "timeout"
+            assert out.unfolded <= 1
+            assert tries <= 64 * k
 
 
 class TestWitnessesRun:

@@ -1,5 +1,7 @@
 """Rule families over power terms, and the seed-rule extraction."""
 
+import time
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +104,14 @@ class TestInitialRules:
         p = parse_program("q(s(X),s(X)) :- q(X,X). q(0,0).")
         assert initial_rules(p) == reference_initial_rules(p) == []
 
+    def test_variable_the_head_keeps_is_not_raised(self):
+        # The body p(X,Y) matches the head by X -> s(X) alone: Y matched to
+        # Y gets no binding, so only X is raised to a power.
+        p = parse_program("%query: p(i,i).\np(s(X),Y) :- p(X,Y).\np(0,Y).\n")
+        want = ["p(s(#1)^(1n+0)(0),Y) => ε", "p(s(#1)^(1n+1)(X),Y) => p(X,Y)"]
+        assert [str(r) for r in initial_rules(p)] == want
+        assert [str(r) for r in initial_rules(p, p.queries[0].predicate)] == want
+
     def test_closing_families_reach_success(self, ex_program):
         # Each seed family with an empty right side really ends in success.
         for rule in initial_rules(ex_program):
@@ -165,3 +175,49 @@ class TestSeedsMatchTheTripleConversion:
         got = initial_rules(program)
         assert got == reference_initial_rules(program)
         assert [repr(r) for r in got] == [repr(r) for r in reference_initial_rules(program)]
+
+
+def _many_seeds_program():
+    """40 recursive rules, each closed by its fact p(0,c_i) and missed by
+    the other 79 facts: 40 + 40 * 80 = 3240 seeding steps, 80 seeds."""
+    lines = [f"p(s(X),c{i}) :- p(X,c{i})." for i in range(40)]
+    lines += [f"p(0,c{i})." for i in range(40)]
+    lines += [f"p(f{j},Y)." for j in range(40)]
+    return parse_program("%query: p(i,i).\n" + "\n".join(lines))
+
+
+class TestSeedingDeadline:
+    def _clock(self, monkeypatch, passes_after):
+        # Stands at 0 for the first `passes_after` reads, then far past any
+        # deadline; nothing sleeps.
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return 0.0 if len(reads) <= passes_after else 1e9
+
+        monkeypatch.setattr(time, "monotonic", clock)
+        return reads
+
+    def test_unbounded_seeding_gives_every_seed(self, monkeypatch):
+        p = _many_seeds_program()
+        goal = p.queries[0].predicate
+        full = initial_rules(p, goal)
+        assert len(full) == 80
+        reads = self._clock(monkeypatch, 0)
+        assert initial_rules(p, goal, None) == full and reads == []
+        reads = self._clock(monkeypatch, 10**6)
+        assert initial_rules(p, goal, float("inf")) == full
+        assert len(reads) == 3240 // 64
+
+    def test_passed_deadline_gives_a_prefix(self, monkeypatch):
+        p = _many_seeds_program()
+        goal = p.queries[0].predicate
+        full = initial_rules(p, goal)
+        lengths = set()
+        for k in (0, 1, 7, 25, 49, 50):
+            self._clock(monkeypatch, k)
+            got = initial_rules(p, goal, 1.0)
+            assert got == full[: len(got)]
+            lengths.add(len(got))
+        assert 0 < min(lengths) and max(lengths) == len(full) and len(lengths) > 3

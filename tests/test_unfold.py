@@ -487,6 +487,24 @@ class TestDeadline:
         assert stats.stop == "timeout"
         assert len(outcomes) - (start + 1) <= 64
 
+    def test_long_seed_list_is_cut(self, monkeypatch):
+        # The clock passes the deadline right after saturation reads it to
+        # set one: of the 71 seeds, the first 63 are stored before the read
+        # at the 64th stops the run, and nothing is unfolded.
+        program = parse_program(MANY_CLOSERS)
+        base = initial_rules(program)
+        assert len(base) == 71
+        reads = []
+
+        def monotonic():
+            reads.append(None)
+            return 0.0 if len(reads) == 1 else 1e9
+
+        monkeypatch.setattr(unfold, "time", SimpleNamespace(monotonic=monotonic))
+        stored, stats = saturate(program, base, UnfoldBudget(wall_clock=10.0))
+        assert stats.stop == "timeout" and stats.generated == 0
+        assert list(stored) == base[:63] and len(reads) == 2
+
 
 class TestExactness:
     @pytest.mark.parametrize("name", sorted(p.stem for p in PROGRAMS_DIR.glob("*.pl")))
