@@ -235,7 +235,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         description="Prove non-termination of pure logic programs.",
     )
     parser.add_argument("inputs", nargs="+", type=Path, help="program files or directories of .pl files")
-    parser.add_argument("--timeout", type=float, default=10.0, metavar="SECS", help="wall-clock budget for each query's search and --validate run (default 10)")
+    parser.add_argument("--timeout", type=float, default=10.0, metavar="SECS", help="wall-clock budget for each query's seeding, search and --validate run (default 10)")
     parser.add_argument("--max-iter", type=int, default=10, metavar="N", help="unfolding rounds per query (default 10)")
     parser.add_argument("--max-rules", type=int, default=100_000, metavar="N", help="cap on generated rules (default 100000)")
     parser.add_argument("--validate", type=int, default=0, metavar="STEPS", help="re-run each witness in the interpreter for STEPS steps, within --timeout (0 disables)")

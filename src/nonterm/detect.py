@@ -214,10 +214,11 @@ def prove(
     claim is re-checked: the instance embedding must hold at the reported
     index, and optionally a bounded interpreter run must keep the witness
     alive for validate_steps steps.  The budget's wall clock, counted from
-    the start of the call, bounds all three: seeding stops at its deadline
-    with the seeds built so far, the search gets what seeding left, and
-    that run what the search left; a run the deadline cuts short leaves the
-    proof standing, with `validated` None.
+    the start of the call, bounds all three: seeding keeps the seeds built
+    by its deadline, the search gets what seeding left, and that run what
+    the search left.  Each reads the clock once per unit of work, before it,
+    so a query ends within its wall clock plus one unit of work; a run the
+    deadline cuts short leaves the proof standing, with `validated` None.
     """
     t0 = time.monotonic()
     goal = query.predicate

@@ -88,7 +88,7 @@ def identity_rules(symbols: Iterable[Symbol]) -> list[PatternRule]:
 
 
 def initial_rules(
-    program: Program, goal: Optional[Symbol] = None, deadline: Optional[float] = None
+    program: Program, goal: Optional[Symbol] = None, deadline: float = float("inf")
 ) -> list[PatternRule]:
     """Seed pattern rules from recursive/base pairs of binary rules.
 
@@ -114,9 +114,9 @@ def initial_rules(
     saturation stores (`unfold._toward`), in the same order:
     initial_rules(p, g) == [r for r in initial_rules(p) if _toward(g, r)].
 
-    With a deadline (a `time.monotonic` reading), the clock is read every
-    64 steps, one per recursive rule and per fact tried; once it has passed
-    the deadline, the seeds built so far, a prefix of the list, are returned.
+    The clock is read before each recursive rule and each fact is tried;
+    once it is past the deadline (a `time.monotonic` reading), the seeds
+    built so far, a prefix of the list, are returned.
     """
     out: list[PatternRule] = []
     seen: set[tuple] = set()
@@ -125,10 +125,8 @@ def initial_rules(
     for rule in program.rules:
         if not rule.body and isinstance(rule.head, App):
             facts.setdefault(rule.head.symbol, []).append(rule.head)
-    steps = 0
     for rec in recursive:
-        steps += 1
-        if deadline is not None and steps % 64 == 0 and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             return out
         body = rec.body[0]
         if isinstance(body, Var) or body.symbol not in facts or not _is_linear(body):
@@ -143,8 +141,7 @@ def initial_rules(
         if goal is None or body.symbol == goal:
             open_ = PatternRule(power_form(body, wrapped, moved), body, rec)
         for fact in facts[body.symbol]:
-            steps += 1
-            if deadline is not None and steps % 64 == 0 and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 return out
             ts = match(body, fact)
             if ts is None:

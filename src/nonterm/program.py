@@ -368,22 +368,20 @@ class DerivationStatus:
     """Outcome of a bounded exploration of the rewrite tree.
 
     reached_bound: some single chain grew to max_steps.
-    timed_out: the deadline passed first, so nothing is decided; steps is
-    the depth reached so far.
-    Otherwise the whole tree was exhausted and steps is its maximal depth.
+    timed_out: the deadline passed first, so nothing is decided.
+    Otherwise the whole tree was exhausted.
     empty_reached notes whether the empty query showed up on some branch;
     when the bound is reached or the run timed out it is a lower bound,
     since branches the exploration has not visited may still succeed.
     """
 
     reached_bound: bool
-    steps: int
     empty_reached: bool = False
     timed_out: bool = False
 
 
 def derive_bounded(
-    program: Program, query: Query, max_steps: int, deadline: Optional[float] = None
+    program: Program, query: Query, max_steps: int, deadline: float = float("inf")
 ) -> DerivationStatus:
     """Explore rewrite chains from a query depth first, trying rules in
     program order.
@@ -397,25 +395,23 @@ def derive_bounded(
     interns (`terms.Var`) no more names than its largest query and a rule
     hold together.
 
-    With a `deadline` (a `time.monotonic` reading), the clock is read once
-    per step, and a run still going when it has passed stops as timed_out.
+    The clock is read once per step, before it; a run still going once it
+    is past the deadline (a `time.monotonic` reading) stops as timed_out.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    deepest = 0
     empty = False
     stack: list[tuple[Query, int]] = [(query, 0)]
     while stack:
-        if deadline is not None and time.monotonic() > deadline:
-            return DerivationStatus(False, deepest, empty, timed_out=True)
+        if time.monotonic() > deadline:
+            return DerivationStatus(False, empty, timed_out=True)
         q, depth = stack.pop()
-        deepest = max(deepest, depth)
         if not q:
             empty = True
             continue
         if depth >= max_steps:
-            return DerivationStatus(True, max_steps, empty)
+            return DerivationStatus(True, empty)
         for rule in reversed(program.rules):
             for nq, _ in rewrite_step(q, rule, VarSource()):
                 stack.append((nq, depth + 1))
-    return DerivationStatus(False, deepest, empty)
+    return DerivationStatus(False, empty)

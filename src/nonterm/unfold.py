@@ -211,6 +211,7 @@ def _attempts(
     patid: list[PatternRule],
     source: VarSource,
     new: Optional[set[int]] = None,
+    deadline: float = float("inf"),
 ) -> Iterator[tuple[Optional[PatternRule], tuple]]:
     """Every selection one unfolding step tries, with the rule it derives.
 
@@ -225,7 +226,8 @@ def _attempts(
     whose left side does not clash with the atom (`_clashes`): an inner
     slot takes the closing rules (right side epsilon), and the slot a
     prefix ends with takes the others (any rule at the last atom), then
-    the identities.
+    the identities.  The clock is read before each slot list is built, and
+    past the `deadline` (a `time.monotonic` reading) the step ends.
 
     A one-atom rule's slot leaves out the seeds whose `source` it is, and
     the identities while its open seed is in the pool.  A seed is that
@@ -253,6 +255,8 @@ def _attempts(
         ending: list[list[PatternRule]] = []
         identities = () if id(rule) in opened else patid
         for i, atom in enumerate(rule.body):
+            if time.monotonic() > deadline:
+                return
             fits = [pr for pr in pool if pr.source is not rule and not _clashes(pr.lhs, atom)]
             if i < last:
                 closing.append([pr for pr in fits if pr.rhs_is_epsilon()])
@@ -342,7 +346,9 @@ def saturate(
     may stop the run by returning True -- used by the prover to short-cut
     on the first rule that witnesses non-termination.  Stats report the
     number of generated rules and the stop reason; exhausting the budget is
-    a normal outcome, not an error.
+    a normal outcome, not an error.  The clock is read before each seed,
+    slot list (`_attempts`) and selection, and after each round, so a round
+    cut short ends "timeout", not "fixpoint".
 
     With a goal predicate, only the rules that may lead to one pumping on
     it are kept: a base rule is stored only when its right side is epsilon
@@ -368,9 +374,8 @@ def saturate(
             how = f"shift {k}" if kind == "shift" else f"instance n={k}"
             trace.write(f"subsumed: {rule}  ({how} of {by})\n")
 
-    for i, rule in enumerate(base, 1):
-        # A long seed list is cut short too, the clock read every 64 seeds.
-        if i % 64 == 0 and time.monotonic() > deadline:
+    for rule in base:
+        if time.monotonic() > deadline:
             return finish("timeout")
         if goal is not None and not _toward(goal, rule):
             continue
@@ -388,12 +393,8 @@ def saturate(
         stats.iterations = round_no
         snapshot = list(stored)
         grew = False
-        attempts = _attempts(program, snapshot, patid, source, new)
-        for attempt, (candidate, provenance) in enumerate(attempts, 1):
-            # Every yield counts: each complete selection and each failed
-            # unification at an inner slot.  So a long run of failing
-            # unifications cannot outlast the deadline by more than 64.
-            if attempt % 64 == 0 and time.monotonic() > deadline:
+        for candidate, provenance in _attempts(program, snapshot, patid, source, new, deadline):
+            if time.monotonic() > deadline:
                 return finish("timeout")
             if candidate is None:
                 continue
@@ -415,8 +416,8 @@ def saturate(
                 )
             if on_rule and on_rule(candidate):
                 return finish("proved")
-            if time.monotonic() > deadline:
-                return finish("timeout")
+        if time.monotonic() > deadline:
+            return finish("timeout")
         if not grew:
             return finish("fixpoint")
         new = {id(r) for r in list(stored)[len(snapshot):]}

@@ -181,7 +181,7 @@ class TestRun:
         # A witness the interpreter lets terminate is not an Unknown: it
         # gets its own status and the run fails.
         monkeypatch.setattr(
-            detect, "derive_bounded", lambda *_: DerivationStatus(reached_bound=False, steps=3)
+            detect, "derive_bounded", lambda *_: DerivationStatus(reached_bound=False)
         )
         code, out, _ = run_cli(PROGRAMS_DIR / "while-lt.pl", validate_steps=300, as_json=True)
         assert code == 1

@@ -24,6 +24,7 @@ from conftest import (
 )
 from nonterm import detect, pattern
 from nonterm.detect import (
+    PumpData,
     check_pumps,
     ground_constant,
     match_pumping,
@@ -338,9 +339,31 @@ class TestProofOutcome:
                 assert (out.reason is None) == out.proven, path.stem
                 assert out.validated is None, path.stem
 
+    def test_a_pump_that_fails_its_check_is_dropped(self, monkeypatch):
+        # `prove` re-checks each pump `match_pumping` reports at the
+        # witness's index.  A reported shift one too large must fail that
+        # check, and the family must not prove anything.
+        real_match, real_check = match_pumping, check_pumps
+        checks = []
+
+        def one_too_far(rule):
+            data = real_match(rule)
+            return None if data is None else PumpData(data.k + 1, data.alpha)
+
+        def recording_check(*args):
+            checks.append(real_check(*args))
+            return checks[-1]
+
+        monkeypatch.setattr(detect, "match_pumping", one_too_far)
+        monkeypatch.setattr(detect, "check_pumps", recording_check)
+        p = parse_program((PROGRAMS_DIR / "while-gt-add.pl").read_text(encoding="utf-8"))
+        out = prove(p, p.queries[0], UnfoldBudget())
+        assert not out.proven and out.witness is None
+        assert False in checks
+
     def test_failed_validation_is_unknown(self, monkeypatch):
         monkeypatch.setattr(
-            detect, "derive_bounded", lambda *_: DerivationStatus(reached_bound=False, steps=3)
+            detect, "derive_bounded", lambda *_: DerivationStatus(reached_bound=False)
         )
         p = parse_program((PROGRAMS_DIR / "while-lt.pl").read_text(encoding="utf-8"))
         out = prove(p, p.queries[0], UnfoldBudget(), validate_steps=10)
@@ -399,7 +422,8 @@ class TestProofOutcome:
         # Every recursive rule misses every fact, so seeding would try all
         # 100 * 100 pairs, one `match` per step, and build nothing.  The
         # clock passes the deadline after k reads, the first of them the
-        # query's start, so seeding stops at its k-th read, at step 64 * k.
+        # query's start, and seeding reads it before each step, so it stops
+        # at its k-th read, after k - 1 steps.
         lines = [f"p(s(X),c{i}) :- p(X,c{i})." for i in range(100)]
         lines += [f"p(f{j},Y)." for j in range(100)]
         p = parse_program("%query: p(i,i).\n" + "\n".join(lines))
@@ -423,7 +447,7 @@ class TestProofOutcome:
             out = prove(p, p.queries[0], UnfoldBudget(wall_clock=1.0))
             assert out.status == "unknown" and out.reason == "timeout"
             assert out.unfolded <= 1
-            assert tries <= 64 * k
+            assert tries <= k
 
 
 class TestWitnessesRun:

@@ -204,20 +204,24 @@ class TestSeedingDeadline:
         goal = p.queries[0].predicate
         full = initial_rules(p, goal)
         assert len(full) == 80
-        reads = self._clock(monkeypatch, 0)
-        assert initial_rules(p, goal, None) == full and reads == []
-        reads = self._clock(monkeypatch, 10**6)
-        assert initial_rules(p, goal, float("inf")) == full
-        assert len(reads) == 3240 // 64
+        # One read per recursive rule and per fact tried, with or without
+        # a deadline.
+        for deadline in ((), (float("inf"),)):
+            reads = self._clock(monkeypatch, 10**6)
+            assert initial_rules(p, goal, *deadline) == full
+            assert len(reads) == 3240
 
     def test_passed_deadline_gives_a_prefix(self, monkeypatch):
         p = _many_seeds_program()
         goal = p.queries[0].predicate
         full = initial_rules(p, goal)
+        # Seeding stops at its first read past the deadline.  Rule i is
+        # read at step 81i + 1 and builds its two seeds at step 81i + i + 2,
+        # on its fact p(0,c_i).
         lengths = set()
-        for k in (0, 1, 7, 25, 49, 50):
-            self._clock(monkeypatch, k)
+        for k in (0, 1, 7, 25, 49, 50, 448, 1600, 3200):
+            reads = self._clock(monkeypatch, k)
             got = initial_rules(p, goal, 1.0)
-            assert got == full[: len(got)]
+            assert got == full[: len(got)] and len(reads) == k + 1
             lengths.add(len(got))
-        assert 0 < min(lengths) and max(lengths) == len(full) and len(lengths) > 3
+        assert lengths == {0, 2, 12, 40, len(full)}

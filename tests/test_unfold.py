@@ -451,8 +451,8 @@ MANY_CLOSERS = (
 class TestDeadline:
     def test_failed_unifications_are_counted(self, monkeypatch):
         # Pass the deadline on the first call of the longest run of failing
-        # unifications, inner slots of the join included: saturation must
-        # stop within 64 more calls.
+        # unifications, inner slots of the join included: saturation reads
+        # the clock at each selection, so it must stop within 1 more call.
         program = parse_program(MANY_CLOSERS)
         base = initial_rules(program)
         budget = UnfoldBudget(wall_clock=10.0, max_iterations=1)
@@ -485,12 +485,12 @@ class TestDeadline:
         monkeypatch.setattr(unfold, "time", clock)
         _, stats = saturate(program, base, budget)
         assert stats.stop == "timeout"
-        assert len(outcomes) - (start + 1) <= 64
+        assert len(outcomes) - (start + 1) <= 1
 
     def test_long_seed_list_is_cut(self, monkeypatch):
         # The clock passes the deadline right after saturation reads it to
-        # set one: of the 71 seeds, the first 63 are stored before the read
-        # at the 64th stops the run, and nothing is unfolded.
+        # set one: of the 71 seeds, none is stored, since the read before
+        # the first stops the run, and nothing is unfolded.
         program = parse_program(MANY_CLOSERS)
         base = initial_rules(program)
         assert len(base) == 71
@@ -503,7 +503,36 @@ class TestDeadline:
         monkeypatch.setattr(unfold, "time", SimpleNamespace(monotonic=monotonic))
         stored, stats = saturate(program, base, UnfoldBudget(wall_clock=10.0))
         assert stats.stop == "timeout" and stats.generated == 0
-        assert list(stored) == base[:63] and len(reads) == 2
+        assert list(stored) == [] and len(reads) == 2
+
+    def test_slot_lists_are_cut(self, monkeypatch):
+        # Every body atom clashes with every family in the pool, so the
+        # step builds 80 slot lists of about 40 `_clashes` calls each and
+        # yields nothing.  A clock that only `_clashes` advances, by 1 a
+        # call, passes the deadline 100 inside the third list: the read
+        # before the next one must end the run, one pass over the pool later.
+        lines = ["%query: p(i)."]
+        for i in range(40):
+            lines += [f"p(X) :- r{i}(0).", f"r{i}(s(X)) :- r{i}(X).", f"r{i}(0)."]
+        program = parse_program("\n".join(lines))
+        goal = program.queries[0].predicate
+        base = initial_rules(program, goal)
+        calls = 0
+        real_clashes = unfold._clashes
+
+        def counting_clashes(a, b):
+            nonlocal calls
+            calls += 1
+            return real_clashes(a, b)
+
+        monkeypatch.setattr(unfold, "_clashes", counting_clashes)
+        monkeypatch.setattr(unfold, "time", SimpleNamespace(monotonic=lambda: float(calls)))
+        _, stats = saturate(program, base, UnfoldBudget(wall_clock=1e9), goal=goal)
+        assert stats.stop == "fixpoint" and stats.generated == 0 and calls == 3240
+        calls = 0
+        _, stats = saturate(program, base, UnfoldBudget(wall_clock=100.0), goal=goal)
+        assert stats.stop == "timeout" and stats.generated == 0
+        assert calls <= 100 + 40
 
 
 class TestExactness:
