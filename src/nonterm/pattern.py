@@ -78,6 +78,46 @@ class PatternRule:
         return f"{render(self.lhs)} => {render(self.rhs)}"
 
 
+class VariantMap:
+    """A map from pattern rules, taken up to renaming, to values.
+
+    Rules are bucketed by the shapes of their two sides (`terms.App`), which
+    every variant shares.  A bucket that holds one rule holds it unkeyed, so
+    a rule whose shapes are new is looked up and stored without a key.  The
+    canonical key (`PatternRule.key`) is built only on a shape hit: for the
+    rule asked about, and once for the rule its bucket held, after which the
+    bucket maps keys to values.  Lookups are exact whatever the hashes, and
+    buckets are never iterated, so no order depends on a hash value.
+    """
+
+    __slots__ = ("_buckets",)
+
+    def __init__(self) -> None:
+        # Shapes -> (rule, value) while one rule is held, else {key: value}.
+        self._buckets: dict[tuple[int, int], tuple[PatternRule, object] | dict[tuple, object]] = {}
+
+    def _keyed(self, shapes: tuple[int, int]) -> Optional[dict[tuple, object]]:
+        """The bucket of these shapes as a dict by key, or None if empty."""
+        bucket = self._buckets.get(shapes)
+        if type(bucket) is tuple:
+            held, value = bucket
+            bucket = self._buckets[shapes] = {held.key(): value}
+        return bucket
+
+    def get(self, rule: PatternRule) -> Optional[object]:
+        """The value stored for a variant of the rule, or None."""
+        bucket = self._keyed((rule.lhs._shape, rule.rhs._shape))
+        return None if bucket is None else bucket.get(rule.key())
+
+    def __setitem__(self, rule: PatternRule, value: object) -> None:
+        shapes = (rule.lhs._shape, rule.rhs._shape)
+        bucket = self._keyed(shapes)
+        if bucket is None:
+            self._buckets[shapes] = (rule, value)
+        else:
+            bucket[rule.key()] = value
+
+
 def identity_rules(symbols: Iterable[Symbol]) -> list[PatternRule]:
     """One identity rule f(X1,..,Xm) => f(X1,..,Xm) per symbol, in order."""
     out = []
@@ -106,7 +146,9 @@ def initial_rules(
     Each seed records the recursive rule it was built from as its
     `source`: both families are that rule unfolded n times with itself,
     so unfolding it once more with one of them gives nothing new
-    (`unfold._attempts`).
+    (`unfold._attempts`).  A family is kept once up to renaming
+    (`VariantMap`): its key is built only when an earlier seed has the
+    same shapes, so seeds of distinct shapes are never keyed.
 
     With a goal, the open family is built only for a recursive rule whose
     body is a goal atom, and the closing families for every predicate,
@@ -119,7 +161,7 @@ def initial_rules(
     built so far, a prefix of the list, are returned.
     """
     out: list[PatternRule] = []
-    seen: set[tuple] = set()
+    seen = VariantMap()
     recursive = [r for r in program.rules if len(r.body) == 1]
     facts: dict[Symbol, list[Term]] = {}
     for rule in program.rules:
@@ -148,9 +190,8 @@ def initial_rules(
                 continue
             closing = PatternRule(power_form(body, ts, moved), EPSILON, rec)
             for rule in (closing,) if open_ is None else (closing, open_):
-                key = rule.key()
-                if key not in seen:
-                    seen.add(key)
+                if seen.get(rule) is None:
+                    seen[rule] = True
                     out.append(rule)
     return out
 

@@ -5,12 +5,18 @@ immutable and hashable.  A variable is one object per name and a plain
 symbol one object per name and arity, kept in class-wide tables for the
 life of the process, so both compare and hash by identity.  An application
 compares structurally: by a hash computed once at construction, then
-argument by argument.  Terms pickle by value: loading rebuilds each one
-through its constructor, which interns names afresh and recomputes hashes
-in the loading process.  Derivations produce very deep terms (number towers
-like ``s(s(...s(0)))``), so the hot operations -- equality, substitution
-application, unification, variable collection -- are iterative and
-short-circuit on ground subterms instead of recursing node by node.  Every
+argument by argument.  Every term carries two hashes.  The structural one
+(`_hash`, what `hash` returns) reads each variable's name, so terms that
+differ only in their variables hash apart in term-keyed dicts.  The shape
+(`_shape`) reads every variable as one constant, so two variants (terms
+equal up to renaming) always have equal shapes; it buckets rule families
+before their `canonical_key` is built.  Terms pickle by value: loading
+rebuilds each one through its constructor, which interns names afresh and
+recomputes hashes in the loading process.  Derivations produce very deep
+terms (number towers like ``s(s(...s(0)))``), so the hot operations --
+equality, substitution application, unification, variable collection --
+are iterative and short-circuit on ground subterms instead of recursing
+node by node.  Every
 walk that builds a new term (substitution, replacing a subterm, and the
 power walks of `powers`) is one `rebuild`: a bottom-up pass that visits
 each node of the DAG once and keeps it shared.  A substitution (`Subst`)
@@ -73,13 +79,16 @@ class Var:
     """A variable: one object per name, kept in a class-wide table.
 
     Equality and hashing are the object's own.  `_hash` is a hash of the
-    name, which `App`'s structural hash reads.  The table holds every
-    variable for the life of the process; fresh names (`VarSource`) are
-    drawn from one numbered sequence that every search reuses.
+    name, which `App`'s structural hash reads.  `_shape` is one constant
+    shared by every variable, which `App`'s shape reads, so renaming
+    variables never changes a shape.  The table holds every variable for
+    the life of the process; fresh names (`VarSource`) are drawn from one
+    numbered sequence that every search reuses.
     """
 
     __slots__ = ("name", "_hash")
     _table: ClassVar[dict[str, "Var"]] = {}
+    _shape: ClassVar[int] = 0x5EED
     ground = False
     powered = False
 
@@ -101,13 +110,17 @@ class Var:
 class App:
     """Application of a symbol to argument terms.
 
-    The hash and the groundness and power flags are computed once at
+    The two hashes and the groundness and power flags are computed once at
     construction from the (already cached) values of the children, so all
-    three are O(arity) to build and O(1) to use, no matter how deep the term
-    is.  `powered` is true when a power symbol occurs in the term.
+    four are O(arity) to build and O(1) to use, no matter how deep the term
+    is.  `_hash`, the structural hash, reads the children's `_hash` and
+    serves `hash` and `==`; `_shape` reads their `_shape`, so it is the same
+    for every variant of the term, and it is the structural hash when the
+    term is ground.  `powered` is true when a power symbol occurs in the
+    term.
     """
 
-    __slots__ = ("symbol", "args", "ground", "powered", "_hash")
+    __slots__ = ("symbol", "args", "ground", "powered", "_hash", "_shape")
 
     def __init__(self, symbol, args: Sequence["Term"] = ()):
         if type(args) is not tuple:
@@ -119,11 +132,15 @@ class App:
         self.symbol = symbol
         self.args = args
         ground, powered, h = True, symbol.is_power, symbol._hash
+        shape = h
         for a in args:
             ground = ground and a.ground
             powered = powered or a.powered
             h = hash((h, a._hash))
-        self.ground, self.powered, self._hash = ground, powered, h
+            # A ground term's shape is its hash, so a ground prefix of the
+            # arguments needs no second hash.
+            shape = h if ground else hash((shape, a._shape))
+        self.ground, self.powered, self._hash, self._shape = ground, powered, h, shape
 
     def __eq__(self, other: object) -> bool:
         if self is other:

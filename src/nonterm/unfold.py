@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, TextIO
 
-from .pattern import PatternRule, identity_rules, rule_base
+from .pattern import PatternRule, VariantMap, identity_rules, rule_base
 from .powers import instance_root, is_simple, normalize, pattern_mgu
 from .program import Program, Rule
 from .terms import (
@@ -48,40 +48,46 @@ class PatternRuleSet:
     it are never built (`_attempts`), so they never reach `add`.
     Only simple rules (`powers.is_simple` on both sides) may be stored;
     insertion order is preserved so saturation rounds are reproducible.
+
+    Bases are held in a `pattern.VariantMap`, so a canonical key
+    (`PatternRule.key`) is built only when a stored base has the same
+    shapes (`terms.App`) as the one looked up, and an instance is keyed
+    only when its shapes are those of the rule it is compared with.  A
+    rule that no stored rule comes near in shape costs no key at all.
     """
 
     def __init__(self, rules=()):
         self._rules: list[PatternRule] = []
-        # Base key -> the least shift stored for it, and that rule.
-        self._least: dict[tuple, tuple[int, PatternRule]] = {}
-        # The stored rules with a power, in storage order, each with the
-        # keys of its instances met so far, by index.
-        self._powered: list[tuple[PatternRule, dict[int, tuple]]] = []
+        # Base -> the least shift stored for it, and that rule.
+        self._least = VariantMap()
+        # The stored rules with a power, in storage order, each with its
+        # instances met so far, by index.
+        self._powered: list[tuple[PatternRule, dict[int, PatternRule]]] = []
         for r in rules:
             self.add(r)
 
     def _cover(
-        self, rule: PatternRule, base_key: tuple, d: int
+        self, rule: PatternRule, base: PatternRule, d: int
     ) -> Optional[tuple[str, PatternRule, int]]:
-        """How a stored rule covers this one, whose `rule_base` has key
-        `base_key` and shift d, if one does: ("shift", stored, k) when it
-        is the stored rule shifted by k >= 0 (k = 0 for a variant), or
-        ("instance", stored, n) when it is, up to renaming, the stored
-        rule's instance at n."""
-        held = self._least.get(base_key)
+        """How a stored rule covers this one, whose `rule_base` is `base`
+        at shift d, if one does: ("shift", stored, k) when it is the stored
+        rule shifted by k >= 0 (k = 0 for a variant), or ("instance",
+        stored, n) when it is, up to renaming, the stored rule's instance
+        at n."""
+        held = self._least.get(base)
         if held is not None and held[0] <= d:
             return "shift", held[1], d - held[0]
         if rule.lhs.powered or rule.rhs.powered:
             return None
-        # Without powers the rule is its own base, so base_key is its key.
-        for stored, keys in self._powered:
+        shapes = (rule.lhs._shape, rule.rhs._shape)
+        for stored, instances in self._powered:
             n = _index_at(rule, stored)
             if n is None:
                 continue
-            key = keys.get(n)
-            if key is None:
-                key = keys[n] = stored.at(n).key()
-            if key == base_key:
+            inst = instances.get(n)
+            if inst is None:
+                inst = instances[n] = stored.at(n)
+            if (inst.lhs._shape, inst.rhs._shape) == shapes and inst.key() == rule.key():
                 return "instance", stored, n
         return None
 
@@ -100,14 +106,13 @@ class PatternRuleSet:
         if not (is_simple(rule.lhs) and is_simple(rule.rhs)):
             raise ValueError(f"refusing to store a non-simple pattern rule: {rule}")
         base, d = rule_base(rule)
-        key = base.key()
-        cover = self._cover(rule, key, d)
+        cover = self._cover(rule, base, d)
         if cover is not None:
             kind, held, k = cover
             if on_subsumed is not None and (kind, k) != ("shift", 0):
                 on_subsumed(rule, held, kind, k)
             return False
-        self._least[key] = (d, rule)
+        self._least[base] = (d, rule)
         self._rules.append(rule)
         if rule.lhs.powered or rule.rhs.powered:
             self._powered.append((rule, {}))
@@ -115,8 +120,7 @@ class PatternRuleSet:
 
     def contains_variant(self, rule: PatternRule) -> bool:
         """Whether a stored rule is a variant of this one or covers it."""
-        base, d = rule_base(rule)
-        return self._cover(rule, base.key(), d) is not None
+        return self._cover(rule, *rule_base(rule)) is not None
 
     def __iter__(self) -> Iterator[PatternRule]:
         return iter(self._rules)
@@ -205,6 +209,26 @@ def _clashes(a: Term, b: Term) -> bool:
     return False
 
 
+def _by_root(rules: list[PatternRule]) -> Callable[[Term], list[PatternRule]]:
+    """For a body atom, the rules that can get past `_clashes` with it, in
+    their order: those whose left side has the atom's root symbol or is a
+    variable (every rule for a variable atom).  A body atom is never a
+    power, so any other root clashes with it, a power root included."""
+    groups: dict[object, list[PatternRule]] = {}
+    loose: list[PatternRule] = []
+    for pr in rules:
+        if isinstance(pr.lhs, Var):
+            loose.append(pr)
+            for group in groups.values():
+                group.append(pr)
+            continue
+        group = groups.get(pr.lhs.symbol)
+        if group is None:
+            group = groups[pr.lhs.symbol] = loose.copy()
+        group.append(pr)
+    return lambda atom: rules if isinstance(atom, Var) else groups.get(atom.symbol, loose)
+
+
 def _attempts(
     program: Program,
     pool: list[PatternRule],
@@ -223,7 +247,9 @@ def _attempts(
 
     Each body atom's slot lists are built from the pool when the step
     reaches its program rule, keeping pool order, and hold only the rules
-    whose left side does not clash with the atom (`_clashes`): an inner
+    whose left side does not clash with the atom (`_clashes`), which is
+    tried only on the pool's rules of the atom's root symbol (`_by_root`,
+    grouped once per step), and likewise for the identities: an inner
     slot takes the closing rules (right side epsilon), and the slot a
     prefix ends with takes the others (any rule at the last atom), then
     the identities.  The clock is read before each slot list is built, and
@@ -249,18 +275,19 @@ def _attempts(
     """
     # The program rules whose open seed is in the pool, by identity.
     opened = {id(pr.source) for pr in pool if pr.source is not None and not pr.rhs_is_epsilon()}
+    pool_at, patid_at = _by_root(pool), _by_root(patid)
     for rule_idx, rule in enumerate(program.rules):
         last = len(rule.body) - 1
         closing: list[list[PatternRule]] = []
         ending: list[list[PatternRule]] = []
-        identities = () if id(rule) in opened else patid
         for i, atom in enumerate(rule.body):
             if time.monotonic() > deadline:
                 return
-            fits = [pr for pr in pool if pr.source is not rule and not _clashes(pr.lhs, atom)]
+            fits = [pr for pr in pool_at(atom) if pr.source is not rule and not _clashes(pr.lhs, atom)]
             if i < last:
                 closing.append([pr for pr in fits if pr.rhs_is_epsilon()])
                 fits = [pr for pr in fits if not pr.rhs_is_epsilon()]
+            identities = () if id(rule) in opened else patid_at(atom)
             ending.append([*fits, *(pr for pr in identities if not _clashes(pr.lhs, atom))])
         rule_vars = rule.vars()
         for i in range(1, len(rule.body) + 1):

@@ -46,6 +46,7 @@ from nonterm.terms import (
     Symbol,
     Var,
     apply,
+    canonical_key,
     commutes,
     compose,
     concrete_power,
@@ -708,6 +709,44 @@ class TestInterning:
         assert one == other and hash(one) == hash(other)
         changed, _ = _built(spec, data.draw(st.integers(0, size - 1)))
         assert one != changed and changed != one
+
+
+class TestShapes:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parts=st.lists(_terms(), min_size=1, max_size=3),
+        names=st.permutations(["X", "Y", "Z", "W", "V1", "V2"]),
+        others=st.lists(_terms(), min_size=1, max_size=3),
+    )
+    def test_variants_share_a_shape(self, parts, names, others):
+        # Rule families are bucketed by shape before any key is built, so
+        # every variant must land in the same bucket: an injective renaming
+        # (here possibly a permutation of the term's own names) keeps each
+        # shape, and two tuples with one canonical key have equal shapes.
+        parts, others = tuple(parts), tuple(others)
+        vs = sorted(term_vars(parts), key=lambda v: v.name)
+        renamed = apply(parts, {v: Var(names[i]) for i, v in enumerate(vs)})
+        assert [t._shape for t in renamed] == [t._shape for t in parts]
+        merged = apply(parts, {v: vs[0] for v in vs})
+        for other in (renamed, merged, others):
+            if canonical_key(other) == canonical_key(parts):
+                assert [t._shape for t in other] == [t._shape for t in parts]
+
+    def test_variables_still_hash_apart(self):
+        # Only the shape reads every variable alike.  The structural hash
+        # must tell g(X) from g(Y): were it blind to names, terms that
+        # differ only in their variables would collide in every term-keyed
+        # dict, and keying f(g(X1),...,g(X4000)) would take 30 s, not 10 ms.
+        gx, gy = App(G, (Var("X"),)), App(G, (Var("Y"),))
+        assert gx._shape == gy._shape and Var("X")._shape == Var("Y")._shape
+        assert hash(gx) != hash(gy) and gx != gy
+        args = [App(G, (Var(f"X{i}"),)) for i in range(4000)]
+        assert len({hash(a) for a in args}) == len(set(args)) == 4000
+        wide = App(Symbol("f", 4000), args)
+        start = time.perf_counter()
+        (root,), entries = canonical_key((wide,))
+        assert time.perf_counter() - start < 2.0
+        assert root == len(entries) - 1 == 4000
 
 
 # Both scripts read the program file argv[1]; the pickle goes to argv[2].

@@ -2,6 +2,7 @@
 
 import io
 import random
+import sys
 from functools import reduce
 from itertools import product
 from types import SimpleNamespace
@@ -68,6 +69,7 @@ from nonterm.unfold import (
     PatternRuleSet,
     UnfoldBudget,
     _attempts,
+    _by_root,
     _clashes,
     _toward,
     rename_pattern_rule,
@@ -506,14 +508,17 @@ class TestDeadline:
         assert list(stored) == [] and len(reads) == 2
 
     def test_slot_lists_are_cut(self, monkeypatch):
-        # Every body atom clashes with every family in the pool, so the
-        # step builds 80 slot lists of about 40 `_clashes` calls each and
-        # yields nothing.  A clock that only `_clashes` advances, by 1 a
-        # call, passes the deadline 100 inside the third list: the read
-        # before the next one must end the run, one pass over the pool later.
+        # Every family in the pool has the root of the `p` rules' body
+        # atoms and clashes with each of them below it, so the step builds
+        # 40 slot lists of 40 `_clashes` calls each and yields nothing (the
+        # recursive rule's own seeds are left out of its slot untested).  A
+        # clock that only `_clashes` advances, by 1 a call, passes the
+        # deadline 100 inside the third list: the read before the next one
+        # must end the run, one pass over the pool later.
         lines = ["%query: p(i)."]
-        for i in range(40):
-            lines += [f"p(X) :- r{i}(0).", f"r{i}(s(X)) :- r{i}(X).", f"r{i}(0)."]
+        lines += [f"p(X) :- r(c{i}, nil)." for i in range(40)]
+        lines += ["r(C, s(X)) :- r(C, X)."]
+        lines += [f"r(c{j}, 0)." for j in range(40)]
         program = parse_program("\n".join(lines))
         goal = program.queries[0].predicate
         base = initial_rules(program, goal)
@@ -528,7 +533,8 @@ class TestDeadline:
         monkeypatch.setattr(unfold, "_clashes", counting_clashes)
         monkeypatch.setattr(unfold, "time", SimpleNamespace(monotonic=lambda: float(calls)))
         _, stats = saturate(program, base, UnfoldBudget(wall_clock=1e9), goal=goal)
-        assert stats.stop == "fixpoint" and stats.generated == 0 and calls == 3240
+        assert len(base) == 40
+        assert stats.stop == "fixpoint" and stats.generated == 0 and calls == 1600
         calls = 0
         _, stats = saturate(program, base, UnfoldBudget(wall_clock=100.0), goal=goal)
         assert stats.stop == "timeout" and stats.generated == 0
@@ -663,6 +669,20 @@ class TestClashFilter:
         assert _clashes(App(_PAIR, (Var("X"), ZERO)), App(_PAIR, (Var("U"), NIL)))
         assert not _clashes(App(_PAIR, (power, ZERO)), App(_PAIR, (Var("U"), Var("V"))))
         assert not _clashes(App(_PAIR, (Var("X"), Var("X"))), App(_PAIR, (ZERO, NIL)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lhss=st.lists(_power_terms("XYZ"), max_size=8), atom=_power_terms("XUV"))
+    @example(lhss=[Var("X"), App(S, (ZERO,)), App(G, (Var("Y"),))], atom=Var("U"))
+    @example(lhss=[App(S, (Var("X"),)), Var("Y"), App(_POWERS[0], (ZERO,))], atom=App(G, (NIL,)))
+    def test_root_groups_keep_every_rule_that_does_not_clash(self, lhss, atom):
+        # Slot lists are filtered from the pool's group for the atom's root
+        # only; they must be what filtering the whole pool gives, in order.
+        # A body atom is never a power.
+        if isinstance(atom, App) and atom.symbol.is_power:
+            return
+        rules = [PatternRule(lhs, EPSILON) for lhs in lhss]
+        want = [id(r) for r in rules if not _clashes(r.lhs, atom)]
+        assert [id(r) for r in _by_root(rules)(atom) if not _clashes(r.lhs, atom)] == want
 
 
 def own_seed_picks(rule, pool, patid):
@@ -1209,6 +1229,50 @@ class TestInstanceSubsumption:
         merged = apply(parts, Subst({v: vs[0] for v in vs}))
         variants = match(parts, merged) is not None and match(merged, parts) is not None
         assert (canonical_key(merged) == canonical_key(parts)) == variants
+
+
+class TestKeysOnShapeHits:
+    """Stored families and seeds are bucketed by the shapes of their sides
+    (`pattern.VariantMap`); a canonical key is built only when a bucket
+    already holds a family."""
+
+    @staticmethod
+    def counted_keys(monkeypatch) -> list:
+        # Patched in every module that binds it, as `TestDeadline` patches
+        # `unfold.unify`, so a key built anywhere is counted.
+        keyed = []
+        real = canonical_key
+
+        def counting(parts):
+            keyed.append(parts)
+            return real(parts)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("nonterm") and vars(module).get("canonical_key") is real:
+                monkeypatch.setattr(module, "canonical_key", counting)
+        return keyed
+
+    def test_bundled_programs_build_no_key(self, monkeypatch):
+        # Every family these programs store or seed is new and has shapes
+        # no earlier one has, so none is keyed.
+        keyed = self.counted_keys(monkeypatch)
+        proved = 0
+        for path in sorted(PROGRAMS_DIR.glob("*.pl")):
+            program = parse_program(path.read_text(), path.stem)
+            for query in program.queries:
+                proved += prove(program, query).proven
+        assert proved > 0 and keyed == []
+
+    def test_covered_families_are_still_refused(self, monkeypatch):
+        # SHRINK_TWICE derives shifts and an instance of its seeds, which
+        # share their shapes: they are keyed, and refused as before.
+        keyed = self.counted_keys(monkeypatch)
+        out = io.StringIO()
+        program = parse_program(SHRINK_TWICE, "shrink-twice")
+        _, stats = saturate(program, initial_rules(program), UnfoldBudget(max_iterations=3), trace=out)
+        lines = [l for l in out.getvalue().splitlines() if l.startswith("subsumed:")]
+        assert lines == TestSubsumption.SHRINK_LINES and stats.subsumed == 3
+        assert keyed
 
 
 # The gt/le/add/mul library of the clash loops.
