@@ -18,12 +18,13 @@ Rule families are stored as normalized power terms.  The paper writes a
 family as skeleton . sigma^n . mu; a seed is built by applying to its
 skeleton a substitution that sends each variable sigma moves to one power
 (`power_form`), and that notation is left to the tests.  Families are
-unified (`pattern_mgu`) by `terms.unify`, the one unifier of the prover:
-two powers of the same context and slope meet by peeling the smaller
-offset off both.  Any other pair of distinct power symbols clashes, which
-is known to be incomplete: a unifiable pair may still fail when the two
-sides factor the same tower through powers of different slopes, or
-through a power on one side and concrete layers on the other.  A unifier
+unified by `terms.unify`, the one unifier of the prover, which the search
+calls slot by slot: two powers of the same context and slope meet by
+peeling the smaller offset off both.  Any other pair of distinct power
+symbols clashes, which is known to be incomplete: a unifiable pair may
+still fail when the two sides factor the same tower through powers of
+different slopes, or through a power on one side and concrete layers on
+the other.  A unifier
 need not have the paper's shape: a binding may hold a power under a plain
 symbol, or powers of two contexts.  Expansion at an index is a
 homomorphism, so its instances are still the classical unifiers; the
@@ -289,6 +290,11 @@ def pattern_mgu(
     the unifier extends it.  Fails (None) when the sequences differ in
     length or the terms clash; failure does not entail non-unifiability.
     Bindings are resolved but not normalized, and may have any shape.
+
+    No prover code calls it: the search calls `terms.unify` and reads the
+    derived rule off the triangular map (`unfold._derive`).  It is kept for
+    the tests, whose reference search unifies a whole selection at once,
+    and `unfold` still binds it for `bench/layers.py`, which traces it.
     """
     if len(left) != len(right):
         return None

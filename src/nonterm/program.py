@@ -50,8 +50,10 @@ class Rule:
 
     @cached_property
     def _vars(self) -> frozenset[Var]:
-        # Computed once: every unfolding round and interpreter step renames
-        # program rules apart.  The parser fills it from its variable table.
+        # Computed once: every unfolding step avoids the program rule's
+        # variables when it renames a pick, and every interpreter step
+        # renames the rule apart.  The parser fills it from its variable
+        # table.
         return term_vars((self.head, *self.body))
 
     def __repr__(self) -> str:

@@ -18,11 +18,14 @@ equality, substitution application, unification, variable collection --
 are iterative and short-circuit on ground subterms instead of recursing
 node by node.  Every
 walk that builds a new term (substitution, replacing a subterm, and the
-power walks of `powers`) is one `rebuild`: a bottom-up pass that visits
-each node of the DAG once and keeps it shared.  A substitution (`Subst`)
-is a plain dict from variables to terms, and `apply` is its one walk:
-plugging a context and resolving a triangular unifier (`resolve`, one
-`apply` per bound variable) go through it.
+power walks of `powers`) is one `rebuild`, a bottom-up pass that visits
+each node of the DAG once and keeps it shared, but one: a triangular
+unifier is read by its own walk of that kind, `apply_triangular`, which
+follows bindings as it meets them and may rename the unbound variables
+apart as it goes.  A substitution (`Subst`) is a plain dict from variables
+to terms, and `apply` is its one walk; plugging a context goes through it.
+`resolve`, the substitution a triangular unifier stands for, is
+`apply_triangular` over its bound variables.
 `canonical_key` keys a tuple of terms up to renaming: two tuples are
 variants exactly when their keys are equal.
 
@@ -409,31 +412,75 @@ def unify(
     return b
 
 
-def resolve(bindings: Mapping[Var, Term]) -> Subst:
-    """The idempotent substitution a triangular binding map stands for.
+def apply_triangular(
+    ts: Sequence[Term], bindings: Mapping[Var, Term], source: Optional[VarSource] = None
+) -> tuple[tuple[Term, ...], frozenset[Var]]:
+    """The terms under a triangular binding map, and the fresh variables made.
 
-    Bound variables are resolved in dependency order, each after the bound
-    variables of its binding; the order is kept on an explicit stack, so a
-    long binding chain cannot overflow.  Resolving a variable applies the
-    results so far to its binding; a binding without bound variables is its
-    own result.
+    The triangular counterpart of `apply`: a bound variable becomes its
+    binding, itself read through the map, and a variable the map leaves
+    unbound is kept or, with a `source`, renamed to a fresh variable of it,
+    one per variable, in an order fixed by the terms.  Those fresh
+    variables, which are then all the variables of the result, are returned
+    with it.  They never repeat a name the source gave before, but they may
+    repeat one of the input's (a variable a user spelled `_3`).
+
+    One walk on an explicit stack, so neither a deep term nor a long
+    binding chain can overflow.  Results are kept per node and per bound
+    variable, so each is read once and a subterm shared in the terms or in
+    the bindings stays shared.  The map must be acyclic, as `unify` leaves
+    it.
     """
-    done: dict[Var, Term] = {}
-    for v in bindings:
-        # (x, True) is popped only after every variable pushed above it.
-        stack = [(v, False)]
+    done: dict[int, Term] = {}
+    made: list[Var] = []
+    get = bindings.get
+    for t in ts:
+        if t.ground:
+            continue
+        # A node is pushed to be walked, and pushed again as (node,) below
+        # its arguments, to be built once they are done.
+        stack: list = [t]
         while stack:
-            x, ready = stack.pop()
-            if x in done:
+            u = stack.pop()
+            if type(u) is tuple:
+                (u,) = u
+                args = tuple([a if a.ground else done[id(a)] for a in u.args])
+                # With a source every variable is renamed, so every node
+                # walked changes.
+                keep = source is None and all(x is y for x, y in zip(args, u.args))
+                done[id(u)] = u if keep else App(u.symbol, args)
+            elif id(u) in done:
                 continue
-            w = bindings[x]
-            deps = [] if ready or w.ground else [y for y in term_vars(w) if y in bindings]
-            if deps:
-                stack.append((x, True))
-                stack.extend((y, False) for y in deps)
+            elif type(u) is Var:
+                w = get(u)
+                if w is None:
+                    if source is None:
+                        r = u
+                    else:
+                        r = source.fresh()
+                        made.append(r)
+                elif w.ground:
+                    r = w
+                else:
+                    r = done.get(id(w))
+                    if r is None:
+                        stack += (u, w)
+                        continue
+                done[id(u)] = r
             else:
-                done[x] = apply(w, done) if ready else w
-    return {v: done[v] for v in bindings}
+                stack.append((u,))
+                stack.extend([a for a in reversed(u.args) if not (a.ground or id(a) in done)])
+    out = tuple([t if t.ground else done[id(t)] for t in ts])
+    return out, frozenset(made)
+
+
+def resolve(bindings: Mapping[Var, Term]) -> Subst:
+    """The idempotent substitution a triangular binding map stands for:
+    each bound variable read through the map (`apply_triangular`), with
+    the unbound variables kept."""
+    bound = tuple(bindings)
+    resolved, _ = apply_triangular(bound, bindings)
+    return dict(zip(bound, resolved))
 
 
 def _pairs(left, right) -> Optional[list[tuple[Term, Term]]]:

@@ -4,7 +4,11 @@ One step unfolds a prefix of a program rule's body with already-derived
 pattern rules: the first atoms are closed by rules whose right side is
 empty, the last consumed atom contributes its right side, and the unifier
 theta of the selected left sides against the body prefix, over power
-terms, instantiates the rule head and that right side.  Expansion at an
+terms, instantiates the rule head and that right side.  theta is kept as a
+triangular map (`terms.unify`), and the derived rule is read through it in
+one walk that renames its variables apart as it builds the rule
+(`terms.apply_triangular`), so only the picks that still collide with the
+program rule or with each other are renamed.  Expansion at an
 index is a homomorphism, so the result at n is exactly the classical
 unfolding of the selected instances at n.  Iterating from a seed set of
 correct rules keeps every derived rule correct, so a detector can be run
@@ -19,7 +23,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, TextIO
 
 from .pattern import PatternRule, VariantMap, identity_rules, rule_base
-from .powers import instance_root, is_simple, normalize, pattern_mgu
+# `pattern_mgu` is bound but not called here: the benchmark's tracer and
+# tests read `unfold.pattern_mgu`.
+from .powers import instance_root, is_simple, normalize, pattern_mgu  # noqa: F401
 from .program import Program, Rule
 from .terms import (
     Subst,
@@ -27,6 +33,7 @@ from .terms import (
     Term,
     Var,
     apply,
+    apply_triangular,
     fresh_renaming,
     same_slope,
     strip_power,
@@ -306,12 +313,18 @@ def _join(
     """Depth-first walk of the selections for one body prefix, in the
     order of `itertools.product` over the slots.
 
-    Each pick is renamed when it shares a variable with the program rule
-    or with an earlier pick (so a second pick of the same rule is renamed
-    unless the rule is ground), and its left side is unified with its body
-    atom on top of the earlier picks' triangular bindings.  A pick that
-    fails there yields one None and its subtree is skipped; a pick that
-    leaves no way to use a new rule is skipped without unifying."""
+    Each pick's left side is unified with its body atom on top of the
+    earlier picks' triangular bindings (`terms.unify`, the last slot's
+    too).  A pick that fails at an inner slot yields one None and its
+    subtree is skipped; a pick that leaves no way to use a new rule is
+    skipped without unifying.  A complete selection derives its rule from
+    the bindings (`_derive`).
+
+    Derived rules have fresh variables, so a pick is renamed only when it
+    still shares a variable with the program rule or with an earlier pick:
+    a seed, which carries the program's names; a rule picked a second time
+    in the selection, unless it is ground; or a program variable spelled
+    like a fresh name."""
     if not all(slots):
         return
     depth = len(slots)
@@ -333,30 +346,40 @@ def _join(
             if not avoid.isdisjoint(pr.vars()):
                 picked = rename_pattern_rule(pr, fresh_renaming(pr.vars(), avoid, source))
             here = (*combo, pr)
-            if j + 1 == depth:
-                theta = pattern_mgu([picked.lhs], [prefix[j]], bindings)
-                yield _derive(rule.head, picked, theta), (*provenance, here)
-                continue
             extended = unify(bindings, [(picked.lhs, prefix[j])])
-            if extended is None:
+            if j + 1 == depth:
+                yield _derive(rule.head, picked, extended, source), (*provenance, here)
+            elif extended is None:
                 yield None, (*provenance, here)
-                continue
-            yield from walk(j + 1, extended, avoid | picked.vars(), here, uses_new)
+            else:
+                yield from walk(j + 1, extended, avoid | picked.vars(), here, uses_new)
 
     yield from walk(0, {}, rule_vars, (), False)
 
 
-def _derive(head: Term, last: PatternRule, theta: Optional[Subst]) -> Optional[PatternRule]:
-    """The rule a selection derives from its unifier, or None."""
-    if theta is None:
+def _derive(
+    head: Term, last: PatternRule, bindings: Optional[dict[Var, Term]], source: VarSource
+) -> Optional[PatternRule]:
+    """The rule a selection derives from its triangular unifier, or None.
+
+    The head and the last pick's right side are read through the bindings
+    in one walk (`terms.apply_triangular`), which gives every variable
+    left unbound a fresh one of `source`, and then normalized.  So a
+    stored rule shares no variable with a program rule or with another
+    derived rule, and its variables are known without a second walk."""
+    if bindings is None:
         return None
+    (lhs, rhs), fresh = apply_triangular((head, last.rhs), bindings, source)
     # A power of one context may land inside a power of another, on either
     # side, a shape no stored family has, so such a result is dropped.
-    lhs = normalize(apply(head, theta))
-    rhs = normalize(apply(last.rhs, theta))
+    lhs, rhs = normalize(lhs), normalize(rhs)
     if not (is_simple(lhs) and is_simple(rhs)):
         return None
-    return PatternRule(lhs, rhs)
+    rule = PatternRule(lhs, rhs)
+    # Normalizing moves only ground context layers, so it keeps every
+    # variable.
+    rule.__dict__["_vars"] = fresh  # fills PatternRule.vars()
+    return rule
 
 
 def saturate(

@@ -46,6 +46,7 @@ from nonterm.terms import (
     Symbol,
     Var,
     apply,
+    apply_triangular,
     canonical_key,
     commutes,
     compose,
@@ -314,6 +315,51 @@ class TestUnifierProperties:
         # The occurs check sees X through Y's binding.
         assert unify(bindings, [(Var("Z"), term("s(Z)"))]) is None
         assert unify({Var("Y"): term("g(X)")}, [(Var("X"), term("s(Y)"))]) is None
+
+
+class TestApplyTriangular:
+    @settings(max_examples=400, deadline=None)
+    @given(pairs=_PAIRS, extra=st.lists(_terms(), max_size=2))
+    @example(pairs=[(term("f(Y,X)"), term("f(g(X),f(Z,Z))"))], extra=[term("f(W,Y)")])
+    def test_resolved_terms_renamed_apart(self, pairs, extra):
+        # The terms read through a triangular map: exactly the resolved
+        # substitution applied, and with a source a variant of that whose
+        # variables are all fresh, and are the ones reported.
+        bindings = unify({}, pairs)
+        if bindings is None:
+            return
+        ts = (*(l for l, _ in pairs), *extra)
+        want = apply(ts, resolve(bindings))
+        assert apply_triangular(ts, bindings) == (want, frozenset())
+        got, made = apply_triangular(ts, bindings, VarSource())
+        assert canonical_key(got) == canonical_key(want)
+        assert term_vars(got) == made
+        assert not made & (term_vars(ts) | set(bindings) | term_vars(tuple(bindings.values())))
+
+    def test_shared_subterms_stay_shared(self):
+        x, y = Var("X"), Var("Y")
+        shared = App(F, (y, ZERO))
+        bindings = {x: App(G, (shared,))}
+        (a, b), made = apply_triangular((App(F, (x, shared)), shared), bindings, VarSource())
+        assert a.args[0].args[0] is a.args[1] is b
+        assert made == {b.args[0]}
+
+    def test_long_binding_chain(self):
+        # X0 -> f(X1), ..., X9999 -> f(X10000), walked from X0 alone.
+        f = Symbol("f", 1)
+        xs = [Var(f"X{i}") for i in range(10_001)]
+        bindings = {x: App(f, (y,)) for x, y in zip(xs, xs[1:])}
+        (t,), made = apply_triangular((xs[0],), bindings, VarSource())
+        (fresh,) = made
+        assert t == plug(context_power(App(f, (HOLE,)), 10_000), fresh)
+        assert apply_triangular((xs[0],), bindings)[0] == (apply(t, {fresh: xs[-1]}),)
+
+    def test_deep_tower(self):
+        x, y = Var("X"), Var("Y")
+        tall = plug(context_power(App(S, (HOLE,)), 10_000), x)
+        (t,), made = apply_triangular((tall,), {x: App(G, (y,))}, VarSource())
+        (fresh,) = made
+        assert t == plug(context_power(App(S, (HOLE,)), 10_000), App(G, (fresh,)))
 
 
 def _binds_a_variable_to_itself(theta) -> bool:

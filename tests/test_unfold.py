@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 import sys
 from functools import reduce
 from itertools import product
@@ -827,6 +828,107 @@ class TestSameAsFullRenaming:
             new = {id(r) for r in list(stored)[len(snapshot):]}
 
 
+# Three controls that never pump and run to the round cap: each round
+# unfolds the family the round before stored, one layer larger.
+CAP_CONTROLS = {
+    "len": "%query: len(i,i).\nlen(nil, 0).\nlen(cons(X, L), s(N)) :- len(L, N).\n",
+    "app": "%query: app(i,i,i).\napp(nil, L, L).\n"
+    "app(cons(X, L1), L2, cons(X, L3)) :- app(L1, L2, L3).\n",
+    "shift": "%query: f(i,i).\nf(s(X), Y) :- f(X, s(Y)).\nf(0, Y).\n",
+}
+
+_VARIABLE = re.compile(r"\b[A-Z_][A-Za-z0-9_]*")
+
+
+def _spelled_fresh(text: str) -> str:
+    """The program with its variables renamed _0, _1, ..., in order of
+    first occurrence: the names a `VarSource` hands out first.  Comments,
+    the query directives among them, are kept as they are."""
+    names: dict[str, str] = {}
+
+    def rename(m):
+        return names.setdefault(m.group(), f"_{len(names)}")
+
+    lines = []
+    for line in text.splitlines():
+        code, percent, comment = line.partition("%")
+        lines.append(_VARIABLE.sub(rename, code) + percent + comment)
+    return "\n".join(lines) + "\n"
+
+
+class TestFreshFamilies:
+    """A derived family gets fresh variables as it is built
+    (`unfold._derive`), so a pick is renamed only when it collides: a seed,
+    which carries the program's names, a family picked twice in one
+    selection, or a program variable spelled like a fresh name."""
+
+    @staticmethod
+    def counted_renames(monkeypatch) -> list:
+        renamed = []
+        real = unfold.rename_pattern_rule
+
+        def counting(rule, ren):
+            renamed.append(rule)
+            return real(rule, ren)
+
+        monkeypatch.setattr(unfold, "rename_pattern_rule", counting)
+        return renamed
+
+    @pytest.mark.parametrize("name", sorted(CAP_CONTROLS))
+    def test_cap_controls_rename_nothing(self, monkeypatch, name):
+        renamed = self.counted_renames(monkeypatch)
+        program = parse_program(CAP_CONTROLS[name], name)
+        budget = UnfoldBudget(wall_clock=3600.0, max_iterations=8)
+        outcome = prove(program, program.queries[0], budget)
+        assert (outcome.status, outcome.reason, outcome.unfolded) == ("unknown", "iteration-cap", 8)
+        assert renamed == []
+
+    def test_a_second_pick_is_still_renamed(self, monkeypatch):
+        # The f rule shares no variable with the g families, so a pick is
+        # renamed only for an earlier pick of the same selection: the same
+        # family, or another seed of the g rule, which shares its names.
+        renamed = self.counted_renames(monkeypatch)
+        program = parse_program(CALLS_TWICE, "calls-twice")
+        patid = identity_rules(program.symbols)
+        seeds = initial_rules(program)
+        stored = PatternRuleSet(seeds)
+        source, twice, new = VarSource(), set(), None
+        for _ in range(4):
+            snapshot = list(stored)
+            for rule, (_, _, combo) in _attempts(program, snapshot, patid, source, new):
+                twice.update(id(r) for r in combo if combo.count(r) > 1)
+                if rule is not None:
+                    stored.add(rule)
+            new = {id(r) for r in list(stored)[len(snapshot):]}
+        assert len(stored) > len(seeds)
+        # `_derive` fills each rule's variables from its walk.
+        assert all(r.vars() == term_vars((r.lhs, r.rhs)) for r in stored)
+        assert any(id(r) in twice for r in renamed)
+        assert all(id(r) in twice or any(r is s for s in seeds) for r in renamed)
+
+    SOURCES = {**PROGRAM_SOURCES, "calls-twice": CALLS_TWICE}
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_same_answers_with_fresh_spelled_variables(self, name):
+        # Program variables named like fresh ones collide with derived
+        # families; the picks that collide are renamed, and every answer
+        # stays as it was.
+        text = self.SOURCES[name]
+        spelled = _spelled_fresh(text)
+        assert re.search(r"\b_0\b", spelled)
+        budget = UnfoldBudget(wall_clock=3600.0, max_iterations=8)
+        answers = []
+        for src in (text, spelled):
+            program = parse_program(src, name)
+            answers.append(
+                [
+                    (o.status, o.reason, o.unfolded, str(o.witness))
+                    for o in (prove(program, q, budget) for q in program.queries)
+                ]
+            )
+        assert answers[0] and answers[0] == answers[1]
+
+
 # shrink with its recursive clause written twice.
 SHRINK_TWICE = "%query: f(i).\nf(s(X)) :- f(X).\nf(s(X)) :- f(X).\nf(0).\n"
 
@@ -1018,11 +1120,13 @@ class TestSubsumption:
     # The second copy of shrink's recursive clause built no seed, so it is
     # unfolded with the closing seed, the open seed and the identity: the
     # first two give their own shift by one, the last the open seed's
-    # instance at 0.
+    # instance at 0.  A derived family's variables are fresh: the open
+    # seed shares X with the clause, so its pick is renamed to _0 and the
+    # family gets _1; the identity's gets _2.
     SHRINK_LINES = [
         "subsumed: f(s(#1)^(1n+1)(0)) => ε  (shift 1 of f(s(#1)^(1n+0)(0)) => ε)",
-        "subsumed: f(s(#1)^(1n+2)(_0)) => f(_0)  (shift 1 of f(s(#1)^(1n+1)(X)) => f(X))",
-        "subsumed: f(s(X)) => f(X)  (instance n=0 of f(s(#1)^(1n+1)(X)) => f(X))",
+        "subsumed: f(s(#1)^(1n+2)(_1)) => f(_1)  (shift 1 of f(s(#1)^(1n+1)(X)) => f(X))",
+        "subsumed: f(s(_2)) => f(_2)  (instance n=0 of f(s(#1)^(1n+1)(X)) => f(X))",
     ]
 
     def test_counted_and_traced(self):
