@@ -373,6 +373,10 @@ def unify(
     tower c^b(u), and this is still syntactic unification, so the rule is
     sound and complete and the result does not depend on the order of the
     equations.  Any other two distinct symbols clash, power or not.
+
+    This is the one place that decides which symbols meet: unfolding
+    offers a body atom every family of its root symbol and leaves the
+    rest to this test.
     """
     b = dict(bindings)
     eqs = deque(pairs)
@@ -398,7 +402,7 @@ def unify(
             continue
         elif x.symbol != y.symbol:
             p, q = x.symbol, y.symbol
-            if not same_slope(p, q):
+            if not (p.is_power and q.is_power and p.a == q.a and p.context == q.context):
                 return None
             # Peel the smaller offset off both sides; each keeps its side.
             if p.b <= q.b:
@@ -618,12 +622,6 @@ def concrete_power(c: Term, k: int, inner: Term) -> Term:
     for _ in range(k):
         inner = plug(c, inner)
     return inner
-
-
-def same_slope(p, q) -> bool:
-    """Whether symbols p and q are powers of one context and slope, which
-    `unify` meets whatever their offsets."""
-    return p.is_power and q.is_power and p.a == q.a and p.context == q.context
 
 
 def strip_power(t: Term, c: Term) -> tuple[int, Term]:

@@ -4,16 +4,18 @@ One step unfolds a prefix of a program rule's body with already-derived
 pattern rules: the first atoms are closed by rules whose right side is
 empty, the last consumed atom contributes its right side, and the unifier
 theta of the selected left sides against the body prefix, over power
-terms, instantiates the rule head and that right side.  theta is kept as a
-triangular map (`terms.unify`), and the derived rule is read through it in
-one walk that renames its variables apart as it builds the rule
-(`terms.apply_triangular`), so only the picks that still collide with the
-program rule or with each other are renamed.  Expansion at an
-index is a homomorphism, so the result at n is exactly the classical
-unfolding of the selected instances at n.  Iterating from a seed set of
-correct rules keeps every derived rule correct, so a detector can be run
-on each insertion.  Saturation rarely terminates on interesting programs;
-budgets (wall clock, rounds, rule count) bound every run.
+terms, instantiates the rule head and that right side.  A body atom is
+offered the rules of its root symbol, and `terms.unify` alone decides
+which of them meet it.  theta is kept as a triangular map (`terms.unify`),
+and the derived rule is read through it in one walk that renames its
+variables apart as it builds the rule (`terms.apply_triangular`), so only
+the picks that still collide with the program rule or with each other are
+renamed.  Expansion at an index is a homomorphism, so the result at n is
+exactly the classical unfolding of the selected instances at n.  Iterating
+from a seed set of correct rules keeps every derived rule correct, so a
+detector can be run on each insertion.  Saturation rarely terminates on
+interesting programs; budgets (wall clock, rounds, rule count) bound every
+run.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .terms import (
     apply,
     apply_triangular,
     fresh_renaming,
-    same_slope,
     strip_power,
     unify,
     VarSource,
@@ -197,30 +198,12 @@ def rename_pattern_rule(rule: PatternRule, ren: Subst) -> PatternRule:
     return PatternRule(apply(rule.lhs, ren), apply(rule.rhs, ren))
 
 
-def _clashes(a: Term, b: Term) -> bool:
-    """True when a and b carry different symbols at a position where
-    neither has a variable, and those are not two powers of one context
-    and slope.  Such a pair never unifies (`terms.unify`), whatever other
-    equations join it.  Two powers that differ only in offset are not
-    looked into."""
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if a is b or isinstance(a, Var) or isinstance(b, Var):
-            continue
-        if a.symbol != b.symbol:
-            if not same_slope(a.symbol, b.symbol):
-                return True
-            continue
-        stack.extend(zip(a.args, b.args))
-    return False
-
-
 def _by_root(rules: list[PatternRule]) -> Callable[[Term], list[PatternRule]]:
-    """For a body atom, the rules that can get past `_clashes` with it, in
-    their order: those whose left side has the atom's root symbol or is a
-    variable (every rule for a variable atom).  A body atom is never a
-    power, so any other root clashes with it, a power root included."""
+    """For a body atom, the rules whose left side can unify with it, as
+    far as its root symbol tells, in their order: those whose left side
+    has the atom's root symbol or is a variable (every rule for a variable
+    atom).  A body atom is never a power, so any other root clashes with
+    it, a power root included.  Below the root, `terms.unify` decides."""
     groups: dict[object, list[PatternRule]] = {}
     loose: list[PatternRule] = []
     for pr in rules:
@@ -253,14 +236,13 @@ def _attempts(
     last), the last slot varying fastest.
 
     Each body atom's slot lists are built from the pool when the step
-    reaches its program rule, keeping pool order, and hold only the rules
-    whose left side does not clash with the atom (`_clashes`), which is
-    tried only on the pool's rules of the atom's root symbol (`_by_root`,
-    grouped once per step), and likewise for the identities: an inner
-    slot takes the closing rules (right side epsilon), and the slot a
-    prefix ends with takes the others (any rule at the last atom), then
-    the identities.  The clock is read before each slot list is built, and
-    past the `deadline` (a `time.monotonic` reading) the step ends.
+    reaches its program rule, keeping pool order, and hold the pool's
+    rules of the atom's root symbol (`_by_root`, grouped once per step),
+    and likewise for the identities: an inner slot takes the closing
+    rules (right side epsilon), and the slot a prefix ends with takes the
+    others (any rule at the last atom), then the identities.  The clock is
+    read before each slot list is built, and past the `deadline` (a
+    `time.monotonic` reading) the step ends.
 
     A one-atom rule's slot leaves out the seeds whose `source` it is, and
     the identities while its open seed is in the pool.  A seed is that
@@ -290,12 +272,12 @@ def _attempts(
         for i, atom in enumerate(rule.body):
             if time.monotonic() > deadline:
                 return
-            fits = [pr for pr in pool_at(atom) if pr.source is not rule and not _clashes(pr.lhs, atom)]
+            fits = [pr for pr in pool_at(atom) if pr.source is not rule]
             if i < last:
                 closing.append([pr for pr in fits if pr.rhs_is_epsilon()])
                 fits = [pr for pr in fits if not pr.rhs_is_epsilon()]
             identities = () if id(rule) in opened else patid_at(atom)
-            ending.append([*fits, *(pr for pr in identities if not _clashes(pr.lhs, atom))])
+            ending.append([*fits, *identities])
         rule_vars = rule.vars()
         for i in range(1, len(rule.body) + 1):
             slots = [*closing[: i - 1], ending[i - 1]]

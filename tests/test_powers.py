@@ -390,6 +390,14 @@ class TestPowerUnify:
         # A power against concrete layers of its context stays a clash.
         assert pattern_mgu([pw(S1, 1, 1, X)], [term("s(Y)")]) is None
 
+    def test_offsets_do_not_clash(self):
+        # Two powers of one context and slope meet whatever their offsets,
+        # in either order; another slope or context clashes.
+        assert unify({}, [(pw(S1, 1, 0, X), pw(S1, 1, 1, term("0")))]) == {X: term("s(0)")}
+        assert unify({}, [(pw(S1, 1, 1, term("0")), pw(S1, 1, 0, X))]) == {X: term("s(0)")}
+        assert unify({}, [(pw(S1, 1, 0, X), pw(S1, 2, 0, Y))]) is None
+        assert unify({}, [(pw(S1, 1, 0, X), pw(App(F, (HOLE, term("0"))), 1, 0, Y))]) is None
+
     def test_ground_spellings_of_one_tower_unify(self):
         assert unify({}, [(pw(S1, 1, 1, term("0")), pw(S1, 1, 0, term("s(0)")))]) == {}
 

@@ -71,7 +71,6 @@ from nonterm.unfold import (
     UnfoldBudget,
     _attempts,
     _by_root,
-    _clashes,
     _toward,
     rename_pattern_rule,
     saturate,
@@ -509,37 +508,40 @@ class TestDeadline:
         assert list(stored) == [] and len(reads) == 2
 
     def test_slot_lists_are_cut(self, monkeypatch):
-        # Every family in the pool has the root of the `p` rules' body
-        # atoms and clashes with each of them below it, so the step builds
-        # 40 slot lists of 40 `_clashes` calls each and yields nothing (the
-        # recursive rule's own seeds are left out of its slot untested).  A
-        # clock that only `_clashes` advances, by 1 a call, passes the
-        # deadline 100 inside the third list: the read before the next one
-        # must end the run, one pass over the pool later.
+        # No family has the root of a body atom (no `q` predicate has one,
+        # and the recursive `r` rule's own seeds are left out of its slot),
+        # so all 41 slot lists are empty and the step yields nothing: the
+        # reads before them are its only reads.  A clock that counts its
+        # own reads passes the deadline at the read before one of them,
+        # and that read must end the run.
         lines = ["%query: p(i)."]
-        lines += [f"p(X) :- r(c{i}, nil)." for i in range(40)]
+        lines += [f"p(X) :- q{i}(c{i}, nil)." for i in range(40)]
         lines += ["r(C, s(X)) :- r(C, X)."]
         lines += [f"r(c{j}, 0)." for j in range(40)]
         program = parse_program("\n".join(lines))
         goal = program.queries[0].predicate
         base = initial_rules(program, goal)
-        calls = 0
-        real_clashes = unfold._clashes
+        reads = 0
 
-        def counting_clashes(a, b):
-            nonlocal calls
-            calls += 1
-            return real_clashes(a, b)
+        def monotonic():
+            nonlocal reads
+            reads += 1
+            return float(reads)
 
-        monkeypatch.setattr(unfold, "_clashes", counting_clashes)
-        monkeypatch.setattr(unfold, "time", SimpleNamespace(monotonic=lambda: float(calls)))
-        _, stats = saturate(program, base, UnfoldBudget(wall_clock=1e9), goal=goal)
-        assert len(base) == 40
-        assert stats.stop == "fixpoint" and stats.generated == 0 and calls == 1600
-        calls = 0
-        _, stats = saturate(program, base, UnfoldBudget(wall_clock=100.0), goal=goal)
+        monkeypatch.setattr(unfold, "time", SimpleNamespace(monotonic=monotonic))
+        stored, stats = saturate(program, base, UnfoldBudget(wall_clock=1e9), goal=goal)
+        # One read sets the deadline, one comes before each of the 40
+        # seeds and each of the 41 slot lists, and one ends the round.
+        assert len(base) == 40 and len(stored) == 40
+        assert stats.stop == "fixpoint" and stats.generated == 0
+        assert reads == 1 + 40 + 41 + 1
+        # The deadline is 1 + 60: read 62, before the 21st slot list, is
+        # the first past it.  It ends the step, and the read after the
+        # round ends the run, with no further slot list.
+        reads = 0
+        _, stats = saturate(program, base, UnfoldBudget(wall_clock=60.0), goal=goal)
         assert stats.stop == "timeout" and stats.generated == 0
-        assert calls <= 100 + 40
+        assert reads == 62 + 1
 
 
 class TestExactness:
@@ -587,7 +589,7 @@ class TestExactness:
 
 
 # Power symbols over two contexts, s(#1) and f(#1, 0), at several slopes
-# and offsets: distinct symbols, each opaque to the unifier.
+# and offsets: the first two meet in the unifier, and any other two clash.
 _S_CTX = App(S, (HOLE,))
 _F_CTX = App(F, (HOLE, ZERO))
 _POWERS = [
@@ -596,7 +598,6 @@ _POWERS = [
     PowerSymbol(_S_CTX, 2, 0),
     PowerSymbol(_F_CTX, 1, 0),
 ]
-_PAIR = Symbol("p", 2)
 
 
 def _power_terms(names):
@@ -611,79 +612,26 @@ def _power_terms(names):
     return st.recursive(leaves, extend, max_leaves=6)
 
 
-class TestClashFilter:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        lhs=_power_terms("XYZ"),
-        atom=_power_terms("XUV"),
-        extra=st.tuples(_power_terms("XYZ"), _power_terms("XUV")),
-    )
-    @example(
-        lhs=App(_POWERS[0], (Var("X"),)),
-        atom=App(S, (Var("U"),)),
-        extra=(Var("X"), Var("U")),
-    )
-    @example(
-        lhs=App(F, (Var("X"), App(_POWERS[1], (ZERO,)))),
-        atom=App(F, (App(S, (Var("U"),)), App(_POWERS[2], (Var("V"),)))),
-        extra=(Var("Y"), Var("V")),
-    )
-    # Two powers of s at slope 1, offsets 0 and 1: the filter lets them
-    # through, and the power-level unifier peels them to X = s(U).
-    @example(
-        lhs=App(_POWERS[0], (App(S, (Var("X"),)),)),
-        atom=App(_POWERS[1], (Var("U"),)),
-        extra=(Var("X"), Var("U")),
-    )
-    @example(
-        lhs=App(F, (App(_POWERS[1], (Var("X"),)), ZERO)),
-        atom=App(F, (App(_POWERS[0], (ZERO,)), NIL)),
-        extra=(Var("Y"), Var("V")),
-    )
-    def test_rejected_pairs_never_unify(self, lhs, atom, extra):
-        # The filter looks at the stored family, before renaming; whatever
-        # the other equations of a selection, a rejected pair fails, for
-        # the plain unifier and for the power-level one the join uses.
-        if not _clashes(lhs, atom):
-            return
-        avoid = term_vars(atom) | term_vars(extra[1])
-        ren = fresh_renaming(term_vars(lhs) | term_vars(extra[0]), avoid, VarSource())
-        lhs, left = apply(lhs, ren), apply(extra[0], ren)
-        assert mgu(lhs, atom) is None
-        assert unfold.unify({}, [(lhs, atom), (left, extra[1])]) is None
-        assert unfold.unify({}, [(left, extra[1]), (lhs, atom)]) is None
-        assert pattern_mgu([lhs, left], [atom, extra[1]]) is None
-
-    def test_offsets_do_not_clash(self):
-        # Same context and slope: not rejected, whatever the arguments.
-        x_power = App(_POWERS[0], (Var("X"),))
-        assert not _clashes(x_power, App(_POWERS[1], (ZERO,)))
-        assert not _clashes(App(_POWERS[1], (NIL,)), App(_POWERS[0], (ZERO,)))
-        assert unfold.unify({}, [(x_power, App(_POWERS[1], (ZERO,)))]) is not None
-        # Another slope or context still clashes.
-        assert _clashes(x_power, App(_POWERS[2], (Var("U"),)))
-        assert _clashes(x_power, App(_POWERS[3], (Var("U"),)))
-
-    def test_clash_below_the_root(self):
-        power = App(_POWERS[0], (Var("X"),))
-        assert _clashes(App(_PAIR, (power, ZERO)), App(_PAIR, (App(S, (Var("U"),)), ZERO)))
-        assert _clashes(App(_PAIR, (Var("X"), ZERO)), App(_PAIR, (Var("U"), NIL)))
-        assert not _clashes(App(_PAIR, (power, ZERO)), App(_PAIR, (Var("U"), Var("V"))))
-        assert not _clashes(App(_PAIR, (Var("X"), Var("X"))), App(_PAIR, (ZERO, NIL)))
-
+class TestRootGroups:
     @settings(max_examples=300, deadline=None)
     @given(lhss=st.lists(_power_terms("XYZ"), max_size=8), atom=_power_terms("XUV"))
     @example(lhss=[Var("X"), App(S, (ZERO,)), App(G, (Var("Y"),))], atom=Var("U"))
     @example(lhss=[App(S, (Var("X"),)), Var("Y"), App(_POWERS[0], (ZERO,))], atom=App(G, (NIL,)))
-    def test_root_groups_keep_every_rule_that_does_not_clash(self, lhss, atom):
-        # Slot lists are filtered from the pool's group for the atom's root
-        # only; they must be what filtering the whole pool gives, in order.
-        # A body atom is never a power.
+    def test_root_groups_keep_every_rule_that_unifies(self, lhss, atom):
+        # A slot list is the pool's group for the atom's root, and
+        # `terms.unify` decides the rest: every rule whose left side,
+        # renamed apart, unifies with the atom must be in the group, in
+        # pool order.  A body atom is never a power.
         if isinstance(atom, App) and atom.symbol.is_power:
             return
         rules = [PatternRule(lhs, EPSILON) for lhs in lhss]
-        want = [id(r) for r in rules if not _clashes(r.lhs, atom)]
-        assert [id(r) for r in _by_root(rules)(atom) if not _clashes(r.lhs, atom)] == want
+
+        def meets(r):
+            ren = fresh_renaming(r.vars(), term_vars(atom), VarSource())
+            return unfold.unify({}, [(apply(r.lhs, ren), atom)]) is not None
+
+        want = [id(r) for r in rules if meets(r)]
+        assert [id(r) for r in _by_root(rules)(atom) if meets(r)] == want
 
 
 def own_seed_picks(rule, pool, patid):
