@@ -19,7 +19,7 @@ from typing import Optional, TextIO
 from .binrules import clause, saturate as binary_saturate
 from .detect import ProofOutcome, prove
 from .pattern import initial_rules
-from .program import ParseError, Program, parse_program
+from .program import ParseError, parse_program
 from .terms import render
 from .unfold import UnfoldBudget
 
@@ -74,11 +74,6 @@ class ReportRow:
         }
 
 
-def count_relations(program: Program) -> int:
-    """Distinct root symbols of rule heads."""
-    return len(program.head_symbols())
-
-
 # A witness the interpreter did not keep alive: the theory or the code is
 # wrong, so such a row fails the run.
 _VALIDATION_FAILED = "Validation-failed"
@@ -123,7 +118,7 @@ def analyze_file(path: Path, config: RunConfig, err: TextIO) -> list[ReportRow]:
             ReportRow(
                 program=program.name,
                 rules=len(program.rules),
-                relations=count_relations(program),
+                relations=len(program.head_symbols()),
                 mode=str(query),
                 witness=witness,
                 unfolded=outcome.unfolded,

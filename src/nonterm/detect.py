@@ -7,9 +7,9 @@ derivation: it must call an instance of q(n), which embeds into p(n + k),
 and the argument repeats forever.
 
 `match_pumping` checks the embedding position by position.  The two sides
-are walked down through identical plain symbols; each pair where they
-part reads as c^(a,b)(t) on the left against c^(ra,rb)(u) on the right,
-with t a variable or a ground term.  A ground t must reappear as u, under
+are read where they part (`powers.positions`): each such position reads
+as c^(a,b)(t) on the left against c^(ra,rb)(u) on the right, with t a
+variable or a ground term.  A ground t must reappear as u, under
 the same slope a >= 1, and fixes the shift k = (rb - b) / a; all ground
 positions must agree on it.  A variable t = X is bound to
 c^((ra-a)n + rb-b-a*k)(u), an exponent that must not shrink and must be
@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .pattern import PatternRule, initial_rules
-from .powers import expand_at, instance_root, is_power, tower
+from .powers import expand_at, instance_root, positions
 from .program import Program, QueryMode, cone, derive_bounded
 from .terms import (
     App,
@@ -49,47 +49,6 @@ class PumpData:
     alpha: Fraction
 
 
-def _positions(u: Term, v: Term) -> list[tuple[Term, Term]]:
-    """The pairs of subterms, left to right, where two power terms part.
-
-    Descends through identical plain symbols without recursing.  An
-    identical pair is skipped only when it is ground and power-free: a
-    ground power still moves with n, and a variable pins itself.
-    """
-    out: list[tuple[Term, Term]] = []
-    stack = [(u, v)]
-    while stack:
-        a, b = stack.pop()
-        if a.ground and not a.powered and a == b:
-            continue
-        if isinstance(a, App) and isinstance(b, App) and a.symbol == b.symbol and not is_power(a):
-            stack.extend(zip(reversed(a.args), reversed(b.args)))
-        else:
-            out.append((a, b))
-    return out
-
-
-def _read_hole(
-    left: Term, right: Term
-) -> Optional[tuple[Optional[Term], int, int, Term, int, int, Term]]:
-    """Pair one argument position, borrowing the context across plain sides.
-
-    Returns (c, a, b, t, ra, rb, u), the left side read as c^(a,b)(t) and
-    the right as c^(ra,rb)(u), both as towers (`tower`) of the one context
-    c of the powers at the position.  Powers of two contexts give None;
-    without a power, c is None and every exponent is zero.
-    """
-    contexts = {t.symbol.context for t in (left, right) if is_power(t)}
-    if not contexts:
-        return None, 0, 0, left, 0, 0, right
-    if len(contexts) > 1:
-        return None
-    (c,) = contexts
-    a, b, t = tower(left, c)
-    ra, rb, u = tower(right, c)
-    return c, a, b, t, ra, rb, u
-
-
 def match_pumping(rule: PatternRule) -> Optional[PumpData]:
     """The shift k and threshold alpha with which a rule pumps itself; None if not.
 
@@ -102,12 +61,9 @@ def match_pumping(rule: PatternRule) -> Optional[PumpData]:
     """
     if rule.rhs_is_epsilon():
         return None
-    holes = []
-    for left, right in _positions(rule.lhs, rule.rhs):
-        read = _read_hole(left, right)
-        if read is None:
-            return None
-        holes.append(read)
+    holes = positions(rule.lhs, rule.rhs)
+    if holes is None:
+        return None
 
     # A ground position needs c^(a(n+k)+b)(t) = c^(ra*n+rb)(t) at every n.
     k: Optional[int] = None

@@ -10,7 +10,10 @@ context layer directly above or below a power of the same context is
 absorbed into its offset.  `normalize`,
 `expand_at` and `shift` are each one `terms.rebuild` pass over the nodes
 that hold a power; power-free subterms are kept as they are.  `tower`
-reads a term as one tower c^(a*n+b)(u) of a given context c.  A power
+reads a term as one tower c^(a*n+b)(u) of a given context c, and
+`positions` reads two terms, where they part, as towers of one context
+each: it is the one walk that both pump detection (`detect`) and instance
+subsumption (`unfold`) make over a family.  A power
 symbol checks its contract when built (`PowerSymbol`): its slope a >= 1,
 so no power stands for a constant tower, and its offset b >= 0.
 
@@ -158,6 +161,41 @@ def tower(t: Term, c: Term) -> tuple[int, int, Term]:
         return t.symbol.a, t.symbol.b, t.args[0]
     b, u = strip_power(t, c)
     return 0, b, u
+
+
+# A position where two power terms part, read as towers of one context:
+# (c, a, b, t, ra, rb, u), the left side c^(a,b)(t), the right c^(ra,rb)(u).
+Position = tuple[Optional[Term], int, int, Term, int, int, Term]
+
+
+def positions(left: Term, right: Term) -> Optional[list[Position]]:
+    """Every position, left to right, where two power terms part, each read
+    as towers (`tower`) of the one context c of the powers there.
+
+    Descends through identical plain symbols without recursing.  An
+    identical pair is skipped only when it is ground and power-free: a
+    ground power still moves with n, and a variable pins itself.  Without
+    a power at a position, c is None and every exponent is zero; powers of
+    two contexts at one position give None.
+    """
+    out: list[Position] = []
+    stack = [(left, right)]
+    while stack:
+        t, u = stack.pop()
+        if t.ground and not t.powered and t == u:
+            continue
+        if isinstance(t, App) and isinstance(u, App) and t.symbol == u.symbol and not t.symbol.is_power:
+            stack.extend(zip(reversed(t.args), reversed(u.args)))
+            continue
+        contexts = {s.symbol.context for s in (t, u) if is_power(s)}
+        if len(contexts) > 1:
+            return None
+        if not contexts:
+            out.append((None, 0, 0, t, 0, 0, u))
+            continue
+        (c,) = contexts
+        out.append((c, *tower(t, c), *tower(u, c)))
+    return out
 
 
 def instance_root(t: Term) -> Optional[Symbol]:

@@ -220,15 +220,15 @@ def _build(tokens: list[str], program_name: str) -> Program:
     named, at = "", 0
 
     def declare(name: str, arity: int, at: int) -> Symbol:
+        # Called only for a name not yet declared at this arity: an
+        # arity-0 name is declared only through `constant`, which keeps it.
         known = symbols.get(name)
-        if known is None:
-            sym = symbols[name] = Symbol(name, arity)
-            return sym
-        if known.arity != arity:
+        if known is not None:
             raise _Failure(
                 f"symbol '{name}' used with arity {arity} but previously with {known.arity}", at
             )
-        return known
+        sym = symbols[name] = Symbol(name, arity)
+        return sym
 
     def constant(name: str, at: int) -> App:
         known = constants.get(name)

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Optional, TextIO
 from .pattern import PatternRule, VariantMap, identity_rules, rule_base
 # `pattern_mgu` is bound but not called here: the benchmark's tracer and
 # tests read `unfold.pattern_mgu`.
-from .powers import instance_root, is_simple, normalize, pattern_mgu  # noqa: F401
+from .powers import instance_root, is_simple, normalize, pattern_mgu, positions  # noqa: F401
 from .program import Program, Rule
 from .terms import (
     Subst,
@@ -37,7 +37,6 @@ from .terms import (
     apply,
     apply_triangular,
     fresh_renaming,
-    strip_power,
     unify,
     VarSource,
 )
@@ -68,9 +67,9 @@ class PatternRuleSet:
         self._rules: list[PatternRule] = []
         # Base -> the least shift stored for it, and that rule.
         self._least = VariantMap()
-        # The stored rules with a power, in storage order, each with its
-        # instances met so far, by index.
-        self._powered: list[tuple[PatternRule, dict[int, PatternRule]]] = []
+        # The stored rules with a power, in storage order; an instance is
+        # built afresh each time one is compared.
+        self._powered: list[PatternRule] = []
         for r in rules:
             self.add(r)
 
@@ -88,13 +87,11 @@ class PatternRuleSet:
         if rule.lhs.powered or rule.rhs.powered:
             return None
         shapes = (rule.lhs._shape, rule.rhs._shape)
-        for stored, instances in self._powered:
+        for stored in self._powered:
             n = _index_at(rule, stored)
             if n is None:
                 continue
-            inst = instances.get(n)
-            if inst is None:
-                inst = instances[n] = stored.at(n)
+            inst = stored.at(n)
             if (inst.lhs._shape, inst.rhs._shape) == shapes and inst.key() == rule.key():
                 return "instance", stored, n
         return None
@@ -123,7 +120,7 @@ class PatternRuleSet:
         self._least[base] = (d, rule)
         self._rules.append(rule)
         if rule.lhs.powered or rule.rhs.powered:
-            self._powered.append((rule, {}))
+            self._powered.append(rule)
         return True
 
     def contains_variant(self, rule: PatternRule) -> bool:
@@ -141,22 +138,18 @@ def _index_at(rule: PatternRule, family: PatternRule) -> Optional[int]:
     """The only index n at which the family's instance can be a variant of
     this power-free rule, or None.
 
-    It is read off the family's first power c^(a,b), left side first: the
-    rule must have the family's plain symbols on the way down to it, and
-    there c^(a*n+b) over a term that is not c-headed, as the power's
-    argument is not (`normalize`).
+    It is read off the first position (`powers.positions`), left side
+    first, where the family holds a power c^(a,b): the rule holds there
+    c^(a*n+b) over a term that is not c-headed, as the power's argument is
+    not (`normalize`).  It is only a proposal: whether the rule matches the
+    family's plain symbols is left to the comparison of keys.
     """
     for f, t in ((family.lhs, rule.lhs), (family.rhs, rule.rhs)):
-        if not f.powered:
-            continue
-        while not f.symbol.is_power:
-            if isinstance(t, Var) or t.symbol != f.symbol:
-                return None
-            i = next(i for i, a in enumerate(f.args) if a.powered)
-            f, t = f.args[i], t.args[i]
-        k, _ = strip_power(t, f.symbol.context)
-        n, r = divmod(k - f.symbol.b, f.symbol.a)
-        return n if n >= 0 and r == 0 else None
+        # The rule holds no power, so no position has two contexts.
+        for _, a, b, _, _, rb, _ in positions(f, t):
+            if a:
+                n, r = divmod(rb - b, a)
+                return n if n >= 0 and r == 0 else None
     return None
 
 

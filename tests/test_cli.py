@@ -11,7 +11,7 @@ import pytest
 
 from conftest import PROGRAMS_DIR
 from nonterm import cli, detect
-from nonterm.cli import RunConfig, count_relations, main, run
+from nonterm.cli import RunConfig, main, run
 from nonterm.program import DerivationStatus, parse_program
 from nonterm.terms import Symbol, Var
 
@@ -24,15 +24,17 @@ def run_cli(*inputs, **kwargs):
 
 
 class TestCountRelations:
+    """The `relations` column counts the distinct root symbols of rule heads."""
+
     def test_running_example(self, ex_program):
-        assert count_relations(ex_program) == 4
+        assert len(ex_program.head_symbols()) == 4
 
     def test_single_fact(self):
-        assert count_relations(parse_program("p(0).")) == 1
+        assert len(parse_program("p(0).").head_symbols()) == 1
 
     def test_counts_heads_not_symbols(self):
         p = parse_program("p(X) :- q(s(X)).")
-        assert count_relations(p) == 1
+        assert len(p.head_symbols()) == 1
 
 
 class TestNameTables:

@@ -36,6 +36,7 @@ from nonterm.powers import (
     normalize,
     pattern_form,
     pattern_mgu,
+    positions,
     shift,
     tower,
 )
@@ -480,6 +481,35 @@ class TestTower:
                     for n in range(4):
                         expected = concrete_power(c, a * n + b, expand_at(rest, n))
                         assert expand_at(u, n) == expected
+
+
+class TestPositions:
+    def test_two_contexts_at_one_position(self):
+        left = App(F, (pw(S1, 1, 0, X), ZERO))
+        right = App(F, (pw(G1, 1, 0, Y), ZERO))
+        assert positions(left, right) is None
+
+    def test_variable_position(self):
+        assert positions(App(F, (X, ZERO)), App(F, (Y, ZERO))) == [(None, 0, 0, X, 0, 0, Y)]
+
+    def test_power_against_a_concrete_tower_of_its_context(self):
+        left = App(F, (ZERO, pw(S1, 2, 1, X)))
+        right = App(F, (ZERO, term("s(s(s(g(0))))")))
+        assert positions(left, right) == [(S1, 2, 1, X, 0, 3, term("g(0)"))]
+
+    def test_equal_ground_power_is_still_a_position(self):
+        # It moves with n, so it pins the shift of a pump.
+        t = pw(S1, 1, 1, ZERO)
+        assert positions(App(F, (t, X)), App(F, (t, X))) == [
+            (S1, 1, 1, ZERO, 1, 1, ZERO),
+            (None, 0, 0, X, 0, 0, X),
+        ]
+
+    def test_left_to_right_below_identical_symbols(self):
+        # f(f(g(X), 0), s^(n)(Y)) against f(f(g(Z), 0), s(0)).
+        left = App(F, (App(F, (App(G, (X,)), ZERO)), pw(S1, 1, 0, Y)))
+        right = App(F, (App(F, (App(G, (Z,)), ZERO)), term("s(0)")))
+        assert positions(left, right) == [(None, 0, 0, X, 0, 0, Z), (S1, 1, 0, Y, 0, 1, ZERO)]
 
 
 # Families in the paper's notation over two contexts and slopes 1 and 2,

@@ -35,9 +35,8 @@ from conftest import (
     term,
 )
 from nonterm import terms
-from nonterm.detect import _positions
 from nonterm.pattern import initial_rules
-from nonterm.powers import PowerSymbol, normalize
+from nonterm.powers import PowerSymbol, normalize, positions
 from nonterm.program import Program, Rule, parse_program
 from nonterm.terms import (
     HOLE,
@@ -668,7 +667,7 @@ class TestDeepTerms:
         left, right = Var("X"), Var("Y")
         for _ in range(3000):
             left, right = App(G, (left,)), App(G, (right,))
-        assert _positions(left, right) == [(Var("X"), Var("Y"))]
+        assert positions(left, right) == [(None, 0, 0, Var("X"), 0, 0, Var("Y"))]
 
 
 def _specs():
