@@ -33,10 +33,10 @@ from .terms import (
     Symbol,
     Term,
     Var,
-    apply,
+    concrete_power,
     match,
+    rebuild,
     render,
-    term_vars,
 )
 from .unfold import UnfoldBudget, saturate
 
@@ -124,10 +124,24 @@ def ground_constant(program: Program) -> Symbol:
 
 
 def witness_from(rule: PatternRule, data: PumpData, constant: Symbol) -> Witness:
+    """The witness of a pumping rule: its left side at the least index n >=
+    alpha, every power expanded there and every variable replaced by the
+    constant, in one walk (`terms.rebuild`).  It is
+    apply(expand_at(rule.lhs, n), grounding), the grounding sending each
+    variable to the constant."""
     n = max(0, math.ceil(data.alpha))
-    base = expand_at(rule.lhs, n)
     unit = App(constant, ())
-    return Witness(rule, data, n, apply(base, {v: unit for v in term_vars(base)}))
+
+    def node(u: App, args: tuple[Term, ...]) -> Term:
+        sym = u.symbol
+        if sym.is_power:
+            return concrete_power(sym.context, sym.a * n + sym.b, args[0])
+        return App(sym, args)
+
+    term = rebuild(
+        rule.lhs, lambda u: unit if isinstance(u, Var) else u if u.ground and not u.powered else None, node
+    )
+    return Witness(rule, data, n, term)
 
 
 def check_pumps(rule: PatternRule, data: PumpData, n: int) -> bool:

@@ -3,13 +3,17 @@
 A power symbol ``c^(a,b)`` is a unary symbol standing for the whole family
 of towers c^(a*n+b); a term over the program signature plus power symbols
 therefore denotes one concrete term per index n.  Two such terms are
-interchangeable when they expand identically at every index; `normalize`
-picks a canonical representative of that class by fusing adjacent material:
-stacked powers of the same context add their exponents, and a concrete
-context layer directly above or below a power of the same context is
-absorbed into its offset.  `normalize`,
-`expand_at` and `shift` are each one `terms.rebuild` pass over the nodes
-that hold a power; power-free subterms are kept as they are.  `tower`
+interchangeable when they expand identically at every index; the normal
+form picks a canonical representative of that class by fusing adjacent
+material: stacked powers of the same context add their exponents, and a
+concrete context layer directly above or below a power of the same
+context is absorbed into its offset.  That is one step per node
+(`NormalBuilder`), which any bottom-up walk can take as it builds a term:
+`normalize` is one `terms.rebuild` pass with it, the search reads each
+derived family through its unifier with it (`terms.apply_triangular`),
+and `power_form` builds each seed with it.  `expand_at` and `shift` are
+each one `terms.rebuild` pass over the nodes that hold a power;
+power-free subterms are kept as they are.  `tower`
 reads a term as one tower c^(a*n+b)(u) of a given context c, and
 `positions` reads two terms, where they part, as towers of one context
 each: it is the one walk that both pump detection (`detect`) and instance
@@ -17,8 +21,8 @@ subsumption (`unfold`) make over a family.  A power
 symbol checks its contract when built (`PowerSymbol`): its slope a >= 1,
 so no power stands for a constant tower, and its offset b >= 0.
 
-Rule families are stored as normalized power terms.  The paper writes a
-family as skeleton . sigma^n . mu; a seed is built by applying to its
+Rule families are stored as power terms in normal form.  The paper writes
+a family as skeleton . sigma^n . mu; a seed is built by applying to its
 skeleton a substitution that sends each variable sigma moves to one power
 (`power_form`), and that notation is left to the tests.  Families are
 unified by `terms.unify`, the one unifier of the prover, which the search
@@ -31,7 +35,8 @@ the other.  A unifier
 need not have the paper's shape: a binding may hold a power under a plain
 symbol, or powers of two contexts.  Expansion at an index is a
 homomorphism, so its instances are still the classical unifiers; the
-family it derives is kept only if it is simple (`is_simple`).
+family it derives is kept only if it is simple (`is_simple`, which the
+search reads off the walk that builds the family, `NormalBuilder.simple`).
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .terms import (
     Symbol,
     Term,
     Var,
-    apply,
     concrete_power,
     match_context,
     rebuild,
@@ -236,38 +240,94 @@ def _fuse(sym: PowerSymbol, u: Term) -> App:
     return App(PowerSymbol(c, a + sym.a, b + sym.b), (u,))
 
 
+class NormalBuilder:
+    """The normal form's step at one node, for a walk that builds a term
+    bottom-up (`terms.rebuild`, `terms.apply_triangular`).
+
+    `node(u, args)` is u's symbol over args in normal form, when each of
+    args is: a power fuses with its argument (`_fuse`), and a plain node
+    that is exactly one concrete layer of the context of its top power is
+    absorbed into that power.  A term's top power is the power node
+    reached first from it through plain nodes; it is all that absorbing
+    needs.  The builder keeps the top of every plain node it builds, by
+    id, so the walk stays linear in a deep plain spine.  An argument it did
+    not build (a walk keeps ground subterms and ground bindings as they
+    are) gets its top by one descent, without recursing, along the first
+    powered argument of each plain node, and every node on the way keeps
+    it too.  A builder serves one walk: the ids it keeps are those of that
+    walk's terms.
+
+    `simple` stays True until the builder makes a power whose argument
+    holds a power; so once the walk is done it is `is_simple` of what was
+    built, when the arguments it did not build are simple.
+    """
+
+    __slots__ = ("_tops", "simple")
+
+    def __init__(self) -> None:
+        # A plain powered node met -> its top power.  A power is its own.
+        self._tops: dict[int, App] = {}
+        self.simple = True
+
+    def _top(self, t: App) -> App:
+        """The top power of a powered t."""
+        tops = self._tops
+        top = tops.get(id(t))
+        if top is not None:
+            return top
+        path = []
+        while not t.symbol.is_power:
+            path.append(t)
+            t = next(a for a in t.args if a.powered)
+            top = tops.get(id(t))
+            if top is not None:
+                break
+        else:
+            top = t
+        for p in path:
+            tops[id(p)] = top
+        return top
+
+    def node(self, u: App, args: tuple[Term, ...]) -> Term:
+        sym = u.symbol
+        if sym.is_power:
+            out = _fuse(sym, args[0])
+            if out.args[0].powered:
+                self.simple = False
+            return out
+        out = App(sym, args)
+        if not out.powered:
+            return out
+        # The top of the first powered argument; an argument that holds no
+        # power has none.
+        for a in args:
+            if a.powered:
+                top = self._top(a)
+                break
+        # A concrete copy of c directly above c^(a,b)(w) is absorbed: the
+        # whole node must be exactly one c-layer whose every hole holds
+        # that power.  Contexts hold no powers, so every power reachable
+        # through plain nodes is then that one, and the top power stands
+        # for all.
+        if match_context(top.symbol.context, out) == top:
+            top_sym = top.symbol
+            return App(PowerSymbol(top_sym.context, top_sym.a, top_sym.b + 1), top.args)
+        self._tops[id(out)] = top
+        return out
+
+
 def normalize(t: Term) -> Term:
     """Canonical form: fused exponents and maximal offsets.
 
     Expansion at any index is preserved; normalizing twice is the same as
-    normalizing once.  One bottom-up pass (`terms.rebuild`) over the nodes
-    that hold a power.  Each result's top power, a power node reachable
-    from it through plain nodes, is kept by the result's id; it is all
-    that absorbing a concrete layer above a power needs, and reading it
-    off the arguments keeps the pass linear in a deep plain spine.
+    normalizing once, and every subterm of a normal term is normal.  One
+    bottom-up pass (`terms.rebuild`) over the nodes that hold a power,
+    each built by the normal form's step (`NormalBuilder`).  No prover
+    code calls it: seeds and derived families are built in normal form by
+    the walks that make them.  It serves `pattern_form`, and the tests
+    check each of those walks against it.
     """
-    tops: dict[int, App] = {}
-
-    def node(u: App, args: tuple[Term, ...]) -> Term:
-        if u.symbol.is_power:
-            out = top = _fuse(u.symbol, args[0])
-        else:
-            out = App(u.symbol, args)
-            # An argument has no top when it is power-free.
-            top = next((tops[id(a)] for a in args if id(a) in tops), None)
-            # A concrete copy of c directly above c^(a,b)(w) is absorbed: the
-            # whole node must be exactly one c-layer whose every hole holds
-            # that power.  Contexts hold no powers, so every power reachable
-            # through plain nodes is then that one, and the top power stands
-            # for all.
-            if top is not None and match_context(top.symbol.context, out) == top:
-                sym = top.symbol
-                out = top = App(PowerSymbol(sym.context, sym.a, sym.b + 1), (top.args[0],))
-        if top is not None:
-            tops[id(out)] = top
-        return out
-
-    return rebuild(t, _plain, node)
+    return rebuild(t, _plain, NormalBuilder().node)
 
 
 def is_simple(t: Term) -> bool:
@@ -285,12 +345,20 @@ def power_form(t: Term, fillers: Subst, moved: Mapping[Var, tuple[Term, int]]) -
 
     `moved` maps each variable the family's index drives to (c, a), the
     variable being driven by the ground 1-context c^a, with c of minimal
-    period; the variable gets c^(a,0) over its filler, and `normalize`
-    strips the filler's c layers into the offset.  Any other variable gets
-    its filler as is.
+    period; the variable gets c^(a,0) over its filler, fused at once, so
+    the filler's c layers go into the offset.  Any other variable gets its
+    filler as is.  t and the fillers are power-free, so the one substitution
+    walk (`terms.rebuild`) that builds the term in normal form
+    (`NormalBuilder`) gives `normalize` of t under that substitution.
     """
-    raised = {x: App(PowerSymbol(c, a, 0), (fillers.get(x, x),)) for x, (c, a) in moved.items()}
-    return normalize(apply(t, {**fillers, **raised}))
+    s = {**fillers}
+    for x, (c, a) in moved.items():
+        s[x] = _fuse(PowerSymbol(c, a, 0), fillers.get(x, x))
+    return rebuild(
+        t,
+        lambda u: u if u.ground else s.get(u, u) if isinstance(u, Var) else None,
+        NormalBuilder().node,
+    )
 
 
 def pattern_form(theta: Subst) -> Optional[Subst]:

@@ -22,8 +22,13 @@ power walks of `powers`) is one `rebuild`, a bottom-up pass that visits
 each node of the DAG once and keeps it shared, but one: a triangular
 unifier is read by its own walk of that kind, `apply_triangular`, which
 follows bindings as it meets them and may rename the unbound variables
-apart as it goes.  A substitution (`Subst`) is a plain dict from variables
-to terms, and `apply` is its one walk; plugging a context goes through it.
+apart as it goes.  Either walk may be given the step that builds each
+node from its rebuilt arguments (`node`); `powers.normalize`, the seed
+builder `powers.power_form` and the search pass the normal form's
+(`powers.NormalBuilder`), so a family leaves the walk that makes it
+already normalized.  A substitution (`Subst`) is a plain
+dict from variables to terms, and `apply` is its one walk; plugging a
+context goes through it.
 `resolve`, the substitution a triangular unifier stands for, is
 `apply_triangular` over its bound variables.
 `canonical_key` keys a tuple of terms up to renaming: two tuples are
@@ -417,7 +422,10 @@ def unify(
 
 
 def apply_triangular(
-    ts: Sequence[Term], bindings: Mapping[Var, Term], source: Optional[VarSource] = None
+    ts: Sequence[Term],
+    bindings: Mapping[Var, Term],
+    source: Optional[VarSource] = None,
+    node: Optional[Callable[[App, tuple[Term, ...]], Term]] = None,
 ) -> tuple[tuple[Term, ...], frozenset[Var]]:
     """The terms under a triangular binding map, and the fresh variables made.
 
@@ -428,6 +436,12 @@ def apply_triangular(
     variables, which are then all the variables of the result, are returned
     with it.  They never repeat a name the source gave before, but they may
     repeat one of the input's (a variable a user spelled `_3`).
+
+    Each node walked is rebuilt from its rebuilt arguments as `rebuild`
+    does: by `node(u, args)` when one is given (the search builds each
+    family in normal form so, `powers.NormalBuilder`), else as u itself if
+    no argument changed and `App(u.symbol, args)` otherwise.  Ground
+    subterms and ground bindings are not walked: they stand as they are.
 
     One walk on an explicit stack, so neither a deep term nor a long
     binding chain can overflow.  Results are kept per node and per bound
@@ -449,10 +463,14 @@ def apply_triangular(
             if type(u) is tuple:
                 (u,) = u
                 args = tuple([a if a.ground else done[id(a)] for a in u.args])
+                if node is not None:
+                    done[id(u)] = node(u, args)
                 # With a source every variable is renamed, so every node
                 # walked changes.
-                keep = source is None and all(x is y for x, y in zip(args, u.args))
-                done[id(u)] = u if keep else App(u.symbol, args)
+                elif source is None and all(x is y for x, y in zip(args, u.args)):
+                    done[id(u)] = u
+                else:
+                    done[id(u)] = App(u.symbol, args)
             elif id(u) in done:
                 continue
             elif type(u) is Var:

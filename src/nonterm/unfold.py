@@ -8,10 +8,12 @@ terms, instantiates the rule head and that right side.  A body atom is
 offered the rules of its root symbol, and `terms.unify` alone decides
 which of them meet it.  theta is kept as a triangular map (`terms.unify`),
 and the derived rule is read through it in one walk that renames its
-variables apart as it builds the rule (`terms.apply_triangular`), so only
-the picks that still collide with the program rule or with each other are
-renamed.  Expansion at an index is a homomorphism, so the result at n is
-exactly the classical unfolding of the selected instances at n.  Iterating
+variables apart and builds the rule in normal form as it goes
+(`terms.apply_triangular` with `powers.NormalBuilder`), so only the picks
+that still collide with the program rule or with each other are renamed,
+and no second walk normalizes the rule or checks that it is simple.
+Expansion at an index is a homomorphism, so the result at n is exactly the
+classical unfolding of the selected instances at n.  Iterating
 from a seed set of correct rules keeps every derived rule correct, so a
 detector can be run on each insertion.  Saturation rarely terminates on
 interesting programs; budgets (wall clock, rounds, rule count) bound every
@@ -27,7 +29,7 @@ from typing import Callable, Iterator, Optional, TextIO
 from .pattern import PatternRule, VariantMap, identity_rules, rule_base
 # `pattern_mgu` is bound but not called here: the benchmark's tracer and
 # tests read `unfold.pattern_mgu`.
-from .powers import instance_root, is_simple, normalize, pattern_mgu, positions  # noqa: F401
+from .powers import NormalBuilder, instance_root, is_simple, pattern_mgu, positions  # noqa: F401
 from .program import Program, Rule
 from .terms import (
     Subst,
@@ -141,8 +143,8 @@ def _index_at(rule: PatternRule, family: PatternRule) -> Optional[int]:
     It is read off the first position (`powers.positions`), left side
     first, where the family holds a power c^(a,b): the rule holds there
     c^(a*n+b) over a term that is not c-headed, as the power's argument is
-    not (`normalize`).  It is only a proposal: whether the rule matches the
-    family's plain symbols is left to the comparison of keys.
+    not (the normal form).  It is only a proposal: whether the rule matches
+    the family's plain symbols is left to the comparison of keys.
     """
     for f, t in ((family.lhs, rule.lhs), (family.rhs, rule.rhs)):
         # The rule holds no power, so no position has two contexts.
@@ -178,10 +180,10 @@ def _toward(goal: Symbol, rule: PatternRule) -> bool:
     """Whether the rule's right side is epsilon or, at every index, an
     atom of goal (`powers.instance_root`).
 
-    A derived rule's right side is its last pick's under theta, normalized,
-    and a closing pick's is epsilon.  So a rule that fails this only ever
-    leads to rules whose right side is an instance of another predicate's
-    atom, and none of them pumps on goal.
+    A derived rule's right side is its last pick's under theta, in normal
+    form, and a closing pick's is epsilon.  So a rule that fails this only
+    ever leads to rules whose right side is an instance of another
+    predicate's atom, and none of them pumps on goal.
     """
     return rule.rhs_is_epsilon() or instance_root(rule.rhs) == goal
 
@@ -339,19 +341,24 @@ def _derive(
 
     The head and the last pick's right side are read through the bindings
     in one walk (`terms.apply_triangular`), which gives every variable
-    left unbound a fresh one of `source`, and then normalized.  So a
+    left unbound a fresh one of `source` and builds every node in normal
+    form (`powers.NormalBuilder`).  The walk keeps ground subterms and
+    ground bindings as they are, and the builder needs them normal and
+    simple: each is part of a stored family, or holds no power (a program
+    term, or a tower `terms.unify` peeled off a power's argument).  So a
     stored rule shares no variable with a program rule or with another
-    derived rule, and its variables are known without a second walk."""
+    derived rule, and its variables and its simplicity are known without a
+    second walk."""
     if bindings is None:
         return None
-    (lhs, rhs), fresh = apply_triangular((head, last.rhs), bindings, source)
+    normal = NormalBuilder()
+    (lhs, rhs), fresh = apply_triangular((head, last.rhs), bindings, source, normal.node)
     # A power of one context may land inside a power of another, on either
     # side, a shape no stored family has, so such a result is dropped.
-    lhs, rhs = normalize(lhs), normalize(rhs)
-    if not (is_simple(lhs) and is_simple(rhs)):
+    if not normal.simple:
         return None
     rule = PatternRule(lhs, rhs)
-    # Normalizing moves only ground context layers, so it keeps every
+    # The normal form moves only ground context layers, so it keeps every
     # variable.
     rule.__dict__["_vars"] = fresh  # fills PatternRule.vars()
     return rule

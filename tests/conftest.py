@@ -733,6 +733,37 @@ ZERO = App(Symbol("0", 0), ())
 NIL = App(Symbol("nil", 0), ())
 VARS = [Var(n) for n in ("X", "Y", "Z", "W")]
 
+# Primitive contexts, as `power_form` makes them: five one-layer contexts
+# and the two-layer g(s(#1)), which only the general `match_context` reads.
+POWER_CONTEXTS = [
+    App(S, (HOLE,)),
+    App(G, (HOLE,)),
+    App(F, (HOLE, ZERO)),
+    App(F, (ZERO, HOLE)),
+    App(F, (HOLE, HOLE)),
+    App(G, (App(S, (HOLE,)),)),
+]
+
+
+def power_terms(names: str = "XY", max_leaves: int = 10):
+    """Power terms in no particular form: powers of `POWER_CONTEXTS` with
+    slopes from 1 to 2 and offsets from 0 to 2, plain symbols and concrete
+    context layers, stacked at random over the variables named and two
+    constants."""
+    leaves = st.sampled_from([*(Var(n) for n in names), ZERO, NIL])
+    powers = st.builds(
+        PowerSymbol, st.sampled_from(POWER_CONTEXTS), st.integers(1, 2), st.integers(0, 2)
+    )
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(lambda sym, a: App(sym, (a,)), st.one_of(st.sampled_from([S, G]), powers), sub),
+            st.builds(lambda a, b: App(F, (a, b)), sub, sub),
+            st.builds(lambda c, a: plug(c, a), st.sampled_from(POWER_CONTEXTS), sub),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
 
 # Parts of random recursive programs p(..L(W(X))..) :- p(..L(X)..).
 # Head wraps W of a body variable: unmoved, slope 1 and 2, a two-layer

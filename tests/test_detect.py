@@ -318,6 +318,20 @@ class TestProve:
         assert str(out.witness) == "g(0)"
         assert derive_bounded(p, (out.witness.term,), 300).reached_bound
 
+    def test_two_layer_context_absorbed_through_a_ground_binding(self):
+        # q's seed binds Y to the ground f(g(#1))^(1n+0)(0), which the
+        # derivation walk keeps as it is; reading p(f(g(Y))), the builder
+        # finds that binding's top power by its own lookup, and the general
+        # `match_context` (f(g(#1)) is two layers) absorbs f(g(..)) into
+        # the offset.
+        p = parse_program(
+            "%query: p(i).\np(Y) :- q(Y), p(f(g(Y))).\nq(f(g(X))) :- q(X).\nq(0)."
+        )
+        out = prove(p, p.queries[0], UnfoldBudget(), validate_steps=100)
+        assert out.proven and out.validated is True
+        assert str(out.witness) == "p(0)"
+        assert str(out.witness.rule) == "p(f(g(#1))^(1n+0)(0)) => p(f(g(#1))^(1n+1)(0))"
+
     def test_query_filter_restricts_predicate(self):
         # asking about gt must not return the while witness
         src = WHILE_GT_ADD.replace("%query: while(i,i).", "%query: gt(i,i).")

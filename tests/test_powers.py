@@ -10,12 +10,14 @@ from conftest import (
     F,
     G,
     NIL,
+    POWER_CONTEXTS,
     S,
     ZERO,
     Family,
     context_power,
     family_subst_at,
     pattern_substitution,
+    power_terms,
     random_context,
     random_simple_pattern,
     random_simple_subst,
@@ -146,50 +148,23 @@ class TestNormalize:
                 assert expand_at(nu, n) == expand_at(u, n)
 
 
-# Primitive contexts, as `power_form` makes them, with slopes from 1 to 2
-# and offsets from 0 to 2.
-_CONTEXTS = [
-    App(S, (HOLE,)),
-    App(G, (HOLE,)),
-    App(F, (HOLE, ZERO)),
-    App(F, (ZERO, HOLE)),
-    App(F, (HOLE, HOLE)),
-]
-
-
-def _power_terms():
-    leaves = st.sampled_from([Var("X"), Var("Y"), ZERO, NIL])
-    powers = st.builds(
-        PowerSymbol, st.sampled_from(_CONTEXTS), st.integers(1, 2), st.integers(0, 2)
-    )
-
-    def extend(sub):
-        return st.one_of(
-            st.builds(lambda sym, a: App(sym, (a,)), st.one_of(st.sampled_from([S, G]), powers), sub),
-            st.builds(lambda a, b: App(F, (a, b)), sub, sub),
-            st.builds(lambda c, a: plug(c, a), st.sampled_from(_CONTEXTS), sub),
-        )
-
-    return st.recursive(leaves, extend, max_leaves=10)
-
-
 class TestNormalizeProperties:
     @settings(max_examples=500, deadline=None)
-    @given(t=_power_terms())
+    @given(t=power_terms())
     # f(0, c^(n)(X)) with c = f(0, #1): the whole node is one c layer over
     # the power.
-    @example(t=App(F, (ZERO, pw(_CONTEXTS[3], 1, 0, Var("X")))))
+    @example(t=App(F, (ZERO, pw(POWER_CONTEXTS[3], 1, 0, Var("X")))))
     def test_same_as_reference(self, t):
         assert normalize(t) == reference_normalize(t)
 
     @settings(max_examples=300, deadline=None)
-    @given(t=_power_terms())
+    @given(t=power_terms())
     def test_idempotent(self, t):
         once = normalize(t)
         assert normalize(once) == once
 
     @settings(max_examples=300, deadline=None)
-    @given(t=_power_terms())
+    @given(t=power_terms())
     def test_preserves_expansion(self, t):
         nt = normalize(t)
         for n in range(5):
@@ -205,7 +180,7 @@ class TestInstanceRoot:
         assert instance_root(Var("X")) is None
 
     @settings(max_examples=300, deadline=None)
-    @given(t=_power_terms())
+    @given(t=power_terms())
     def test_every_instance_has_it(self, t):
         t = normalize(t)
         root = instance_root(t)
