@@ -10,6 +10,11 @@ when sigma wraps each variable in a ground context, such a pair yields a
 family of rules covering every unrolling depth at once.  The paper writes
 those families as skeleton . sigma^n . mu; they are built as power terms
 directly (`power_form`), and no part of the prover sees that notation.
+`cover` decides, in one walk over two families, whether one holds every
+instance of the other: as a variant, as a shift in the index, or, for a
+family without powers, as one of its instances.  Seeding drops variants
+with it, and saturation every covered family (`unfold.PatternRuleSet`);
+neither builds a canonical key (`pattern_rule_key`) or an instance.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .powers import expand_at, least_shift, power_form, shift
+from .powers import expand_at, positions, power_form
 from .program import Program, Rule
 from .terms import (
     EPSILON,
@@ -63,59 +68,11 @@ class PatternRule:
         # Computed once: unfolding asks every selected rule for its variables.
         return term_vars(self.lhs) | term_vars(self.rhs)
 
-    def key(self) -> tuple:
-        return self._key
-
-    @cached_property
-    def _key(self) -> tuple:
-        # Computed once: seeding and storing a family both ask for it.
-        return pattern_rule_key(self)
-
     def rhs_is_epsilon(self) -> bool:
         return is_epsilon(self.rhs)
 
     def __repr__(self) -> str:
         return f"{render(self.lhs)} => {render(self.rhs)}"
-
-
-class VariantMap:
-    """A map from pattern rules, taken up to renaming, to values.
-
-    Rules are bucketed by the shapes of their two sides (`terms.App`), which
-    every variant shares.  A bucket that holds one rule holds it unkeyed, so
-    a rule whose shapes are new is looked up and stored without a key.  The
-    canonical key (`PatternRule.key`) is built only on a shape hit: for the
-    rule asked about, and once for the rule its bucket held, after which the
-    bucket maps keys to values.  Lookups are exact whatever the hashes, and
-    buckets are never iterated, so no order depends on a hash value.
-    """
-
-    __slots__ = ("_buckets",)
-
-    def __init__(self) -> None:
-        # Shapes -> (rule, value) while one rule is held, else {key: value}.
-        self._buckets: dict[tuple[int, int], tuple[PatternRule, object] | dict[tuple, object]] = {}
-
-    def _keyed(self, shapes: tuple[int, int]) -> Optional[dict[tuple, object]]:
-        """The bucket of these shapes as a dict by key, or None if empty."""
-        bucket = self._buckets.get(shapes)
-        if type(bucket) is tuple:
-            held, value = bucket
-            bucket = self._buckets[shapes] = {held.key(): value}
-        return bucket
-
-    def get(self, rule: PatternRule) -> Optional[object]:
-        """The value stored for a variant of the rule, or None."""
-        bucket = self._keyed((rule.lhs._shape, rule.rhs._shape))
-        return None if bucket is None else bucket.get(rule.key())
-
-    def __setitem__(self, rule: PatternRule, value: object) -> None:
-        shapes = (rule.lhs._shape, rule.rhs._shape)
-        bucket = self._keyed(shapes)
-        if bucket is None:
-            self._buckets[shapes] = (rule, value)
-        else:
-            bucket[rule.key()] = value
 
 
 def identity_rules(symbols: Iterable[Symbol]) -> list[PatternRule]:
@@ -146,9 +103,9 @@ def initial_rules(
     Each seed records the recursive rule it was built from as its
     `source`: both families are that rule unfolded n times with itself,
     so unfolding it once more with one of them gives nothing new
-    (`unfold._attempts`).  A family is kept once up to renaming
-    (`VariantMap`): its key is built only when an earlier seed has the
-    same shapes, so seeds of distinct shapes are never keyed.
+    (`unfold._attempts`).  A family is kept once up to renaming: it is
+    dropped when a kept seed with the same shapes (`terms.App`) covers it
+    at shift 0 (`cover`), so seeds of distinct shapes are never compared.
 
     With a goal, the open family is built only for a recursive rule whose
     body is a goal atom, and the closing families for every predicate,
@@ -161,7 +118,8 @@ def initial_rules(
     built so far, a prefix of the list, are returned.
     """
     out: list[PatternRule] = []
-    seen = VariantMap()
+    # The seeds kept, by the shapes of their sides (`terms.App`).
+    seen: dict[tuple[int, int], list[PatternRule]] = {}
     recursive = [r for r in program.rules if len(r.body) == 1]
     facts: dict[Symbol, list[Term]] = {}
     for rule in program.rules:
@@ -190,8 +148,9 @@ def initial_rules(
                 continue
             closing = PatternRule(power_form(body, ts, moved), EPSILON, rec)
             for rule in (closing,) if open_ is None else (closing, open_):
-                if seen.get(rule) is None:
-                    seen[rule] = True
+                kept = seen.setdefault((rule.lhs._shape, rule.rhs._shape), [])
+                if all(cover(held, rule) != ("shift", 0) for held in kept):
+                    kept.append(rule)
                     out.append(rule)
     return out
 
@@ -229,20 +188,55 @@ def pattern_rule_key(rule: PatternRule) -> tuple:
 
     Both sides are normalized, so equivalent spellings of one family, such
     as s(s^(n)(X)) and s^(n+1)(X), collide.
+
+    No prover code calls it: seeding and saturation tell variants apart by
+    `cover`.  It is kept for the tests, which compare families by it, and
+    for `bench/layers.py`, which traces it.
     """
     return canonical_key((rule.lhs, rule.rhs))
 
 
-def rule_base(rule: PatternRule) -> tuple[PatternRule, int]:
-    """The family shifted down as far as it goes, and by how much.
+def cover(held: PatternRule, rule: PatternRule) -> Optional[tuple[str, int]]:
+    """How `held` covers `rule`, if it does: ("shift", k) when rule is held
+    shifted by k >= 0 up to renaming, its instance n held's instance
+    n + k (k = 0 for a variant), or ("instance", n) when rule has no power
+    and is, up to renaming, held's instance at n.
 
-    With d the `least_shift` of both sides, lowering every offset c^(a,b)
-    to c^(a,b-a*d) gives the base; instance n of the family is instance
-    n + d of its base, so the families with one base are nested: each
-    holds every one of a larger shift.  The terms are rebuilt only when
-    d > 0.
+    Both pairs of sides are read where they part (`powers.positions`), as
+    pump detection reads one family's (`detect.match_pumping`).  Where
+    held has c^(a,b)(t) and rule c^(ra,rb)(u), the index there is
+    (rb - b)/a, a non-negative integer, with ra == a when rule has a power
+    and ra == 0 when it has none: one index must fit every such position.
+    A position without a power must hold two variables, and the leftovers
+    t of all positions must be a renaming of the leftovers u: each tuple
+    matches the other.  The normal form puts no layer of c directly under
+    a power of c, so a position reads as many layers of c as the instance
+    holds there, and no other index can fit.
     """
-    d = least_shift((rule.lhs, rule.rhs))
-    if d == 0:
-        return rule, 0
-    return PatternRule(shift(rule.lhs, -d), shift(rule.rhs, -d)), d
+    powered = rule.lhs.powered or rule.rhs.powered
+    index: Optional[int] = None
+    ts: list[Term] = []
+    us: list[Term] = []
+    for h, r in ((held.lhs, rule.lhs), (held.rhs, rule.rhs)):
+        found = positions(h, r)
+        if found is None:
+            return None
+        for c, a, b, t, ra, rb, u in found:
+            if c is None:
+                if not (isinstance(t, Var) and isinstance(u, Var)):
+                    return None
+            else:
+                if not a or ra != (a if powered else 0):
+                    return None
+                n, rest = divmod(rb - b, a)
+                if rest or n < 0 or index not in (None, n):
+                    return None
+                index = n
+            ts.append(t)
+            us.append(u)
+    left, right = tuple(ts), tuple(us)
+    if match(left, right) is None or match(right, left) is None:
+        return None
+    if index is None:  # no power on either side: a variant
+        return "shift", 0
+    return ("shift" if powered else "instance"), index

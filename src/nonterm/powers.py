@@ -11,15 +11,17 @@ context is absorbed into its offset.  That is one step per node
 (`NormalBuilder`), which any bottom-up walk can take as it builds a term:
 `normalize` is one `terms.rebuild` pass with it, the search reads each
 derived family through its unifier with it (`terms.apply_triangular`),
-and `power_form` builds each seed with it.  `expand_at` and `shift` are
-each one `terms.rebuild` pass over the nodes that hold a power;
-power-free subterms are kept as they are.  `tower`
-reads a term as one tower c^(a*n+b)(u) of a given context c, and
-`positions` reads two terms, where they part, as towers of one context
-each: it is the one walk that both pump detection (`detect`) and instance
-subsumption (`unfold`) make over a family.  A power
-symbol checks its contract when built (`PowerSymbol`): its slope a >= 1,
-so no power stands for a constant tower, and its offset b >= 0.
+and `power_form` builds each seed with it.  `expand_at` is one
+`terms.rebuild` pass over the nodes that hold a power; power-free
+subterms are kept as they are.  `tower` reads a term as one tower
+c^(a*n+b)(u) of a given context c, and `positions` reads two terms, where
+they part, as towers of one context each: it is the one walk that both
+pump detection (`detect.match_pumping`) and the cover of one family by
+another (`pattern.cover`: a variant, a shift in the index, an instance)
+make over a pair of families.  A power symbol checks its contract when
+built (`PowerSymbol`): its slope a >= 1, so no power stands for a
+constant tower, and its offset b >= 0.  Its shape (`terms.App`) leaves
+the offset out, so a family and its shifts share shapes.
 
 Rule families are stored as power terms in normal form.  The paper writes
 a family as skeleton . sigma^n . mu; a seed is built by applying to its
@@ -41,7 +43,7 @@ search reads off the walk that builds the family, `NormalBuilder.simple`).
 
 from __future__ import annotations
 
-from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
+from typing import Callable, ClassVar, Mapping, Optional, Sequence
 
 from .terms import (
     App,
@@ -78,7 +80,7 @@ class PowerSymbol:
     alternative representatives.
     """
 
-    __slots__ = ("context", "a", "b", "_hash")
+    __slots__ = ("context", "a", "b", "_hash", "_shape")
 
     is_power: ClassVar[bool] = True
     arity: ClassVar[int] = 1
@@ -88,7 +90,10 @@ class PowerSymbol:
             raise ValueError(f"not a power symbol: context {context!r}, slope {a}, offset {b}")
         self.context, self.a, self.b = context, a, b
         # Every `App` built over the symbol hashes it, so the hash is kept.
+        # The shape leaves the offset out: a family and its shifts share
+        # shapes, and so a bucket (`unfold.PatternRuleSet`).
         self._hash = hash((context._hash, a, b))
+        self._shape = hash((context._hash, a))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -135,26 +140,6 @@ def expand_at(t: Term, n: int) -> Term:
     return _map_powers(t, lambda sym, u: concrete_power(sym.context, sym.a * n + sym.b, u))
 
 
-def shift(t: Term, d: int) -> Term:
-    """t with every power c^(a,b) raised to c^(a,b+a*d): its expansion at n
-    is t's at n + d.  A negative d must leave every offset non-negative."""
-    return _map_powers(t, lambda sym, u: App(PowerSymbol(sym.context, sym.a, sym.b + sym.a * d), (u,)))
-
-
-def least_shift(terms: Iterable[Term]) -> int:
-    """The largest d such that lowering every offset by a*d keeps it
-    non-negative: min of b // a over the power nodes, 0 without any."""
-    d: Optional[int] = None
-    for t in terms:
-        for v in _power_nodes(t):
-            k = v.symbol.b // v.symbol.a
-            if k == 0:
-                return 0
-            if d is None or k < d:
-                d = k
-    return d or 0
-
-
 def tower(t: Term, c: Term) -> tuple[int, int, Term]:
     """t read as c^(a*n+b)(u), with u not c-headed: (a, b, u).
 
@@ -180,14 +165,20 @@ def positions(left: Term, right: Term) -> Optional[list[Position]]:
     identical pair is skipped only when it is ground and power-free: a
     ground power still moves with n, and a variable pins itself.  Without
     a power at a position, c is None and every exponent is zero; powers of
-    two contexts at one position give None.
+    two contexts at one position give None.  Terms are DAGs (plugging a
+    context with a repeated hole shares subterms), so each pair of
+    subterms is met once, as in `terms.App.__eq__`: a pair met again adds
+    no position, and the walk is linear in the size of the two DAGs.
     """
     out: list[Position] = []
+    seen: set[tuple[int, int]] = set()
     stack = [(left, right)]
     while stack:
         t, u = stack.pop()
-        if t.ground and not t.powered and t == u:
+        key = (id(t), id(u))
+        if key in seen or (t.ground and not t.powered and t == u):
             continue
+        seen.add(key)
         if isinstance(t, App) and isinstance(u, App) and t.symbol == u.symbol and not t.symbol.is_power:
             stack.extend(zip(reversed(t.args), reversed(u.args)))
             continue

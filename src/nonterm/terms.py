@@ -8,11 +8,12 @@ compares structurally: by a hash computed once at construction, then
 argument by argument.  Every term carries two hashes.  The structural one
 (`_hash`, what `hash` returns) reads each variable's name, so terms that
 differ only in their variables hash apart in term-keyed dicts.  The shape
-(`_shape`) reads every variable as one constant, so two variants (terms
-equal up to renaming) always have equal shapes; it buckets rule families
-before their `canonical_key` is built.  Terms pickle by value: loading
-rebuilds each one through its constructor, which interns names afresh and
-recomputes hashes in the loading process.  Derivations produce very deep
+(`_shape`) reads every variable as one constant and every power symbol
+without its offset, so two variants (terms equal up to renaming) always
+have equal shapes, and so do a term and its shifts in the index; it
+buckets the stored rule families (`unfold.PatternRuleSet`).  Terms pickle
+by value: loading rebuilds each one through its constructor, which
+interns names afresh and recomputes hashes in the loading process.  Derivations produce very deep
 terms (number towers like ``s(s(...s(0)))``), so the hot operations --
 equality, substitution application, unification, variable collection --
 are iterative and short-circuit on ground subterms instead of recursing
@@ -32,7 +33,8 @@ context goes through it.
 `resolve`, the substitution a triangular unifier stands for, is
 `apply_triangular` over its bound variables.
 `canonical_key` keys a tuple of terms up to renaming: two tuples are
-variants exactly when their keys are equal.
+variants exactly when their keys are equal.  The binary-unfolding oracle
+(`binrules`) and the tests key with it; the search does not.
 
 A context is an ordinary term in the reserved variable #1 (`HOLE`):
 plugging is substitution for it, and reading a layer is matching.  A
@@ -58,7 +60,7 @@ class Symbol:
     bounded by the names programs use.
     """
 
-    __slots__ = ("name", "arity", "_hash")
+    __slots__ = ("name", "arity", "_hash", "_shape")
     _table: ClassVar[dict[tuple[str, int], "Symbol"]] = {}
 
     # Power symbols (`powers.PowerSymbol`) set this; see `App.powered`.
@@ -69,8 +71,10 @@ class Symbol:
         sym = cls._table.get(key)
         if sym is None:
             sym = object.__new__(cls)
-            # Every `App` built over the symbol hashes it, so the hash is kept.
+            # Every `App` built over the symbol hashes it, so the hash is
+            # kept; a plain symbol's shape is its hash.
             sym.name, sym.arity, sym._hash = name, arity, hash(key)
+            sym._shape = sym._hash
             # setdefault keeps one winner if two threads build the same name.
             sym = cls._table.setdefault(key, sym)
         return sym
@@ -122,10 +126,12 @@ class App:
     construction from the (already cached) values of the children, so all
     four are O(arity) to build and O(1) to use, no matter how deep the term
     is.  `_hash`, the structural hash, reads the children's `_hash` and
-    serves `hash` and `==`; `_shape` reads their `_shape`, so it is the same
-    for every variant of the term, and it is the structural hash when the
-    term is ground.  `powered` is true when a power symbol occurs in the
-    term.
+    serves `hash` and `==`; `_shape` reads their `_shape`, and the
+    symbol's, so it is the same for every variant of the term.  A power
+    symbol's shape leaves out its offset (`powers.PowerSymbol`), so a term
+    shifted in its index keeps its shape too; a ground power-free term's
+    shape is its structural hash.  `powered` is true when a power symbol
+    occurs in the term.
     """
 
     __slots__ = ("symbol", "args", "ground", "powered", "_hash", "_shape")
@@ -140,14 +146,14 @@ class App:
         self.symbol = symbol
         self.args = args
         ground, powered, h = True, symbol.is_power, symbol._hash
-        shape = h
+        shape = symbol._shape
         for a in args:
             ground = ground and a.ground
             powered = powered or a.powered
             h = hash((h, a._hash))
-            # A ground term's shape is its hash, so a ground prefix of the
-            # arguments needs no second hash.
-            shape = h if ground else hash((shape, a._shape))
+            # A ground power-free term's shape is its hash, so a ground
+            # power-free prefix of the arguments needs no second hash.
+            shape = h if ground and not powered else hash((shape, a._shape))
         self.ground, self.powered, self._hash, self._shape = ground, powered, h, shape
 
     def __eq__(self, other: object) -> bool:

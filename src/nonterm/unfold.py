@@ -13,23 +13,28 @@ variables apart and builds the rule in normal form as it goes
 that still collide with the program rule or with each other are renamed,
 and no second walk normalizes the rule or checks that it is simple.
 Expansion at an index is a homomorphism, so the result at n is exactly the
-classical unfolding of the selected instances at n.  Iterating
-from a seed set of correct rules keeps every derived rule correct, so a
-detector can be run on each insertion.  Saturation rarely terminates on
-interesting programs; budgets (wall clock, rounds, rule count) bound every
-run.
+classical unfolding of the selected instances at n.  A derived rule is
+stored unless a stored rule covers it (`pattern.cover`): a variant, a
+shift in the index, or, for a rule without powers, an instance; it is
+compared only with the stored rules that share its shapes, and, when it
+has no power, with those that have one, so no canonical key is built.
+Iterating from a seed set of correct rules keeps every derived rule
+correct, so a detector can be run on each insertion.  Saturation rarely
+terminates on interesting programs; budgets (wall clock, rounds, rule
+count) bound every run.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator, Optional, TextIO
 
-from .pattern import PatternRule, VariantMap, identity_rules, rule_base
+from .pattern import PatternRule, cover, identity_rules
 # `pattern_mgu` is bound but not called here: the benchmark's tracer and
 # tests read `unfold.pattern_mgu`.
-from .powers import NormalBuilder, instance_root, is_simple, pattern_mgu, positions  # noqa: F401
+from .powers import NormalBuilder, instance_root, is_simple, pattern_mgu  # noqa: F401
 from .program import Program, Rule
 from .terms import (
     Subst,
@@ -48,54 +53,45 @@ class PatternRuleSet:
     """Pattern rules deduplicated modulo renaming, index shift and instance.
 
     A rule is covered, and not stored, when a stored rule holds every
-    instance of it:
-      - its `rule_base` is stored at a shift no larger than its own; or
-      - it has no power, and it is a variant of a stored rule's instance
-        at some index n.
-    Stored rules are never removed, even when a later one covers them.
-    The covered rules that a seed's own recursive rule would derive from
-    it are never built (`_attempts`), so they never reach `add`.
-    Only simple rules (`powers.is_simple` on both sides) may be stored;
-    insertion order is preserved so saturation rounds are reproducible.
+    instance of it (`pattern.cover`): it is a stored rule shifted by
+    k >= 0 (k = 0 for a variant), or it has no power and is a variant of a
+    stored rule's instance at some index n.  Stored rules are never
+    removed, even when a later one covers them.  The covered rules that a
+    seed's own recursive rule would derive from it are never built
+    (`_attempts`), so they never reach `add`.  Only simple rules
+    (`powers.is_simple` on both sides) may be stored; insertion order is
+    preserved so saturation rounds are reproducible.
 
-    Bases are held in a `pattern.VariantMap`, so a canonical key
-    (`PatternRule.key`) is built only when a stored base has the same
-    shapes (`terms.App`) as the one looked up, and an instance is keyed
-    only when its shapes are those of the rule it is compared with.  A
-    rule that no stored rule comes near in shape costs no key at all.
+    Stored rules are bucketed by the shapes of their two sides
+    (`terms.App`), which a rule shares with its variants and its shifts,
+    so a rule is compared only with its own bucket, newest first, and,
+    when it has no power, with the stored rules that have one, in storage
+    order.  A shift of a stored rule is stored only when it is smaller
+    than every shift of that rule stored before it, so the newest that
+    covers a rule is the one of least shift.  The map of buckets is never
+    iterated, and each bucket keeps storage order, so no order depends on
+    a hash value.
     """
 
     def __init__(self, rules=()):
         self._rules: list[PatternRule] = []
-        # Base -> the least shift stored for it, and that rule.
-        self._least = VariantMap()
-        # The stored rules with a power, in storage order; an instance is
-        # built afresh each time one is compared.
+        # Shapes of both sides -> the stored rules with them, in storage order.
+        self._buckets: dict[tuple[int, int], list[PatternRule]] = {}
+        # The stored rules with a power, in storage order.
         self._powered: list[PatternRule] = []
         for r in rules:
             self.add(r)
 
-    def _cover(
-        self, rule: PatternRule, base: PatternRule, d: int
-    ) -> Optional[tuple[str, PatternRule, int]]:
-        """How a stored rule covers this one, whose `rule_base` is `base`
-        at shift d, if one does: ("shift", stored, k) when it is the stored
-        rule shifted by k >= 0 (k = 0 for a variant), or ("instance",
-        stored, n) when it is, up to renaming, the stored rule's instance
-        at n."""
-        held = self._least.get(base)
-        if held is not None and held[0] <= d:
-            return "shift", held[1], d - held[0]
-        if rule.lhs.powered or rule.rhs.powered:
-            return None
-        shapes = (rule.lhs._shape, rule.rhs._shape)
-        for stored in self._powered:
-            n = _index_at(rule, stored)
-            if n is None:
-                continue
-            inst = stored.at(n)
-            if (inst.lhs._shape, inst.rhs._shape) == shapes and inst.key() == rule.key():
-                return "instance", stored, n
+    def _cover(self, rule: PatternRule) -> Optional[tuple[str, PatternRule, int]]:
+        """How a stored rule covers this one, if one does: ("shift", stored,
+        k) or ("instance", stored, n), as `pattern.cover` reads them."""
+        candidates = reversed(self._buckets.get((rule.lhs._shape, rule.rhs._shape), ()))
+        if not (rule.lhs.powered or rule.rhs.powered):
+            candidates = chain(candidates, self._powered)
+        for held in candidates:
+            found = cover(held, rule)
+            if found is not None:
+                return found[0], held, found[1]
         return None
 
     def add(
@@ -112,14 +108,13 @@ class PatternRuleSet:
         """
         if not (is_simple(rule.lhs) and is_simple(rule.rhs)):
             raise ValueError(f"refusing to store a non-simple pattern rule: {rule}")
-        base, d = rule_base(rule)
-        cover = self._cover(rule, base, d)
-        if cover is not None:
-            kind, held, k = cover
+        found = self._cover(rule)
+        if found is not None:
+            kind, held, k = found
             if on_subsumed is not None and (kind, k) != ("shift", 0):
                 on_subsumed(rule, held, kind, k)
             return False
-        self._least[base] = (d, rule)
+        self._buckets.setdefault((rule.lhs._shape, rule.rhs._shape), []).append(rule)
         self._rules.append(rule)
         if rule.lhs.powered or rule.rhs.powered:
             self._powered.append(rule)
@@ -127,32 +122,13 @@ class PatternRuleSet:
 
     def contains_variant(self, rule: PatternRule) -> bool:
         """Whether a stored rule is a variant of this one or covers it."""
-        return self._cover(rule, *rule_base(rule)) is not None
+        return self._cover(rule) is not None
 
     def __iter__(self) -> Iterator[PatternRule]:
         return iter(self._rules)
 
     def __len__(self) -> int:
         return len(self._rules)
-
-
-def _index_at(rule: PatternRule, family: PatternRule) -> Optional[int]:
-    """The only index n at which the family's instance can be a variant of
-    this power-free rule, or None.
-
-    It is read off the first position (`powers.positions`), left side
-    first, where the family holds a power c^(a,b): the rule holds there
-    c^(a*n+b) over a term that is not c-headed, as the power's argument is
-    not (the normal form).  It is only a proposal: whether the rule matches
-    the family's plain symbols is left to the comparison of keys.
-    """
-    for f, t in ((family.lhs, rule.lhs), (family.rhs, rule.rhs)):
-        # The rule holds no power, so no position has two contexts.
-        for _, a, b, _, _, rb, _ in positions(f, t):
-            if a:
-                n, r = divmod(rb - b, a)
-                return n if n >= 0 and r == 0 else None
-    return None
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from typing import Iterator, Mapping, NamedTuple, Optional
 
 from nonterm.binrules import BinaryRuleSet, saturate
-from nonterm.pattern import PatternRule, identity_rules
+from nonterm.pattern import PatternRule, identity_rules, pattern_rule_key
 from nonterm.powers import PowerSymbol, expand_at, is_power, normalize
 from nonterm.program import (
     ParseError,
@@ -48,6 +48,7 @@ from nonterm.terms import (
     match_context,
     plug,
     primitive_context,
+    rebuild,
     strip_power,
     term_vars,
 )
@@ -108,6 +109,19 @@ def subst_at(theta: Subst, n: int) -> Subst:
     that expands to its own variable, like X -> c^(1n+0)(X) at 0, is
     dropped."""
     return pruned({v: expand_at(u, n) for v, u in theta.items()})
+
+
+def shift(t: Term, d: int) -> Term:
+    """t with every power c^(a,b) raised to c^(a,b+a*d): its expansion at n
+    is t's at n + d.  A negative d must leave every offset non-negative."""
+
+    def node(u: App, args: tuple[Term, ...]) -> Term:
+        sym = u.symbol
+        if sym.is_power:
+            sym = PowerSymbol(sym.context, sym.a, sym.b + sym.a * d)
+        return App(sym, args)
+
+    return rebuild(t, lambda u: None if u.powered else u, node)
 
 
 def step_candidates(
@@ -481,8 +495,9 @@ def reference_initial_rules(program: Program) -> list[PatternRule]:
                 continue
             closing = reference_power_form(body, sigma, mu, moved)
             for rule in (PatternRule(closing, EPSILON), PatternRule(open_, body)):
-                if rule.key() not in seen:
-                    seen.add(rule.key())
+                key = pattern_rule_key(rule)
+                if key not in seen:
+                    seen.add(key)
                     out.append(rule)
     return out
 

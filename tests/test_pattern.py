@@ -18,10 +18,11 @@ from conftest import (
     term,
 )
 from nonterm.binrules import saturate
-from nonterm.pattern import PatternRule, initial_rules, pattern_rule_key
-from nonterm.powers import expand_at
+from nonterm.detect import match_pumping
+from nonterm.pattern import PatternRule, cover, initial_rules, pattern_rule_key
+from nonterm.powers import PowerSymbol, expand_at
 from nonterm.program import derive_bounded, parse_program
-from nonterm.terms import EPSILON
+from nonterm.terms import EPSILON, HOLE, App, Symbol, Var, concrete_power
 
 
 class TestEvaluation:
@@ -70,6 +71,60 @@ class TestEvaluation:
         inst = r.at(0)
         assert inst == PatternRule(term("while(s(s(X)),s(0))"), term("while(s(s(s(X))),s(s(0)))"))
         assert not (inst.lhs.powered or inst.rhs.powered)
+
+
+class TestCover:
+    # gt(s^(n+1)(X), s^n(0)) => e.
+    CLOSING = PatternRule(fam("gt(X,Y)", subst(X="s(X)", Y="s(Y)"), subst(X="s(X)", Y="0")), EPSILON)
+    # f(s^(n+1)(X), s^n(Y)) => f(X, Y).
+    OPEN = PatternRule(fam("f(s(X),Y)", subst(X="s(X)", Y="s(Y)")), term("f(X,Y)"))
+
+    def test_variant(self):
+        renamed = PatternRule(fam("f(s(U),V)", subst(U="s(U)", V="s(V)")), term("f(U,V)"))
+        assert cover(self.OPEN, renamed) == ("shift", 0)
+        plain = PatternRule(term("f(X,g(Y))"), term("f(Y,X)"))
+        assert cover(plain, PatternRule(term("f(A,g(B))"), term("f(B,A)"))) == ("shift", 0)
+        # An instance in the sense of a substitution is not a variant.
+        assert cover(plain, PatternRule(term("f(A,g(A))"), term("f(A,A)"))) is None
+        assert cover(PatternRule(term("f(A,g(A))"), term("f(A,A)")), plain) is None
+
+    def test_shift(self):
+        sigma = subst(X="s(X)", Y="s(Y)")
+        # gt(s^(n+3)(X), s^(n+2)(0)) => e is the family at n + 2.
+        shifted = PatternRule(fam("gt(X,Y)", sigma, subst(X="s(s(s(X)))", Y="s(s(0))")), EPSILON)
+        assert cover(self.CLOSING, shifted) == ("shift", 2)
+        assert cover(shifted, self.CLOSING) is None
+        # One power shifted and the other not is no shift.
+        lopsided = PatternRule(fam("gt(X,Y)", sigma, subst(X="s(s(s(X)))", Y="0")), EPSILON)
+        assert cover(self.CLOSING, lopsided) is None
+        # Nor is a power met by concrete layers where the index fits.
+        fixed = PatternRule(fam("gt(X,Y)", subst(X="s(X)"), subst(X="s(s(X))", Y="s(0)")), EPSILON)
+        assert cover(self.CLOSING, fixed) is None
+
+    def test_instance(self):
+        assert cover(self.CLOSING, PatternRule(term("gt(s(s(s(Z))),s(s(0)))"), EPSILON)) == ("instance", 2)
+        assert cover(self.OPEN, PatternRule(term("f(s(s(A)),s(B))"), term("f(A,B)"))) == ("instance", 1)
+        for other in (
+            "gt(s(s(s(Z))),s(0))",  # the two powers disagree on n
+            "gt(s(s(0)),s(0))",  # a ground term where X stands
+            "gt(s(s(s(Z))),s(s(nil)))",  # another base
+            "gt(Z,0)",  # below the least instance
+        ):
+            assert cover(self.CLOSING, PatternRule(term(other), EPSILON)) is None, other
+        # The right side must agree too.
+        assert cover(self.OPEN, PatternRule(term("f(s(s(A)),s(B))"), term("f(B,A)"))) is None
+        assert cover(self.OPEN, PatternRule(term("f(s(s(A)),s(B))"), EPSILON)) is None
+
+    def test_shared_towers_are_read_once(self):
+        # p(f(#1,#1)^2000(X)) as `concrete_power` builds it has 2000 nodes
+        # and 2^2000 leaves; it is read as a DAG.
+        c, p = App(Symbol("f", 2), (HOLE, HOLE)), Symbol("p", 1)
+        x = Var("X")
+        t = App(p, (concrete_power(c, 2000, x),))
+        assert match_pumping(PatternRule(t, t)) is not None
+        assert cover(PatternRule(t, t), PatternRule(t, t)) == ("shift", 0)
+        family = PatternRule(App(p, (App(PowerSymbol(c, 1, 0), (x,)),)), App(p, (x,)))
+        assert cover(family, PatternRule(t, App(p, (x,)))) == ("instance", 2000)
 
 
 class TestInitialRules:

@@ -24,6 +24,7 @@ from conftest import (
     random_term,
     reference_normalize,
     reference_power_form,
+    shift,
     sigma_powers,
     subst,
     subst_at,
@@ -34,12 +35,10 @@ from nonterm.powers import (
     expand_at,
     instance_root,
     is_power,
-    least_shift,
     normalize,
     pattern_form,
     pattern_mgu,
     positions,
-    shift,
     tower,
 )
 from nonterm.terms import (
@@ -403,16 +402,10 @@ class TestShift:
             u = random_simple_pattern(rng).power()
             for d in range(3):
                 v = shift(u, d)
-                assert least_shift([v]) == least_shift([u]) + (d if u.powered else 0)
                 for n in range(3):
                     assert expand_at(v, n) == expand_at(u, n + d)
-
-    def test_least_shift(self):
         t = App(F, (pw(S1, 2, 5, X), pw(G1, 1, 3, Y)))
-        assert least_shift([t]) == 2
-        assert least_shift([t, pw(S1, 1, 1, Z)]) == 1
         assert shift(t, -2) == App(F, (pw(S1, 2, 1, X), pw(G1, 1, 1, Y)))
-        assert least_shift([term("f(X,0)")]) == 0
 
 
 def _subterms(t):
@@ -485,6 +478,15 @@ class TestPositions:
         left = App(F, (App(F, (App(G, (X,)), ZERO)), pw(S1, 1, 0, Y)))
         right = App(F, (App(F, (App(G, (Z,)), ZERO)), term("s(0)")))
         assert positions(left, right) == [(None, 0, 0, X, 0, 0, Z), (S1, 1, 0, Y, 0, 1, ZERO)]
+
+    def test_shared_subterms_are_read_once(self):
+        # p(f(#1,#1)^k(X)) as `concrete_power` builds it: k nodes in a DAG,
+        # 2^k leaves in a tree.  Each pair of subterms is met once, so the
+        # one position, X against X, is read once whatever k is.
+        c, p = App(F, (HOLE, HOLE)), Symbol("p", 1)
+        for k in (12, 40, 2000):
+            t = App(p, (concrete_power(c, k, X),))
+            assert positions(t, t) == [(None, 0, 0, X, 0, 0, X)]
 
 
 # Families in the paper's notation over two contexts and slopes 1 and 2,

@@ -764,8 +764,8 @@ class TestShapes:
         others=st.lists(_terms(), min_size=1, max_size=3),
     )
     def test_variants_share_a_shape(self, parts, names, others):
-        # Rule families are bucketed by shape before any key is built, so
-        # every variant must land in the same bucket: an injective renaming
+        # Stored rule families are bucketed by shape, so every variant
+        # must land in the same bucket: an injective renaming
         # (here possibly a permutation of the term's own names) keeps each
         # shape, and two tuples with one canonical key have equal shapes.
         parts, others = tuple(parts), tuple(others)
@@ -776,6 +776,15 @@ class TestShapes:
         for other in (renamed, merged, others):
             if canonical_key(other) == canonical_key(parts):
                 assert [t._shape for t in other] == [t._shape for t in parts]
+
+    def test_only_power_offsets_leave_the_hash(self):
+        # A ground term without powers has its hash as its shape; a power's
+        # shape leaves its offset out, so a ground power's is not its hash.
+        t = App(F, (App(S, (ZERO,)), NIL))
+        assert t._shape == hash(t)
+        one, two = (App(PowerSymbol(_S_CTX, 1, b), (ZERO,)) for b in (1, 2))
+        assert one._shape == two._shape and hash(one) != hash(two)
+        assert App(F, (one, ZERO))._shape == App(F, (two, ZERO))._shape
 
     def test_variables_still_hash_apart(self):
         # Only the shape reads every variable alike.  The structural hash

@@ -29,6 +29,7 @@ from conftest import (
     recursive_programs,
     reference_initial_rules,
     self_wrapping_programs,
+    shift,
     step,
     step_candidates,
     subst,
@@ -37,14 +38,13 @@ from conftest import (
 from nonterm import powers, unfold
 from nonterm.binrules import saturate as binary_saturate
 from nonterm.detect import check_pumps, ground_constant, match_pumping, prove, witness_from
-from nonterm.pattern import PatternRule, identity_rules, initial_rules, pattern_rule_key, rule_base
+from nonterm.pattern import PatternRule, cover, identity_rules, initial_rules, pattern_rule_key
 from nonterm.powers import (
     PowerSymbol,
     expand_at,
     is_simple,
     normalize,
     pattern_mgu,
-    shift,
 )
 from nonterm.program import parse_program
 from nonterm.terms import (
@@ -966,9 +966,7 @@ class TestOwnSeeds:
             if got is None:
                 assert has_layer, seed
                 continue
-            base, d = rule_base(seed)
-            got_base, got_d = rule_base(got)
-            assert (pattern_rule_key(got_base), got_d) == (pattern_rule_key(base), d + 1)
+            assert is_variant(got, _shifted(seed, 1))
             drops = []
             assert not PatternRuleSet([seed]).add(got, lambda *args: drops.append(args[2:]))
             assert drops == [("shift", 1)]
@@ -1003,13 +1001,15 @@ class TestSubsumption:
     def test_shift_has_the_same_base(self, seed, d):
         rule = _random_rule(random.Random(seed))
         moved = _shifted(rule, d)
-        base, k = rule_base(rule)
-        moved_base, moved_k = rule_base(moved)
-        assert pattern_rule_key(moved_base) == pattern_rule_key(base)
+        # Shifted back down by d, it is the family again, and it shares the
+        # family's shapes, so it lands in its bucket.
+        assert pattern_rule_key(_shifted(moved, -d)) == pattern_rule_key(rule)
+        assert (moved.lhs._shape, moved.rhs._shape) == (rule.lhs._shape, rule.rhs._shape)
         if not (rule.lhs.powered or rule.rhs.powered):
-            assert moved_k == k == 0
+            assert is_variant(moved, rule)
             return
-        assert moved_k == k + d
+        assert not is_variant(moved, rule)
+        assert cover(rule, moved) == ("shift", d) and cover(moved, rule) is None
         drops = []
         rules = PatternRuleSet([rule])
         assert not rules.add(moved, lambda *args: drops.append(args))
@@ -1019,6 +1019,24 @@ class TestSubsumption:
         rules = PatternRuleSet([moved])
         assert rules.add(rule)
         assert list(rules) == [moved, rule]
+
+    def test_the_least_shift_stored_is_reported(self):
+        # gt(s^(n+1)(X), s^n(0)) => e, stored at shifts 3 and then 1: a
+        # shift by 5 is reported against the later, less shifted family.
+        family = PatternRule(GT_CLOSING, EPSILON)
+        three, one = _shifted(family, 3), _shifted(family, 1)
+        rules = PatternRuleSet([three, one])
+        assert list(rules) == [three, one]
+        drops = []
+        assert not rules.add(_renamed(_shifted(family, 5)), lambda *args: drops.append(args[1:]))
+        assert drops == [(one, "shift", 4)]
+        # A variant of a stored family that a less shifted one joined
+        # later is reported as a shift of that one.
+        two = _shifted(family, 2)
+        rules = PatternRuleSet([two, family])
+        drops = []
+        assert not rules.add(_renamed(two), lambda *args: drops.append(args[1:]))
+        assert drops == [(family, "shift", 2)]
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 2))
@@ -1284,9 +1302,10 @@ class TestInstanceSubsumption:
 
 
 class TestKeysOnShapeHits:
-    """Stored families and seeds are bucketed by the shapes of their sides
-    (`pattern.VariantMap`); a canonical key is built only when a bucket
-    already holds a family."""
+    """Seeding and saturation build no canonical key: a family is compared
+    with the stored ones that share its shapes (`unfold.PatternRuleSet`),
+    and with those that have a power, by `pattern.cover`, which reads both
+    where they part and builds neither a key nor an instance."""
 
     @staticmethod
     def counted_keys(monkeypatch) -> list:
@@ -1305,8 +1324,6 @@ class TestKeysOnShapeHits:
         return keyed
 
     def test_bundled_programs_build_no_key(self, monkeypatch):
-        # Every family these programs store or seed is new and has shapes
-        # no earlier one has, so none is keyed.
         keyed = self.counted_keys(monkeypatch)
         proved = 0
         for path in sorted(PROGRAMS_DIR.glob("*.pl")):
@@ -1317,14 +1334,15 @@ class TestKeysOnShapeHits:
 
     def test_covered_families_are_still_refused(self, monkeypatch):
         # SHRINK_TWICE derives shifts and an instance of its seeds, which
-        # share their shapes: they are keyed, and refused as before.
+        # share their shapes or have no power: they are refused as before,
+        # and no key is built for them.
         keyed = self.counted_keys(monkeypatch)
         out = io.StringIO()
         program = parse_program(SHRINK_TWICE, "shrink-twice")
         _, stats = saturate(program, initial_rules(program), UnfoldBudget(max_iterations=3), trace=out)
         lines = [l for l in out.getvalue().splitlines() if l.startswith("subsumed:")]
         assert lines == TestSubsumption.SHRINK_LINES and stats.subsumed == 3
-        assert keyed
+        assert keyed == []
 
 
 # The gt/le/add/mul library of the clash loops.
