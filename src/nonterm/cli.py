@@ -174,8 +174,9 @@ _FILE_ERRORS = (ParseError, RecursionError, UnicodeDecodeError, OSError)
 def _file_error(path: Path, exc: Exception, err: TextIO) -> str:
     """Report a file that could not be analysed; returns the message.
 
-    No step recurses on the depth of a term; should one still exceed the
-    interpreter's recursion limit, the file is reported like a parse error.
+    No step recurses on the depth of a term nor on the length of a clause
+    body; should one still exceed the interpreter's recursion limit, the
+    file is reported like a parse error.
     """
     message = "term nesting too deep" if isinstance(exc, RecursionError) else str(exc)
     err.write(f"error: {path}: {message}\n")

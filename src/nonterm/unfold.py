@@ -11,7 +11,9 @@ and the derived rule is read through it in one walk that renames its
 variables apart and builds the rule in normal form as it goes
 (`terms.apply_triangular` with `powers.NormalBuilder`), so only the picks
 that still collide with the program rule or with each other are renamed,
-and no second walk normalizes the rule or checks that it is simple.
+and no second walk normalizes the rule or checks that it is simple.  A
+prefix's selections are walked in one loop over a stack of per-slot
+iterators (`_join`), so no step recurses on the length of a body.
 Expansion at an index is a homomorphism, so the result at n is exactly the
 classical unfolding of the selected instances at n.  A derived rule is
 stored unless a stored rule covers it (`pattern.cover`): a variant, a
@@ -264,7 +266,9 @@ def _join(
     new: Optional[set[int]],
 ) -> Iterator[tuple[Optional[PatternRule], tuple]]:
     """Depth-first walk of the selections for one body prefix, in the
-    order of `itertools.product` over the slots.
+    order of `itertools.product` over the slots, in one loop over a stack
+    of per-slot iterators: no recursion on the body's length, and no
+    reference cycle left for the cyclic collector.
 
     Each pick's left side is unified with its body atom on top of the
     earlier picks' triangular bindings (`terms.unify`, the last slot's
@@ -289,9 +293,12 @@ def _join(
     if not later_new[0]:
         return
     prefix = rule.body[:depth]
-
-    def walk(j, bindings, avoid, combo, has_new):
-        for pr in slots[j]:
+    # Per slot entered: its picks' iterator and the state the picks extend.
+    stack = [(iter(slots[0]), {}, rule_vars, (), False)]
+    while stack:
+        j = len(stack) - 1
+        picks, bindings, avoid, combo, has_new = stack[-1]
+        for pr in picks:
             uses_new = has_new or new is None or id(pr) in new
             if not (uses_new or later_new[j + 1]):
                 continue
@@ -305,9 +312,10 @@ def _join(
             elif extended is None:
                 yield None, (*provenance, here)
             else:
-                yield from walk(j + 1, extended, avoid | picked.vars(), here, uses_new)
-
-    yield from walk(0, {}, rule_vars, (), False)
+                stack.append((iter(slots[j + 1]), extended, avoid | picked.vars(), here, uses_new))
+                break
+        else:
+            stack.pop()
 
 
 def _derive(

@@ -1,5 +1,6 @@
 """Command-line front end: reports, exit codes, dumps."""
 
+import gc
 import io
 import json
 import os
@@ -51,6 +52,33 @@ class TestNameTables:
             return len(Symbol._table), len(Var._table)
 
         assert one_pass() == one_pass()
+
+
+class TestNoCycles:
+    def test_a_pass_leaves_no_cyclic_garbage(self):
+        # Every object a search makes is freed by reference counting, so
+        # the cyclic collector has nothing to pause queries for.  The
+        # settings cover the proved, fixpoint, multi-slot, validation and
+        # trace paths.
+        paths = sorted(PROGRAMS_DIR.glob("*.pl"))
+        configs = [RunConfig(inputs=()), RunConfig(inputs=(), validate_steps=50, trace=True)]
+
+        def one_pass():
+            for config in configs:
+                for path in paths:
+                    cli.analyze_file(path, config, io.StringIO())
+
+        one_pass()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            one_pass()
+            assert gc.collect() == 0
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
 
 
 class TestRun:
@@ -114,10 +142,17 @@ class TestRun:
         deep = "s(" * 3000 + "0" + ")" * 3000
         (tmp_path / "deep.pl").write_text(f"%query: f(i).\nf(s(X)) :- f(X).\nf({deep}).\n")
         (tmp_path / "grow.pl").write_text((PROGRAMS_DIR / "grow.pl").read_text())
+        # Far longer a body than the recursion limit: each prefix's
+        # selections are walked in one loop.
+        body = ", ".join(["q(X)"] * 2000)
+        (tmp_path / "wide.pl").write_text(
+            f"%query: p(i).\np(X) :- {body}, p(X).\nq(a).\nq(s(X)) :- q(X).\n"
+        )
         code, out, err = run_cli(tmp_path, as_json=True)
         assert (code, err) == (0, "")
         rows = {r["program"]: r for r in json.loads(out)}
         assert rows["deep"]["status"] == "Unknown-fixpoint"
+        assert (rows["wide"]["status"], rows["wide"]["witness"]) == ("Proven", "p(a)")
         assert rows["grow"]["status"] == "Proven"
 
     @staticmethod
