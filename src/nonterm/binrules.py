@@ -71,7 +71,7 @@ class BinaryRuleSet:
 def _unfoldings(
     program: Program, pool: BinaryRuleSet, source: VarSource
 ) -> Iterator[PatternRule]:
-    ident = identity_rules(program.symbols)
+    ident = identity_rules(program.symbols, source)
     eps_rules = [r for r in pool if is_epsilon(r.rhs)]
     any_rules = [*pool, *ident]
     nonep_rules = [r for r in any_rules if not is_epsilon(r.rhs)]
@@ -81,7 +81,6 @@ def _unfoldings(
 
     for rule in program.rules:
         m = len(rule.body)
-        rvars = rule.vars()
         for i in range(1, m + 1):
             slots: list[list[PatternRule]] = []
             for j in range(i - 1):
@@ -95,13 +94,10 @@ def _unfoldings(
                 [r for r in last_pool if want is None or root(r.lhs) in (None, want)]
             )
             for combo in product(*slots):
-                avoid = set(rvars)
                 picked: list[PatternRule] = []
                 for r in combo:
-                    ren = fresh_renaming(r.vars(), avoid, source)
-                    rr = PatternRule(apply(r.lhs, ren), apply(r.rhs, ren))
-                    picked.append(rr)
-                    avoid |= rr.vars()
+                    ren = fresh_renaming(r.vars(), (), source)
+                    picked.append(PatternRule(apply(r.lhs, ren), apply(r.rhs, ren)))
                 theta = mgu(tuple(r.lhs for r in picked), tuple(rule.body[:i]))
                 if theta is None:
                     continue

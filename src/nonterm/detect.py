@@ -33,6 +33,7 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    VarSource,
     concrete_power,
     match,
     rebuild,
@@ -200,7 +201,8 @@ def prove(
             f"({len(kept)} of {len(program.head_symbols())} predicates)\n"
         )
     deadline = t0 + budget.wall_clock
-    base = initial_rules(reach, goal, deadline)
+    source = VarSource()  # one namespace: seeds, identities, derived rules
+    base = initial_rules(reach, goal, deadline, source)
     found: list[Witness] = []
     constant = ground_constant(program)
 
@@ -217,7 +219,7 @@ def prove(
         return True
 
     left = replace(budget, wall_clock=deadline - time.monotonic())
-    _, stats = saturate(reach, base, left, on_rule=on_rule, trace=trace, goal=goal)
+    _, stats = saturate(reach, base, left, on_rule=on_rule, trace=trace, goal=goal, source=source)
     witness = found[0] if found else None
     reason = None if found else stats.stop
     validated: Optional[bool] = None

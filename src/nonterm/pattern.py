@@ -33,6 +33,8 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    VarSource,
+    apply,
     canonical_key,
     decompose_power,
     is_epsilon,
@@ -65,7 +67,7 @@ class PatternRule:
 
     @cached_property
     def _vars(self) -> frozenset[Var]:
-        # Computed once: unfolding asks every selected rule for its variables.
+        # Computed once; seeds and derived rules have it filled as they are built.
         return term_vars(self.lhs) | term_vars(self.rhs)
 
     def rhs_is_epsilon(self) -> bool:
@@ -75,17 +77,18 @@ class PatternRule:
         return f"{render(self.lhs)} => {render(self.rhs)}"
 
 
-def identity_rules(symbols: Iterable[Symbol]) -> list[PatternRule]:
-    """One identity rule f(X1,..,Xm) => f(X1,..,Xm) per symbol, in order."""
+def identity_rules(symbols: Iterable[Symbol], source: VarSource) -> list[PatternRule]:
+    """One identity f(X1,..,Xm) => f(X1,..,Xm) per symbol, in order, Xi fresh."""
     out = []
     for sym in symbols:
-        t = App(sym, tuple(Var(f"X{i + 1}") for i in range(sym.arity)))
+        t = App(sym, tuple([source.fresh() for _ in range(sym.arity)]))
         out.append(PatternRule(t, t))
     return out
 
 
 def initial_rules(
-    program: Program, goal: Optional[Symbol] = None, deadline: float = float("inf")
+    program: Program, goal: Optional[Symbol] = None, deadline: float = float("inf"),
+    source: Optional[VarSource] = None,
 ) -> list[PatternRule]:
     """Seed pattern rules from recursive/base pairs of binary rules.
 
@@ -98,11 +101,13 @@ def initial_rules(
     Each is built as a power term (`power_form`): with c_k = d^a for a
     ground d of minimal period, x_k goes to d^(a,b)(t) where t_k = d^b(t),
     in the head to d^(a,a)(x_k).  A variable sigma leaves alone keeps its
-    filler.  Each recursive rule is tried against the facts of its body's
-    predicate only, in program order; no other fact matches the body.
-    Each seed records the recursive rule it was built from as its
-    `source`: both families are that rule unfolded n times with itself,
-    so unfolding it once more with one of them gives nothing new
+    filler.  That walk names each variable by a fresh one of the `VarSource`
+    given (of a new one without it), and the open family's right side takes
+    the same names.  Each recursive rule is tried against the facts of its
+    body's predicate only, in program order; no other fact matches the
+    body.  Each seed records the recursive rule it was built from as its
+    `source`: both families are that rule unfolded n times with itself, so
+    unfolding it once more with one of them gives nothing new
     (`unfold._attempts`).  A family is kept once up to renaming: it is
     dropped when a kept seed with the same shapes (`terms.App`) covers it
     at shift 0 (`cover`), so seeds of distinct shapes are never compared.
@@ -110,13 +115,14 @@ def initial_rules(
     With a goal, the open family is built only for a recursive rule whose
     body is a goal atom, and the closing families for every predicate,
     since inner slots need them.  Those are exactly the seeds goal-directed
-    saturation stores (`unfold._toward`), in the same order:
-    initial_rules(p, g) == [r for r in initial_rules(p) if _toward(g, r)].
+    saturation stores (`unfold._toward`), in the same order, up to renaming:
+    initial_rules(p, g) ~ [r for r in initial_rules(p) if _toward(g, r)].
 
     The clock is read before each recursive rule and each fact is tried;
     once it is past the deadline (a `time.monotonic` reading), the seeds
     built so far, a prefix of the list, are returned.
     """
+    source = VarSource() if source is None else source
     out: list[PatternRule] = []
     # The seeds kept, by the shapes of their sides (`terms.App`).
     seen: dict[tuple[int, int], list[PatternRule]] = {}
@@ -139,14 +145,19 @@ def initial_rules(
             continue
         open_ = None
         if goal is None or body.symbol == goal:
-            open_ = PatternRule(power_form(body, wrapped, moved), body, rec)
+            names: dict[Var, Var] = {}
+            lhs = power_form(body, wrapped, moved, source, names)
+            open_ = PatternRule(lhs, apply(body, names), rec)
+            open_.__dict__["_vars"] = frozenset(names.values())  # fills PatternRule.vars()
         for fact in facts[body.symbol]:
             if time.monotonic() > deadline:
                 return out
             ts = match(body, fact)
             if ts is None:
                 continue
-            closing = PatternRule(power_form(body, ts, moved), EPSILON, rec)
+            names = {}
+            closing = PatternRule(power_form(body, ts, moved, source, names), EPSILON, rec)
+            closing.__dict__["_vars"] = frozenset(names.values())
             for rule in (closing,) if open_ is None else (closing, open_):
                 kept = seen.setdefault((rule.lhs._shape, rule.rhs._shape), [])
                 if all(cover(held, rule) != ("shift", 0) for held in kept):

@@ -51,6 +51,7 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    VarSource,
     concrete_power,
     match_context,
     rebuild,
@@ -330,9 +331,11 @@ def is_simple(t: Term) -> bool:
     return all(not v.args[0].powered for v in _power_nodes(t))
 
 
-def power_form(t: Term, fillers: Subst, moved: Mapping[Var, tuple[Term, int]]) -> Term:
+def power_form(
+    t: Term, fillers: Subst, moved: Mapping[Var, tuple[Term, int]], source: VarSource, names: dict[Var, Var]
+) -> Term:
     """The canonical power term of a seed family: t under `fillers`, with
-    every moved variable raised to a power.
+    every moved variable raised to a power, and every variable fresh.
 
     `moved` maps each variable the family's index drives to (c, a), the
     variable being driven by the ground 1-context c^a, with c of minimal
@@ -340,16 +343,25 @@ def power_form(t: Term, fillers: Subst, moved: Mapping[Var, tuple[Term, int]]) -
     the filler's c layers go into the offset.  Any other variable gets its
     filler as is.  t and the fillers are power-free, so the one substitution
     walk (`terms.rebuild`) that builds the term in normal form
-    (`NormalBuilder`) gives `normalize` of t under that substitution.
+    (`NormalBuilder`) gives `normalize` of t under that substitution.  The
+    walk names each variable of t or of a filler as it reaches it, by a
+    fresh one of `source` that it records in `names`.
     """
-    s = {**fillers}
-    for x, (c, a) in moved.items():
-        s[x] = _fuse(PowerSymbol(c, a, 0), fillers.get(x, x))
-    return rebuild(
-        t,
-        lambda u: u if u.ground else s.get(u, u) if isinstance(u, Var) else None,
-        NormalBuilder().node,
-    )
+    def name(u: Term) -> Optional[Term]:
+        if type(u) is Var:
+            return names.get(u) or names.setdefault(u, source.fresh())
+        return u if u.ground else None
+
+    def leaf(u: Term) -> Optional[Term]:
+        if type(u) is not Var:
+            return name(u)
+        w, split = fillers.get(u, u), moved.get(u)
+        if split is None:
+            return rebuild(w, name)
+        _, b, w = tower(w, split[0])  # c^(a,0) fused over the filler c^b(w)
+        return App(PowerSymbol(*split, b), (rebuild(w, name),))
+
+    return rebuild(t, leaf, NormalBuilder().node)
 
 
 def pattern_form(theta: Subst) -> Optional[Subst]:

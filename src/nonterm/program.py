@@ -50,10 +50,7 @@ class Rule:
 
     @cached_property
     def _vars(self) -> frozenset[Var]:
-        # Computed once: every unfolding step avoids the program rule's
-        # variables when it renames a pick, and every interpreter step
-        # renames the rule apart.  The parser fills it from its variable
-        # table.
+        # Computed once: each interpreter step renames the rule apart; the parser fills it.
         return term_vars((self.head, *self.body))
 
     def __repr__(self) -> str:
@@ -350,10 +347,12 @@ def rewrite_step(
 ) -> list[tuple[Query, Subst]]:
     """One leftmost-resolution step of a query with one rule.
 
-    The rule is renamed apart from the query; on unification of the renamed
-    head with the first query term, the result is (body ++ rest) under the
-    unifier.  The body is built once, under the renaming followed by the
-    unifier.  At most one result (the mgu is unique up to renaming).
+    The rule is renamed apart from the query: its fresh names also avoid
+    the query's, which may hold those an earlier step drew from another
+    source (`derive_bounded` makes one per step).  On unification of the
+    renamed head with the first query term, the result is (body ++ rest)
+    under the unifier, the body built once under the renaming followed by
+    the unifier.  At most one result (the mgu is unique up to renaming).
     """
     if not query:
         return []

@@ -94,8 +94,8 @@ class Var:
     name, which `App`'s structural hash reads.  `_shape` is one constant
     shared by every variable, which `App`'s shape reads, so renaming
     variables never changes a shape.  The table holds every variable for
-    the life of the process; fresh names (`VarSource`) are drawn from one
-    numbered sequence that every search reuses.
+    the life of the process; fresh names (`VarSource`), which no program
+    can spell, come from one numbered sequence that every search reuses.
     """
 
     __slots__ = ("name", "_hash")
@@ -440,8 +440,8 @@ def apply_triangular(
     unbound is kept or, with a `source`, renamed to a fresh variable of it,
     one per variable, in an order fixed by the terms.  Those fresh
     variables, which are then all the variables of the result, are returned
-    with it.  They never repeat a name the source gave before, but they may
-    repeat one of the input's (a variable a user spelled `_3`).
+    with it.  They never repeat a name the source gave before, nor a name
+    a program can spell.
 
     Each node walked is rebuilt from its rebuilt arguments as `rebuild`
     does: by `node(u, args)` when one is given (the search builds each
@@ -565,45 +565,42 @@ def match(pattern, target) -> Optional[Subst]:
 
 
 class VarSource:
-    """Monotone fresh-variable generator, scoped to one proof session.
+    """Monotone fresh-variable generator, scoped to one search.
 
-    Never hands out the same name twice, so consecutively renamed items are
-    automatically disjoint from each other; collisions with caller-supplied
-    names are dodged via the ``avoid`` set.
+    Names are `_0'`, `_1'`, ... (after the prefix), which no program can
+    spell, and never repeat; `made` holds those handed out.  ``avoid``
+    dodges another source's names (`program.rewrite_step`).
     """
 
-    __slots__ = ("_n", "_prefix")
+    __slots__ = ("_n", "_prefix", "made")
 
     def __init__(self, prefix: str = "_"):
         self._n = 0
         self._prefix = prefix
+        self.made: set[Var] = set()
 
     def fresh(self, avoid: frozenset[Var] | set[Var] = frozenset()) -> Var:
         while True:
-            v = Var(f"{self._prefix}{self._n}")
+            v = Var(f"{self._prefix}{self._n}'")
             self._n += 1
             if v not in avoid:
+                self.made.add(v)
                 return v
 
 
 def fresh_renaming(
     vars_to_rename: Iterable[Var], avoid: frozenset[Var] | set[Var], source: VarSource
 ) -> Subst:
-    """A bijective renaming of the given variables to fresh ones."""
-    avoid = set(avoid)
-    out = {}
-    for v in sorted(vars_to_rename, key=lambda w: w.name):
-        nv = source.fresh(avoid)
-        avoid.add(nv)
-        out[v] = nv
-    return out
+    """A bijective renaming of the given variables to fresh ones, none in
+    `avoid`; a source never hands out a name twice."""
+    return {v: source.fresh(avoid) for v in sorted(vars_to_rename, key=lambda w: w.name)}
 
 
 # --- Contexts -------------------------------------------------------------
 #
 # A context is a term in the reserved variable #1 (`HOLE`), which may occur
-# more than once; the parser cannot lex that name and fresh names are `_N`,
-# so no program term holds it.  Contexts ground apart from #1 are the
+# more than once; the parser cannot lex that name and fresh names are
+# `_N'`, so no program term holds it.  Contexts ground apart from #1 are the
 # building blocks of context powers: c^0 = #1, c^(n+1) = c(c^n).
 
 HOLE = Var("#1")

@@ -9,9 +9,9 @@ offered the rules of its root symbol, and `terms.unify` alone decides
 which of them meet it.  theta is kept as a triangular map (`terms.unify`),
 and the derived rule is read through it in one walk that renames its
 variables apart and builds the rule in normal form as it goes
-(`terms.apply_triangular` with `powers.NormalBuilder`), so only the picks
-that still collide with the program rule or with each other are renamed,
-and no second walk normalizes the rule or checks that it is simple.  A
+(`terms.apply_triangular` with `powers.NormalBuilder`), so no second walk
+normalizes it or checks that it is simple, and each rule of a search has
+its own variables: only a rule picked twice in a selection is renamed.  A
 prefix's selections are walked in one loop over a stack of per-slot
 iterators (`_join`), so no step recurses on the length of a body.
 Expansion at an index is a homomorphism, so the result at n is exactly the
@@ -251,15 +251,13 @@ def _attempts(
                 fits = [pr for pr in fits if not pr.rhs_is_epsilon()]
             identities = () if id(rule) in opened else patid_at(atom)
             ending.append([*fits, *identities])
-        rule_vars = rule.vars()
         for i in range(1, len(rule.body) + 1):
             slots = [*closing[: i - 1], ending[i - 1]]
-            yield from _join(rule, rule_vars, (rule_idx, i), slots, source, new)
+            yield from _join(rule, (rule_idx, i), slots, source, new)
 
 
 def _join(
     rule: Rule,
-    rule_vars: frozenset[Var],
     provenance: tuple[int, int],
     slots: list[list[PatternRule]],
     source: VarSource,
@@ -277,11 +275,10 @@ def _join(
     skipped without unifying.  A complete selection derives its rule from
     the bindings (`_derive`).
 
-    Derived rules have fresh variables, so a pick is renamed only when it
-    still shares a variable with the program rule or with an earlier pick:
-    a seed, which carries the program's names; a rule picked a second time
-    in the selection, unless it is ground; or a program variable spelled
-    like a fresh name."""
+    Every rule of the pool and every identity has its own fresh variables
+    of `source` (`saturate`), which no program variable can meet, so a
+    pick is renamed only when the same rule, not ground, is already in the
+    selection: one identity test against the picks so far."""
     if not all(slots):
         return
     depth = len(slots)
@@ -294,17 +291,17 @@ def _join(
         return
     prefix = rule.body[:depth]
     # Per slot entered: its picks' iterator and the state the picks extend.
-    stack = [(iter(slots[0]), {}, rule_vars, (), False)]
+    stack = [(iter(slots[0]), {}, (), False)]
     while stack:
         j = len(stack) - 1
-        picks, bindings, avoid, combo, has_new = stack[-1]
+        picks, bindings, combo, has_new = stack[-1]
         for pr in picks:
             uses_new = has_new or new is None or id(pr) in new
             if not (uses_new or later_new[j + 1]):
                 continue
             picked = pr
-            if not avoid.isdisjoint(pr.vars()):
-                picked = rename_pattern_rule(pr, fresh_renaming(pr.vars(), avoid, source))
+            if id(pr) in map(id, combo) and pr.vars():
+                picked = rename_pattern_rule(pr, fresh_renaming(pr.vars(), (), source))
             here = (*combo, pr)
             extended = unify(bindings, [(picked.lhs, prefix[j])])
             if j + 1 == depth:
@@ -312,7 +309,7 @@ def _join(
             elif extended is None:
                 yield None, (*provenance, here)
             else:
-                stack.append((iter(slots[j + 1]), extended, avoid | picked.vars(), here, uses_new))
+                stack.append((iter(slots[j + 1]), extended, here, uses_new))
                 break
         else:
             stack.pop()
@@ -355,6 +352,7 @@ def saturate(
     on_rule: Optional[Callable[[PatternRule], bool]] = None,
     trace: Optional[TextIO] = None,
     goal: Optional[Symbol] = None,
+    source: Optional[VarSource] = None,
 ) -> tuple[PatternRuleSet, UnfoldStats]:
     """Iterate the unfolding step to a fixpoint or until the budget trips.
 
@@ -372,13 +370,18 @@ def saturate(
     offered.  Every derived rule then has epsilon or an instance of a goal
     atom on the right.  They are exactly the rules of that kind that a run
     without a goal stores, in the same rounds and order; the fixpoint,
-    `generated` and `max_rules` refer to them alone.
+    `generated` and `max_rules` refer to them alone.  Rules draw variables
+    from `source` (a new one without it); base rules not built apart by it
+    (`initial_rules` with it) raise ValueError.
     """
     deadline = time.monotonic() + budget.wall_clock
     stored = PatternRuleSet()
     stats = UnfoldStats()
-    source = VarSource()
-    patid = identity_rules(program.symbols if goal is None else (goal,))
+    source = VarSource() if source is None else source
+    held = [v for rule in base for v in rule.vars()]
+    if not source.made.issuperset(held) or len(set(held)) < len(held):
+        raise ValueError("base rules not renamed apart by the search's source")
+    patid = identity_rules(program.symbols if goal is None else (goal,), source)
 
     def finish(reason: str) -> tuple[PatternRuleSet, UnfoldStats]:
         stats.stop = reason

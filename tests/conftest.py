@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from typing import Iterator, Mapping, NamedTuple, Optional
 
 from nonterm.binrules import BinaryRuleSet, saturate
-from nonterm.pattern import PatternRule, identity_rules, pattern_rule_key
+from nonterm.pattern import PatternRule, identity_rules, initial_rules, pattern_rule_key
 from nonterm.powers import PowerSymbol, expand_at, is_power, normalize
 from nonterm.program import (
     ParseError,
@@ -41,6 +41,7 @@ from nonterm.terms import (
     VarSource,
     apply,
     _replace_subterm,
+    fresh_renaming,
     compose,
     concrete_power,
     decompose_power,
@@ -52,7 +53,7 @@ from nonterm.terms import (
     strip_power,
     term_vars,
 )
-from nonterm.unfold import PatternRuleSet, _attempts
+from nonterm.unfold import PatternRuleSet, _attempts, rename_pattern_rule
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -137,14 +138,60 @@ def step_candidates(
             yield candidate, provenance
 
 
-def step(program: Program, base: list[PatternRule], pool: PatternRuleSet) -> PatternRuleSet:
+def seeded(
+    program: Program, goal: Optional[Symbol] = None
+) -> tuple[list[PatternRule], VarSource]:
+    """The seed families of a program, with the source whose fresh
+    variables they hold: a search over them draws from that source too,
+    as `detect.prove` has it (`unfold.saturate`)."""
+    source = VarSource()
+    return initial_rules(program, goal, source=source), source
+
+
+def assert_apart(rules: list[PatternRule], program: Optional[Program] = None) -> None:
+    """Every family has only fresh variables, each recorded as its own
+    (`PatternRule.vars`), no two families share one, and none is a
+    variable of the program."""
+    held: set[Var] = set()
+    for rule in rules:
+        vs = term_vars((rule.lhs, rule.rhs))
+        assert rule.vars() == vs and all(v.name.endswith("'") for v in vs), rule
+        assert held.isdisjoint(vs), rule
+        held |= vs
+    for rule in program.rules if program is not None else ():
+        assert held.isdisjoint(rule.vars()), rule
+
+
+def respell(want: list[PatternRule], got: list[PatternRule]) -> list[PatternRule]:
+    """Each family of `want` with its variables renamed to those of the
+    family of `got` at its place, when that one is a renaming of it, and
+    as it is otherwise: so `respell(want, got) == got` says that each
+    family of got is the one of want up to a renaming of its own."""
+    out = list(want)
+    for i, (w, g) in enumerate(zip(want, got)):
+        ren = match((w.lhs, w.rhs), (g.lhs, g.rhs))
+        back = match((g.lhs, g.rhs), (w.lhs, w.rhs))
+        if ren is not None and back is not None:
+            out[i] = PatternRule(apply(w.lhs, ren), apply(w.rhs, ren), w.source)
+    return out
+
+
+def apart(rules: list[PatternRule], source: VarSource) -> list[PatternRule]:
+    """Families written with program names, each renamed to fresh variables
+    of the source, as every family the search holds is."""
+    return [rename_pattern_rule(r, fresh_renaming(r.vars(), (), source)) for r in rules]
+
+
+def step(
+    program: Program, base: list[PatternRule], pool: PatternRuleSet, source: VarSource
+) -> PatternRuleSet:
     """One application of the unfolding operator, the naive way: the seed
-    set plus every rule derivable from the whole pool in a single step."""
+    set plus every rule derivable from the whole pool in a single step,
+    drawing fresh variables from the seeds' source."""
     out = PatternRuleSet()
     for rule in base:
         out.add(rule)
-    source = VarSource()
-    patid = identity_rules(program.symbols)
+    patid = identity_rules(program.symbols, source)
     for candidate, _ in step_candidates(program, list(pool), patid, source):
         out.add(candidate)
     return out

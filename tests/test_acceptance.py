@@ -17,6 +17,7 @@ from conftest import (
     random_simple_pattern,
     random_simple_subst,
     reference_power_form,
+    seeded,
     subst,
     subst_at,
     term,
@@ -63,7 +64,8 @@ def proof_and_prefix(program):
         w = witness_from(rule, data, ground_constant(program))
         return w.term.symbol == query.predicate and check_pumps(rule, data, w.n)
 
-    _, stats = saturate(program, initial_rules(program), UnfoldBudget(), on_rule=collect)
+    base, source = seeded(program)
+    _, stats = saturate(program, base, UnfoldBudget(), on_rule=collect, source=source)
     return collected, stats
 
 

@@ -26,6 +26,7 @@ from nonterm.terms import (
     App,
     Subst,
     Var,
+    VarSource,
     apply,
     concrete_power,
     match,
@@ -43,15 +44,15 @@ def br(head: str, body: str | None = None) -> PatternRule:
 class TestIdentityRules:
     # The oracle unfolds with the prover's identity rules.
     def test_covers_every_symbol(self, ex_program):
-        rules = BinaryRuleSet(identity_rules(ex_program.symbols))
+        rules = BinaryRuleSet(identity_rules(ex_program.symbols, VarSource()))
         assert len(rules) == len(ex_program.symbols) == 6
 
     def test_while_identity(self, ex_program):
-        rules = BinaryRuleSet(identity_rules(ex_program.symbols))
+        rules = BinaryRuleSet(identity_rules(ex_program.symbols, VarSource()))
         assert rules.contains_variant(br("while(A,B)", "while(A,B)"))
 
     def test_constant_identity(self, ex_program):
-        rules = BinaryRuleSet(identity_rules(ex_program.symbols))
+        rules = BinaryRuleSet(identity_rules(ex_program.symbols, VarSource()))
         assert rules.contains_variant(br("0", "0"))
 
 

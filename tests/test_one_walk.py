@@ -152,10 +152,15 @@ class TestPowerFormWalk:
     )
     def test_same_as_apply_then_normalize(self, t, fillers, moved):
         # Each moved variable gets c^(a,0) over its filler, and the whole is
-        # normalized: the two walks `power_form` makes in one.
+        # normalized: the two walks `power_form` makes in one.  The same
+        # walk names every variable of the result, one fresh variable each.
         raised = {x: App(PowerSymbol(c, a, 0), (fillers.get(x, x),)) for x, (c, a) in moved.items()}
         want = reference_normalize(apply(t, {**fillers, **raised}))
-        assert power_form(t, fillers, moved) == want
+        source, names = VarSource(), {}
+        got = power_form(t, fillers, moved, source, names)
+        assert set(names) == term_vars(want)
+        assert len(set(names.values())) == len(names) and set(names.values()) <= source.made
+        assert got == apply(want, names)
 
 
 class TestWitnessWalk:

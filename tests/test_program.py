@@ -100,6 +100,14 @@ class TestParser:
         with pytest.raises(ParseError, match="unexpected character"):
             parse_program("p(X) ?- q.")
 
+    def test_fresh_spelling_is_rejected(self):
+        # No program can spell a fresh variable, so none meets one.
+        fresh = VarSource().fresh()
+        assert fresh.name == "_0'"
+        for text in (f"p({fresh.name}).", f"p(X) :- q({fresh.name})."):
+            with pytest.raises(ParseError, match="unexpected character"):
+                parse_program(text)
+
     def test_query_directive(self, ex_program):
         (q,) = ex_program.queries
         assert q.predicate.name == "while"

@@ -648,8 +648,11 @@ class TestDeepTerms:
         rules = (Rule(App(p, (App(S, (deep,)), Var("Y"))), (body,)), Rule(App(p, (fact, ZERO))))
         closing, open_ = initial_rules(Program("deep", rules, (p, S, ZERO.symbol)))
         assert closing.lhs == App(p, (App(PowerSymbol(_S_CTX, 1, 3000), (ZERO,)), ZERO))
-        assert open_.lhs == App(p, (App(PowerSymbol(_S_CTX, 1, 3001), (Var("X"),)), Var("Y")))
-        assert open_.rhs == body
+        # The open seed's variables are fresh, and its right side has them.
+        x, y = open_.lhs.args[0].args[0], open_.lhs.args[1]
+        assert open_.lhs == App(p, (App(PowerSymbol(_S_CTX, 1, 3001), (x,)), y))
+        assert open_.rhs == apply(body, {Var("X"): x, Var("Y"): y})
+        assert open_.vars() == {x, y} and x.name.endswith("'") and y.name.endswith("'")
 
     def test_resolve_long_binding_chain(self):
         # X0 -> f(X1), ..., X4999 -> f(0): each binding waits on the next.

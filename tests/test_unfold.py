@@ -21,6 +21,8 @@ from conftest import (
     S,
     ZERO,
     Family,
+    apart,
+    assert_apart,
     calls_bounded,
     check_correct_sampled,
     fam,
@@ -28,6 +30,7 @@ from conftest import (
     random_term,
     recursive_programs,
     reference_initial_rules,
+    seeded,
     self_wrapping_programs,
     shift,
     step,
@@ -133,16 +136,26 @@ def is_variant(a, b) -> bool:
     return canonical_key((a.lhs, a.rhs)) == canonical_key((b.lhs, b.rhs))
 
 
+def keys(rules) -> list:
+    """The families up to renaming, in order."""
+    return [pattern_rule_key(r) for r in rules]
+
+
 class TestIdentityPatternRules:
     def test_one_per_symbol(self, ex_program):
-        rules = identity_rules(ex_program.symbols)
+        rules = identity_rules(ex_program.symbols, VarSource())
         assert len(rules) == len(ex_program.symbols)
 
     def test_shape(self, ex_program):
-        rules = {r.lhs.symbol.name: r for r in identity_rules(ex_program.symbols)}
+        # Each identity's variables are fresh ones of the source, and no
+        # two identities share one.
+        source = VarSource()
+        rules = {r.lhs.symbol.name: r for r in identity_rules(ex_program.symbols, source)}
         w = rules["while"]
-        assert w.lhs == w.rhs == term("while(X1,X2)")
+        assert w.lhs == w.rhs and is_variant(w, PatternRule(term("while(X1,X2)"), term("while(X1,X2)")))
         assert rules["0"].lhs == term("0")
+        held = [v for r in rules.values() for v in r.lhs.args]
+        assert len(set(held)) == len(held) and set(held) <= source.made
 
 
 class TestRenaming:
@@ -190,8 +203,8 @@ class TestRuleSet:
 
 class TestStep:
     def test_single_application_includes_seed_and_projections(self, ex_program):
-        base = initial_rules(ex_program)
-        first = step(ex_program, base, PatternRuleSet())
+        base, source = seeded(ex_program)
+        first = step(ex_program, base, PatternRuleSet(), source)
         for rule in base:
             assert first.contains_variant(rule)
         # first-atom projections via identity rules
@@ -206,9 +219,9 @@ class TestStep:
         )
 
     def test_second_application_reaches_deeper_prefixes(self, ex_program):
-        base = initial_rules(ex_program)
-        first = step(ex_program, base, PatternRuleSet())
-        second = step(ex_program, base, first)
+        base, source = seeded(ex_program)
+        first = step(ex_program, base, PatternRuleSet(), source)
+        second = step(ex_program, base, first, source)
         assert any(
             r.lhs.symbol.name == "while" and r.rhs.symbol.name == "while"
             for r in second
@@ -217,8 +230,8 @@ class TestStep:
 
 class TestSaturation:
     def test_loop_rule_appears_within_two_rounds(self, ex_program):
-        base = initial_rules(ex_program)
-        rules, stats = saturate(ex_program, base, UnfoldBudget(max_iterations=2))
+        base, source = seeded(ex_program)
+        rules, stats = saturate(ex_program, base, UnfoldBudget(max_iterations=2), source=source)
         rho = subst(X="s(X)", Y="s(Y)", Z="s(s(Z))", X2="s(X2)", X3="s(s(X3))", Y3="s(Y3)")
         nu = subst(X="s(X1)", Y="0", Z="s(X1)", X2="s(X1)", X3="s(X1)", Y3="s(0)")
         target = PatternRule(fam("while(X,Y)", rho, nu), fam("while(X3,Y3)", rho, nu))
@@ -239,14 +252,15 @@ class TestSaturation:
         assert stats.stop == "fixpoint"
 
     def test_rule_cap_zero_keeps_seed_only(self, ex_program):
-        base = initial_rules(ex_program)
-        rules, stats = saturate(ex_program, base, UnfoldBudget(max_rules=0))
+        base, source = seeded(ex_program)
+        rules, stats = saturate(ex_program, base, UnfoldBudget(max_rules=0), source=source)
         assert stats.stop == "rule-cap"
         assert len(rules) == len(base)
         assert stats.generated == 0
 
     def test_iteration_cap_reported(self, ex_program):
-        _, stats = saturate(ex_program, initial_rules(ex_program), UnfoldBudget(max_iterations=1))
+        base, source = seeded(ex_program)
+        _, stats = saturate(ex_program, base, UnfoldBudget(max_iterations=1), source=source)
         assert stats.stop == "iteration-cap"
 
     def test_callback_short_circuits(self, ex_program):
@@ -256,23 +270,25 @@ class TestSaturation:
             seen.append(rule)
             return len(seen) == 3
 
+        base, source = seeded(ex_program)
         _, stats = saturate(
-            ex_program, initial_rules(ex_program), UnfoldBudget(), on_rule=stop_after_three
+            ex_program, base, UnfoldBudget(), on_rule=stop_after_three, source=source
         )
         assert stats.stop == "proved"
         assert len(seen) == 3
 
     def test_trace_lines(self, ex_program):
         out = io.StringIO()
-        saturate(ex_program, initial_rules(ex_program), UnfoldBudget(max_iterations=1), trace=out)
+        base, source = seeded(ex_program)
+        saturate(ex_program, base, UnfoldBudget(max_iterations=1), trace=out, source=source)
         text = out.getvalue()
         assert "seed:" in text
         assert "round 1:" in text
 
     def test_monotone_accumulation(self, ex_program):
-        base = initial_rules(ex_program)
-        one, _ = saturate(ex_program, base, UnfoldBudget(max_iterations=1))
-        two, _ = saturate(ex_program, base, UnfoldBudget(max_iterations=2))
+        base, source = seeded(ex_program)
+        one, _ = saturate(ex_program, base, UnfoldBudget(max_iterations=1), source=source)
+        two, _ = saturate(ex_program, base, UnfoldBudget(max_iterations=2), source=source)
         for rule in one:
             assert two.contains_variant(rule)
 
@@ -351,7 +367,8 @@ class TestShapeGuard:
     def _goal_families(self, source):
         program = parse_program(source)
         goal = Symbol("p", 1)
-        rules, stats = saturate(program, initial_rules(program, goal), goal=goal)
+        base, source = seeded(program, goal)
+        rules, stats = saturate(program, base, goal=goal, source=source)
         assert stats.stop == "fixpoint"
         return program, [r for r in rules if r.lhs.symbol == goal]
 
@@ -371,14 +388,14 @@ class TestSoundnessSampled:
         # Every rule generated before the proof fires describes, at each
         # sampled index, a derivable binary rule (oracle membership) or at
         # least a reachable call (interpreter fallback).
-        base = initial_rules(ex_program)
+        base, source = seeded(ex_program)
         collected = []
 
         def collect(rule):
             collected.append(rule)
             return False
 
-        saturate(ex_program, base, UnfoldBudget(max_iterations=2), on_rule=collect)
+        saturate(ex_program, base, UnfoldBudget(max_iterations=2), on_rule=collect, source=source)
         oracle = binary_saturate(ex_program, 8)
         for rule in collected:
             for n in range(3):
@@ -391,12 +408,11 @@ class TestSoundnessSampled:
                 )
 
 
-def naive_saturate(program, base, rounds):
+def naive_saturate(program, base, rounds, source):
     """Reference for `saturate`: every round offers every selection over
     the whole pool, without the semi-naive skip."""
     stored = PatternRuleSet(base)
-    patid = identity_rules(program.symbols)
-    source = VarSource()
+    patid = identity_rules(program.symbols, source)
     generated = 0
     for _ in range(rounds):
         grew = False
@@ -416,10 +432,10 @@ class TestSemiNaive:
         # loops (grow, islist-grow, while-mul-le) are cut by the cap.
         program = parse_program(PROGRAM_SOURCES[name], name)
         rounds = 12
-        base = initial_rules(program)
+        base, source = seeded(program)
         budget = UnfoldBudget(wall_clock=3600.0, max_iterations=rounds)
-        rules, stats = saturate(program, base, budget)
-        ref, generated, stop = naive_saturate(program, base, rounds)
+        rules, stats = saturate(program, base, budget, source=source)
+        ref, generated, stop = naive_saturate(program, base, rounds, source)
         assert [pattern_rule_key(r) for r in rules] == [pattern_rule_key(r) for r in ref]
         assert stats.generated == generated
         assert stats.stop == stop
@@ -430,14 +446,14 @@ class TestSemiNaive:
         # running example reaches a fixpoint within 3 rounds; this loop
         # over the whole library still grows in round 3.
         program = parse_program(WHILE_MUL_LE, "while-mul-le")
-        base = initial_rules(program)
-        _, generated, stop = naive_saturate(program, base, 3)
+        base, source = seeded(program)
+        _, generated, stop = naive_saturate(program, base, 3, source)
         assert stop == "iteration-cap"
         budget = UnfoldBudget(max_iterations=3, max_rules=generated)
-        _, stats = saturate(program, base, budget)
+        _, stats = saturate(program, base, budget, source=source)
         assert (stats.stop, stats.generated) == ("iteration-cap", generated)
         budget = UnfoldBudget(max_iterations=3, max_rules=generated - 1)
-        _, stats = saturate(program, base, budget)
+        _, stats = saturate(program, base, budget, source=source)
         assert (stats.stop, stats.generated) == ("rule-cap", generated - 1)
 
 
@@ -456,7 +472,7 @@ class TestDeadline:
         # unifications, inner slots of the join included: saturation reads
         # the clock at each selection, so it must stop within 1 more call.
         program = parse_program(MANY_CLOSERS)
-        base = initial_rules(program)
+        base, source = seeded(program)
         budget = UnfoldBudget(wall_clock=10.0, max_iterations=1)
         outcomes = []
         real_unify, real_mgu = unfold.unify, unfold.pattern_mgu
@@ -473,7 +489,7 @@ class TestDeadline:
 
         monkeypatch.setattr(unfold, "unify", counting_unify)
         monkeypatch.setattr(unfold, "pattern_mgu", counting_mgu)
-        saturate(program, base, budget)
+        saturate(program, base, budget, source=source)
         assert True in outcomes
         longest, start, run = 0, 0, 0
         for idx, ok in enumerate(outcomes):
@@ -485,7 +501,7 @@ class TestDeadline:
         outcomes.clear()
         clock = SimpleNamespace(monotonic=lambda: 0.0 if len(outcomes) <= start else 1e9)
         monkeypatch.setattr(unfold, "time", clock)
-        _, stats = saturate(program, base, budget)
+        _, stats = saturate(program, base, budget, source=source)
         assert stats.stop == "timeout"
         assert len(outcomes) - (start + 1) <= 1
 
@@ -494,7 +510,7 @@ class TestDeadline:
         # set one: of the 71 seeds, none is stored, since the read before
         # the first stops the run, and nothing is unfolded.
         program = parse_program(MANY_CLOSERS)
-        base = initial_rules(program)
+        base, source = seeded(program)
         assert len(base) == 71
         reads = []
 
@@ -503,7 +519,7 @@ class TestDeadline:
             return 0.0 if len(reads) == 1 else 1e9
 
         monkeypatch.setattr(unfold, "time", SimpleNamespace(monotonic=monotonic))
-        stored, stats = saturate(program, base, UnfoldBudget(wall_clock=10.0))
+        stored, stats = saturate(program, base, UnfoldBudget(wall_clock=10.0), source=source)
         assert stats.stop == "timeout" and stats.generated == 0
         assert list(stored) == [] and len(reads) == 2
 
@@ -553,9 +569,9 @@ class TestExactness:
         # selection `_attempts` leaves out derives (`own_seed_picks`),
         # built here over explicit slots.
         program = parse_program(PROGRAM_SOURCES[name], name)
-        stored = PatternRuleSet(initial_rules(program))
-        patid = identity_rules(program.symbols)
-        source = VarSource()
+        seeds, source = seeded(program)
+        stored = PatternRuleSet(seeds)
+        patid = identity_rules(program.symbols, source)
 
         def check(attempts):
             """The families derived, each checked at n = 0..3."""
@@ -576,7 +592,7 @@ class TestExactness:
         seeds = list(stored)
         for rule_idx, rule in enumerate(program.rules):
             slots = [own_seed_picks(rule, seeds, patid)]
-            attempts = unfold._join(rule, rule.vars(), (rule_idx, 1), slots, source, None)
+            attempts = unfold._join(rule, (rule_idx, 1), slots, source, None)
             checked += len(check(attempts))
         new = None
         for _ in range(3):
@@ -689,10 +705,11 @@ def full_renaming_attempts(program, pool, patid, source, new, own_seeds=False):
 
 
 def full_renaming_saturate(program, base, rounds):
-    """Reference for `saturate` without budgets, semi-naive like it."""
+    """Reference for `saturate` without budgets, semi-naive like it.  It
+    renames every pick apart, so it needs no namespace of its own."""
     stored = PatternRuleSet(base)
-    patid = identity_rules(program.symbols)
-    source = VarSource()
+    source = VarSource("_f")
+    patid = identity_rules(program.symbols, source)
     generated, new = 0, None
     for _ in range(rounds):
         snapshot = list(stored)
@@ -706,8 +723,8 @@ def full_renaming_saturate(program, base, rounds):
 
 
 # The body calls g twice, so a selection may close both calls with the
-# same family; the second copy must get its own variables.  The f rule
-# shares no variable name with the g families, so nothing else renames them.
+# same family; the second copy must get its own variables.  No other pick
+# is renamed.
 CALLS_TWICE = """
 %query: f(i).
 f(A) :- g(A, B), g(B, C), f(C).
@@ -722,9 +739,9 @@ class TestSameAsFullRenaming:
     @pytest.mark.parametrize("name", sorted(SOURCES))
     def test_same_stored_sequence(self, name):
         program = parse_program(self.SOURCES[name], name)
-        base = initial_rules(program)
+        base, source = seeded(program)
         budget = UnfoldBudget(wall_clock=3600.0, max_iterations=8)
-        rules, stats = saturate(program, base, budget)
+        rules, stats = saturate(program, base, budget, source=source)
         ref, generated, stop = full_renaming_saturate(program, base, 8)
         assert [pattern_rule_key(r) for r in rules] == [pattern_rule_key(r) for r in ref]
         assert stats.generated == generated
@@ -739,8 +756,9 @@ class TestSameAsFullRenaming:
         # a rule unfolded with its own seeds, derive only families the
         # pool already covers.
         program = parse_program(self.SOURCES[name], name)
-        patid = identity_rules(program.symbols)
-        stored = PatternRuleSet(initial_rules(program))
+        seeds, source = seeded(program)
+        patid = identity_rules(program.symbols, source)
+        stored = PatternRuleSet(seeds)
         if any(r.source is not None for r in stored):
             omitted = full_renaming_attempts(
                 program, list(stored), patid, VarSource("_o"), None, own_seeds=True
@@ -760,7 +778,7 @@ class TestSameAsFullRenaming:
                     if rule is not None
                 ]
 
-            got = derived(_attempts(program, snapshot, patid, VarSource(), new))
+            got = derived(_attempts(program, snapshot, patid, source, new))
             want = derived(full_renaming_attempts(program, snapshot, patid, VarSource("_f"), new))
             assert [d[:4] for d in got] == [d[:4] for d in want]
             covered = PatternRuleSet(snapshot)
@@ -790,8 +808,9 @@ _VARIABLE = re.compile(r"\b[A-Z_][A-Za-z0-9_]*")
 
 def _spelled_fresh(text: str) -> str:
     """The program with its variables renamed _0, _1, ..., in order of
-    first occurrence: the names a `VarSource` hands out first.  Comments,
-    the query directives among them, are kept as they are."""
+    first occurrence: the names a `VarSource` hands out first, without
+    the prime that keeps them from a program.  Comments, the query
+    directives among them, are kept as they are."""
     names: dict[str, str] = {}
 
     def rename(m):
@@ -805,10 +824,11 @@ def _spelled_fresh(text: str) -> str:
 
 
 class TestFreshFamilies:
-    """A derived family gets fresh variables as it is built
-    (`unfold._derive`), so a pick is renamed only when it collides: a seed,
-    which carries the program's names, a family picked twice in one
-    selection, or a program variable spelled like a fresh name."""
+    """Every family the search holds has its own fresh variables, which no
+    program can spell: a seed gets them as it is built (`power_form`), an
+    identity from the search's source, and a derived family as it is built
+    (`unfold._derive`).  So a pick is renamed only when the same non-ground
+    family is already in the selection."""
 
     @staticmethod
     def counted_renames(monkeypatch) -> list:
@@ -832,35 +852,41 @@ class TestFreshFamilies:
         assert renamed == []
 
     def test_a_second_pick_is_still_renamed(self, monkeypatch):
-        # The f rule shares no variable with the g families, so a pick is
-        # renamed only for an earlier pick of the same selection: the same
-        # family, or another seed of the g rule, which shares its names.
+        # A pick is renamed exactly when the same non-ground family is
+        # already in its selection, once per prefix the join walks: never
+        # for meeting the program rule, nor for another seed of the g rule.
+        # The g rule's closing seed is renamed only where it closes both
+        # calls.
         renamed = self.counted_renames(monkeypatch)
         program = parse_program(CALLS_TWICE, "calls-twice")
-        patid = identity_rules(program.symbols)
-        seeds = initial_rules(program)
+        seeds, source = seeded(program)
+        patid = identity_rules(program.symbols, source)
         stored = PatternRuleSet(seeds)
-        source, twice, new = VarSource(), set(), None
+        twice, new = [], None
         for _ in range(4):
             snapshot = list(stored)
-            for rule, (_, _, combo) in _attempts(program, snapshot, patid, source, new):
-                twice.update(id(r) for r in combo if combo.count(r) > 1)
+            # The round's prefixes that end with a second pick of a family.
+            prefixes = {}
+            for rule, (rule_idx, i, combo) in _attempts(program, snapshot, patid, source, new):
+                for j, r in enumerate(combo):
+                    if r.vars() and any(q is r for q in combo[:j]):
+                        prefixes[(rule_idx, i, *map(id, combo[: j + 1]))] = r
                 if rule is not None:
                     stored.add(rule)
+            twice += prefixes.values()
             new = {id(r) for r in list(stored)[len(snapshot):]}
         assert len(stored) > len(seeds)
-        # `_derive` fills each rule's variables from its walk.
+        # `_derive` fills each rule's variables from its walk, and seeding
+        # from its own.
         assert all(r.vars() == term_vars((r.lhs, r.rhs)) for r in stored)
-        assert any(id(r) in twice for r in renamed)
-        assert all(id(r) in twice or any(r is s for s in seeds) for r in renamed)
+        assert twice and sorted(map(id, renamed)) == sorted(map(id, twice))
 
     SOURCES = {**PROGRAM_SOURCES, "calls-twice": CALLS_TWICE}
 
     @pytest.mark.parametrize("name", sorted(SOURCES))
     def test_same_answers_with_fresh_spelled_variables(self, name):
-        # Program variables named like fresh ones collide with derived
-        # families; the picks that collide are renamed, and every answer
-        # stays as it was.
+        # Program variables spelled as fresh names were before they took a
+        # prime meet no fresh variable, and every answer stays as it was.
         text = self.SOURCES[name]
         spelled = _spelled_fresh(text)
         assert re.search(r"\b_0\b", spelled)
@@ -879,6 +905,46 @@ class TestFreshFamilies:
 
 # shrink with its recursive clause written twice.
 SHRINK_TWICE = "%query: f(i).\nf(s(X)) :- f(X).\nf(s(X)) :- f(X).\nf(0).\n"
+
+
+class TestOneNamespace:
+    """A search draws every variable from one source: no two families it
+    holds share a variable, and none shares one with the program, so only
+    a family picked twice in one selection is renamed.  Saturation refuses
+    a base family that breaks this, as `PatternRuleSet.add` refuses a
+    family that is not simple."""
+
+    SOURCES = {**PROGRAM_SOURCES, "calls-twice": CALLS_TWICE, "shrink-twice": SHRINK_TWICE}
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_stored_families_are_apart(self, name):
+        program = parse_program(self.SOURCES[name], name)
+        base, source = seeded(program)
+        budget = UnfoldBudget(wall_clock=3600.0, max_iterations=6)
+        stored, _ = saturate(program, base, budget, source=source)
+        assert len(stored) > 0
+        assert_apart(list(stored), program)
+
+    OPEN = PatternRule(fam("f(X)", subst(X="s(X)")), term("f(X)"))
+
+    def test_base_family_with_program_names_is_refused(self):
+        program = parse_program(SHRINK_TWICE)
+        with pytest.raises(ValueError, match="renamed apart"):
+            saturate(program, [self.OPEN], UnfoldBudget(max_iterations=1), source=VarSource())
+
+    def test_base_families_sharing_a_variable_are_refused(self):
+        program = parse_program(SHRINK_TWICE)
+        source = VarSource()
+        [open_] = apart([self.OPEN], source)
+        closing = PatternRule(open_.rhs, EPSILON)
+        budget = UnfoldBudget(max_iterations=1)
+        for ok in ([open_], [closing]):
+            saturate(program, ok, budget, source=source)
+        with pytest.raises(ValueError, match="renamed apart"):
+            saturate(program, [open_, closing], budget, source=source)
+        # Fresh names of another source are refused too.
+        with pytest.raises(ValueError, match="renamed apart"):
+            saturate(program, [open_], budget, source=VarSource())
 
 
 # One layer of a ground context: one symbol over the hole, with ground
@@ -951,13 +1017,14 @@ class TestOwnSeeds:
     def test_unfolding_with_an_own_seed_gives_it_back(self, text):
         program = parse_program(text)
         rec = program.rules[0]
-        seeds = [r for r in initial_rules(program) if r.source is rec]
+        base, source = seeded(program)
+        seeds = [r for r in base if r.source is rec]
         open_ = [r for r in seeds if not r.rhs_is_epsilon()]
         assert len(open_) == 1 and len(seeds) > 1
 
         def unfold_with(pick):
             slots = [[pick]]
-            [(got, _)] = unfold._join(rec, rec.vars(), (0, 1), slots, VarSource(), None)
+            [(got, _)] = unfold._join(rec, (0, 1), slots, source, None)
             return got
 
         has_layer = not all(isinstance(a, Var) for a in rec.body[0].args)
@@ -971,7 +1038,7 @@ class TestOwnSeeds:
             assert not PatternRuleSet([seed]).add(got, lambda *args: drops.append(args[2:]))
             assert drops == [("shift", 1)]
         pred = rec.body[0].symbol
-        [identity] = [r for r in identity_rules(program.symbols) if r.lhs.symbol == pred]
+        [identity] = [r for r in identity_rules(program.symbols, source) if r.lhs.symbol == pred]
         got = unfold_with(identity)
         assert not (got.lhs.powered or got.rhs.powered)
         assert is_variant(got.at(0), open_[0].at(0))
@@ -1064,10 +1131,11 @@ class TestSubsumption:
             drops.append(args)
 
         stored = PatternRuleSet()
-        for rule in initial_rules(program):
+        seeds, source = seeded(program)
+        for rule in seeds:
             stored.add(rule, record)
-        patid = identity_rules(program.symbols)
-        source, new = VarSource(), None
+        patid = identity_rules(program.symbols, source)
+        new = None
         for _ in range(4):
             snapshot = list(stored)
             for rule, _ in _attempts(program, snapshot, patid, source, new):
@@ -1086,19 +1154,21 @@ class TestSubsumption:
     # The second copy of shrink's recursive clause built no seed, so it is
     # unfolded with the closing seed, the open seed and the identity: the
     # first two give their own shift by one, the last the open seed's
-    # instance at 0.  A derived family's variables are fresh: the open
-    # seed shares X with the clause, so its pick is renamed to _0 and the
-    # family gets _1; the identity's gets _2.
+    # instance at 0.  Every variable is a fresh one of the search: the
+    # open seed has _0' (the second clause's open seed, a variant dropped
+    # while seeding, took _1'), the identities of s and f have _2' and
+    # _3', and the two derived families _4' and _5'.  No pick is renamed.
     SHRINK_LINES = [
         "subsumed: f(s(#1)^(1n+1)(0)) => ε  (shift 1 of f(s(#1)^(1n+0)(0)) => ε)",
-        "subsumed: f(s(#1)^(1n+2)(_1)) => f(_1)  (shift 1 of f(s(#1)^(1n+1)(X)) => f(X))",
-        "subsumed: f(s(_2)) => f(_2)  (instance n=0 of f(s(#1)^(1n+1)(X)) => f(X))",
+        "subsumed: f(s(#1)^(1n+2)(_4')) => f(_4')  (shift 1 of f(s(#1)^(1n+1)(_0')) => f(_0'))",
+        "subsumed: f(s(_5')) => f(_5')  (instance n=0 of f(s(#1)^(1n+1)(_0')) => f(_0'))",
     ]
 
     def test_counted_and_traced(self):
         out = io.StringIO()
         program = parse_program(SHRINK_TWICE, "shrink-twice")
-        _, stats = saturate(program, initial_rules(program), UnfoldBudget(max_iterations=3), trace=out)
+        base, source = seeded(program)
+        _, stats = saturate(program, base, UnfoldBudget(max_iterations=3), trace=out, source=source)
         lines = [l for l in out.getvalue().splitlines() if l.startswith("subsumed:")]
         assert stats.subsumed == len(lines)
         assert lines == self.SHRINK_LINES
@@ -1106,7 +1176,8 @@ class TestSubsumption:
         # of these selections is made.
         program = parse_program((PROGRAMS_DIR / "shrink.pl").read_text(), "shrink")
         out = io.StringIO()
-        _, stats = saturate(program, initial_rules(program), UnfoldBudget(max_iterations=3), trace=out)
+        base, source = seeded(program)
+        _, stats = saturate(program, base, UnfoldBudget(max_iterations=3), trace=out, source=source)
         assert stats.subsumed == 0 and "subsumed:" not in out.getvalue()
 
     def test_shrink_reaches_a_fixpoint(self):
@@ -1116,11 +1187,11 @@ class TestSubsumption:
         shrink = (PROGRAMS_DIR / "shrink.pl").read_text()
         for text, want in ((shrink, []), (SHRINK_TWICE, self.SHRINK_LINES)):
             program = parse_program(text)
-            base = initial_rules(program)
             for rounds in range(1, 7):
                 out = io.StringIO()
+                base, source = seeded(program)
                 budget = UnfoldBudget(max_iterations=rounds)
-                rules, stats = saturate(program, base, budget, trace=out)
+                rules, stats = saturate(program, base, budget, trace=out, source=source)
                 assert (stats.generated, stats.stop, stats.iterations) == (0, "fixpoint", 1)
                 assert len(rules) == len(base)
                 lines = [l for l in out.getvalue().splitlines() if l.startswith("subsumed:")]
@@ -1339,7 +1410,8 @@ class TestKeysOnShapeHits:
         keyed = self.counted_keys(monkeypatch)
         out = io.StringIO()
         program = parse_program(SHRINK_TWICE, "shrink-twice")
-        _, stats = saturate(program, initial_rules(program), UnfoldBudget(max_iterations=3), trace=out)
+        base, source = seeded(program)
+        _, stats = saturate(program, base, UnfoldBudget(max_iterations=3), trace=out, source=source)
         lines = [l for l in out.getvalue().splitlines() if l.startswith("subsumed:")]
         assert lines == TestSubsumption.SHRINK_LINES and stats.subsumed == 3
         assert keyed == []
@@ -1432,7 +1504,8 @@ def full_saturation_prove(program, query, budget):
         found.append(w)
         return True
 
-    _, stats = saturate(program, initial_rules(program), budget, on_rule=on_rule)
+    base, source = seeded(program)
+    _, stats = saturate(program, base, budget, on_rule=on_rule, source=source)
     return (found[0] if found else None), stats
 
 
@@ -1443,14 +1516,15 @@ class TestGoalDirected:
 
     def check_useful_families(self, program, rounds):
         goal = program.queries[0].predicate
-        base = initial_rules(program)
-        assert base == reference_initial_rules(program)
-        # Seeding with the goal builds exactly the seeds saturation keeps.
-        seeds = initial_rules(program, goal)
-        assert seeds == [r for r in base if _toward(goal, r)]
+        base, source = seeded(program)
+        assert keys(base) == keys(reference_initial_rules(program))
+        # Seeding with the goal builds exactly the seeds saturation keeps,
+        # up to their fresh names.
+        seeds, _ = seeded(program, goal)
+        assert keys(seeds) == keys([r for r in base if _toward(goal, r)])
         budget = UnfoldBudget(wall_clock=3600.0, max_iterations=rounds)
-        full, full_stats = saturate(program, base, budget)
-        kept, stats = saturate(program, base, budget, goal=goal)
+        full, full_stats = saturate(program, base, budget, source=source)
+        kept, stats = saturate(program, base, budget, goal=goal, source=source)
         want = [pattern_rule_key(r) for r in full if _leads_to_goal(r, goal)]
         assert [pattern_rule_key(r) for r in kept] == want
         assert stats.generated <= full_stats.generated
