@@ -12,9 +12,9 @@ those families as skeleton . sigma^n . mu; they are built as power terms
 directly (`power_form`), and no part of the prover sees that notation.
 `cover` decides, in one walk over two families, whether one holds every
 instance of the other: as a variant, as a shift in the index, or, for a
-family without powers, as one of its instances.  Seeding drops variants
-with it, and saturation every covered family (`unfold.PatternRuleSet`);
-neither builds a canonical key (`pattern_rule_key`) or an instance.
+family without powers, as one of its instances.  The store of a search
+drops with it every covered family, variant seeds included, and builds
+no canonical key (`pattern_rule_key`) or instance (`unfold.PatternRuleSet`).
 """
 
 from __future__ import annotations
@@ -108,15 +108,15 @@ def initial_rules(
     body.  Each seed records the recursive rule it was built from as its
     `source`: both families are that rule unfolded n times with itself, so
     unfolding it once more with one of them gives nothing new
-    (`unfold._attempts`).  A family is kept once up to renaming: it is
-    dropped when a kept seed with the same shapes (`terms.App`) covers it
-    at shift 0 (`cover`), so seeds of distinct shapes are never compared.
+    (`unfold._attempts`).  A rule's open family comes once, right after
+    its first closing family.  Variants, as two copies of a clause give,
+    are all listed; the search's store keeps the first (`unfold.saturate`).
 
     With a goal, the open family is built only for a recursive rule whose
     body is a goal atom, and the closing families for every predicate,
-    since inner slots need them.  Those are exactly the seeds goal-directed
-    saturation stores (`unfold._toward`), in the same order, up to renaming:
-    initial_rules(p, g) ~ [r for r in initial_rules(p) if _toward(g, r)].
+    since inner slots need them: the seeds without a goal that have
+    epsilon or a goal atom on the right, in the same order, up to
+    renaming, which is the base goal-directed saturation takes.
 
     The clock is read before each recursive rule and each fact is tried;
     once it is past the deadline (a `time.monotonic` reading), the seeds
@@ -124,8 +124,6 @@ def initial_rules(
     """
     source = VarSource() if source is None else source
     out: list[PatternRule] = []
-    # The seeds kept, by the shapes of their sides (`terms.App`).
-    seen: dict[tuple[int, int], list[PatternRule]] = {}
     recursive = [r for r in program.rules if len(r.body) == 1]
     facts: dict[Symbol, list[Term]] = {}
     for rule in program.rules:
@@ -158,11 +156,10 @@ def initial_rules(
             names = {}
             closing = PatternRule(power_form(body, ts, moved, source, names), EPSILON, rec)
             closing.__dict__["_vars"] = frozenset(names.values())
-            for rule in (closing,) if open_ is None else (closing, open_):
-                kept = seen.setdefault((rule.lhs._shape, rule.rhs._shape), [])
-                if all(cover(held, rule) != ("shift", 0) for held in kept):
-                    kept.append(rule)
-                    out.append(rule)
+            out.append(closing)
+            if open_ is not None:
+                out.append(open_)
+                open_ = None
     return out
 
 

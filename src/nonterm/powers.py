@@ -37,8 +37,9 @@ the other.  A unifier
 need not have the paper's shape: a binding may hold a power under a plain
 symbol, or powers of two contexts.  Expansion at an index is a
 homomorphism, so its instances are still the classical unifiers; the
-family it derives is kept only if it is simple (`is_simple`, which the
-search reads off the walk that builds the family, `NormalBuilder.simple`).
+family it derives is kept only if it is simple, which the search reads
+off the walk that builds the family (`NormalBuilder.simple`); `is_simple`
+walks a family only when it enters a search as a base rule.
 """
 
 from __future__ import annotations
@@ -325,8 +326,9 @@ def normalize(t: Term) -> Term:
 def is_simple(t: Term) -> bool:
     """True when no power symbol sits inside the argument of a power.
 
-    Only such terms are stored as rule families: `detect` reads each power
-    as one context tower over a plain term.
+    Only such terms are stored as rule families, and `unfold.saturate`
+    checks each base rule with it: `detect` reads each power as one
+    context tower over a plain term.
     """
     return all(not v.args[0].powered for v in _power_nodes(t))
 

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Optional, TextIO
 from .pattern import PatternRule, cover, identity_rules
 # `pattern_mgu` is bound but not called here: the benchmark's tracer and
 # tests read `unfold.pattern_mgu`.
-from .powers import NormalBuilder, instance_root, is_simple, pattern_mgu  # noqa: F401
+from .powers import NormalBuilder, is_simple, pattern_mgu  # noqa: F401
 from .program import Program, Rule
 from .terms import (
     Subst,
@@ -60,9 +60,11 @@ class PatternRuleSet:
     stored rule's instance at some index n.  Stored rules are never
     removed, even when a later one covers them.  The covered rules that a
     seed's own recursive rule would derive from it are never built
-    (`_attempts`), so they never reach `add`.  Only simple rules
-    (`powers.is_simple` on both sides) may be stored; insertion order is
-    preserved so saturation rounds are reproducible.
+    (`_attempts`), so they never reach `add`.  A variant seed, as a second
+    copy of a clause gives, is dropped here like any covered family.  Rules
+    are taken as simple (`powers.is_simple`), not walked: `saturate` refuses
+    any other base rule, and `_derive` drops any other derived one.
+    Insertion order is preserved so saturation rounds are reproducible.
 
     Stored rules are bucketed by the shapes of their two sides
     (`terms.App`), which a rule shares with its variants and its shifts,
@@ -108,8 +110,6 @@ class PatternRuleSet:
         k > 0, or "instance" when it is the stored rule's instance at
         k; not on a variant.
         """
-        if not (is_simple(rule.lhs) and is_simple(rule.rhs)):
-            raise ValueError(f"refusing to store a non-simple pattern rule: {rule}")
         found = self._cover(rule)
         if found is not None:
             kind, held, k = found
@@ -152,18 +152,6 @@ class UnfoldStats:
     subsumed: int = 0
     iterations: int = 0
     stop: str = "fixpoint"  # fixpoint | proved | timeout | iteration-cap | rule-cap
-
-
-def _toward(goal: Symbol, rule: PatternRule) -> bool:
-    """Whether the rule's right side is epsilon or, at every index, an
-    atom of goal (`powers.instance_root`).
-
-    A derived rule's right side is its last pick's under theta, in normal
-    form, and a closing pick's is epsilon.  So a rule that fails this only
-    ever leads to rules whose right side is an instance of another
-    predicate's atom, and none of them pumps on goal.
-    """
-    return rule.rhs_is_epsilon() or instance_root(rule.rhs) == goal
 
 
 def rename_pattern_rule(rule: PatternRule, ren: Subst) -> PatternRule:
@@ -364,20 +352,24 @@ def saturate(
     slot list (`_attempts`) and selection, and after each round, so a round
     cut short ends "timeout", not "fixpoint".
 
-    With a goal predicate, only the rules that may lead to one pumping on
-    it are kept: a base rule is stored only when its right side is epsilon
-    or a goal atom (`_toward`), and the goal's is the only identity
-    offered.  Every derived rule then has epsilon or an instance of a goal
-    atom on the right.  They are exactly the rules of that kind that a run
-    without a goal stores, in the same rounds and order; the fixpoint,
-    `generated` and `max_rules` refer to them alone.  Rules draw variables
-    from `source` (a new one without it); base rules not built apart by it
-    (`initial_rules` with it) raise ValueError.
+    With a goal predicate, the goal's is the only identity offered, and
+    every base rule must have epsilon or a goal atom on the right, as
+    `initial_rules` with the goal builds them.  Every derived rule then
+    has epsilon or an instance of a goal atom on the right.  They are
+    exactly the rules of that kind that a run without a goal stores, in
+    the same rounds and order; the fixpoint, `generated` and `max_rules`
+    refer to them alone.  Rules draw variables from `source` (a new one
+    without it).  Families built outside the search come in only here: a
+    base rule that is not simple (`powers.is_simple` on both sides), or a
+    base not renamed apart by `source`, raises ValueError.
     """
     deadline = time.monotonic() + budget.wall_clock
     stored = PatternRuleSet()
     stats = UnfoldStats()
     source = VarSource() if source is None else source
+    for rule in base:
+        if not (is_simple(rule.lhs) and is_simple(rule.rhs)):
+            raise ValueError(f"refusing to search from a non-simple pattern rule: {rule}")
     held = [v for rule in base for v in rule.vars()]
     if not source.made.issuperset(held) or len(set(held)) < len(held):
         raise ValueError("base rules not renamed apart by the search's source")
@@ -396,8 +388,6 @@ def saturate(
     for rule in base:
         if time.monotonic() > deadline:
             return finish("timeout")
-        if goal is not None and not _toward(goal, rule):
-            continue
         if stored.add(rule, subsumed):
             if trace:
                 trace.write(f"seed: {rule}\n")

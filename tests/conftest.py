@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from typing import Iterator, Mapping, NamedTuple, Optional
 
 from nonterm.binrules import BinaryRuleSet, saturate
-from nonterm.pattern import PatternRule, identity_rules, initial_rules, pattern_rule_key
+from nonterm.pattern import PatternRule, identity_rules, initial_rules
 from nonterm.powers import PowerSymbol, expand_at, is_power, normalize
 from nonterm.program import (
     ParseError,
@@ -518,9 +518,10 @@ def reference_initial_rules(program: Program) -> list[PatternRule]:
     pair gives the triples (body, sigma, mu) => epsilon and (head, sigma,
     empty) => body, with sigma the matcher of the body onto the head and
     mu the matcher of the body onto the fact, converted by
-    `reference_power_form`.  A body with a repeated variable gives no seed."""
+    `reference_power_form`.  A body with a repeated variable gives no seed.
+    Each pair gives its closing seed, and each recursive rule its open
+    seed once, after its first closing one; variants are kept."""
     out: list[PatternRule] = []
-    seen: set[tuple] = set()
     facts = [r for r in program.rules if not r.body]
     for rec in program.rules:
         if len(rec.body) != 1:
@@ -536,16 +537,13 @@ def reference_initial_rules(program: Program) -> list[PatternRule]:
         if None in moved.values():
             continue
         open_ = reference_power_form(head, sigma, Subst(), moved)
+        closings = []
         for base in facts:
             mu = match(body, base.head)
-            if mu is None:
-                continue
-            closing = reference_power_form(body, sigma, mu, moved)
-            for rule in (PatternRule(closing, EPSILON), PatternRule(open_, body)):
-                key = pattern_rule_key(rule)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(rule)
+            if mu is not None:
+                closings.append(PatternRule(reference_power_form(body, sigma, mu, moved), EPSILON))
+        if closings:
+            out += [closings[0], PatternRule(open_, body), *closings[1:]]
     return out
 
 
@@ -894,6 +892,64 @@ def self_wrapping_programs(draw):
     ]
     if draw(st.booleans()):
         lines.append(f"g({draw(st.sampled_from(GUARD_BASES))}).")
+    return "\n".join(lines)
+
+
+# Whole programs for differential fuzzing: the signature, and the clause
+# variables, which a renaming of the program replaces.
+FUZZ_PREDICATES = ("p", "q", "r")
+FUZZ_VARS = ("X", "Y", "Z")
+FUZZ_WRAPS = ("{}", "s({})", "g({})", "s(s({}))", "f({},0)", "f(nil,g({}))")
+
+
+def fuzz_terms():
+    """Small terms over s, g, f, 0, nil and the clause variables."""
+    leaves = st.sampled_from([*FUZZ_VARS, "0", "nil"])
+
+    def extend(sub):
+        return st.one_of(
+            st.builds("s({})".format, sub),
+            st.builds("g({})".format, sub),
+            st.builds("f({},{})".format, sub, sub),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=4)
+
+
+@st.composite
+def logic_programs(draw):
+    """A query on p and 1-6 clauses over 2-3 predicates of arity 1-2, one
+    clause a line, the first one of p.  A clause is a fact, a rule of 1-3
+    body atoms, or, one time in three, a loop that calls its own predicate
+    with each argument wrapped in one of FUZZ_WRAPS, or unwrapped, after
+    0-2 other atoms.  Facts of a predicate without a recursive rule, body
+    atoms that loop in another predicate and mutual recursion all come
+    up."""
+    preds = FUZZ_PREDICATES[: draw(st.integers(2, 3))]
+    arity = {name: draw(st.integers(1, 2)) for name in preds}
+    terms = fuzz_terms()
+
+    def atom(name=None):
+        name = name or draw(st.sampled_from(preds))
+        return f"{name}({','.join(draw(terms) for _ in range(arity[name]))})"
+
+    def loop(name):
+        # As seeds and pumps need: p(s(X),Y) :- p(X,Y), or turned round.
+        xs = FUZZ_VARS[: arity[name]]
+        grown = [draw(st.sampled_from(FUZZ_WRAPS)).format(x) for x in xs]
+        head, call = (grown, xs) if draw(st.booleans()) else (xs, grown)
+        body = [*(atom() for _ in range(draw(st.integers(0, 2)))), f"{name}({','.join(call)})"]
+        return f"{name}({','.join(head)}) :- {', '.join(body)}."
+
+    lines = [f"%query: p({','.join('i' for _ in range(arity['p']))})."]
+    for k in range(draw(st.integers(1, 6))):
+        name = "p" if k == 0 else draw(st.sampled_from(preds))
+        if draw(st.integers(0, 2)) == 0:
+            lines.append(loop(name))
+            continue
+        head = atom(name)
+        body = [atom() for _ in range(draw(st.integers(0, 3)))]
+        lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
     return "\n".join(lines)
 
 

@@ -24,7 +24,7 @@ from nonterm.detect import match_pumping
 from nonterm.pattern import PatternRule, cover, initial_rules, pattern_rule_key
 from nonterm.powers import PowerSymbol, expand_at
 from nonterm.program import derive_bounded, parse_program
-from nonterm.terms import EPSILON, HOLE, App, Symbol, Var, concrete_power
+from nonterm.terms import EPSILON, HOLE, App, Symbol, Var, concrete_power, match
 
 
 class TestEvaluation:
@@ -169,6 +169,36 @@ class TestInitialRules:
         assert [str(r) for r in initial_rules(p)] == want
         assert [str(r) for r in initial_rules(p, p.queries[0].predicate)] == want
 
+    def test_variants_are_all_listed(self):
+        # A fact written twice gives a second closing seed, and a clause
+        # written twice both its seeds again: seeding drops no variant,
+        # the search's store does.  Each copy has its own variables and
+        # its own clause as source.
+        once = parse_program("p(s(X)) :- p(X).\np(0).")
+        closing, open_ = (pattern_rule_key(r) for r in initial_rules(once))
+        fact = initial_rules(parse_program("p(s(X)) :- p(X).\np(0).\np(0)."))
+        assert [pattern_rule_key(r) for r in fact] == [closing, open_, closing]
+        program = parse_program("p(s(X)) :- p(X).\np(s(X)) :- p(X).\np(0).")
+        clause = initial_rules(program)
+        assert [pattern_rule_key(r) for r in clause] == [closing, open_, closing, open_]
+        assert [r.source for r in clause] == [program.rules[0]] * 2 + [program.rules[1]] * 2
+        assert clause[1].vars().isdisjoint(clause[3].vars())
+        assert clause == respell(reference_initial_rules(program), clause)
+
+    def test_open_family_once_per_rule(self):
+        # The open family comes right after the rule's first closing one,
+        # however many facts close it, and not at all when none does.
+        p = parse_program(
+            "%query: p(i,i).\np(s(X),c) :- p(X,c).\np(0,d).\np(0,c).\np(a,c).\nq(s(X)) :- q(X)."
+        )
+        for goal in (None, p.queries[0].predicate):
+            got = [str(r) for r in initial_rules(p, goal)]
+            assert got == [
+                "p(s(#1)^(1n+0)(0),c) => ε",
+                "p(s(#1)^(1n+1)(_0'),c) => p(_0',c)",
+                "p(s(#1)^(1n+0)(a),c) => ε",
+            ]
+
     def test_closing_families_reach_success(self, ex_program):
         # Each seed family with an empty right side really ends in success.
         for rule in initial_rules(ex_program):
@@ -236,6 +266,11 @@ class TestSeedsMatchTheTripleConversion:
         assert got == want
         assert [repr(r) for r in got] == [repr(r) for r in want]
         assert_apart(got, program)
+        # One seed per recursive/base pair, and the open one once, second.
+        closing = [r for r in got if r.rhs_is_epsilon()]
+        rec = program.rules[0]
+        assert len(closing) == sum(match(rec.body[0], f.head) is not None for f in program.rules[1:])
+        assert [r.rhs_is_epsilon() for r in got] == [True, False, *[True] * (len(closing) - 1)][: len(got)]
 
 
 def _many_seeds_program():

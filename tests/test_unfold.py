@@ -4,6 +4,7 @@ import io
 import random
 import re
 import sys
+from dataclasses import replace
 from functools import reduce
 from itertools import product
 from types import SimpleNamespace
@@ -45,11 +46,12 @@ from nonterm.pattern import PatternRule, cover, identity_rules, initial_rules, p
 from nonterm.powers import (
     PowerSymbol,
     expand_at,
+    instance_root,
     is_simple,
     normalize,
     pattern_mgu,
 )
-from nonterm.program import parse_program
+from nonterm.program import Rule, parse_program
 from nonterm.terms import (
     EPSILON,
     HOLE,
@@ -74,7 +76,6 @@ from nonterm.unfold import (
     UnfoldBudget,
     _attempts,
     _by_root,
-    _toward,
     rename_pattern_rule,
     saturate,
 )
@@ -193,12 +194,19 @@ class TestRuleSet:
 
     def test_rejects_non_simple(self):
         # A power of s inside a power of g: no single tower per position.
+        # The search's entry refuses it, on either side, before storing
+        # anything; the store itself takes the shape as given.
         s_ctx = App(Symbol("s", 1), (HOLE,))
         g_ctx = App(Symbol("g", 1), (HOLE,))
         inner = App(PowerSymbol(s_ctx, 1, 0), (term("0"),))
-        bad = PatternRule(App(PowerSymbol(g_ctx, 1, 0), (inner,)), EPSILON)
-        with pytest.raises(ValueError):
-            PatternRuleSet([bad])
+        nested = App(PowerSymbol(g_ctx, 1, 0), (inner,))
+        program = parse_program("g(s(X)) :- g(X).\ng(0).")
+        good = PatternRule(term("g(0)"), EPSILON)
+        for bad in (PatternRule(nested, EPSILON), PatternRule(term("g(0)"), nested)):
+            seen = []
+            with pytest.raises(ValueError, match="non-simple"):
+                saturate(program, [good, bad], on_rule=lambda r: seen.append(r))
+            assert seen == []
 
 
 class TestStep:
@@ -1155,8 +1163,8 @@ class TestSubsumption:
     # unfolded with the closing seed, the open seed and the identity: the
     # first two give their own shift by one, the last the open seed's
     # instance at 0.  Every variable is a fresh one of the search: the
-    # open seed has _0' (the second clause's open seed, a variant dropped
-    # while seeding, took _1'), the identities of s and f have _2' and
+    # open seed has _0' (the second clause's open seed, a variant the
+    # store drops, took _1'), the identities of s and f have _2' and
     # _3', and the two derived families _4' and _5'.  No pick is renamed.
     SHRINK_LINES = [
         "subsumed: f(s(#1)^(1n+1)(0)) => ε  (shift 1 of f(s(#1)^(1n+0)(0)) => ε)",
@@ -1184,6 +1192,8 @@ class TestSubsumption:
         # Round 1 gives only shifts of the two seeds and f(s(X)) => f(X),
         # the open seed's instance at 0; all are dropped (or, on shrink,
         # not built), so saturation stops at a fixpoint whatever the cap.
+        # It stores each distinct seed once: the second clause's two seeds
+        # are variants of the first's, which the store drops silently.
         shrink = (PROGRAMS_DIR / "shrink.pl").read_text()
         for text, want in ((shrink, []), (SHRINK_TWICE, self.SHRINK_LINES)):
             program = parse_program(text)
@@ -1193,7 +1203,9 @@ class TestSubsumption:
                 budget = UnfoldBudget(max_iterations=rounds)
                 rules, stats = saturate(program, base, budget, trace=out, source=source)
                 assert (stats.generated, stats.stop, stats.iterations) == (0, "fixpoint", 1)
-                assert len(rules) == len(base)
+                distinct = list(dict.fromkeys(keys(base)))
+                assert keys(rules) == distinct
+                assert len(rules) == len(distinct) == 2
                 lines = [l for l in out.getvalue().splitlines() if l.startswith("subsumed:")]
                 assert lines == want
 
@@ -1295,6 +1307,72 @@ def _is_instance(rule, family):
     return any(
         size(family, m) == want and is_variant(inst, family.at(m)) for m in range(height + 1)
     )
+
+
+def written_twice(program, i):
+    """The program with its rule i written twice, the copy right after it:
+    a second `Rule`, equal to the first but not the same object."""
+    rules = list(program.rules)
+    rules.insert(i + 1, Rule(rules[i].head, rules[i].body))
+    return replace(program, rules=tuple(rules))
+
+
+class TestVariantSeeds:
+    """Seeding lists every variant seed, and the search's store drops it:
+    a program with a fact or a clause written twice stores the families of
+    the program written once, in the same rounds and order, with or
+    without a goal."""
+
+    def families(self, program, goal=None):
+        seeds, source = seeded(program, goal)
+        budget = UnfoldBudget(wall_clock=3600.0, max_iterations=4)
+        rules, stats = saturate(program, seeds, budget, goal=goal, source=source)
+        stored_seeds = [r for r in seeds if any(r is kept for kept in rules)]
+        return seeds, stored_seeds, (keys(rules), stats.generated, stats.iterations, stats.stop)
+
+    @pytest.mark.parametrize("name", sorted(PROGRAM_SOURCES))
+    def test_rule_written_twice(self, name):
+        program = parse_program(PROGRAM_SOURCES[name], name)
+        for goal in (None, program.queries[0].predicate):
+            seeds, _, want = self.families(program, goal)
+            for i, rule in enumerate(program.rules):
+                twice = written_twice(program, i)
+                more, stored, got = self.families(twice, goal)
+                assert got == want, (rule, goal)
+                # The copy's variant seeds were listed, and none was stored.
+                if goal is None:
+                    assert keys(more) == keys(reference_initial_rules(twice))
+                assert all(r.source is not twice.rules[i + 1] for r in stored), rule
+
+    def test_fact_and_clause_written_twice(self, ex_program):
+        # On the running example, the second copy of the fact gt(s(X), 0)
+        # adds one closing seed, and of gt's recursive clause both seeds.
+        seeds, _, want = self.families(ex_program)
+        fact = next(i for i, r in enumerate(ex_program.rules) if str(r) == "gt(s(X),0).")
+        clause = fact + 1
+        assert not ex_program.rules[fact].body and len(ex_program.rules[clause].body) == 1
+        for i, extra in ((fact, 1), (clause, 2)):
+            more, stored, got = self.families(written_twice(ex_program, i))
+            assert len(more) == len(seeds) + extra and got == want
+            assert keys(stored) == list(dict.fromkeys(keys(more)))
+
+    def test_variant_seed_under_a_smaller_shift(self):
+        # The fact f(0) closes f at a smaller shift than f(s(0)).  The
+        # second clause's f(s(0)) seed is a variant of the first's, but the
+        # newest stored family that covers it is f(0)'s, one shift down, so
+        # it is counted and traced as that shift; what is stored does not
+        # change.
+        program = parse_program("%query: f(i).\nf(s(X)) :- f(X).\nf(s(0)).\nf(0).\n")
+        twice = written_twice(program, 0)
+        assert self.families(twice)[2] == self.families(program)[2]
+        seeds, source = seeded(twice)
+        out = io.StringIO()
+        budget = UnfoldBudget(max_iterations=0)
+        rules, stats = saturate(twice, seeds, budget, trace=out, source=source)
+        assert keys(rules) == keys(seeds[:3])
+        lines = [l for l in out.getvalue().splitlines() if l.startswith("subsumed:")]
+        assert lines == ["subsumed: f(s(#1)^(1n+1)(0)) => ε  (shift 1 of f(s(#1)^(1n+0)(0)) => ε)"]
+        assert stats.subsumed == 1
 
 
 class TestInstanceSubsumption:
@@ -1510,21 +1588,23 @@ def full_saturation_prove(program, query, budget):
 
 
 class TestGoalDirected:
-    """With a goal, saturation stores exactly the families a run without
-    one stores with epsilon or an instance of a goal atom on the right, in
-    the same order, and the prover's answers do not change."""
+    """With a goal, seeding builds exactly the seeds without one that have
+    epsilon or a goal atom on the right, and saturating them stores exactly
+    the families a run without a goal stores with epsilon or an instance of
+    a goal atom on the right, in the same order, and the prover's answers
+    do not change."""
 
     def check_useful_families(self, program, rounds):
         goal = program.queries[0].predicate
         base, source = seeded(program)
         assert keys(base) == keys(reference_initial_rules(program))
-        # Seeding with the goal builds exactly the seeds saturation keeps,
+        # Seeding with the goal builds exactly the seeds that lead to it,
         # up to their fresh names.
-        seeds, _ = seeded(program, goal)
-        assert keys(seeds) == keys([r for r in base if _toward(goal, r)])
+        seeds, seed_source = seeded(program, goal)
+        assert keys(seeds) == keys([r for r in base if _leads_to_goal(r, goal)])
         budget = UnfoldBudget(wall_clock=3600.0, max_iterations=rounds)
         full, full_stats = saturate(program, base, budget, source=source)
-        kept, stats = saturate(program, base, budget, goal=goal, source=source)
+        kept, stats = saturate(program, seeds, budget, goal=goal, source=seed_source)
         want = [pattern_rule_key(r) for r in full if _leads_to_goal(r, goal)]
         assert [pattern_rule_key(r) for r in kept] == want
         assert stats.generated <= full_stats.generated
@@ -1572,15 +1652,18 @@ class TestGoalDirected:
         self.check_same_answers(program, 4)
 
     def test_base_family_with_a_power_of_the_goal_on_the_right(self):
-        # g(#1)^(1n+1)(0) is a goal atom at every index and is kept; at
-        # offset 0, the instance at 0 is the argument, an h atom.
+        # g(#1)^(1n+1)(0) is a goal atom at every index and leads to the
+        # goal; at offset 0, the instance at 0 is the argument, an h atom,
+        # which does not.
         program = parse_program(G_WRAPS_ITSELF)
         goal = program.queries[0].predicate
         g = App(goal, (HOLE,))
         kept = PatternRule(App(PowerSymbol(g, 1, 1), (ZERO,)), App(PowerSymbol(g, 1, 2), (ZERO,)))
         dropped = PatternRule(term("h(0)"), App(PowerSymbol(g, 1, 0), (term("h(0)"),)))
+        assert instance_root(kept.rhs) == goal and _leads_to_goal(kept, goal)
+        assert instance_root(dropped.rhs) is None and not _leads_to_goal(dropped, goal)
         budget = UnfoldBudget(max_iterations=0)
-        rules, _ = saturate(program, [kept, dropped], budget, goal=goal)
+        rules, _ = saturate(program, [kept], budget, goal=goal)
         assert list(rules) == [kept]
 
     @pytest.mark.parametrize("name", sorted(WHILE_LOOPS))
