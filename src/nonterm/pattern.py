@@ -34,7 +34,6 @@ from .terms import (
     Term,
     Var,
     VarSource,
-    apply,
     canonical_key,
     decompose_power,
     is_epsilon,
@@ -49,7 +48,8 @@ class PatternRule:
     """A pair of power terms; instance n is the power-free rule (lhs(n), rhs(n)).
 
     `source` is the recursive program rule a seed family was built from
-    (`initial_rules`), and None for every other rule.  It takes no part in
+    (`initial_rules`) or an induced family was closed under
+    (`unfold.induce`), and None for every other rule.  It takes no part in
     equality, hashing or repr, and it is compared by identity, so two
     identical clauses stay two rules.
     """
@@ -102,15 +102,16 @@ def initial_rules(
     ground d of minimal period, x_k goes to d^(a,b)(t) where t_k = d^b(t),
     in the head to d^(a,a)(x_k).  A variable sigma leaves alone keeps its
     filler.  That walk names each variable by a fresh one of the `VarSource`
-    given (of a new one without it), and the open family's right side takes
-    the same names.  Each recursive rule is tried against the facts of its
-    body's predicate only, in program order; no other fact matches the
-    body.  Each seed records the recursive rule it was built from as its
-    `source`: both families are that rule unfolded n times with itself, so
-    unfolding it once more with one of them gives nothing new
-    (`unfold._attempts`).  A rule's open family comes once, right after
-    its first closing family.  Variants, as two copies of a clause give,
-    are all listed; the search's store keeps the first (`unfold.saturate`).
+    given (of a new one without it), and builds the open family's right
+    side, the body under the same names, as it goes.  Each recursive rule is
+    tried against the facts of its body's predicate only, in program order;
+    no other fact matches the body.  Each seed records the recursive rule it
+    was built from as its `source`: both families are that rule unfolded n
+    times with itself, so unfolding it once more with one of them gives
+    nothing new (`unfold._attempts`).  A rule's open family comes once,
+    right after its first closing family.  Variants, as two copies of a
+    clause give, are all listed; the search's store keeps the first
+    (`unfold.saturate`).
 
     With a goal, the open family is built only for a recursive rule whose
     body is a goal atom, and the closing families for every predicate,
@@ -144,8 +145,9 @@ def initial_rules(
         open_ = None
         if goal is None or body.symbol == goal:
             names: dict[Var, Var] = {}
-            lhs = power_form(body, wrapped, moved, source, names)
-            open_ = PatternRule(lhs, apply(body, names), rec)
+            renamed: dict[int, Term] = {}
+            lhs = power_form(body, wrapped, moved, source, names, renamed)
+            open_ = PatternRule(lhs, renamed.get(id(body), body), rec)  # a ground body is kept
             open_.__dict__["_vars"] = frozenset(names.values())  # fills PatternRule.vars()
         for fact in facts[body.symbol]:
             if time.monotonic() > deadline:

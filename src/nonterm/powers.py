@@ -334,7 +334,12 @@ def is_simple(t: Term) -> bool:
 
 
 def power_form(
-    t: Term, fillers: Subst, moved: Mapping[Var, tuple[Term, int]], source: VarSource, names: dict[Var, Var]
+    t: Term,
+    fillers: Subst,
+    moved: Mapping[Var, tuple[Term, int]],
+    source: VarSource,
+    names: dict[Var, Var],
+    renamed: Optional[dict[int, Term]] = None,
 ) -> Term:
     """The canonical power term of a seed family: t under `fillers`, with
     every moved variable raised to a power, and every variable fresh.
@@ -348,6 +353,11 @@ def power_form(
     (`NormalBuilder`) gives `normalize` of t under that substitution.  The
     walk names each variable of t or of a filler as it reaches it, by a
     fresh one of `source` that it records in `names`.
+
+    With `renamed`, the same walk also builds t itself under `names`, each
+    node of t by id into that dict: the open seed's right side.  That
+    asks every variable of t to be named, as it is when each one's filler
+    is its own tower or the variable itself.
     """
     def name(u: Term) -> Optional[Term]:
         if type(u) is Var:
@@ -363,7 +373,18 @@ def power_form(
         _, b, w = tower(w, split[0])  # c^(a,0) fused over the filler c^b(w)
         return App(PowerSymbol(*split, b), (rebuild(w, name),))
 
-    return rebuild(t, leaf, NormalBuilder().node)
+    normal = NormalBuilder().node
+    if renamed is None:
+        return rebuild(t, leaf, normal)
+
+    def node(u: App, args: tuple[Term, ...]) -> Term:
+        renamed[id(u)] = App(
+            u.symbol,
+            tuple([a if a.ground else names[a] if type(a) is Var else renamed[id(a)] for a in u.args]),
+        )
+        return normal(u, args)
+
+    return rebuild(t, leaf, node)
 
 
 def pattern_form(theta: Subst) -> Optional[Subst]:

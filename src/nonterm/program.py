@@ -141,6 +141,7 @@ _QUERY_DIRECTIVE = re.compile(
 # A token's kind is read off its first character (`_kind`); of the
 # comments, only a whole line that is a query directive is kept.
 _TOKEN = re.compile(r"[a-z][A-Za-z0-9_]*|[0-9]+|[A-Z_][A-Za-z0-9_]*|:-|%[^\n]*|\S")
+_COMMENT = re.compile(r"%[^\n]*")
 _NAME_START = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
 _VAR_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 
@@ -166,9 +167,20 @@ def _kind(token: str) -> str:
     return "punct" if c in "(),." else "bad"
 
 
+def _directive_or_nothing(m: re.Match) -> str:
+    comment = m.group()
+    return comment if _QUERY_DIRECTIVE.fullmatch(comment) else ""
+
+
 def _token_texts(text: str) -> list[str]:
-    """The texts of the tokens the parser reads, bad characters included."""
-    return [t for t in _TOKEN.findall(text) if t[0] != "%" or _QUERY_DIRECTIVE.fullmatch(t)]
+    """The texts of the tokens the parser reads, bad characters included.
+
+    Every comment but a query directive is cut out first, in one pass that
+    calls back once per comment, so the scan for tokens keeps all it
+    finds.  A comment runs to the end of its line and no other token holds
+    a '%', so the cut finds the comments the scan would, and the newline it
+    leaves keeps the tokens around it apart."""
+    return _TOKEN.findall(_COMMENT.sub(_directive_or_nothing, text))
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -497,7 +497,9 @@ def apply_triangular(
                 done[id(u)] = r
             else:
                 stack.append((u,))
-                stack.extend([a for a in reversed(u.args) if not (a.ground or id(a) in done)])
+                for a in reversed(u.args):
+                    if not (a.ground or id(a) in done):
+                        stack.append(a)
     out = tuple([t if t.ground else done[id(t)] for t in ts])
     return out, frozenset(made)
 
@@ -569,20 +571,32 @@ class VarSource:
 
     Names are `_0'`, `_1'`, ... (after the prefix), which no program can
     spell, and never repeat; `made` holds those handed out.  ``avoid``
-    dodges another source's names (`program.rewrite_step`).
+    dodges another source's names (`program.rewrite_step`).  The n-th name
+    of a prefix is one `Var`, interned the first time any source hands it
+    out and read by index after that (`_names`), so a name costs no
+    formatting and no lookup by string.
     """
 
-    __slots__ = ("_n", "_prefix", "made")
+    __slots__ = ("_n", "_prefix", "_table", "made")
+    # Prefix -> the variables named so far, the n-th spelled prefix + n + "'".
+    _names: ClassVar[dict[str, list[Var]]] = {}
 
     def __init__(self, prefix: str = "_"):
         self._n = 0
         self._prefix = prefix
+        self._table = self._names.setdefault(prefix, [])
         self.made: set[Var] = set()
 
     def fresh(self, avoid: frozenset[Var] | set[Var] = frozenset()) -> Var:
+        table = self._table
         while True:
-            v = Var(f"{self._prefix}{self._n}'")
-            self._n += 1
+            n = self._n
+            self._n = n + 1
+            if n < len(table):
+                v = table[n]
+            else:
+                v = Var(f"{self._prefix}{n}'")
+                table.append(v)
             if v not in avoid:
                 self.made.add(v)
                 return v

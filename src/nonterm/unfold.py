@@ -21,9 +21,13 @@ shift in the index, or, for a rule without powers, an instance; it is
 compared only with the stored rules that share its shapes, and, when it
 has no power, with those that have one, so no canonical key is built.
 Iterating from a seed set of correct rules keeps every derived rule
-correct, so a detector can be run on each insertion.  Saturation rarely
-terminates on interesting programs; budgets (wall clock, rounds, rule
-count) bound every run.
+correct, so a detector can be run on each insertion.  When a one-atom rule
+grows a stored family without powers by one more ground layer, the search
+also stores the family that holds the whole sequence, once unfolding the
+rule with it checks out as a shift by one (`induce`): so a rule that grows
+a ground tower per call ends at a fixpoint.  Saturation rarely terminates
+on interesting programs; budgets (wall clock, rounds, rule count) bound
+every run.
 """
 
 from __future__ import annotations
@@ -36,16 +40,20 @@ from typing import Callable, Iterator, Optional, TextIO
 from .pattern import PatternRule, cover, identity_rules
 # `pattern_mgu` is bound but not called here: the benchmark's tracer and
 # tests read `unfold.pattern_mgu`.
-from .powers import NormalBuilder, is_simple, pattern_mgu  # noqa: F401
+from .powers import NormalBuilder, PowerSymbol, is_simple, pattern_mgu  # noqa: F401
 from .program import Program, Rule
 from .terms import (
+    App,
     Subst,
     Symbol,
     Term,
     Var,
     apply,
     apply_triangular,
+    decompose_power,
     fresh_renaming,
+    strip_power,
+    term_vars,
     unify,
     VarSource,
 )
@@ -59,8 +67,8 @@ class PatternRuleSet:
     k >= 0 (k = 0 for a variant), or it has no power and is a variant of a
     stored rule's instance at some index n.  Stored rules are never
     removed, even when a later one covers them.  The covered rules that a
-    seed's own recursive rule would derive from it are never built
-    (`_attempts`), so they never reach `add`.  A variant seed, as a second
+    seed's or an induced family's own rule would derive from it are never
+    built (`_attempts`), so they never reach `add`.  A variant seed, as a second
     copy of a clause gives, is dropped here like any covered family.  Rules
     are taken as simple (`powers.is_simple`), not walked: `saturate` refuses
     any other base rule, and `_derive` drops any other derived one.
@@ -150,6 +158,8 @@ class UnfoldStats:
     # Derived rules not stored because a stored one covers them (shift or
     # instance); the selections `_attempts` leaves out are not counted.
     subsumed: int = 0
+    # Induced families stored (`induce`), each also counted in `generated`.
+    induced: int = 0
     iterations: int = 0
     stop: str = "fixpoint"  # fixpoint | proved | timeout | iteration-cap | rule-cap
 
@@ -210,7 +220,10 @@ def _attempts(
     rule unfolded n times with itself, so the rule unfolded with it gives
     at most the seed shifted by one, and with the identity the rule
     itself, the open seed's instance at 0.  The seed covers both
-    (`PatternRuleSet`), so neither is built.  Rules are compared by
+    (`PatternRuleSet`), so neither is built.  An induced family (`induce`)
+    has its rule as its `source` too: the rule unfolded with it is that
+    family shifted by one, and the rule unfolded with the identity was
+    tried in round 1, before any family is induced.  Rules are compared by
     identity, so a copy of the clause keeps every pick.
 
     Selections are built slot by slot (`_join`): a family whose left side
@@ -333,6 +346,114 @@ def _derive(
     return rule
 
 
+def induce(
+    rule: Rule, pick: PatternRule, derived: PatternRule, source: VarSource
+) -> Optional[PatternRule]:
+    """The family that closes a sequence growing one ground layer per
+    round, or None.
+
+    `derived` is `rule`, a program rule R, unfolded with `pick` alone, a
+    stored family F, not an identity.  When R has one body atom holding
+    every variable of its head, F has no power, and `derived` differs from
+    F only by a >= 1 more layers of one ground 1-context c at some
+    positions (`_propose`), the proposal G is F with c^(a,0) over each such
+    position, built in normal form with fresh variables of `source`.  Its
+    instance at 0 is F, and at 1 a variant of `derived`.  G is kept only
+    when R unfolded with G is G shifted by one (`pattern.cover` reads
+    ("shift", 1)): then, by induction on n, G's instance at n + 1 is R
+    unfolded with its instance at n, so every instance of G is a real
+    unfolding, as F is.  G records R as its `source`, as a seed does, so
+    the search never unfolds R with it again (`_attempts`).
+
+    A head variable that the body lacks is a new variable in every rule R
+    derives, so a family R grows takes a layer that holds a variable, as
+    a list cell does: such a rule proposes nothing, at the cost of one walk
+    over its body atom.
+    """
+    if len(rule.body) != 1 or pick.lhs.powered or pick.rhs.powered:
+        return None
+    if len(term_vars(rule.body[0])) < len(rule.vars()):
+        return None
+    family = _propose(pick, derived, source, rule)
+    if family is None:
+        return None
+    step = _derive(rule.head, family, unify({}, [(family.lhs, rule.body[0])]), source)
+    if step is None or cover(family, step) != ("shift", 1):
+        return None
+    return family
+
+
+def _propose(f: PatternRule, g: PatternRule, source: VarSource, rule: Rule) -> Optional[PatternRule]:
+    """f with c^(a,0) over each position where g holds a >= 1 layers of one
+    ground 1-context c over what f holds there, up to a renaming of the
+    variables, both being power-free; None when g is not so.  The result
+    has fresh variables of `source` and `rule` as its `source`.
+
+    One walk over both rules, left side first, as `powers.positions` reads
+    them, that stops at the first node where they part otherwise, and
+    builds the result bottom-up in normal form (`powers.NormalBuilder`),
+    each pair of nodes once.  c and a are read at the first position where
+    they part, which must hold a variable in f and a tower over one
+    variable in g (`terms.decompose_power`); every later one must peel
+    exactly a layers of c off g (`terms.strip_power`).  A refused proposal
+    may have drawn fresh names, which no family then holds."""
+    layer: Optional[tuple[Term, int]] = None
+    ren: dict[Var, Var] = {}  # f's variables -> g's, and back: a bijection
+    back: dict[Var, Var] = {}
+    names: dict[Var, Var] = {}  # f's variables -> the result's
+    normal = NormalBuilder()
+    done: dict[tuple[int, int], Term] = {}
+    for side in ((f.lhs, g.lhs), (f.rhs, g.rhs)):
+        # A pair is pushed to be walked, and again with what g has past
+        # the layers (None if none) below its parts, to be built.
+        stack: list = [side]
+        while stack:
+            item = stack.pop()
+            if len(item) == 3:
+                t, u, rest = item
+                if rest is None:
+                    args = tuple([done[id(a), id(b)] for a, b in zip(t.args, u.args)])
+                    done[id(t), id(u)] = normal.node(t, args)
+                else:
+                    inner = done[id(t), id(rest)]
+                    power = App(PowerSymbol(*layer, 0), (inner,))
+                    done[id(t), id(u)] = normal.node(power, (inner,))
+                continue
+            t, u = item
+            if (id(t), id(u)) in done:
+                continue
+            if t.ground and t == u:
+                done[id(t), id(u)] = t
+                continue
+            if type(u) is Var:
+                if type(t) is not Var or ren.setdefault(t, u) is not u or back.setdefault(u, t) is not t:
+                    return None
+                done[id(t), id(u)] = names.get(t) or names.setdefault(t, source.fresh())
+                continue
+            if type(t) is App and t.symbol is u.symbol:
+                stack.append((t, u, None))
+                stack.extend(zip(reversed(t.args), reversed(u.args)))
+                continue
+            if layer is None:
+                held = term_vars(u) if type(t) is Var else ()
+                if len(held) != 1:
+                    return None
+                (rest,) = held
+                layer = decompose_power(u, rest)
+                if layer is None:
+                    return None
+            else:
+                k, rest = strip_power(u, layer[0])
+                if k != layer[1]:
+                    return None
+            stack += ((t, u, rest), (t, rest))
+    if layer is None or not normal.simple:
+        return None
+    family = PatternRule(done[id(f.lhs), id(g.lhs)], done[id(f.rhs), id(g.rhs)], rule)
+    family.__dict__["_vars"] = frozenset(names.values())  # fills PatternRule.vars()
+    return family
+
+
 def saturate(
     program: Program,
     base: list[PatternRule],
@@ -346,11 +467,15 @@ def saturate(
 
     `on_rule` runs on every newly stored rule (the seed set included) and
     may stop the run by returning True -- used by the prover to short-cut
-    on the first rule that witnesses non-termination.  Stats report the
-    number of generated rules and the stop reason; exhausting the budget is
-    a normal outcome, not an error.  The clock is read before each seed,
-    slot list (`_attempts`) and selection, and after each round, so a round
-    cut short ends "timeout", not "fixpoint".
+    on the first rule that witnesses non-termination.  Right after a rule
+    derived from one stored pick, an identity aside, is stored, the family
+    that closes its sequence, if any (`induce`), is stored as a derived
+    rule too; a rule that such an induced family covers still meets
+    `on_rule`, since without that family a later round would have stored
+    it.  Stats report the number of generated rules and the stop reason;
+    exhausting the budget is a normal outcome, not an error.  The clock is
+    read before each seed, slot list (`_attempts`) and selection, and
+    after each round, so a round cut short ends "timeout", not "fixpoint".
 
     With a goal predicate, the goal's is the only identity offered, and
     every base rule must have epsilon or a goal atom on the right, as
@@ -379,11 +504,39 @@ def saturate(
         stats.stop = reason
         return stored, stats
 
+    # The induced families stored (`induce`), by id, and the stored family
+    # that covered the last rule the store dropped.
+    induced: set[int] = set()
+    covering: list[PatternRule] = []
+
     def subsumed(rule: PatternRule, by: PatternRule, kind: str, k: int) -> None:
         stats.subsumed += 1
+        covering.append(by)
         if trace:
             how = f"shift {k}" if kind == "shift" else f"instance n={k}"
             trace.write(f"subsumed: {rule}  ({how} of {by})\n")
+
+    def admit(rule: PatternRule, note: Callable[[], str]) -> tuple[bool, Optional[str]]:
+        """Store a derived or induced rule unless a stored one covers it,
+        tracing `note()` if stored, and run `on_rule` on it if stored, or
+        if an induced family covers it: without that family, a later round
+        would have stored it.  Whether it was stored, and the reason the
+        run stops, if it does."""
+        nonlocal grew
+        # The cap binds only on a rule that would be stored, so skipped
+        # selections, which give covered rules, cannot change the outcome.
+        if stats.generated >= budget.max_rules and not stored.contains_variant(rule):
+            return False, "rule-cap"
+        covering.clear()
+        kept = stored.add(rule, subsumed)
+        if kept:
+            stats.generated += 1
+            grew = True
+            if trace:
+                trace.write(note())
+        elif not (covering and id(covering[0]) in induced):
+            return False, None
+        return kept, "proved" if on_rule and on_rule(rule) else None
 
     for rule in base:
         if time.monotonic() > deadline:
@@ -397,6 +550,7 @@ def saturate(
     # Semi-naive evaluation: from round 2 on, only selections that use a
     # rule stored in the previous round are tried (see `_attempts`); the
     # identities are never new after round 1.
+    identities = set(map(id, patid))
     new: Optional[set[int]] = None
     for round_no in range(1, budget.max_iterations + 1):
         stats.iterations = round_no
@@ -407,24 +561,31 @@ def saturate(
                 return finish("timeout")
             if candidate is None:
                 continue
-            # The cap binds only on a rule that would be stored, so skipped
-            # selections, which give covered rules, cannot change the outcome.
-            if stats.generated >= budget.max_rules and not stored.contains_variant(
-                candidate
-            ):
-                return finish("rule-cap")
-            if not stored.add(candidate, subsumed):
+            rule_idx, i, combo = provenance
+            kept, stop = admit(
+                candidate,
+                lambda: f"round {round_no}: rule {rule_idx + 1}, prefix {i}, "
+                f"via {[str(c) for c in combo]}\n    {candidate}\n",
+            )
+            if stop:
+                return finish(stop)
+            # A stored rule grown from a single stored pick: close the
+            # sequence by induction if it grows by a ground layer.
+            if not kept or len(combo) > 1 or id(combo[0]) in identities:
                 continue
-            stats.generated += 1
-            grew = True
-            if trace:
-                rule_idx, i, combo = provenance
-                trace.write(
-                    f"round {round_no}: rule {rule_idx + 1}, prefix {i}, "
-                    f"via {[str(c) for c in combo]}\n    {candidate}\n"
-                )
-            if on_rule and on_rule(candidate):
-                return finish("proved")
+            family = induce(program.rules[rule_idx], combo[0], candidate, source)
+            if family is None:
+                continue
+            kept, stop = admit(
+                family,
+                lambda: f"round {round_no}: rule {rule_idx + 1}, induced from "
+                f"{combo[0]}\n    {family}\n",
+            )
+            if kept:
+                induced.add(id(family))
+                stats.induced += 1
+            if stop:
+                return finish(stop)
         if time.monotonic() > deadline:
             return finish("timeout")
         if not grew:

@@ -53,7 +53,7 @@ from nonterm.terms import (
     strip_power,
     term_vars,
 )
-from nonterm.unfold import PatternRuleSet, _attempts, rename_pattern_rule
+from nonterm.unfold import PatternRuleSet, _attempts, induce, rename_pattern_rule
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -136,6 +136,23 @@ def step_candidates(
     for candidate, provenance in _attempts(program, pool, patid, source):
         if candidate is not None:
             yield candidate, provenance
+
+
+def induced_by(
+    program: Program,
+    provenance: tuple,
+    rule: PatternRule,
+    patid: list[PatternRule],
+    source: VarSource,
+) -> Optional[PatternRule]:
+    """The family `unfold.saturate` induces once it stores `rule`, derived
+    with the given provenance (`unfold._attempts`), or None: only a rule
+    derived from a single pick that is no identity may close a sequence
+    (`unfold.induce`)."""
+    rule_idx, _, combo = provenance
+    if len(combo) > 1 or any(combo[0] is r for r in patid):
+        return None
+    return induce(program.rules[rule_idx], combo[0], rule, source)
 
 
 def seeded(

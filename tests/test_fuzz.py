@@ -6,7 +6,10 @@ and the verdict and witness must not change when one clause is written
 twice or the clause variables are renamed.  Throughout, the search's store
 is checked against the expansions of its families: it stores only simple
 families, and a family it drops is, at every sampled index, a variant of
-the covering family's instance at the index the cover names.
+the covering family's instance at the index the cover names.  Every family
+it stores is checked against the program: its instances at n = 0..2, and
+0..3 for an induced family (`unfold.induce`), are derivable binary rules
+(the `binrules` oracle) or reach their right side (`calls_bounded`).
 
 Tier-1 draws FUZZ_EXAMPLES programs, about 10 s.  For a change to
 unification, seeding or the store, run thousands:
@@ -22,11 +25,13 @@ from unittest import mock
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import logic_programs
+from conftest import calls_bounded, logic_programs
+from nonterm import unfold
+from nonterm.binrules import saturate as binary_saturate
 from nonterm.detect import prove
 from nonterm.powers import is_simple
 from nonterm.program import derive_bounded, parse_program
-from nonterm.terms import canonical_key
+from nonterm.terms import canonical_key, match
 from nonterm.unfold import PatternRuleSet, UnfoldBudget
 
 FUZZ_EXAMPLES = int(os.environ.get("NONTERM_FUZZ_EXAMPLES", "200"))
@@ -42,6 +47,7 @@ def _variant(a, b):
 
 
 _add = PatternRuleSet.add
+induce = unfold.induce
 
 
 def _checked_add(self, rule, on_subsumed=None):
@@ -60,18 +66,52 @@ def _checked_add(self, rule, on_subsumed=None):
     return stored
 
 
+def check_families(program, stored, induced):
+    """Every stored family's instances at n = 0..2, and at n = 0..3 for an
+    induced one, are derivable: binary rules of the bounded oracle, or,
+    past its bounds, rules whose right side some call from their left side
+    reaches.  Families of the goal's cone are families of the program."""
+    oracle = binary_saturate(program, 6, 500) if stored else None
+    for family in stored:
+        for n in range(4 if id(family) in induced else 3):
+            inst = family.at(n)
+            if oracle.contains_variant(inst):
+                continue
+            calls = calls_bounded(program, inst.lhs, 8)
+            assert any(match(inst.rhs, got) is not None for got in calls), (family, n)
+
+
 def answer(text, interpret=False):
     """The verdict on the program's query, with the witness and why the
     search stopped; None when the clock cut the run short.
 
-    With `interpret`, a `Proven` witness must survive 200 interpreter
+    With `interpret`, every family the search stores must pass
+    `check_families`, and a `Proven` witness must survive 200 interpreter
     steps.  The interpreter may search a finite subtree for long before it
     reaches the loop, so a run its clock cuts short shows nothing."""
     program = parse_program(text)
-    with mock.patch.object(PatternRuleSet, "add", _checked_add):
+    stored, induced = [], set()
+
+    def recorded_add(self, rule, on_subsumed=None):
+        kept = _checked_add(self, rule, on_subsumed)
+        if kept:
+            stored.append(rule)
+        return kept
+
+    def recorded_induce(*args):
+        family = induce(*args)
+        if family is not None:
+            induced.add(id(family))
+        return family
+
+    with mock.patch.object(PatternRuleSet, "add", recorded_add), mock.patch.object(
+        unfold, "induce", recorded_induce
+    ):
         out = prove(program, program.queries[0], BUDGET)
     if out.reason == "timeout":
         return None
+    if interpret:
+        check_families(program, stored, induced)
     if not out.proven:
         return "unknown", out.reason, out.unfolded
     w = out.witness
@@ -106,6 +146,9 @@ def rename_variables(text):
 # The loop's family would hold s^n(g^n(0)), a power inside a power, which
 # the search drops.
 @example("%query: p(i).\np(X) :- q(X,Y), r(Y), p(X).\nq(s(X),Z) :- q(X,Z).\nq(Z,Z).\nr(g(X)) :- r(X).\nr(0).", None)
+# A terminating loop whose second family grows its first by a ground
+# layer: the search stores their induced family in round 2.
+@example("%query: p(i,i).\np(s(X),Y) :- p(X,s(Y)).\np(0,Y).", None)
 def test_random_programs(text, data):
     want = answer(text, interpret=True)
     renamed = rename_variables(text)

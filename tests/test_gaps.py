@@ -2,8 +2,9 @@
 or undecided example, each with the status, stop reason and family count
 the prover gives now.
 
-Every program here has a query that runs forever, except `shift`, which
-terminates but never reaches a fixpoint.  A change that decides one of
+Every program here has a query that runs forever, except `len`, which
+terminates but never reaches a fixpoint, and `shift`, which reached none
+until induction closed it.  A change that decides one of
 them, or moves its stop reason, changes its case here on purpose, and says
 so in CHANGES.md.  Each case names the README "Scope" bullet it shows, by
 its opening words, and the ROADMAP item expected to decide it.
@@ -98,9 +99,24 @@ class TestGaps:
     def test_shift_at_the_cap(self, rounds):
         # README "Scope": "saturation is budget-bounded".  ROADMAP item 8.
         # A terminating control that stores f(s^k(X),Y) => f(X,s^k(Y)) for
-        # every k, one per round, so it stops at the round cap.
+        # k = 1, 2, one per round; the second grows the first by a ground
+        # layer, so round 2 also stores their induced family
+        # f(s^(n+1)(X),Y) => f(X,s^(n+1)(Y)), which covers all that round 3
+        # derives: a fixpoint with 3 families, whatever the cap.
         text = "%query: f(i,i).\nf(s(X), Y) :- f(X, s(Y)).\nf(0, Y).\n"
         program = parse_program(text)
         out = prove(program, program.queries[0], UnfoldBudget(max_iterations=rounds))
-        assert (out.status, out.reason, out.unfolded) == ("unknown", "iteration-cap", rounds)
+        assert (out.status, out.reason, out.unfolded) == ("unknown", "fixpoint", 3)
         assert not loops(text, "f(s(s(s(0))),0)")
+
+    @pytest.mark.parametrize("rounds", [3, 10])
+    def test_len_at_the_cap(self, rounds):
+        # README "Scope": "saturation is budget-bounded".  ROADMAP items 7
+        # and 8.  len stores len(cons^k, s^k(N)) => len(L, N) for every k,
+        # one per round: its growing list cell holds a variable, so no
+        # family is induced, and it stops at the round cap.
+        text = "%query: len(i,i).\nlen(nil, 0).\nlen(cons(X, L), s(N)) :- len(L, N).\n"
+        program = parse_program(text)
+        out = prove(program, program.queries[0], UnfoldBudget(max_iterations=rounds))
+        assert (out.status, out.reason, out.unfolded) == ("unknown", "iteration-cap", rounds)
+        assert not loops(text, "len(cons(0,cons(0,nil)),s(s(0)))")

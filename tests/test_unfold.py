@@ -27,6 +27,7 @@ from conftest import (
     calls_bounded,
     check_correct_sampled,
     fam,
+    induced_by,
     random_simple_pattern,
     random_term,
     recursive_programs,
@@ -418,16 +419,20 @@ class TestSoundnessSampled:
 
 def naive_saturate(program, base, rounds, source):
     """Reference for `saturate`: every round offers every selection over
-    the whole pool, without the semi-naive skip."""
+    the whole pool, without the semi-naive skip, and stores the family a
+    stored one induces right after it."""
     stored = PatternRuleSet(base)
     patid = identity_rules(program.symbols, source)
     generated = 0
     for _ in range(rounds):
         grew = False
-        for candidate, _ in step_candidates(program, list(stored), patid, source):
+        for candidate, provenance in step_candidates(program, list(stored), patid, source):
             if stored.add(candidate):
                 generated += 1
                 grew = True
+                family = induced_by(program, provenance, candidate, patid, source)
+                if family is not None and stored.add(family):
+                    generated += 1
         if not grew:
             return stored, generated, "fixpoint"
     return stored, generated, "iteration-cap"
@@ -713,17 +718,21 @@ def full_renaming_attempts(program, pool, patid, source, new, own_seeds=False):
 
 
 def full_renaming_saturate(program, base, rounds):
-    """Reference for `saturate` without budgets, semi-naive like it.  It
-    renames every pick apart, so it needs no namespace of its own."""
+    """Reference for `saturate` without budgets, semi-naive like it, with
+    the same induction step.  It renames every pick apart, so it needs no
+    namespace of its own."""
     stored = PatternRuleSet(base)
     source = VarSource("_f")
     patid = identity_rules(program.symbols, source)
     generated, new = 0, None
     for _ in range(rounds):
         snapshot = list(stored)
-        for candidate, _ in full_renaming_attempts(program, snapshot, patid, source, new):
+        for candidate, provenance in full_renaming_attempts(program, snapshot, patid, source, new):
             if stored.add(candidate):
                 generated += 1
+                family = induced_by(program, provenance, candidate, patid, source)
+                if family is not None and stored.add(family):
+                    generated += 1
         if len(stored) == len(snapshot):
             return stored, generated, "fixpoint"
         new = {id(r) for r in list(stored)[len(snapshot):]}
@@ -802,8 +811,10 @@ class TestSameAsFullRenaming:
             new = {id(r) for r in list(stored)[len(snapshot):]}
 
 
-# Three controls that never pump and run to the round cap: each round
-# unfolds the family the round before stored, one layer larger.
+# Three controls that never pump: each round unfolds the family the round
+# before stored, one layer larger.  len and app grow by a layer that holds
+# a variable, and run to the round cap; shift grows by a ground one, which
+# induction closes after round 3 (`unfold.induce`).
 CAP_CONTROLS = {
     "len": "%query: len(i,i).\nlen(nil, 0).\nlen(cons(X, L), s(N)) :- len(L, N).\n",
     "app": "%query: app(i,i,i).\napp(nil, L, L).\n"
@@ -856,7 +867,8 @@ class TestFreshFamilies:
         program = parse_program(CAP_CONTROLS[name], name)
         budget = UnfoldBudget(wall_clock=3600.0, max_iterations=8)
         outcome = prove(program, program.queries[0], budget)
-        assert (outcome.status, outcome.reason, outcome.unfolded) == ("unknown", "iteration-cap", 8)
+        want = ("fixpoint", 3) if name == "shift" else ("iteration-cap", 8)
+        assert (outcome.status, outcome.reason, outcome.unfolded) == ("unknown", *want)
         assert renamed == []
 
     def test_a_second_pick_is_still_renamed(self, monkeypatch):
@@ -912,6 +924,116 @@ class TestFreshFamilies:
 
 
 # shrink with its recursive clause written twice.
+NREV = (
+    "%query: rev(i,i).\nrev(nil, nil).\n"
+    "rev(cons(X, Xs), R) :- rev(Xs, R1), app(R1, cons(X, nil), R).\n"
+    "app(nil, L, L).\napp(cons(X, L1), L2, cons(X, L3)) :- app(L1, L2, L3).\n"
+)
+
+
+class TestInduction:
+    """A family that a one-atom rule grows by one ground layer per round is
+    closed by induction (`unfold.induce`): its induced family holds every
+    later one, so the search reaches a fixpoint."""
+
+    @staticmethod
+    def goal_saturate(text, rounds, on_rule=None):
+        program = parse_program(text)
+        goal = program.queries[0].predicate
+        base, source = seeded(program, goal)
+        budget = UnfoldBudget(wall_clock=3600.0, max_iterations=rounds)
+        rules, stats = saturate(program, base, budget, on_rule, goal=goal, source=source)
+        return program, list(rules), stats
+
+    @pytest.mark.parametrize("rounds", [3, 40])
+    def test_shift_induces_one_family_and_ends_at_a_fixpoint(self, rounds):
+        program, rules, stats = self.goal_saturate(CAP_CONTROLS["shift"], rounds)
+        assert (stats.stop, stats.iterations, stats.generated, stats.induced) == ("fixpoint", 3, 3, 1)
+        first, second, family = rules
+        assert is_variant(first, PatternRule(term("f(s(X),Y)"), term("f(X,s(Y))")))
+        assert is_variant(second, PatternRule(term("f(s(s(X)),Y)"), term("f(X,s(s(Y)))")))
+        # f(s^(n+1)(X),Y) => f(X,s^(n+1)(Y)), with fresh variables.
+        grown = PowerSymbol(App(S, (HOLE,)), 1, 1)
+        x, y = sorted(family.vars(), key=lambda v: v.name)
+        assert family == PatternRule(App(F, (App(grown, (x,)), y)), App(F, (x, App(grown, (y,)))))
+        # Its instance at 0 is the family it was induced from, at 1 the one
+        # that grew it, and every instance is a derivable binary rule.
+        assert is_variant(family.at(0), first) and is_variant(family.at(1), second)
+        assert check_correct_sampled(family, program, 3, 8)
+
+    def test_covered_rules_still_meet_on_rule(self):
+        # Round 3 derives the next concrete family, the induced family's
+        # instance at 2: the store drops it, but the detector sees it, as
+        # it would have seen it stored without induction.  The rule is
+        # never unfolded with the induced family, whose source it is: that
+        # gives the family shifted by one, as the check in round 2 found.
+        seen = []
+        program, rules, stats = self.goal_saturate(CAP_CONTROLS["shift"], 8, seen.append)
+        family = rules[2]
+        assert family.source is program.rules[0]
+        assert seen[:3] == rules and len(seen) == 4
+        assert cover(family, seen[3]) == ("instance", 2)
+        assert stats.subsumed == 1
+
+    @pytest.mark.parametrize("name", ["len", "app", "nrev"])
+    def test_a_layer_holding_a_variable_proposes_nothing(self, monkeypatch, name):
+        # len's and app's rules hold a head variable their body lacks, the
+        # element of the list cell each call adds, and nrev's own rule has
+        # two body atoms: no rule of theirs ever proposes a family.
+        proposed = []
+        real = unfold._propose
+        monkeypatch.setattr(unfold, "_propose", lambda *args: proposed.append(args) or real(*args))
+        _, _, stats = self.goal_saturate({**CAP_CONTROLS, "nrev": NREV}[name], 8)
+        assert (stats.stop, stats.induced, proposed) == ("iteration-cap", 0, [])
+
+    def test_a_proposal_stops_where_the_families_part_otherwise(self, monkeypatch):
+        # The first position reads the layer s; the second, g against h,
+        # peels no s layer, and the walk ends there: the third, s(Z)
+        # against s(s(Z)), is never read.
+        program = parse_program("p(s(X), Y, s(Z)) :- p(X, Y, Z).\n")
+        source = VarSource()
+        pick, derived = apart(
+            [
+                PatternRule(term("p(X,g(Y),s(Z))"), term("p(X,Y,Z)")),
+                PatternRule(term("p(s(X),h(Y),s(s(Z)))"), term("p(X,Y,Z)")),
+            ],
+            source,
+        )
+        peeled = []
+        real = unfold.strip_power
+        monkeypatch.setattr(unfold, "strip_power", lambda u, c: peeled.append(u) or real(u, c))
+        assert unfold._propose(pick, derived, source, program.rules[0]) is None
+        assert [str(u) for u in peeled] == [str(derived.lhs.args[1])]
+
+    def test_a_family_whose_unfolding_is_no_shift_is_refused(self):
+        # F' grows F by one s layer at both positions, so the proposal is
+        # G = f(s^(n+1)(X),Y) => f(X,s^(n+1)(Y)); but the rule wraps Y in g,
+        # so unfolding it with G gives f(s^(n+2)(X),Y) => f(X,s^(n+1)(g(Y))),
+        # which is no shift of G, and G is refused.
+        program = parse_program("f(s(X), Y) :- f(X, g(Y)).\n")
+        source = VarSource()
+        pick, derived = apart(
+            [
+                PatternRule(term("f(s(X),Y)"), term("f(X,s(Y))")),
+                PatternRule(term("f(s(s(X)),Y)"), term("f(X,s(s(Y)))")),
+            ],
+            source,
+        )
+        assert unfold._propose(pick, derived, source, program.rules[0]) is not None
+        assert unfold.induce(program.rules[0], pick, derived, source) is None
+        # The same pair under the rule that does grow it is closed.
+        shift_rule = parse_program("f(s(X), Y) :- f(X, s(Y)).\n").rules[0]
+        assert unfold.induce(shift_rule, pick, derived, source) is not None
+
+    def test_a_family_with_a_power_is_not_grown(self):
+        # Its instance at 0 would have no power, so it cannot be the pick.
+        program = parse_program(CAP_CONTROLS["shift"])
+        source = VarSource()
+        family = self.goal_saturate(CAP_CONTROLS["shift"], 3)[1][2]
+        (pick,) = apart([family], source)
+        assert unfold.induce(program.rules[0], pick, _shifted(pick, 1), source) is None
+
+
 SHRINK_TWICE = "%query: f(i).\nf(s(X)) :- f(X).\nf(s(X)) :- f(X).\nf(0).\n"
 
 
@@ -1146,9 +1268,11 @@ class TestSubsumption:
         new = None
         for _ in range(4):
             snapshot = list(stored)
-            for rule, _ in _attempts(program, snapshot, patid, source, new):
-                if rule is not None:
-                    stored.add(rule, record)
+            for rule, provenance in _attempts(program, snapshot, patid, source, new):
+                if rule is not None and stored.add(rule, record):
+                    family = induced_by(program, provenance, rule, patid, source)
+                    if family is not None:
+                        stored.add(family, record)
             new = {id(r) for r in list(stored)[len(snapshot):]}
         for dropped, held, kind, k in drops:
             if kind == "instance":
