@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, TextIO
 
@@ -20,35 +19,62 @@ from .binrules import clause, saturate as binary_saturate
 from .detect import ProofOutcome, prove
 from .pattern import initial_rules
 from .program import ParseError, parse_program
+from .record import Record
 from .terms import render
 from .unfold import UnfoldBudget
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    inputs: tuple[Path, ...]
-    timeout: float = 10.0
-    max_iterations: int = 10
-    max_rules: int = 100_000
-    validate_steps: int = 0
-    as_json: bool = False
-    trace: bool = False
-    dump_binunf: Optional[int] = None
-    dump_initial: bool = False
+class RunConfig(Record):
+    """The command line's settings, one field per option."""
+
+    __slots__ = (
+        "inputs", "timeout", "max_iterations", "max_rules", "validate_steps",
+        "as_json", "trace", "dump_binunf", "dump_initial",
+    )
+
+    def __init__(
+        self,
+        inputs: tuple[Path, ...],
+        timeout: float = 10.0,
+        max_iterations: int = 10,
+        max_rules: int = 100_000,
+        validate_steps: int = 0,
+        as_json: bool = False,
+        trace: bool = False,
+        dump_binunf: Optional[int] = None,
+        dump_initial: bool = False,
+    ):
+        self.inputs, self.timeout, self.max_iterations = inputs, timeout, max_iterations
+        self.max_rules, self.validate_steps, self.as_json = max_rules, validate_steps, as_json
+        self.trace, self.dump_binunf, self.dump_initial = trace, dump_binunf, dump_initial
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    program: str
-    rules: Optional[int]  # None on an Error row: the file was not parsed
-    relations: Optional[int]
-    mode: Optional[str]
-    witness: str
-    unfolded: int
-    time_ms: float
-    status: str
-    outcome: Optional[ProofOutcome] = None
-    error: Optional[str] = None  # why an Error row's file was not analysed
+class ReportRow(Record):
+    """One row of the report: a (program, query) pair, or a file that was
+    not analysed.  rules and relations are None on an Error row, whose
+    file was not parsed, and error says why."""
+
+    __slots__ = (
+        "program", "rules", "relations", "mode", "witness",
+        "unfolded", "time_ms", "status", "outcome", "error",
+    )
+
+    def __init__(
+        self,
+        program: str,
+        rules: Optional[int],
+        relations: Optional[int],
+        mode: Optional[str],
+        witness: str,
+        unfolded: int,
+        time_ms: float,
+        status: str,
+        outcome: Optional[ProofOutcome] = None,
+        error: Optional[str] = None,
+    ):
+        self.program, self.rules, self.relations, self.mode = program, rules, relations, mode
+        self.witness, self.unfolded, self.time_ms, self.status = witness, unfolded, time_ms, status
+        self.outcome, self.error = outcome, error
 
     @classmethod
     def failed_file(cls, path: Path, message: str) -> "ReportRow":

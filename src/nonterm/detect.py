@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from .pattern import PatternRule, initial_rules
 from .powers import expand_at, instance_root, positions
 from .program import Program, QueryMode, cone, derive_bounded
+from .record import Record
 from .terms import (
     App,
     Symbol,
@@ -41,13 +40,20 @@ from .terms import (
 )
 from .unfold import UnfoldBudget, saturate
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class PumpData:
-    """The certificate of self-pumping: q(n) instantiates p(n + k) for n >= alpha."""
 
-    k: int
-    alpha: Fraction
+class PumpData(Record):
+    """The certificate of self-pumping: q(n) instantiates p(n + k) for n >= alpha.
+
+    alpha is an `int` when it is whole, and a `Fraction` otherwise.
+    """
+
+    __slots__ = ("k", "alpha")
+
+    def __init__(self, k: int, alpha: Union[int, Fraction]):
+        self.k, self.alpha = k, alpha
 
 
 def match_pumping(rule: PatternRule) -> Optional[PumpData]:
@@ -56,6 +62,8 @@ def match_pumping(rule: PatternRule) -> Optional[PumpData]:
     Solves the embedding q(n) = p(n + k) theta position by position (see
     the module docstring).  alpha is the largest bound that a growing
     variable position puts on n, or 0 without one; it may be negative.
+    It is a `Fraction` only when that bound is not whole, so `fractions`
+    is imported only then.
     Works on the canonical power terms only: the underlying property is
     existential over all equivalent representatives, so this recognizer is
     deliberately incomplete but sound.
@@ -81,7 +89,7 @@ def match_pumping(rule: PatternRule) -> Optional[PumpData]:
 
     # A variable position binds X to c^(slope*n + offset)(u).
     bindings: dict[Var, tuple[Optional[Term], int, int, Term]] = {}
-    alpha: Optional[Fraction] = None
+    alpha: Union[int, Fraction, None] = None
     for c, a, b, t, ra, rb, u in holes:
         if not isinstance(t, Var):
             continue
@@ -93,19 +101,22 @@ def match_pumping(rule: PatternRule) -> Optional[PumpData]:
         if bindings.setdefault(t, binding) != binding:
             return None
         if slope:
-            least = Fraction(-offset, slope)
+            least: Union[int, Fraction] = -offset // slope
+            if offset % slope:
+                from fractions import Fraction
+
+                least = Fraction(-offset, slope)
             alpha = least if alpha is None else max(alpha, least)
-    return PumpData(k, Fraction(0) if alpha is None else alpha)
+    return PumpData(k, 0 if alpha is None else alpha)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A concrete ground query that heads an infinite derivation."""
 
-    rule: PatternRule
-    data: PumpData
-    n: int
-    term: Term
+    __slots__ = ("rule", "data", "n", "term")
+
+    def __init__(self, rule: PatternRule, data: PumpData, n: int, term: Term):
+        self.rule, self.data, self.n, self.term = rule, data, n, term
 
     def __repr__(self) -> str:
         return render(self.term)
@@ -150,15 +161,29 @@ def check_pumps(rule: PatternRule, data: PumpData, n: int) -> bool:
     return match(expand_at(rule.lhs, n + data.k), expand_at(rule.rhs, n)) is not None
 
 
-@dataclass(frozen=True)
-class ProofOutcome:
-    status: str  # "proven" | "unknown"
-    witness: Optional[Witness]
-    unfolded: int
-    time_ms: float
-    # For unknown: timeout | iteration-cap | rule-cap | fixpoint | validation-failed.
-    reason: Optional[str] = None
-    validated: Optional[bool] = None
+class ProofOutcome(Record):
+    """The answer to one query.
+
+    status: "proven" | "unknown".
+    reason, for unknown: timeout | iteration-cap | rule-cap | fixpoint |
+    validation-failed.
+    validated: True when the interpreter kept the witness alive for the
+    steps asked, else None.
+    """
+
+    __slots__ = ("status", "witness", "unfolded", "time_ms", "reason", "validated")
+
+    def __init__(
+        self,
+        status: str,
+        witness: Optional[Witness],
+        unfolded: int,
+        time_ms: float,
+        reason: Optional[str] = None,
+        validated: Optional[bool] = None,
+    ):
+        self.status, self.witness, self.unfolded, self.time_ms = status, witness, unfolded, time_ms
+        self.reason, self.validated = reason, validated
 
     @property
     def proven(self) -> bool:
@@ -218,7 +243,7 @@ def prove(
         found.append(w)
         return True
 
-    left = replace(budget, wall_clock=deadline - time.monotonic())
+    left = UnfoldBudget(deadline - time.monotonic(), budget.max_iterations, budget.max_rules)
     _, stats = saturate(reach, base, left, on_rule=on_rule, trace=trace, goal=goal, source=source)
     witness = found[0] if found else None
     reason = None if found else stats.stop

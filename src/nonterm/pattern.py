@@ -20,12 +20,11 @@ no canonical key (`pattern_rule_key`) or instance (`unfold.PatternRuleSet`).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional
 
 from .powers import expand_at, positions, power_form
 from .program import Program, Rule
+from .record import Record
 from .terms import (
     EPSILON,
     App,
@@ -43,32 +42,38 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class PatternRule:
+class PatternRule(Record, compare=("lhs", "rhs")):
     """A pair of power terms; instance n is the power-free rule (lhs(n), rhs(n)).
 
     `source` is the recursive program rule a seed family was built from
     (`initial_rules`) or an induced family was closed under
     (`unfold.induce`), and None for every other rule.  It takes no part in
     equality, hashing or repr, and it is compared by identity, so two
-    identical clauses stay two rules.
+    identical clauses stay two rules.  `vars` is the rule's variable set,
+    when its builder knows it (seeding and the search do); otherwise
+    `vars()` computes it on its first call.
     """
 
-    lhs: Term
-    rhs: Term
-    source: Optional[Rule] = field(default=None, compare=False, repr=False)
+    __slots__ = ("lhs", "rhs", "source", "_vars")
+
+    def __init__(
+        self,
+        lhs: Term,
+        rhs: Term,
+        source: Optional[Rule] = None,
+        *,
+        vars: Optional[frozenset[Var]] = None,
+    ):
+        self.lhs, self.rhs, self.source, self._vars = lhs, rhs, source, vars
 
     def at(self, n: int) -> PatternRule:
         """The instance at n: the binary rule, a `PatternRule` without powers."""
         return PatternRule(expand_at(self.lhs, n), expand_at(self.rhs, n))
 
     def vars(self) -> frozenset[Var]:
+        if self._vars is None:
+            self._vars = term_vars(self.lhs) | term_vars(self.rhs)
         return self._vars
-
-    @cached_property
-    def _vars(self) -> frozenset[Var]:
-        # Computed once; seeds and derived rules have it filled as they are built.
-        return term_vars(self.lhs) | term_vars(self.rhs)
 
     def rhs_is_epsilon(self) -> bool:
         return is_epsilon(self.rhs)
@@ -147,8 +152,8 @@ def initial_rules(
             names: dict[Var, Var] = {}
             renamed: dict[int, Term] = {}
             lhs = power_form(body, wrapped, moved, source, names, renamed)
-            open_ = PatternRule(lhs, renamed.get(id(body), body), rec)  # a ground body is kept
-            open_.__dict__["_vars"] = frozenset(names.values())  # fills PatternRule.vars()
+            rhs = renamed.get(id(body), body)  # a ground body is kept
+            open_ = PatternRule(lhs, rhs, rec, vars=frozenset(names.values()))
         for fact in facts[body.symbol]:
             if time.monotonic() > deadline:
                 return out
@@ -156,9 +161,8 @@ def initial_rules(
             if ts is None:
                 continue
             names = {}
-            closing = PatternRule(power_form(body, ts, moved, source, names), EPSILON, rec)
-            closing.__dict__["_vars"] = frozenset(names.values())
-            out.append(closing)
+            lhs = power_form(body, ts, moved, source, names)
+            out.append(PatternRule(lhs, EPSILON, rec, vars=frozenset(names.values())))
             if open_ is not None:
                 out.append(open_)
                 open_ = None

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
+from .record import Record
 from .terms import (
     App,
     Query,
@@ -38,20 +37,25 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Rule:
-    """A program rule head :- body; an empty body makes it a fact."""
+class Rule(Record):
+    """A program rule head :- body; an empty body makes it a fact.
 
-    head: Term
-    body: tuple[Term, ...] = ()
+    `vars` is the rule's variable set, when its builder knows it (the
+    parser does); otherwise `vars()` computes it on its first call.  Each
+    interpreter step renames the rule apart, so it is kept.
+    """
+
+    __slots__ = ("head", "body", "_vars")
+
+    def __init__(
+        self, head: Term, body: tuple[Term, ...] = (), *, vars: Optional[frozenset[Var]] = None
+    ):
+        self.head, self.body, self._vars = head, body, vars
 
     def vars(self) -> frozenset[Var]:
+        if self._vars is None:
+            self._vars = term_vars((self.head, *self.body))
         return self._vars
-
-    @cached_property
-    def _vars(self) -> frozenset[Var]:
-        # Computed once: each interpreter step renames the rule apart; the parser fills it.
-        return term_vars((self.head, *self.body))
 
     def __repr__(self) -> str:
         if not self.body:
@@ -59,12 +63,13 @@ class Rule:
         return f"{render(self.head)} :- {', '.join(render(b) for b in self.body)}."
 
 
-@dataclass(frozen=True)
-class QueryMode:
+class QueryMode(Record):
     """A query directive: the predicate of interest, all arguments ground."""
 
-    predicate: Symbol
-    modes: tuple[str, ...]
+    __slots__ = ("predicate", "modes")
+
+    def __init__(self, predicate: Symbol, modes: tuple[str, ...]):
+        self.predicate, self.modes = predicate, modes
 
     def __repr__(self) -> str:
         if not self.modes:
@@ -72,12 +77,20 @@ class QueryMode:
         return f"{self.predicate.name}({','.join(self.modes)})"
 
 
-@dataclass(frozen=True)
-class Program:
-    name: str
-    rules: tuple[Rule, ...]
-    symbols: tuple[Symbol, ...]  # declaration order
-    queries: tuple[QueryMode, ...] = ()
+class Program(Record):
+    """A parsed program: its rules, its symbols in declaration order, and
+    its query directives."""
+
+    __slots__ = ("name", "rules", "symbols", "queries")
+
+    def __init__(
+        self,
+        name: str,
+        rules: tuple[Rule, ...],
+        symbols: tuple[Symbol, ...],
+        queries: tuple[QueryMode, ...] = (),
+    ):
+        self.name, self.rules, self.symbols, self.queries = name, rules, symbols, queries
 
     def constants(self) -> tuple[Symbol, ...]:
         return tuple(s for s in self.symbols if s.arity == 0)
@@ -288,9 +301,7 @@ def _build(tokens: list[str], program_name: str) -> Program:
             else:
                 raise _Failure(f"expected {_follows(stack, clause)}, found {tok!r}", i)
         elif tok == ".":
-            rule = Rule(clause[0], tuple(clause[1:]))
-            rule.__dict__["_vars"] = frozenset(table.values())  # fills Rule.vars()
-            rules.append(rule)
+            rules.append(Rule(clause[0], tuple(clause[1:]), vars=frozenset(table.values())))
             state = _CLAUSE
         elif tok == (":-" if len(clause) == 1 else ","):
             state = _TERM
@@ -376,8 +387,7 @@ def rewrite_step(
     return [(apply(rule.body, both) + apply(query[1:], theta), theta)]
 
 
-@dataclass(frozen=True)
-class DerivationStatus:
+class DerivationStatus(Record):
     """Outcome of a bounded exploration of the rewrite tree.
 
     reached_bound: some single chain grew to max_steps.
@@ -388,9 +398,10 @@ class DerivationStatus:
     since branches the exploration has not visited may still succeed.
     """
 
-    reached_bound: bool
-    empty_reached: bool = False
-    timed_out: bool = False
+    __slots__ = ("reached_bound", "empty_reached", "timed_out")
+
+    def __init__(self, reached_bound: bool, empty_reached: bool = False, timed_out: bool = False):
+        self.reached_bound, self.empty_reached, self.timed_out = reached_bound, empty_reached, timed_out
 
 
 def derive_bounded(

@@ -33,7 +33,6 @@ every run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator, Optional, TextIO
 
@@ -42,6 +41,7 @@ from .pattern import PatternRule, cover, identity_rules
 # tests read `unfold.pattern_mgu`.
 from .powers import NormalBuilder, PowerSymbol, is_simple, pattern_mgu  # noqa: F401
 from .program import Program, Rule
+from .record import Record
 from .terms import (
     App,
     Subst,
@@ -141,27 +141,41 @@ class PatternRuleSet:
         return len(self._rules)
 
 
-@dataclass(frozen=True)
-class UnfoldBudget:
+class UnfoldBudget(Record):
     """Resource limits for one saturation run."""
 
-    wall_clock: float = 10.0
-    max_iterations: int = 10
-    max_rules: int = 100_000
+    __slots__ = ("wall_clock", "max_iterations", "max_rules")
+
+    def __init__(self, wall_clock: float = 10.0, max_iterations: int = 10, max_rules: int = 100_000):
+        self.wall_clock, self.max_iterations, self.max_rules = wall_clock, max_iterations, max_rules
 
 
-@dataclass
-class UnfoldStats:
-    # Distinct unfolded rules stored, seed set excluded; with a goal, only
-    # rules with epsilon or an instance of a goal atom on the right.
-    generated: int = 0
-    # Derived rules not stored because a stored one covers them (shift or
-    # instance); the selections `_attempts` leaves out are not counted.
-    subsumed: int = 0
-    # Induced families stored (`induce`), each also counted in `generated`.
-    induced: int = 0
-    iterations: int = 0
-    stop: str = "fixpoint"  # fixpoint | proved | timeout | iteration-cap | rule-cap
+class UnfoldStats(Record):
+    """What one saturation run did; it counts as the run goes.
+
+    generated: distinct unfolded rules stored, seed set excluded; with a
+    goal, only rules with epsilon or an instance of a goal atom on the right.
+    subsumed: derived rules not stored because a stored one covers them
+    (shift or instance); the selections `_attempts` leaves out are not
+    counted.
+    induced: induced families stored (`induce`), each also counted in
+    `generated`.
+    stop: fixpoint | proved | timeout | iteration-cap | rule-cap.
+    """
+
+    __slots__ = ("generated", "subsumed", "induced", "iterations", "stop")
+    __hash__ = None  # it counts as the run goes
+
+    def __init__(
+        self,
+        generated: int = 0,
+        subsumed: int = 0,
+        induced: int = 0,
+        iterations: int = 0,
+        stop: str = "fixpoint",
+    ):
+        self.generated, self.subsumed, self.induced = generated, subsumed, induced
+        self.iterations, self.stop = iterations, stop
 
 
 def rename_pattern_rule(rule: PatternRule, ren: Subst) -> PatternRule:
@@ -339,11 +353,9 @@ def _derive(
     # side, a shape no stored family has, so such a result is dropped.
     if not normal.simple:
         return None
-    rule = PatternRule(lhs, rhs)
     # The normal form moves only ground context layers, so it keeps every
     # variable.
-    rule.__dict__["_vars"] = fresh  # fills PatternRule.vars()
-    return rule
+    return PatternRule(lhs, rhs, vars=fresh)
 
 
 def induce(
@@ -449,9 +461,8 @@ def _propose(f: PatternRule, g: PatternRule, source: VarSource, rule: Rule) -> O
             stack += ((t, u, rest), (t, rest))
     if layer is None or not normal.simple:
         return None
-    family = PatternRule(done[id(f.lhs), id(g.lhs)], done[id(f.rhs), id(g.rhs)], rule)
-    family.__dict__["_vars"] = frozenset(names.values())  # fills PatternRule.vars()
-    return family
+    lhs, rhs = done[id(f.lhs), id(g.lhs)], done[id(f.rhs), id(g.rhs)]
+    return PatternRule(lhs, rhs, rule, vars=frozenset(names.values()))
 
 
 def saturate(

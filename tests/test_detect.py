@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 
 from conftest import (
@@ -98,6 +99,25 @@ class TestMatchPumping:
         data = match_pumping(r)
         assert data is not None
         assert data.k == 1 and data.alpha == 0
+
+    @pytest.mark.parametrize(
+        "b, rb, alpha",
+        [(1, 0, Fraction(1, 2)), (0, 2, -1), (0, 1, Fraction(-1, 2)), (2, 4, -1)],
+    )
+    def test_threshold_is_an_int_unless_it_is_not_whole(self, b, rb, alpha):
+        # f(s^(n+b)(X)) => f(s^(3n+rb)(X)) binds X at slope 2, offset rb - b,
+        # so it pumps from n >= (b - rb) / 2.
+        s = App(Symbol("s", 1), (HOLE,))
+
+        def side(a: int, offset: int) -> App:
+            return App(Symbol("f", 1), (App(PowerSymbol(s, a, offset), (Var("X"),)),))
+
+        r = PatternRule(side(1, b), side(3, rb))
+        data = match_pumping(r)
+        assert data == PumpData(0, alpha)
+        assert type(data.alpha) is type(alpha) and str(data.alpha) == str(alpha)
+        w = witness_from(r, data, Symbol("0", 0))
+        assert all(check_pumps(r, data, n) for n in range(w.n, w.n + 4))
 
     def test_ground_only_divisibility(self):
         # offsets drift by one while the slope is two: (rb - b) % a != 0

@@ -4,7 +4,6 @@ import io
 import random
 import re
 import sys
-from dataclasses import replace
 from functools import reduce
 from itertools import product
 from types import SimpleNamespace
@@ -52,7 +51,7 @@ from nonterm.powers import (
     normalize,
     pattern_mgu,
 )
-from nonterm.program import Rule, parse_program
+from nonterm.program import Program, Rule, parse_program
 from nonterm.terms import (
     EPSILON,
     HOLE,
@@ -1438,7 +1437,7 @@ def written_twice(program, i):
     a second `Rule`, equal to the first but not the same object."""
     rules = list(program.rules)
     rules.insert(i + 1, Rule(rules[i].head, rules[i].body))
-    return replace(program, rules=tuple(rules))
+    return Program(program.name, tuple(rules), program.symbols, program.queries)
 
 
 class TestVariantSeeds:
