@@ -12,8 +12,8 @@ variables apart and builds the rule in normal form as it goes
 (`terms.apply_triangular` with `powers.NormalBuilder`), so no second walk
 normalizes it or checks that it is simple, and each rule of a search has
 its own variables: only a rule picked twice in a selection is renamed.  A
-prefix's selections are walked in one loop over a stack of per-slot
-iterators (`_join`), so no step recurses on the length of a body.
+rule's selections are walked level by level, each closing pick unified
+once for every body prefix through it (`_attempts`).
 Expansion at an index is a homomorphism, so the result at n is exactly the
 classical unfolding of the selected instances at n.  A derived rule is
 stored unless a stored rule covers it (`pattern.cover`): a variant, a
@@ -214,20 +214,19 @@ def _attempts(
 ) -> Iterator[tuple[Optional[PatternRule], tuple]]:
     """Every selection one unfolding step tries, with the rule it derives.
 
-    Yields (rule or None, provenance) per selection of pool rules for a
-    body prefix; None marks a selection that failed to unify or lost
-    simplicity.  Enumeration order is fixed: program rules in order, prefix
-    length ascending, selections in pool insertion order (identities
-    last), the last slot varying fastest.
+    Yields (rule or None, (rule index, prefix length, picks)) per
+    selection of pool rules for a body prefix; None marks a selection that
+    failed to unify or lost simplicity.  Enumeration order is fixed:
+    program rules in order, prefix length ascending, selections in pool
+    insertion order (identities last), the last slot varying fastest.
 
     Each body atom's slot lists are built from the pool when the step
     reaches its program rule, keeping pool order, and hold the pool's
     rules of the atom's root symbol (`_by_root`, grouped once per step),
     and likewise for the identities: an inner slot takes the closing
     rules (right side epsilon), and the slot a prefix ends with takes the
-    others (any rule at the last atom), then the identities.  The clock is
-    read before each slot list is built, and past the `deadline` (a
-    `time.monotonic` reading) the step ends.
+    others (any rule at the last atom), then the identities.  No slot list
+    is built past an empty closing slot, which no prefix gets past.
 
     A one-atom rule's slot leaves out the seeds whose `source` it is, and
     the identities while its open seed is in the pool.  A seed is that
@@ -240,15 +239,21 @@ def _attempts(
     tried in round 1, before any family is induced.  Rules are compared by
     identity, so a copy of the clause keeps every pick.
 
-    Selections are built slot by slot (`_join`): a family whose left side
-    does not unify with its body atom under the bindings of the slots
-    before it ends every selection through that prefix, which yields one
-    None, with the prefix's picks as provenance.
+    A rule's selections are walked level by level, as bottom-up evaluation
+    materializes a join's prefixes.  Level j yields what each selection of
+    closing slots 0..j-1 that unifies with their atoms (`terms.unify`)
+    derives with each pick of ending slot j (`_derive`).  Selections grow
+    depth first from those kept at the last level that yielded, and only
+    a level that a later one extends keeps them: a closing pick is unified
+    once for all the prefixes through it, and one that fails yields one None.
 
     With `new` (the ids of the pool rules that are new since the previous
     step over the same program), selections made only of older rules are
     skipped: the previous step already tried each of them, and it can only
-    give again a variant of what it gave then.
+    give again a variant of what it gave then.  A selection of older rules
+    grows only while a later level that can yield holds a new rule.  The
+    clock is read before each slot list and before each selection grows;
+    past the `deadline` (a `time.monotonic` reading) the step ends.
     """
     # The program rules whose open seed is in the pool, by identity.
     opened = {id(pr.source) for pr in pool if pr.source is not None and not pr.rhs_is_epsilon()}
@@ -266,68 +271,62 @@ def _attempts(
                 fits = [pr for pr in fits if not pr.rhs_is_epsilon()]
             identities = () if id(rule) in opened else patid_at(atom)
             ending.append([*fits, *identities])
-        for i in range(1, len(rule.body) + 1):
-            slots = [*closing[: i - 1], ending[i - 1]]
-            yield from _join(rule, (rule_idx, i), slots, source, new)
-
-
-def _join(
-    rule: Rule,
-    provenance: tuple[int, int],
-    slots: list[list[PatternRule]],
-    source: VarSource,
-    new: Optional[set[int]],
-) -> Iterator[tuple[Optional[PatternRule], tuple]]:
-    """Depth-first walk of the selections for one body prefix, in the
-    order of `itertools.product` over the slots, in one loop over a stack
-    of per-slot iterators: no recursion on the body's length, and no
-    reference cycle left for the cyclic collector.
-
-    Each pick's left side is unified with its body atom on top of the
-    earlier picks' triangular bindings (`terms.unify`, the last slot's
-    too).  A pick that fails at an inner slot yields one None and its
-    subtree is skipped; a pick that leaves no way to use a new rule is
-    skipped without unifying.  A complete selection derives its rule from
-    the bindings (`_derive`).
-
-    Every rule of the pool and every identity has its own fresh variables
-    of `source` (`saturate`), which no program variable can meet, so a
-    pick is renamed only when the same rule, not ground, is already in the
-    selection: one identity test against the picks so far."""
-    if not all(slots):
-        return
-    depth = len(slots)
-    # later_new[j]: a slot from j on still holds a rule new in `new`.
-    later_new = [new is None] * (depth + 1)
-    if new is not None:
-        for j in range(depth - 1, -1, -1):
-            later_new[j] = later_new[j + 1] or any(id(r) in new for r in slots[j])
-    if not later_new[0]:
-        return
-    prefix = rule.body[:depth]
-    # Per slot entered: its picks' iterator and the state the picks extend.
-    stack = [(iter(slots[0]), {}, (), False)]
-    while stack:
-        j = len(stack) - 1
-        picks, bindings, combo, has_new = stack[-1]
-        for pr in picks:
-            uses_new = has_new or new is None or id(pr) in new
-            if not (uses_new or later_new[j + 1]):
-                continue
-            picked = pr
-            if id(pr) in map(id, combo) and pr.vars():
-                picked = rename_pattern_rule(pr, fresh_renaming(pr.vars(), (), source))
-            here = (*combo, pr)
-            extended = unify(bindings, [(picked.lhs, prefix[j])])
-            if j + 1 == depth:
-                yield _derive(rule.head, picked, extended, source), (*provenance, here)
-            elif extended is None:
-                yield None, (*provenance, here)
-            else:
-                stack.append((iter(slots[j + 1]), extended, here, uses_new))
+            if i < last and not closing[-1]:
                 break
-        else:
-            stack.pop()
+        # Levels past the last nonempty ending slot yield nothing.
+        while ending and not ending[-1]:
+            ending.pop()
+        levels = len(ending)
+        # The last level with a new rule in its ending slot or in the closing
+        # slot that leads past it: past it, a selection of older rules is idle.
+        newest = levels - 1
+        while new is not None and newest >= 0 and new.isdisjoint(
+            map(id, chain(ending[newest], closing[newest] if newest + 1 < levels else ()))
+        ):
+            newest -= 1
+        # The selections of closing slots that a later level extends: the
+        # bindings, the picks (one per slot), and whether a pick is new.
+        frontier: list[tuple[dict, tuple, bool]] = [({}, (), new is None)] if newest >= 0 else []
+        for j in range(levels):
+            if not (frontier and ending[j]):
+                continue
+            # Depth first from the frontier to level j, through the closing
+            # slots of the levels between, which yield nothing.
+            stack, frontier = frontier[::-1], []
+            while stack:
+                entry = bindings, picks, has_new = stack.pop()
+                k = len(picks)
+                if k == j:
+                    for pr in ending[j]:
+                        if has_new or id(pr) in new:
+                            picked = _apart(pr, picks, source)
+                            extended = unify(bindings, [(picked.lhs, rule.body[j])])
+                            yield _derive(rule.head, picked, extended, source), (rule_idx, j + 1, (*picks, pr))
+                    if j + 1 < levels:
+                        frontier.append(entry)
+                    continue
+                if time.monotonic() > deadline:
+                    return
+                grown = []
+                for pr in closing[k]:
+                    uses_new = has_new or id(pr) in new
+                    if uses_new or k < newest:
+                        here = (*picks, pr)
+                        extended = unify(bindings, [(_apart(pr, picks, source).lhs, rule.body[k])])
+                        if extended is None:
+                            yield None, (rule_idx, k + 2, here)
+                        else:
+                            grown.append((extended, here, uses_new))
+                stack += reversed(grown)
+
+
+def _apart(pr: PatternRule, picks: tuple, source: VarSource) -> PatternRule:
+    """The pick, renamed when the same rule, not ground, is among the picks:
+    every pool rule and identity has its own fresh variables of `source`
+    (`saturate`), which no program variable meets, so no other clash."""
+    if id(pr) in map(id, picks) and pr.vars():
+        return rename_pattern_rule(pr, fresh_renaming(pr.vars(), (), source))
+    return pr
 
 
 def _derive(
@@ -485,8 +484,8 @@ def saturate(
     `on_rule`, since without that family a later round would have stored
     it.  Stats report the number of generated rules and the stop reason;
     exhausting the budget is a normal outcome, not an error.  The clock is
-    read before each seed, slot list (`_attempts`) and selection, and
-    after each round, so a round cut short ends "timeout", not "fixpoint".
+    read before each seed, slot list, growth (`_attempts`) and selection,
+    and after each round: a round cut short ends "timeout", not "fixpoint".
 
     With a goal predicate, the goal's is the only identity offered, and
     every base rule must have epsilon or a goal atom on the right, as

@@ -52,8 +52,9 @@ from nonterm.terms import (
     rebuild,
     strip_power,
     term_vars,
+    unify,
 )
-from nonterm.unfold import PatternRuleSet, _attempts, induce, rename_pattern_rule
+from nonterm.unfold import PatternRuleSet, _attempts, _derive, induce, rename_pattern_rule
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -136,6 +137,13 @@ def step_candidates(
     for candidate, provenance in _attempts(program, pool, patid, source):
         if candidate is not None:
             yield candidate, provenance
+
+
+def unfold_first(rule: Rule, pick: PatternRule, source: VarSource) -> Optional[PatternRule]:
+    """The program rule's first body atom unfolded with one pick, as
+    `unfold.induce` unfolds it, or None when the pick's left side does not
+    unify with that atom or the result is not simple."""
+    return _derive(rule.head, pick, unify({}, [(pick.lhs, rule.body[0])]), source)
 
 
 def induced_by(

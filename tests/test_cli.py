@@ -142,8 +142,8 @@ class TestRun:
         deep = "s(" * 3000 + "0" + ")" * 3000
         (tmp_path / "deep.pl").write_text(f"%query: f(i).\nf(s(X)) :- f(X).\nf({deep}).\n")
         (tmp_path / "grow.pl").write_text((PROGRAMS_DIR / "grow.pl").read_text())
-        # Far longer a body than the recursion limit: each prefix's
-        # selections are walked in one loop.
+        # Far longer a body than the recursion limit: a rule's selections
+        # are walked level by level in one loop.
         body = ", ".join(["q(X)"] * 2000)
         (tmp_path / "wide.pl").write_text(
             f"%query: p(i).\np(X) :- {body}, p(X).\nq(a).\nq(s(X)) :- q(X).\n"

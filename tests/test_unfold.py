@@ -38,6 +38,7 @@ from conftest import (
     step_candidates,
     subst,
     term,
+    unfold_first,
 )
 from nonterm import powers, unfold
 from nonterm.binrules import saturate as binary_saturate
@@ -571,6 +572,80 @@ class TestDeadline:
         assert stats.stop == "timeout" and stats.generated == 0
         assert reads == 62 + 1
 
+    def test_a_growing_entry_is_cut(self, monkeypatch):
+        # Toward the goal f, the q atoms' ending slots are empty, so the
+        # walk goes depth first through the four closing slots to its first
+        # selection, and every one of 30 closing families q(s^n(a_i)) => e
+        # unifies with each q(A_k): 4 * 30 unifications, none yielded, then
+        # the first f pick.  A clock that passes the deadline halfway
+        # through one entry's picks must end the run before the next entry
+        # grows.
+        closers, depth = 30, 4
+        body = ", ".join(f"q(A{k})" for k in range(depth))
+        lines = ["%query: f(i).", f"f(X) :- {body}, f(X).", "q(s(X)) :- q(X)."]
+        lines += [f"q(a{i})." for i in range(closers)]
+        program = parse_program("\n".join(lines))
+        goal = program.queries[0].predicate
+        base, source = seeded(program, goal)
+        budget = UnfoldBudget(wall_clock=10.0, max_iterations=1)
+        calls = []
+        real_unify = unfold.unify
+
+        def counting_unify(bindings, pairs):
+            extended = real_unify(bindings, pairs)
+            calls.append(extended is not None)
+            return extended
+
+        def derived(rule):
+            return rule.lhs.symbol is goal
+
+        monkeypatch.setattr(unfold, "unify", counting_unify)
+        _, stats = saturate(program, base, budget, derived, goal=goal, source=source)
+        assert stats.stop == "proved" and stats.generated == 1
+        assert calls == [True] * (depth * closers + 1)
+
+        calls.clear()
+        cut = closers * depth // 2 + closers // 2
+        clock = SimpleNamespace(monotonic=lambda: 0.0 if len(calls) < cut else 1e9)
+        monkeypatch.setattr(unfold, "time", clock)
+        _, stats = saturate(program, base, budget, derived, goal=goal, source=source)
+        assert stats.stop == "timeout" and stats.generated == 0
+        assert len(calls) - cut <= closers
+
+
+class TestLevelWalk:
+    @staticmethod
+    def long_body(m: int) -> str:
+        body = ", ".join(["q(X)"] * m)
+        return (
+            f"%query: p(i).\np(s(X)) :- {body}, p(X).\n"
+            "q(X) :- p(X).\nq(a).\nq(s(X)) :- q(X).\np(0).\n"
+        )
+
+    def test_unifications_are_linear_in_body_length(self, monkeypatch):
+        # Each closing pick is unified once for all the prefixes through
+        # it, so doubling the body at most about doubles the unifications;
+        # a walk per prefix does a number quadratic in the body's length.
+        calls = 0
+        real_unify = unfold.unify
+
+        def counting_unify(bindings, pairs):
+            nonlocal calls
+            calls += 1
+            return real_unify(bindings, pairs)
+
+        monkeypatch.setattr(unfold, "unify", counting_unify)
+        budget = UnfoldBudget(wall_clock=3600.0, max_iterations=3)
+        counts, outcomes = [], set()
+        for m in (50, 100, 200):
+            calls = 0
+            program = parse_program(self.long_body(m))
+            outcome = prove(program, program.queries[0], budget)
+            counts.append(calls)
+            outcomes.add((outcome.status, outcome.reason, outcome.unfolded))
+        assert outcomes == {("unknown", "iteration-cap", 11)}
+        assert all(b <= 2.1 * a for a, b in zip(counts, counts[1:])), counts
+
 
 class TestExactness:
     @pytest.mark.parametrize("name", sorted(p.stem for p in PROGRAMS_DIR.glob("*.pl")))
@@ -603,8 +678,10 @@ class TestExactness:
         checked = 0
         seeds = list(stored)
         for rule_idx, rule in enumerate(program.rules):
-            slots = [own_seed_picks(rule, seeds, patid)]
-            attempts = unfold._join(rule, (rule_idx, 1), slots, source, None)
+            attempts = [
+                (unfold_first(rule, pick, source), (rule_idx, 1, (pick,)))
+                for pick in own_seed_picks(rule, seeds, patid)
+            ]
             checked += len(check(attempts))
         new = None
         for _ in range(3):
@@ -872,10 +949,10 @@ class TestFreshFamilies:
 
     def test_a_second_pick_is_still_renamed(self, monkeypatch):
         # A pick is renamed exactly when the same non-ground family is
-        # already in its selection, once per prefix the join walks: never
-        # for meeting the program rule, nor for another seed of the g rule.
-        # The g rule's closing seed is renamed only where it closes both
-        # calls.
+        # already in its selection, once per selection the level walk
+        # extends with it: never for meeting the program rule, nor for
+        # another seed of the g rule.  The g rule's closing seed is renamed
+        # only where it closes both calls.
         renamed = self.counted_renames(monkeypatch)
         program = parse_program(CALLS_TWICE, "calls-twice")
         seeds, source = seeded(program)
@@ -884,15 +961,16 @@ class TestFreshFamilies:
         twice, new = [], None
         for _ in range(4):
             snapshot = list(stored)
-            # The round's prefixes that end with a second pick of a family.
-            prefixes = {}
-            for rule, (rule_idx, i, combo) in _attempts(program, snapshot, patid, source, new):
+            # The round's selections that end with a second pick of a
+            # family, each once, however many prefixes extend it.
+            selections = {}
+            for rule, (rule_idx, _, combo) in _attempts(program, snapshot, patid, source, new):
                 for j, r in enumerate(combo):
                     if r.vars() and any(q is r for q in combo[:j]):
-                        prefixes[(rule_idx, i, *map(id, combo[: j + 1]))] = r
+                        selections[(rule_idx, *map(id, combo[: j + 1]))] = r
                 if rule is not None:
                     stored.add(rule)
-            twice += prefixes.values()
+            twice += selections.values()
             new = {id(r) for r in list(stored)[len(snapshot):]}
         assert len(stored) > len(seeds)
         # `_derive` fills each rule's variables from its walk, and seeding
@@ -1151,14 +1229,9 @@ class TestOwnSeeds:
         open_ = [r for r in seeds if not r.rhs_is_epsilon()]
         assert len(open_) == 1 and len(seeds) > 1
 
-        def unfold_with(pick):
-            slots = [[pick]]
-            [(got, _)] = unfold._join(rec, (0, 1), slots, source, None)
-            return got
-
         has_layer = not all(isinstance(a, Var) for a in rec.body[0].args)
         for seed in seeds:
-            got = unfold_with(seed)
+            got = unfold_first(rec, seed, source)
             if got is None:
                 assert has_layer, seed
                 continue
@@ -1168,7 +1241,7 @@ class TestOwnSeeds:
             assert drops == [("shift", 1)]
         pred = rec.body[0].symbol
         [identity] = [r for r in identity_rules(program.symbols, source) if r.lhs.symbol == pred]
-        got = unfold_with(identity)
+        got = unfold_first(rec, identity, source)
         assert not (got.lhs.powered or got.rhs.powered)
         assert is_variant(got.at(0), open_[0].at(0))
         drops = []
