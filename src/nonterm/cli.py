@@ -1,10 +1,12 @@
 """Command-line front end: analyze programs and report per-query rows.
 
-One row per (program, query directive): the witness found (or "?"), the
-number of unfolded rules, elapsed time, and a status; a file that cannot
-be read or parsed gets one row with status Error.  Directories are
-analyzed in lexicographic order of their .pl files.  Debug flags dump the
-seed pattern rules or a bounded binary unfolding instead of analyzing.
+One row per (program, query directive), holding the query's proof
+outcome; the witness found (or "?"), the number of unfolded rules, the
+elapsed time and the status are read off that outcome.  A file that
+cannot be read or parsed gets one row with no outcome and status Error.
+Directories are analyzed in lexicographic order of their .pl files.  A
+debug flag, one at most, dumps the seed pattern rules or a bounded binary
+unfolding instead of analyzing.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .unfold import UnfoldBudget
 
 
 class RunConfig(Record):
-    """The command line's settings, one field per option."""
+    """The command line's settings, one field per option, named as the
+    option's destination, so `main` builds it from the parsed namespace."""
 
     __slots__ = (
         "inputs", "timeout", "max_iterations", "max_rules", "validate_steps",
@@ -50,14 +53,13 @@ class RunConfig(Record):
 
 
 class ReportRow(Record):
-    """One row of the report: a (program, query) pair, or a file that was
-    not analysed.  rules and relations are None on an Error row, whose
-    file was not parsed, and error says why."""
+    """One row of the report: a (program, query) pair and its proof
+    outcome, or a file that was not analysed.  witness (rendered, or "?"),
+    unfolded, time_ms and status are read off the outcome.  An Error row
+    is of a file that was not read or parsed: it has no outcome, rules or
+    relations, its error says why, and it reads "?", 0, 0.0 and "Error"."""
 
-    __slots__ = (
-        "program", "rules", "relations", "mode", "witness",
-        "unfolded", "time_ms", "status", "outcome", "error",
-    )
+    __slots__ = ("program", "rules", "relations", "mode", "outcome", "error")
 
     def __init__(
         self,
@@ -65,21 +67,30 @@ class ReportRow(Record):
         rules: Optional[int],
         relations: Optional[int],
         mode: Optional[str],
-        witness: str,
-        unfolded: int,
-        time_ms: float,
-        status: str,
         outcome: Optional[ProofOutcome] = None,
         error: Optional[str] = None,
     ):
         self.program, self.rules, self.relations, self.mode = program, rules, relations, mode
-        self.witness, self.unfolded, self.time_ms, self.status = witness, unfolded, time_ms, status
         self.outcome, self.error = outcome, error
 
-    @classmethod
-    def failed_file(cls, path: Path, message: str) -> "ReportRow":
-        """The row of a file that could not be read or parsed."""
-        return cls(path.stem, None, None, None, "?", 0, 0.0, _ERROR, error=message)
+    @property
+    def witness(self) -> str:
+        witness = self.outcome.witness if self.outcome else None
+        return "?" if witness is None else render(witness.term)
+
+    @property
+    def unfolded(self) -> int:
+        return self.outcome.unfolded if self.outcome else 0
+
+    @property
+    def time_ms(self) -> float:
+        return self.outcome.time_ms if self.outcome else 0.0
+
+    @property
+    def status(self) -> str:
+        if self.outcome is None:
+            return _ERROR
+        return "Proven" if self.outcome.proven else _STATUS[self.outcome.reason]
 
     def to_dict(self) -> dict:
         witness = self.outcome.witness if self.outcome else None
@@ -89,7 +100,7 @@ class ReportRow(Record):
             "relations": self.relations,
             "mode": self.mode,
             "status": self.status,
-            "witness": None if self.witness == "?" else self.witness,
+            "witness": render(witness.term) if witness else None,
             "unfolded": self.unfolded,
             "time_ms": round(self.time_ms, 3),
             "n": witness.n if witness else None,
@@ -123,6 +134,7 @@ def analyze_file(path: Path, config: RunConfig, err: TextIO) -> list[ReportRow]:
         max_iterations=config.max_iterations,
         max_rules=config.max_rules,
     )
+    rules, relations = len(program.rules), len(program.head_symbols())
     rows = []
     if not program.queries:
         err.write(f"note: {path} declares no %query directive; nothing to analyze\n")
@@ -134,25 +146,7 @@ def analyze_file(path: Path, config: RunConfig, err: TextIO) -> list[ReportRow]:
             validate_steps=config.validate_steps,
             trace=err if config.trace else None,
         )
-        if outcome.proven:
-            status = "Proven"
-            witness = render(outcome.witness.term)
-        else:
-            status = _STATUS[outcome.reason]
-            witness = "?"
-        rows.append(
-            ReportRow(
-                program=program.name,
-                rules=len(program.rules),
-                relations=len(program.head_symbols()),
-                mode=str(query),
-                witness=witness,
-                unfolded=outcome.unfolded,
-                time_ms=outcome.time_ms,
-                status=status,
-                outcome=outcome,
-            )
-        )
+        rows.append(ReportRow(program.name, rules, relations, str(query), outcome))
     return rows
 
 
@@ -241,7 +235,7 @@ def run(config: RunConfig, out: Optional[TextIO] = None, err: Optional[TextIO] =
         except _FILE_ERRORS as exc:
             message = _file_error(path, exc, err)
             errors.append(message)
-            rows.append(ReportRow.failed_file(path, message))
+            rows.append(ReportRow(path.stem, None, None, None, error=message))
     if config.as_json:
         json.dump([r.to_dict() for r in rows], out, indent=2)
         out.write("\n")
@@ -258,35 +252,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("inputs", nargs="+", type=Path, help="program files or directories of .pl files")
     parser.add_argument("--timeout", type=float, default=10.0, metavar="SECS", help="wall-clock budget for each query's seeding, search and --validate run (default 10)")
-    parser.add_argument("--max-iter", type=int, default=10, metavar="N", help="unfolding rounds per query (default 10)")
+    parser.add_argument("--max-iter", dest="max_iterations", type=int, default=10, metavar="N", help="unfolding rounds per query (default 10)")
     parser.add_argument("--max-rules", type=int, default=100_000, metavar="N", help="cap on generated rules (default 100000)")
-    parser.add_argument("--validate", type=int, default=0, metavar="STEPS", help="re-run each witness in the interpreter for STEPS steps, within --timeout (0 disables)")
-    parser.add_argument("--json", action="store_true", help="emit rows as a JSON array")
+    parser.add_argument("--validate", dest="validate_steps", type=int, default=0, metavar="STEPS", help="re-run each witness in the interpreter for STEPS steps, within --timeout (0 disables)")
+    parser.add_argument("--json", dest="as_json", action="store_true", help="emit rows as a JSON array")
     parser.add_argument("--trace", action="store_true", help="stream generated pattern rules to stderr")
-    parser.add_argument("--dump-initial", action="store_true", help="print the seed pattern rules and exit")
-    parser.add_argument("--dump-binunf", type=int, default=None, metavar="DEPTH", help="print a bounded binary unfolding and exit")
+    dump = parser.add_mutually_exclusive_group()
+    dump.add_argument("--dump-initial", action="store_true", help="print the seed pattern rules and exit")
+    dump.add_argument("--dump-binunf", type=int, default=None, metavar="DEPTH", help="print a bounded binary unfolding and exit")
     args = parser.parse_args(argv)
     if not args.timeout > 0:  # also rejects nan, which no deadline passes
         parser.error("--timeout must be positive")
     for flag, value in (
-        ("--max-iter", args.max_iter),
+        ("--max-iter", args.max_iterations),
         ("--max-rules", args.max_rules),
-        ("--validate", args.validate),
+        ("--validate", args.validate_steps),
         ("--dump-binunf", args.dump_binunf),
     ):
         if value is not None and value < 0:
             parser.error(f"{flag} must not be negative")
-    config = RunConfig(
-        inputs=tuple(args.inputs),
-        timeout=args.timeout,
-        max_iterations=args.max_iter,
-        max_rules=args.max_rules,
-        validate_steps=args.validate,
-        as_json=args.json,
-        trace=args.trace,
-        dump_binunf=args.dump_binunf,
-        dump_initial=args.dump_initial,
-    )
+    args.inputs = tuple(args.inputs)
+    config = RunConfig(**vars(args))
     return run(config)
 
 

@@ -164,30 +164,34 @@ def check_pumps(rule: PatternRule, data: PumpData, n: int) -> bool:
 class ProofOutcome(Record):
     """The answer to one query.
 
-    status: "proven" | "unknown".
+    status, read off the witness: "proven" when there is one, else
+    "unknown".
     reason, for unknown: timeout | iteration-cap | rule-cap | fixpoint |
     validation-failed.
     validated: True when the interpreter kept the witness alive for the
     steps asked, else None.
     """
 
-    __slots__ = ("status", "witness", "unfolded", "time_ms", "reason", "validated")
+    __slots__ = ("witness", "unfolded", "time_ms", "reason", "validated")
 
     def __init__(
         self,
-        status: str,
         witness: Optional[Witness],
         unfolded: int,
         time_ms: float,
         reason: Optional[str] = None,
         validated: Optional[bool] = None,
     ):
-        self.status, self.witness, self.unfolded, self.time_ms = status, witness, unfolded, time_ms
+        self.witness, self.unfolded, self.time_ms = witness, unfolded, time_ms
         self.reason, self.validated = reason, validated
 
     @property
     def proven(self) -> bool:
-        return self.status == "proven"
+        return self.witness is not None
+
+    @property
+    def status(self) -> str:
+        return "unknown" if self.witness is None else "proven"
 
 
 def prove(
@@ -256,6 +260,5 @@ def prove(
             # The theory says this cannot happen; reporting unknown keeps
             # the tool honest if it ever does.
             witness, reason = None, "validation-failed"
-    status = "unknown" if witness is None else "proven"
     elapsed = (time.monotonic() - t0) * 1000.0
-    return ProofOutcome(status, witness, stats.generated, elapsed, reason, validated)
+    return ProofOutcome(witness, stats.generated, elapsed, reason, validated)

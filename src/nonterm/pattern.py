@@ -33,6 +33,7 @@ from .terms import (
     Term,
     Var,
     VarSource,
+    apply,
     canonical_key,
     decompose_power,
     is_epsilon,
@@ -107,8 +108,8 @@ def initial_rules(
     ground d of minimal period, x_k goes to d^(a,b)(t) where t_k = d^b(t),
     in the head to d^(a,a)(x_k).  A variable sigma leaves alone keeps its
     filler.  That walk names each variable by a fresh one of the `VarSource`
-    given (of a new one without it), and builds the open family's right
-    side, the body under the same names, as it goes.  Each recursive rule is
+    given (of a new one without it); the open family's right side is the
+    body under the same names (`terms.apply`).  Each recursive rule is
     tried against the facts of its body's predicate only, in program order;
     no other fact matches the body.  Each seed records the recursive rule it
     was built from as its `source`: both families are that rule unfolded n
@@ -150,10 +151,8 @@ def initial_rules(
         open_ = None
         if goal is None or body.symbol == goal:
             names: dict[Var, Var] = {}
-            renamed: dict[int, Term] = {}
-            lhs = power_form(body, wrapped, moved, source, names, renamed)
-            rhs = renamed.get(id(body), body)  # a ground body is kept
-            open_ = PatternRule(lhs, rhs, rec, vars=frozenset(names.values()))
+            lhs = power_form(body, wrapped, moved, source, names)
+            open_ = PatternRule(lhs, apply(body, names), rec, vars=frozenset(names.values()))
         for fact in facts[body.symbol]:
             if time.monotonic() > deadline:
                 return out

@@ -532,7 +532,6 @@ def saturate(
         if an induced family covers it: without that family, a later round
         would have stored it.  Whether it was stored, and the reason the
         run stops, if it does."""
-        nonlocal grew
         # The cap binds only on a rule that would be stored, so skipped
         # selections, which give covered rules, cannot change the outcome.
         if stats.generated >= budget.max_rules and not stored.contains_variant(rule):
@@ -541,7 +540,6 @@ def saturate(
         kept = stored.add(rule, subsumed)
         if kept:
             stats.generated += 1
-            grew = True
             if trace:
                 trace.write(note())
         elif not (covering and id(covering[0]) in induced):
@@ -565,7 +563,6 @@ def saturate(
     for round_no in range(1, budget.max_iterations + 1):
         stats.iterations = round_no
         snapshot = list(stored)
-        grew = False
         for candidate, provenance in _attempts(program, snapshot, patid, source, new, deadline):
             if time.monotonic() > deadline:
                 return finish("timeout")
@@ -598,7 +595,7 @@ def saturate(
                 return finish(stop)
         if time.monotonic() > deadline:
             return finish("timeout")
-        if not grew:
+        if len(stored) == len(snapshot):
             return finish("fixpoint")
         new = {id(r) for r in list(stored)[len(snapshot):]}
     return finish("iteration-cap")

@@ -367,6 +367,14 @@ class TestMain:
         assert exc.value.code == 2
         assert f"{flag} must not be negative" in capsys.readouterr().err
 
+    def test_dumps_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([str(PROGRAMS_DIR / "shrink.pl"), "--dump-initial", "--dump-binunf", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--dump-binunf: not allowed with argument --dump-initial" in captured.err
+
     @pytest.mark.parametrize("value", ["0", "-1", "nan"])
     def test_non_positive_timeout_rejected(self, value, capsys):
         with pytest.raises(SystemExit) as exc:

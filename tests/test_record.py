@@ -15,7 +15,7 @@ from nonterm.cli import ReportRow, RunConfig
 from nonterm.detect import ProofOutcome, PumpData, Witness, prove
 from nonterm.pattern import PatternRule
 from nonterm.program import DerivationStatus, Program, QueryMode, Rule, parse_program
-from nonterm.terms import Symbol
+from nonterm.terms import Symbol, render
 from nonterm.unfold import UnfoldBudget, UnfoldStats
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -60,13 +60,17 @@ class TestConstruction:
         rule = PatternRule(head, head)
         witness = Witness(rule=rule, data=PumpData(1, 0), n=0, term=term("p(0)"))
         assert (witness.rule, witness.n) == (rule, 0)
-        outcome = ProofOutcome(status="unknown", witness=None, unfolded=2, time_ms=1.5)
+        outcome = ProofOutcome(witness=None, unfolded=2, time_ms=1.5)
         assert (outcome.reason, outcome.validated, outcome.proven) == (None, None, False)
-        row = ReportRow(
-            program="p", rules=1, relations=1, mode="p(i)", witness="?",
-            unfolded=0, time_ms=0.0, status="Unknown-fixpoint",
-        )
+        assert outcome.status == "unknown"
+        row = ReportRow(program="p", rules=1, relations=1, mode="p(i)")
         assert (row.outcome, row.error) == (None, None)
+        # A row reads its columns off its outcome; one without reads as an
+        # Error row.
+        assert (row.witness, row.unfolded, row.time_ms, row.status) == ("?", 0, 0.0, "Error")
+        outcome = ProofOutcome(witness=None, unfolded=2, time_ms=1.5, reason="fixpoint")
+        row = ReportRow(program="p", rules=1, relations=1, mode="p(i)", outcome=outcome)
+        assert (row.witness, row.unfolded, row.time_ms, row.status) == ("?", 2, 1.5, "Unknown-fixpoint")
 
     @pytest.mark.parametrize(
         "record, shown",
@@ -149,6 +153,9 @@ class TestPickleAndCopy:
 
     def test_report_row_round_trips(self):
         outcome = _outcome()
-        row = ReportRow("w", 7, 3, "while(i,i)", repr(outcome.witness), 5, 1.0, "Proven", outcome)
-        assert pickle.loads(pickle.dumps(row)) == row
-        assert copy.copy(row) == row and copy.deepcopy(row).to_dict() == row.to_dict()
+        row = ReportRow("w", 7, 3, "while(i,i)", outcome)
+        assert (row.witness, row.status) == (render(outcome.witness.term), "Proven")
+        error = ReportRow("bad", None, None, None, error="2:5: expected ')'")
+        for r in (row, error):
+            assert pickle.loads(pickle.dumps(r)) == r
+            assert copy.copy(r) == r and copy.deepcopy(r).to_dict() == r.to_dict()

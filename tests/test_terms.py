@@ -161,6 +161,10 @@ class TestMgu:
         assert mgu(term("f(X,Y)"), term("f(X,Y)")) == Subst()
 
     def test_occurs_check(self):
+        # The triangular map is checked first: a unifier that skipped an
+        # occurs check would bind X to s(X), which `resolve` walks forever.
+        assert unify({}, [(Var("X"), term("s(X)"))]) is None
+        assert unify({}, [(term("s(X)"), Var("X"))]) is None
         assert mgu(Var("X"), term("s(X)")) is None
 
     def test_clash(self):

@@ -1082,6 +1082,40 @@ class TestInduction:
         assert unfold._propose(pick, derived, source, program.rules[0]) is None
         assert [str(u) for u in peeled] == [str(derived.lhs.args[1])]
 
+    @pytest.mark.parametrize(
+        "pick, grown, proposed",
+        [
+            # Past the s layer, the leftover variables correspond one to one.
+            ("f(s(X),Y,Z) => f(X,Y,Z)", "f(s(s(X)),Y,Z) => f(X,Y,Z)", True),
+            # Two variables of the pick meet one of the grown family.
+            ("f(s(X),Y,Z) => f(X,Y,Z)", "f(s(s(X)),Y,Y) => f(X,Y,Y)", False),
+            # One variable of the pick meets two of the grown family.
+            ("f(s(X),Y,Y) => f(X,Y,Y)", "f(s(s(X)),Y,Z) => f(X,Y,Z)", False),
+            # A ground term of the pick meets a variable.
+            ("f(s(X),0,Z) => f(X,Z,Z)", "f(s(s(X)),Y,Z) => f(X,Z,Z)", False),
+        ],
+    )
+    def test_leftover_variables_must_correspond_one_to_one(self, pick, grown, proposed):
+        rule = parse_program("f(s(X), Y, Z) :- f(X, Y, Z).\n").rules[0]
+        source = VarSource()
+        f, g = apart([PatternRule(*map(term, r.split(" => "))) for r in (pick, grown)], source)
+        assert (unfold._propose(f, g, source, rule) is not None) == proposed
+
+    @pytest.mark.parametrize(
+        "max_rules, stop, rounds, induced", [(2, "rule-cap", 2, 0), (3, "fixpoint", 3, 1)]
+    )
+    def test_the_rule_cap_binds_on_an_induced_family(self, max_rules, stop, rounds, induced):
+        # Round 2 stores the second concrete family; the family it induces
+        # would be the third, so a cap of 2 stops the run there, in round 2.
+        program = parse_program(CAP_CONTROLS["shift"])
+        goal = program.queries[0].predicate
+        base, source = seeded(program, goal)
+        trace = io.StringIO()
+        budget = UnfoldBudget(wall_clock=3600.0, max_rules=max_rules)
+        _, stats = saturate(program, base, budget, trace=trace, goal=goal, source=source)
+        assert (stats.stop, stats.iterations, stats.generated) == (stop, rounds, max_rules)
+        assert trace.getvalue().count("induced from") == induced
+
     def test_a_family_whose_unfolding_is_no_shift_is_refused(self):
         # F' grows F by one s layer at both positions, so the proposal is
         # G = f(s^(n+1)(X),Y) => f(X,s^(n+1)(Y)); but the rule wraps Y in g,
